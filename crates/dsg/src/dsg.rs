@@ -564,9 +564,13 @@ impl DynamicSkipGraph {
         key.value() / Self::KEY_SPACING - 1
     }
 
+    /// The node of a present peer. A dummy on the peer's key (which a
+    /// snapshot written before dummies skipped peer keys may hold) is not
+    /// the peer.
     fn peer_id(&self, peer: u64) -> Result<NodeId> {
         self.graph
             .node_by_key(Self::internal_key(peer))
+            .filter(|&id| self.graph.node(id).is_some_and(|entry| !entry.is_dummy()))
             .ok_or(DsgError::UnknownPeer(peer))
     }
 

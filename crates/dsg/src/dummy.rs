@@ -51,6 +51,7 @@ use dsg_skipgraph::{
     BalanceViolation, Bit, FastHashState, Key, MembershipVector, NodeId, Prefix, SkipGraph,
 };
 
+use crate::dsg::DynamicSkipGraph;
 use crate::state::StateTable;
 
 /// Result of one a-balance repair pass.
@@ -1196,6 +1197,8 @@ fn plan_dummy(planned: &mut Vec<PlannedDummy>, key: Key, mvec: MembershipVector)
 /// An *unoccupied* key strictly between `left` and `right`, if one exists.
 /// Candidates are spread across the gap (rather than clustered around the
 /// midpoint) so that successive dummies keep leaving room for later ones.
+/// Peer keys (multiples of [`DynamicSkipGraph::KEY_SPACING`]) are never
+/// chosen: the key of a departed peer stays reserved for its rejoin.
 fn free_key_between(graph: &SkipGraph, left: u64, right: u64) -> Option<u64> {
     free_key_between_by(
         |k| graph.node_by_key(Key::new(k)).is_some(),
@@ -1209,6 +1212,23 @@ fn free_key_between(graph: &SkipGraph, left: u64, right: u64) -> Option<u64> {
 /// free, planned dummies taken) so its key choices replay the
 /// destroy-up-front path's exactly.
 fn free_key_between_by<F: Fn(u64) -> bool>(occupied: F, left: u64, right: u64) -> Option<u64> {
+    let key = sweep_free_key(&occupied, left, right)?;
+    let spacing = DynamicSkipGraph::KEY_SPACING;
+    if !key.is_multiple_of(spacing) {
+        return Some(key);
+    }
+    // An unheld peer key (its peer left, or never joined) stays reserved
+    // for that peer: take a slot in the peer-free stretch beside it
+    // instead, which holds no peer key. While every peer in the gap is
+    // present this branch never runs, so placement is unchanged.
+    let (lo, hi) = (left.min(right), left.max(right));
+    sweep_free_key(&occupied, key, hi.min(key.saturating_add(spacing)))
+        .or_else(|| sweep_free_key(&occupied, lo.max(key - spacing), key))
+}
+
+/// The candidate sweep behind [`free_key_between_by`]; peer keys are
+/// ordinary candidates here.
+fn sweep_free_key<F: Fn(u64) -> bool>(occupied: &F, left: u64, right: u64) -> Option<u64> {
     let (lo, hi) = if left <= right { (left, right) } else { (right, left) };
     let gap = hi - lo;
     if gap <= 1 {
@@ -1346,6 +1366,34 @@ mod tests {
         // Small dense gap with one hole: the linear fallback finds it.
         let one_hole = |k: u64| k != 13;
         assert_eq!(free_key_between_by(one_hole, 10, 20), Some(13));
+    }
+
+    #[test]
+    fn free_key_between_by_never_takes_a_peer_key() {
+        let s = DynamicSkipGraph::KEY_SPACING;
+        // Every peer present: the choice is the plain sweep's.
+        let peers_held = |k: u64| k.is_multiple_of(s);
+        for (lo, hi) in [(s, 3 * s), (s, 65 * s), (3 * s, 4 * s), (s, 2 * s + s / 2)] {
+            assert_eq!(
+                free_key_between_by(peers_held, lo, hi),
+                sweep_free_key(&peers_held, lo, hi)
+            );
+        }
+        // The peer at 2s has left: the sweep's midpoint is its key, which
+        // stays free; the dummy goes to the middle of the stretch above.
+        let nothing_held = |_k: u64| false;
+        assert_eq!(sweep_free_key(&nothing_held, s, 3 * s), Some(2 * s));
+        assert_eq!(
+            free_key_between_by(nothing_held, s, 3 * s),
+            Some(2 * s + s / 2)
+        );
+        // Stretch above taken too: the one below is used.
+        let above_held = |k: u64| k > 2 * s && k < 3 * s;
+        assert_eq!(free_key_between_by(above_held, s, 3 * s), Some(s + s / 2));
+        // Over a long run of unheld peer keys every dyadic candidate is a
+        // peer key; a slot beside the first one is still found.
+        let key = free_key_between_by(nothing_held, s, 65 * s).expect("gap has room");
+        assert!(!key.is_multiple_of(s) && key > s && key < 65 * s);
     }
 
     #[test]

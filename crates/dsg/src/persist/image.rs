@@ -104,52 +104,63 @@ fn policy_tag(p: AdaptPolicy) -> u8 {
 }
 
 /// Encodes an image into the checkpoint payload (magic-led, CRC applied by
-/// the file wrapper in the store).
+/// the file envelope in the store).
 pub fn encode_snapshot(image: &EngineImage) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + image.nodes.len() * 64);
+    let mut buf = Vec::new();
+    encode_snapshot_into(image, &mut buf);
+    buf
+}
+
+/// Appends the checkpoint payload of `image` to `buf` — the store encodes
+/// straight into its reused envelope buffer this way.
+pub(crate) fn encode_snapshot_into(image: &EngineImage, buf: &mut Vec<u8>) {
+    buf.reserve(64 + image.nodes.len() * 64);
     buf.extend_from_slice(MAGIC);
-    put_u64(&mut buf, image.config.a as u64);
+    put_u64(buf, image.config.a as u64);
     buf.push(median_tag(image.config.median));
-    put_u64(&mut buf, image.config.seed);
+    put_u64(buf, image.config.seed);
     buf.push(image.config.maintain_balance as u8);
     buf.push(install_tag(image.config.install));
-    put_u64(&mut buf, image.config.shards as u64);
+    put_u64(buf, image.config.shards as u64);
     buf.push(image.config.adaptive_flush as u8);
     buf.push(policy_tag(image.config.policy.policy));
-    put_u32(&mut buf, image.config.policy.threshold);
-    put_u32(&mut buf, image.config.policy.epoch_budget);
-    put_u64(&mut buf, image.config.policy.aging_period);
+    put_u32(buf, image.config.policy.threshold);
+    put_u32(buf, image.config.policy.epoch_budget);
+    put_u64(buf, image.config.policy.aging_period);
     match &image.sketch {
         Some(sketch) => {
             buf.push(1);
-            sketch.encode(&mut buf);
+            sketch.encode(buf);
         }
         None => buf.push(0),
     }
-    put_u64(&mut buf, image.time);
+    put_u64(buf, image.time);
     for word in image.rng_state {
-        put_u64(&mut buf, word);
+        put_u64(buf, word);
     }
-    put_u64(&mut buf, image.nodes.len() as u64);
+    put_u64(buf, image.nodes.len() as u64);
     for node in &image.nodes {
-        put_u64(&mut buf, node.key);
+        put_u64(buf, node.key);
         buf.push(node.dummy as u8);
-        put_u32(&mut buf, node.mvec_bits.len() as u32);
+        put_u32(buf, node.mvec_bits.len() as u32);
         buf.extend_from_slice(&node.mvec_bits);
-        put_u64(&mut buf, node.group_base);
-        put_u32(&mut buf, node.timestamps.len() as u32);
+        put_u64(buf, node.group_base);
+        put_u32(buf, node.timestamps.len() as u32);
         for &t in &node.timestamps {
-            put_u64(&mut buf, t);
+            put_u64(buf, t);
         }
-        put_u32(&mut buf, node.group_ids.len() as u32);
+        put_u32(buf, node.group_ids.len() as u32);
         for &g in &node.group_ids {
-            put_u64(&mut buf, g);
+            put_u64(buf, g);
         }
-        put_u32(&mut buf, node.dominating.len() as u32);
+        put_u32(buf, node.dominating.len() as u32);
         buf.extend(node.dominating.iter().map(|&d| d as u8));
     }
-    buf
 }
+
+/// Encoded size of a node with empty vectors: key (8), dummy flag (1),
+/// group base (8) and four length words (4 each).
+const MIN_NODE_BYTES: usize = 33;
 
 fn corrupt(detail: &str) -> PersistError {
     PersistError::CorruptSnapshot {
@@ -242,9 +253,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         *word = r.u64().map_err(short)?;
     }
     let count = r.u64().map_err(short)?;
-    if count > bytes.len() as u64 {
-        // Each node occupies well over one byte; a count beyond the
-        // payload length is corruption, caught before the allocation.
+    if count > (r.remaining() / MIN_NODE_BYTES) as u64 {
+        // More nodes than the remaining bytes can hold is corruption,
+        // caught before the allocation.
         return Err(corrupt(&format!("implausible node count {count}")));
     }
     let mut nodes = Vec::with_capacity(count as usize);
@@ -271,12 +282,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         }
         let group_base = r.u64().map_err(short)?;
         let ts_len = r.u32().map_err(short)? as usize;
-        let mut timestamps = Vec::with_capacity(ts_len.min(bytes.len()));
+        let mut timestamps = Vec::with_capacity(ts_len.min(r.remaining() / 8));
         for _ in 0..ts_len {
             timestamps.push(r.u64().map_err(short)?);
         }
         let gid_len = r.u32().map_err(short)? as usize;
-        let mut group_ids = Vec::with_capacity(gid_len.min(bytes.len()));
+        let mut group_ids = Vec::with_capacity(gid_len.min(r.remaining() / 8));
         for _ in 0..gid_len {
             group_ids.push(r.u64().map_err(short)?);
         }
@@ -308,13 +319,31 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     })
 }
 
+/// Length of the file envelope's header: `[len: u64 LE][crc32: u32 LE]`.
+const ENVELOPE_HEADER: usize = 12;
+
+/// Clears `buf` and reserves the envelope header; the payload is then
+/// appended in place and [`seal_envelope`] fills the header in.
+pub(crate) fn begin_envelope(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.resize(ENVELOPE_HEADER, 0);
+}
+
+/// Patches the header reserved by [`begin_envelope`] with the length and
+/// CRC-32 of the payload that follows it.
+pub(crate) fn seal_envelope(buf: &mut [u8]) {
+    let (header, payload) = buf.split_at_mut(ENVELOPE_HEADER);
+    header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
 /// Wraps a payload in the CRC-checked file envelope shared by snapshot and
 /// manifest files: `[len: u64 LE][crc32: u32 LE][payload]`.
 pub(crate) fn wrap_file(payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12 + payload.len());
-    put_u64(&mut buf, payload.len() as u64);
-    put_u32(&mut buf, crc32(payload));
+    let mut buf = Vec::with_capacity(ENVELOPE_HEADER + payload.len());
+    begin_envelope(&mut buf);
     buf.extend_from_slice(payload);
+    seal_envelope(&mut buf);
     buf
 }
 
@@ -341,6 +370,7 @@ pub(crate) fn unwrap_file(
 
 #[cfg(test)]
 mod tests {
+    use super::super::assert_cuts_and_flips_are_typed;
     use super::*;
 
     fn sample_image() -> EngineImage {
@@ -435,6 +465,62 @@ mod tests {
             decode_snapshot(&longer),
             Err(PersistError::CorruptSnapshot { .. })
         ));
+    }
+
+    fn corrupt_snapshot(e: &PersistError) -> bool {
+        matches!(e, PersistError::CorruptSnapshot { .. })
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_decodes_or_is_refused_typed() {
+        let bytes = encode_snapshot(&sample_image());
+        assert_cuts_and_flips_are_typed(&bytes, 0..bytes.len(), decode_snapshot, corrupt_snapshot);
+    }
+
+    #[test]
+    fn gated_snapshot_sketch_fields_truncated_or_flipped_are_typed() {
+        use crate::policy::{FreqSketch, SKETCH_ROWS, SKETCH_WIDTH};
+        let mut image = sample_image();
+        image.config = image.config.with_policy(PolicyConfig::gated());
+        image.sketch = Some(FreqSketch::new(image.config.seed, 4096).to_image());
+        let bytes = encode_snapshot(&image);
+        // The test above covers the fields an ungated image shares; here
+        // the sketch section's own: its presence byte (offset 53, behind
+        // the magic and the config), its length word, the two cursors
+        // behind the counters, and a sample of the counters.
+        let counters = SKETCH_ROWS * SKETCH_WIDTH;
+        assert_eq!(bytes[53], 1);
+        assert_eq!(bytes[54..62], (counters as u64).to_le_bytes());
+        let cursors = 62 + counters * 4;
+        let at = (53..62)
+            .chain((62..cursors).step_by(4099))
+            .chain(cursors..cursors + 16);
+        assert_cuts_and_flips_are_typed(&bytes, at, decode_snapshot, corrupt_snapshot);
+    }
+
+    #[test]
+    fn node_count_beyond_the_remaining_bytes_is_refused_before_allocating() {
+        let mut image = sample_image();
+        image.nodes.clear();
+        let mut bytes = encode_snapshot(&image);
+        // With no nodes the count word is the payload's last field. Ask
+        // for one node more than the (zero) remaining bytes can hold, then
+        // for as many as the old per-byte bound allowed.
+        let at = bytes.len() - 8;
+        for count in [1u64, bytes.len() as u64] {
+            bytes[at..].copy_from_slice(&count.to_le_bytes());
+            match decode_snapshot(&bytes) {
+                Err(PersistError::CorruptSnapshot { detail }) => {
+                    assert!(detail.contains("implausible node count"), "{detail}")
+                }
+                other => panic!("count {count}: unexpected {other:?}"),
+            }
+        }
+        // 33 bytes per node is the floor: a count the remaining bytes can
+        // hold gets past the check and fails on the node fields instead.
+        bytes[at..].copy_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; MIN_NODE_BYTES]);
+        assert_eq!(decode_snapshot(&bytes).unwrap().nodes.len(), 1);
     }
 
     #[test]

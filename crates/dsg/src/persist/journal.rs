@@ -11,8 +11,8 @@
 use super::{put_u32, put_u64, PersistError, Reader};
 use crate::request::Request;
 use dsg_skipgraph::crc32::crc32;
-use std::fs;
-use std::io::Read;
+use std::fs::{self, File};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// File name of the write-ahead journal inside a store directory.
@@ -76,7 +76,8 @@ fn decode_payload(payload: &[u8], offset: u64) -> Result<(Vec<Request>, bool), P
     let word = r.u32().map_err(|_| corrupt("missing request count"))?;
     let brownout = word & FLAG_BROWNOUT != 0;
     let count = word & !FLAG_BROWNOUT;
-    let mut requests = Vec::with_capacity((count as usize).min(payload.len()));
+    // Every encoded request takes at least 9 bytes (tag + one word).
+    let mut requests = Vec::with_capacity((count as usize).min(r.remaining() / 9));
     for _ in 0..count {
         let tag = r.u8().map_err(|_| corrupt("payload ran out of bytes"))?;
         let short = |_| corrupt("payload ran out of bytes");
@@ -179,9 +180,35 @@ pub(crate) fn scan(bytes: &[u8], base: u64) -> Result<JournalScan, PersistError>
     })
 }
 
+/// Reads the journal `file` from absolute byte `offset` to its end, leaving
+/// the cursor there. Only the suffix is read: the journal is never
+/// rotated, so the prefix before a checkpoint's binding grows with the
+/// store's whole history.
+///
+/// # Errors
+///
+/// [`PersistError::ShortJournal`] if the file is shorter than `offset`,
+/// [`PersistError::Io`] for stat, seek and read failures.
+pub(crate) fn read_suffix(file: &mut File, offset: u64) -> Result<Vec<u8>, PersistError> {
+    let len = file
+        .metadata()
+        .map_err(|e| PersistError::io("stat the journal", e))?
+        .len();
+    if len < offset {
+        return Err(PersistError::ShortJournal { len, offset });
+    }
+    file.seek(SeekFrom::Start(offset))
+        .map_err(|e| PersistError::io("seek to the replay offset", e))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .map_err(|e| PersistError::io("read the journal", e))?;
+    Ok(bytes)
+}
+
 /// Reads and scans a store's journal from absolute byte `offset` onward,
-/// without modifying the file (the torn tail, if any, is only reported). A
-/// missing journal scans as empty when `offset == 0`.
+/// without modifying the file (the torn tail, if any, is only reported).
+/// The bytes before `offset` are not read. A missing journal scans as
+/// empty when `offset == 0`.
 ///
 /// # Errors
 ///
@@ -189,23 +216,12 @@ pub(crate) fn scan(bytes: &[u8], base: u64) -> Result<JournalScan, PersistError>
 /// `offset`, [`PersistError::CorruptFrame`] for a corrupt complete frame,
 /// and [`PersistError::Io`] for read failures.
 pub fn read_journal_from(dir: &Path, offset: u64) -> Result<JournalScan, PersistError> {
-    let path = dir.join(JOURNAL_FILE);
-    let mut bytes = Vec::new();
-    match fs::File::open(&path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut bytes)
-                .map_err(|e| PersistError::io("read the journal", e))?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && offset == 0 => {}
+    let bytes = match fs::File::open(dir.join(JOURNAL_FILE)) {
+        Ok(mut file) => read_suffix(&mut file, offset)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && offset == 0 => Vec::new(),
         Err(e) => return Err(PersistError::io("open the journal", e)),
-    }
-    if (bytes.len() as u64) < offset {
-        return Err(PersistError::ShortJournal {
-            len: bytes.len() as u64,
-            offset,
-        });
-    }
-    scan(&bytes[offset as usize..], offset)
+    };
+    scan(&bytes, offset)
 }
 
 /// Reads and scans a store's whole journal (from byte 0 — the genesis of
@@ -220,6 +236,7 @@ pub fn read_journal(dir: &Path) -> Result<JournalScan, PersistError> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::assert_cuts_and_flips_are_typed;
     use super::*;
 
     fn chunks() -> Vec<Vec<Request>> {
@@ -318,6 +335,60 @@ mod tests {
                 Err(other) => panic!("flip at byte {byte}: unexpected error {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn payload_truncations_and_bit_flips_decode_or_are_refused_typed() {
+        for brownout in [false, true] {
+            let frame = encode_frame(&chunks()[0], brownout);
+            let payload = &frame[8..];
+            assert_cuts_and_flips_are_typed(
+                payload,
+                0..payload.len(),
+                |bytes| decode_payload(bytes, 0),
+                |e| matches!(e, PersistError::CorruptFrame { .. }),
+            );
+        }
+    }
+
+    fn temp_dir() -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("dsg-journal-test-{}-{n}", std::process::id()))
+    }
+
+    #[test]
+    fn reads_from_an_offset_match_scans_of_the_suffix() {
+        let (bytes, ends) = journal_bytes();
+        let dir = temp_dir();
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(JOURNAL_FILE), &bytes).unwrap();
+        for offset in std::iter::once(0).chain(ends.iter().copied()) {
+            assert_eq!(
+                read_journal_from(&dir, offset).unwrap(),
+                scan(&bytes[offset as usize..], offset).unwrap(),
+                "offset {offset}"
+            );
+        }
+        let len = bytes.len() as u64;
+        assert_eq!(
+            read_journal_from(&dir, len + 1),
+            Err(PersistError::ShortJournal {
+                len,
+                offset: len + 1
+            })
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        // A missing journal is an empty one from genesis only.
+        assert_eq!(
+            read_journal(&dir).unwrap().frames,
+            Vec::<Vec<Request>>::new()
+        );
+        assert!(matches!(
+            read_journal_from(&dir, 1),
+            Err(PersistError::Io { .. })
+        ));
     }
 
     #[test]

@@ -33,7 +33,11 @@
 //!   image ([`EngineImage`]) behind a CRC-checked wrapper. Snapshots are
 //!   cut at epoch boundaries (the `EpochPhase::Idle` quiescent point), on
 //!   a [`PersistConfig::snapshot_every`] cadence. The two most recent
-//!   snapshots are retained.
+//!   snapshots are retained: a checkpoint deletes the one that leaves the
+//!   binding by its sequence number, without listing the directory. The
+//!   image is encoded straight into a buffer the store reuses across
+//!   checkpoints, behind a reserved `[len][crc]` header that is patched
+//!   once the payload's CRC is known.
 //! * `MANIFEST` — the commit record: a small CRC-checked file binding
 //!   `(snapshot seq, journal offset)` for the current snapshot and its
 //!   predecessor. It is replaced atomically (write temp + fsync + rename +
@@ -44,8 +48,11 @@
 //!
 //! [`DurableStore::open`] on an existing store loads the manifest, then
 //! the newest snapshot that passes its checksum (falling back to the
-//! retained predecessor if the newest is damaged), then scans the journal
-//! from the snapshot's bound offset:
+//! retained predecessor if the newest is damaged), then reads and scans
+//! the journal from the snapshot's bound offset. Only that suffix is read:
+//! the journal is never rotated, so the prefix grows with the store's
+//! whole history. A journal shorter than the offset is
+//! [`PersistError::ShortJournal`]. Within the suffix:
 //!
 //! * a **partial final frame** — the file ends before the frame's declared
 //!   length — is a *torn tail* (the crash interrupted an append). It is
@@ -289,5 +296,43 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn is_at_end(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+}
+
+/// Feeds a decoder every truncation of the valid encoding `bytes` at the
+/// byte positions `at`, and every single-bit flip of those bytes, straight
+/// (no CRC envelope, which would catch every single-bit flip). A
+/// truncation must be refused with an error `typed` accepts; a flip must
+/// decode cleanly or be refused the same way; nothing may panic.
+#[cfg(test)]
+pub(crate) fn assert_cuts_and_flips_are_typed<T>(
+    bytes: &[u8],
+    at: impl IntoIterator<Item = usize>,
+    decode: impl Fn(&[u8]) -> Result<T, PersistError>,
+    typed: impl Fn(&PersistError) -> bool,
+) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for at in at {
+        match catch_unwind(AssertUnwindSafe(|| decode(&bytes[..at]))) {
+            Ok(Err(e)) if typed(&e) => {}
+            Ok(Err(e)) => panic!("cut at {at}: untyped error {e:?}"),
+            Ok(Ok(_)) => panic!("cut at {at} decoded"),
+            Err(_) => panic!("cut at {at}: the decoder panicked"),
+        }
+        for bit in 0..8 {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1 << bit;
+            match catch_unwind(AssertUnwindSafe(|| decode(&flipped))) {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) if typed(&e) => {}
+                Ok(Err(e)) => panic!("flip of byte {at} bit {bit}: untyped error {e:?}"),
+                Err(_) => panic!("flip of byte {at} bit {bit}: the decoder panicked"),
+            }
+        }
     }
 }

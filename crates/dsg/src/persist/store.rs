@@ -4,14 +4,25 @@
 //! A [`DurableStore`] is single-owner (the service's ingest worker); see
 //! the [module docs](super) for the layout, the recovery contract, and the
 //! failure model.
+//!
+//! The ingest thread pays for every checkpoint, so a checkpoint does no
+//! work beyond the bytes it must write: the image is encoded once, into a
+//! buffer the store keeps (the envelope header is reserved up front and
+//! patched after the CRC), and the snapshot that leaves the binding is
+//! deleted by its sequence number. [`DurableStore::open`] reads only the
+//! journal suffix behind the bound offset.
 
-use super::image::{decode_snapshot, encode_snapshot, unwrap_file, wrap_file, EngineImage};
-use super::journal::{encode_frame, scan, JournalScan, JOURNAL_FILE};
+use super::image::{
+    begin_envelope, decode_snapshot, encode_snapshot_into, seal_envelope, unwrap_file, wrap_file,
+    EngineImage,
+};
+use super::journal::{encode_frame, read_suffix, scan, JournalScan, JOURNAL_FILE};
 use super::{put_u64, PersistConfig, PersistError, Reader};
 use crate::request::Request;
 use dsg_skipgraph::failpoint;
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a store directory.
@@ -96,6 +107,18 @@ pub struct Recovered {
     pub fell_back: bool,
 }
 
+/// The buffer a store encodes its snapshot files into, kept across
+/// checkpoints so each one reuses the previous one's allocation. `Debug`
+/// shows its size rather than its bytes.
+#[derive(Default)]
+struct SnapshotBuf(Vec<u8>);
+
+impl fmt::Debug for SnapshotBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SnapshotBuf({} bytes)", self.0.len())
+    }
+}
+
 /// An open store: the append handle on the journal plus the checkpoint
 /// state. Owned by one thread; all methods take `&mut self`.
 #[derive(Debug)]
@@ -115,6 +138,9 @@ pub struct DurableStore {
     bound_offset: u64,
     /// The previous binding retained for fallback.
     previous: Option<(u64, u64)>,
+    /// The last snapshot file written: `[len u64][crc u32]` envelope plus
+    /// the encoded image, built in place.
+    snapshot_buf: SnapshotBuf,
 }
 
 impl DurableStore {
@@ -169,6 +195,7 @@ impl DurableStore {
                 seq: 0,
                 bound_offset: 0,
                 previous: None,
+                snapshot_buf: SnapshotBuf::default(),
             };
             return Ok((store, None));
         }
@@ -209,17 +236,8 @@ impl DurableStore {
             .write(true)
             .open(&journal_path)
             .map_err(|e| PersistError::io("open the journal", e))?;
-        let mut bytes = Vec::new();
-        journal
-            .read_to_end(&mut bytes)
-            .map_err(|e| PersistError::io("read the journal", e))?;
-        if (bytes.len() as u64) < replay_offset {
-            return Err(PersistError::ShortJournal {
-                len: bytes.len() as u64,
-                offset: replay_offset,
-            });
-        }
-        let scanned: JournalScan = scan(&bytes[replay_offset as usize..], replay_offset)?;
+        let suffix = read_suffix(&mut journal, replay_offset)?;
+        let scanned: JournalScan = scan(&suffix, replay_offset)?;
         if scanned.torn_bytes > 0 {
             journal
                 .set_len(scanned.committed_len)
@@ -241,6 +259,7 @@ impl DurableStore {
             seq: manifest.current.0,
             bound_offset: replay_offset,
             previous: manifest.previous,
+            snapshot_buf: SnapshotBuf::default(),
         };
         let recovered = Recovered {
             image,
@@ -351,8 +370,14 @@ impl DurableStore {
     /// Cuts a snapshot checkpoint: writes the image to `snap-<seq+1>.img`
     /// (temp + fsync + rename), then atomically rebinds the manifest to
     /// `(seq+1, current journal length)`, keeping the previous binding for
-    /// fallback and pruning older snapshot files. The journal is fsynced
-    /// first so the binding never points past durable data.
+    /// fallback and deleting the snapshot that left the binding. The
+    /// journal is fsynced first so the binding never points past durable
+    /// data.
+    ///
+    /// The image is encoded straight into a buffer the store keeps across
+    /// checkpoints, behind a reserved envelope header that is filled in
+    /// once the payload's CRC is known, so a checkpoint neither copies the
+    /// payload nor allocates a fresh file-sized buffer.
     ///
     /// Returns the snapshot file size in bytes.
     ///
@@ -370,7 +395,10 @@ impl DurableStore {
     pub fn checkpoint(&mut self, image: &EngineImage) -> Result<u64, PersistError> {
         self.sync()?;
         let new_seq = self.seq + 1;
-        let file_bytes = wrap_file(&encode_snapshot(image));
+        let file_bytes = &mut self.snapshot_buf.0;
+        begin_envelope(file_bytes);
+        encode_snapshot_into(image, file_bytes);
+        seal_envelope(file_bytes);
 
         let snap_tmp = self.dir.join(format!("{}.tmp", snapshot_file(new_seq)));
         let snap_final = self.dir.join(snapshot_file(new_seq));
@@ -378,7 +406,7 @@ impl DurableStore {
             let mut f =
                 File::create(&snap_tmp).map_err(|e| PersistError::io("create a snapshot", e))?;
             failpoint::hit(failpoint::IO_SNAPSHOT);
-            f.write_all(&file_bytes)
+            f.write_all(file_bytes)
                 .map_err(|e| PersistError::io("write a snapshot", e))?;
             f.sync_all()
                 .map_err(|e| PersistError::io("fsync a snapshot", e))?;
@@ -405,28 +433,16 @@ impl DurableStore {
             .map_err(|e| PersistError::io("rename the manifest into place", e))?;
         sync_dir(&self.dir)?;
 
-        // The binding advanced; prune snapshots older than the retained
-        // previous one (best-effort — stray files are harmless).
-        let retained_prev = self.seq;
+        // The binding advanced; the snapshot that left it (the old
+        // previous one) is deleted by name (best-effort — a stray file is
+        // harmless).
+        if let Some((dropped, _)) = self.previous {
+            let _ = fs::remove_file(self.dir.join(snapshot_file(dropped)));
+        }
         self.previous = manifest.previous;
         self.seq = new_seq;
         self.bound_offset = self.journal_len;
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if let Some(seq) = name
-                    .strip_prefix("snap-")
-                    .and_then(|rest| rest.strip_suffix(".img"))
-                    .and_then(|digits| digits.parse::<u64>().ok())
-                {
-                    if seq != new_seq && seq != retained_prev {
-                        let _ = fs::remove_file(entry.path());
-                    }
-                }
-            }
-        }
-        Ok(file_bytes.len() as u64)
+        Ok(self.snapshot_buf.0.len() as u64)
     }
 
     /// Best-effort cleanup after a failed or panicked
@@ -463,8 +479,10 @@ fn sync_dir(dir: &Path) -> Result<(), PersistError> {
 #[cfg(test)]
 mod tests {
     use super::super::journal::read_journal;
+    use super::super::{assert_cuts_and_flips_are_typed, encode_snapshot, NodeImage};
     use super::*;
     use crate::config::DsgConfig;
+    use dsg_skipgraph::crc32::crc32;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store_dir() -> PathBuf {
@@ -483,8 +501,137 @@ mod tests {
         }
     }
 
+    /// A fixed gated image with a populated sketch and nodes of every
+    /// shape: the checkpoint format's golden input.
+    fn fixed_image() -> EngineImage {
+        use crate::config::PolicyConfig;
+        use crate::policy::{SketchImage, SKETCH_ROWS, SKETCH_WIDTH};
+        let config = DsgConfig::default()
+            .with_seed(0x5EED)
+            .with_policy(PolicyConfig::gated().with_threshold(3));
+        let counters = (0..SKETCH_ROWS * SKETCH_WIDTH)
+            .map(|i| (i as u32).wrapping_mul(2_654_435_761) >> 28)
+            .collect();
+        EngineImage {
+            config,
+            time: 77,
+            rng_state: [11, 22, 33, u64::MAX],
+            nodes: (1..=40u64)
+                .map(|k| NodeImage {
+                    key: k << 19,
+                    dummy: k % 2 == 0,
+                    mvec_bits: (0..k % 7).map(|b| ((k >> b) & 1) as u8).collect(),
+                    group_base: k % 5,
+                    timestamps: (0..k % 4).map(|t| t * k).collect(),
+                    group_ids: (0..k % 3).map(|g| g + k).collect(),
+                    dominating: (0..k % 5).map(|d| (d + k) % 2 == 0).collect(),
+                })
+                .collect(),
+            sketch: Some(SketchImage {
+                counters,
+                updates_since_aging: 1234,
+                aging_passes: 5,
+            }),
+        }
+    }
+
+    /// The snapshot file as the envelope was first defined: the payload
+    /// behind its length and CRC, concatenated.
+    fn reference_file(image: &EngineImage) -> Vec<u8> {
+        let payload = encode_snapshot(image);
+        let mut file = Vec::new();
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&crc32(&payload).to_le_bytes());
+        file.extend_from_slice(&payload);
+        file
+    }
+
+    #[test]
+    fn checkpoint_files_keep_their_bytes() {
+        // Length and CRC-32 of the whole file, as written before the
+        // checkpoint encoded into a reused buffer.
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        assert_eq!(store.checkpoint(&fixed_image()).unwrap(), 133_530);
+        let file = fs::read(dir.join("snap-1.img")).unwrap();
+        assert_eq!(file.len(), 133_530);
+        assert_eq!(crc32(&file), 0x2D25_6013);
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reused_checkpoint_buffer_writes_the_wrapped_snapshot_exactly() {
+        // A served engine, then a much smaller image, then the engine
+        // again: nothing of a previous checkpoint may leak into the next.
+        let mut session = crate::DsgSession::builder()
+            .peers(0..48)
+            .seed(5)
+            .policy(crate::config::PolicyConfig::gated().with_threshold(1))
+            .build()
+            .unwrap();
+        for i in 0..30u64 {
+            session
+                .submit(Request::communicate(i % 48, (i * 7 + 3) % 48))
+                .unwrap();
+        }
+        let engine = session.engine().capture_image();
+        assert!(engine.sketch.is_some() && !engine.nodes.is_empty());
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        for (seq, image) in [(1, &engine), (2, &tiny_image(4)), (3, &engine)] {
+            let expected = reference_file(image);
+            assert_eq!(store.checkpoint(image).unwrap(), expected.len() as u64);
+            let file = fs::read(dir.join(snapshot_file(seq))).unwrap();
+            assert!(
+                file == expected,
+                "snap-{seq}.img differs from the reference"
+            );
+        }
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_truncations_and_bit_flips_decode_or_are_refused_typed() {
+        let payload = Manifest {
+            current: (7, 4096),
+            previous: Some((6, 1024)),
+        }
+        .encode();
+        assert_cuts_and_flips_are_typed(&payload, 0..payload.len(), Manifest::decode, |e| {
+            matches!(e, PersistError::CorruptManifest { .. })
+        });
+    }
+
+    #[test]
+    fn a_reopened_store_deletes_the_snapshot_that_leaves_the_binding() {
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        store.checkpoint(&tiny_image(0)).unwrap();
+        store.checkpoint(&tiny_image(1)).unwrap();
+        drop(store);
+        // The reopened store takes its binding from the manifest and
+        // deletes snap-1 by name when the next checkpoint retires it.
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        store.checkpoint(&tiny_image(2)).unwrap();
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [MANIFEST_FILE, JOURNAL_FILE, "snap-2.img", "snap-3.img"]
+        );
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn cold_start_checkpoint_append_reopen() {
+        // `rollback_discards_a_torn_append` arms `io.append` meanwhile.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, recovered) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         assert!(recovered.is_none());
@@ -516,6 +663,8 @@ mod tests {
 
     #[test]
     fn checkpoint_rebinds_and_retains_the_previous_snapshot() {
+        // `rollback_discards_a_torn_append` arms `io.append` meanwhile.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
@@ -551,6 +700,8 @@ mod tests {
 
     #[test]
     fn damaged_current_snapshot_falls_back_to_previous() {
+        // `rollback_discards_a_torn_append` arms `io.append` meanwhile.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
@@ -627,6 +778,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
+        // `rollback_discards_a_torn_append` arms `io.append` meanwhile.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();

@@ -11,22 +11,32 @@
 //! 0xCBF43926`), so on-disk artifacts can be verified by any external
 //! tool.
 //!
-//! The implementation is the classic byte-at-a-time table walk with a
-//! 256-entry table built in a `const` context — no allocation, no lazy
-//! initialization, `no_std`-shaped (only `core` items are used). A
-//! one-shot [`crc32`] helper covers contiguous buffers; the streaming
-//! [`Crc32`] digest covers framed writers that checksum a header and a
-//! payload without concatenating them.
+//! The implementation is a slicing-by-16 table walk: sixteen 256-entry
+//! tables, built in a `const` context, fold sixteen input bytes into the
+//! register per step with sixteen independent lookups, where the classic
+//! byte-at-a-time walk needs sixteen dependent ones. The byte-at-a-time
+//! walk over the first table finishes the last `len % 16` bytes and is the
+//! reference the tests compare against. Everything is safe, allocation-free
+//! and `no_std`-shaped (only `core` items are used). A one-shot [`crc32`]
+//! helper covers contiguous buffers; the streaming [`Crc32`] digest covers
+//! framed writers that checksum a header and a payload without
+//! concatenating them.
 
 /// The reflected IEEE 802.3 polynomial (the zlib/PNG/gzip CRC).
 const POLYNOMIAL: u32 = 0xEDB8_8320;
 
-/// The byte-at-a-time lookup table: entry `b` is the CRC state after
-/// shifting out one byte `b` from an all-zero register.
-const TABLE: [u32; 256] = build_table();
+/// Bytes folded into the register per step of the sliced walk.
+const SLICE: usize = 16;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing tables. `TABLES[0][b]` is the register after shifting one
+/// byte `b` out of an all-zero register (the classic byte-at-a-time
+/// table); `TABLES[k][b]` is the same byte followed by `k` zero bytes, so
+/// the byte `k` places before the end of a slice is looked up in
+/// `TABLES[k]`.
+const TABLES: [[u32; 256]; SLICE] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; SLICE] {
+    let mut tables = [[0u32; 256]; SLICE];
     let mut byte = 0usize;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -39,10 +49,58 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
         byte += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICE {
+        let mut byte = 0usize;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// The byte-at-a-time walk: folds `bytes` into the (pre-inverted)
+/// register `crc` one table lookup per byte.
+fn update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// The sliced walk: folds whole 16-byte slices with one lookup per byte,
+/// all sixteen independent of each other, then hands the tail to
+/// [`update_bytewise`].
+fn update_sliced(mut crc: u32, bytes: &[u8]) -> u32 {
+    let mut slices = bytes.chunks_exact(SLICE);
+    for s in &mut slices {
+        // The register overlaps the slice's first four bytes; each byte
+        // then sits `15 - i` places before the slice's end.
+        let head = crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        crc = TABLES[15][(head & 0xFF) as usize]
+            ^ TABLES[14][((head >> 8) & 0xFF) as usize]
+            ^ TABLES[13][((head >> 16) & 0xFF) as usize]
+            ^ TABLES[12][(head >> 24) as usize]
+            ^ TABLES[11][s[4] as usize]
+            ^ TABLES[10][s[5] as usize]
+            ^ TABLES[9][s[6] as usize]
+            ^ TABLES[8][s[7] as usize]
+            ^ TABLES[7][s[8] as usize]
+            ^ TABLES[6][s[9] as usize]
+            ^ TABLES[5][s[10] as usize]
+            ^ TABLES[4][s[11] as usize]
+            ^ TABLES[3][s[12] as usize]
+            ^ TABLES[2][s[13] as usize]
+            ^ TABLES[1][s[14] as usize]
+            ^ TABLES[0][s[15] as usize];
+    }
+    update_bytewise(crc, slices.remainder())
 }
 
 /// Streaming CRC-32 digest.
@@ -67,11 +125,7 @@ impl Crc32 {
     /// Absorbs `bytes` into the digest.
     #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
+        self.state = update_sliced(self.state, bytes);
     }
 
     /// Returns the checksum of everything absorbed so far. The digest is
@@ -128,6 +182,91 @@ mod tests {
             digest.update(&message[..split]);
             digest.update(&message[split..]);
             assert_eq!(digest.finalize(), oneshot, "split at {split}");
+        }
+    }
+
+    /// The byte-at-a-time reference: the whole message through
+    /// [`update_bytewise`], no slicing.
+    fn reference(bytes: &[u8]) -> u32 {
+        !update_bytewise(!0, bytes)
+    }
+
+    /// Deterministic splitmix64 bytes, so the long-buffer cases need no
+    /// RNG dependency.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_walk_matches_the_bytewise_reference_at_every_short_length() {
+        // 0..=64 covers an empty slice walk, every tail length, and up to
+        // four whole slices.
+        let message = noise(64, 1);
+        for len in 0..=message.len() {
+            assert_eq!(
+                crc32(&message[..len]),
+                reference(&message[..len]),
+                "len {len}"
+            );
+        }
+        // All-ones bytes exercise the high table entries of every slice
+        // position.
+        let ones = [0xFFu8; 64];
+        for len in 0..=ones.len() {
+            assert_eq!(
+                crc32(&ones[..len]),
+                reference(&ones[..len]),
+                "ones len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn sliced_walk_matches_the_bytewise_reference_on_long_buffers() {
+        let mut lens = vec![1 << 20, (1 << 20) - 1, 4096 + 7, 65_536 + 15];
+        let mut state = 0x5EED_u64;
+        for _ in 0..6 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lens.push((state >> 44) as usize % (1 << 20));
+        }
+        for (i, &len) in lens.iter().enumerate() {
+            let buf = noise(len, 100 + i as u64);
+            assert_eq!(crc32(&buf), reference(&buf), "len {len}");
+        }
+    }
+
+    #[test]
+    fn streaming_matches_one_shot_at_every_split_point() {
+        // Long enough that a split leaves whole slices on both sides and
+        // every misalignment of the second half.
+        let message = noise(200, 7);
+        let oneshot = reference(&message);
+        for split in 0..=message.len() {
+            let mut digest = Crc32::new();
+            digest.update(&message[..split]);
+            digest.update(&message[split..]);
+            assert_eq!(digest.finalize(), oneshot, "split at {split}");
+        }
+        // Three-way splits around a slice boundary.
+        for a in 0..=40 {
+            for b in a..=a + 40 {
+                let mut digest = Crc32::new();
+                digest.update(&message[..a]);
+                digest.update(&message[a..b]);
+                digest.update(&message[b..]);
+                assert_eq!(digest.finalize(), oneshot, "splits at {a}, {b}");
+            }
         }
     }
 

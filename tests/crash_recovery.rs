@@ -9,8 +9,10 @@
 //! final frame is truncated and never served, and a *corrupt* (bit-flipped
 //! but complete) frame is a typed refusal, never applied.
 //!
-//! Fault-injection tests serialize on `failpoint::exclusive()` (the
-//! registry is process-global) and disarm on every exit path.
+//! Every test holds `failpoint::exclusive()`: the registry is
+//! process-global, so an engine running beside the fail-point matrix would
+//! trip, or consume, the fault it armed. The matrix also disarms on every
+//! exit path.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -111,6 +113,7 @@ fn flatten(frames: &[Vec<Request>]) -> Vec<Request> {
 
 #[test]
 fn missing_directory_cold_starts_then_restarts_bit_identical() {
+    let _guard = failpoint::exclusive();
     let dir = temp_dir("cold");
     let (n, seed) = (32u64, 11u64);
     let config = persist_config(1, 4, 4);
@@ -161,6 +164,7 @@ fn missing_directory_cold_starts_then_restarts_bit_identical() {
 
 #[test]
 fn gated_policy_sketch_survives_restart_bit_identical() {
+    let _guard = failpoint::exclusive();
     let dir = temp_dir("sketch");
     let (n, seed) = (32u64, 19u64);
     let config = persist_config(1, 3, 2);
@@ -208,6 +212,7 @@ fn gated_policy_sketch_survives_restart_bit_identical() {
 
 #[test]
 fn open_without_a_persist_config_is_refused() {
+    let _guard = failpoint::exclusive();
     let dir = temp_dir("nopersist");
     let err = DsgService::open(&dir, builder(8, 1), ServiceConfig::default())
         .map(|_| ())
@@ -218,6 +223,7 @@ fn open_without_a_persist_config_is_refused() {
 
 #[test]
 fn stray_journal_without_a_manifest_is_refused() {
+    let _guard = failpoint::exclusive();
     let dir = temp_dir("stray");
     fs::create_dir_all(&dir).unwrap();
     fs::write(dir.join(JOURNAL_FILE), b"orphaned bytes").unwrap();
@@ -256,6 +262,7 @@ fn copy_store_truncated(src: &Path, keep: u64, tag: &str) -> PathBuf {
 
 #[test]
 fn every_byte_boundary_truncation_recovers_or_refuses_typed() {
+    let _guard = failpoint::exclusive();
     let dir = temp_dir("sweep");
     let (n, seed) = (24u64, 23u64);
     // A mid-stream checkpoint (snapshot_every 6) makes the manifest bind a
@@ -462,6 +469,7 @@ fn flip_last_byte(path: &Path) {
 
 #[test]
 fn bit_flipped_journal_frame_is_rejected_not_applied() {
+    let _guard = failpoint::exclusive();
     // snapshot_every 0: no periodic checkpoints, so the whole journal is
     // the replay suffix and the flipped frame is in recovery's path.
     let (dir, _session) = corruption_fixture("flip-frame", 16, 71, 0);
@@ -481,6 +489,7 @@ fn bit_flipped_journal_frame_is_rejected_not_applied() {
 
 #[test]
 fn bit_flipped_snapshot_falls_back_to_the_previous_checkpoint() {
+    let _guard = failpoint::exclusive();
     let (dir, session) = corruption_fixture("flip-snap", 16, 72, 3);
     // Find the newest snapshot file and damage it.
     let newest = fs::read_dir(&dir)
@@ -518,6 +527,7 @@ fn bit_flipped_snapshot_falls_back_to_the_previous_checkpoint() {
 
 #[test]
 fn journaled_brownout_verdicts_replay_bit_identical() {
+    let _guard = failpoint::exclusive();
     let dir = temp_dir("brownout");
     let (n, seed) = (32u64, 91u64);
     // A gated policy makes the brownout verdict *observable*: under
@@ -583,6 +593,7 @@ fn journaled_brownout_verdicts_replay_bit_identical() {
 
 #[test]
 fn bit_flipped_manifest_is_rejected_typed() {
+    let _guard = failpoint::exclusive();
     let (dir, _session) = corruption_fixture("flip-manifest", 16, 73, 3);
     flip_last_byte(&dir.join(MANIFEST_FILE));
     let err = DsgService::open(&dir, builder(16, 73), persist_config(1, 3, 1))

@@ -4,8 +4,10 @@
 //! determinism property — a multi-producer pipelined run replays bit for
 //! bit through a sequential `submit_batch` of its journal.
 //!
-//! Fault-injection tests serialize on `failpoint::exclusive()` (the
-//! registry is process-global) and disarm on every exit path.
+//! Every test that drives a service holds `failpoint::exclusive()`: the
+//! registry is process-global, so an engine running beside a
+//! fault-injection test would trip, or consume, the fault that test armed.
+//! Fault-injection tests also disarm on every exit path.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -87,6 +89,7 @@ impl GateInner {
 
 #[test]
 fn slow_engine_backpressure_is_typed_and_leaks_no_tickets() {
+    let _guard = failpoint::exclusive();
     let gate = Arc::new(GateInner::default());
     let mut session = build(32, 5);
     session.add_observer(Arc::new(Mutex::new(GateObserver(Arc::clone(&gate)))));
@@ -133,6 +136,7 @@ fn slow_engine_backpressure_is_typed_and_leaks_no_tickets() {
 
 #[test]
 fn drain_shutdown_serves_the_backlog() {
+    let _guard = failpoint::exclusive();
     let mut service = DsgService::spawn(
         build(64, 6),
         ServiceConfig {
@@ -363,6 +367,7 @@ proptest! {
         producers in 2usize..5,
         overload_bit in 0u64..2,
     ) {
+        let _guard = failpoint::exclusive();
         let overload = overload_bit == 1;
         let requests: Vec<Request> = raw
             .iter()
@@ -443,6 +448,7 @@ fn temp_store_dir(tag: &str) -> std::path::PathBuf {
 /// reproduces the served structure.
 #[test]
 fn durable_journal_agrees_with_the_recording_oracle() {
+    let _guard = failpoint::exclusive();
     let dir = temp_store_dir("oracle");
     let n = 32u64;
     let config = ServiceConfig {
@@ -490,6 +496,7 @@ fn durable_journal_agrees_with_the_recording_oracle() {
 
 #[test]
 fn expired_deadline_is_shed_before_the_engine_and_the_ticket_resolves() {
+    let _guard = failpoint::exclusive();
     let gate = Arc::new(GateInner::default());
     let mut session = build(32, 9);
     session.add_observer(Arc::new(Mutex::new(GateObserver(Arc::clone(&gate)))));
@@ -535,6 +542,7 @@ impl DsgObserver for SlowEngine {
 
 #[test]
 fn sustained_backlog_engages_shedding_then_recovers() {
+    let _guard = failpoint::exclusive();
     let mut session = build(64, 11);
     session.add_observer(Arc::new(Mutex::new(SlowEngine(Duration::from_millis(10)))));
     let overload = OverloadConfig::default()

@@ -9,7 +9,12 @@
 //! `#[ignore]` by default: the run takes minutes in release mode, so a
 //! dedicated CI job runs it with `cargo test --release --test soak --
 //! --ignored` instead of every `cargo test` invocation paying for it.
+//!
+//! Every soak holds `failpoint::exclusive()`: the fail-point registry is
+//! process-global, so an engine driven beside the fault-injection soak
+//! could trip, or consume, the fault that soak armed.
 
+use dsg::failpoint;
 use dsg::prelude::*;
 
 /// Deterministic splitmix64 stream so the trace is reproducible without
@@ -126,6 +131,7 @@ fn soak(shards: usize) {
 #[test]
 #[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
 fn soak_mixed_traffic_serial() {
+    let _guard = failpoint::exclusive();
     soak(1);
 }
 
@@ -134,6 +140,7 @@ fn soak_mixed_traffic_serial() {
 #[test]
 #[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
 fn soak_mixed_traffic_sharded() {
+    let _guard = failpoint::exclusive();
     soak(4);
 }
 
@@ -150,6 +157,8 @@ fn soak_overload_shedding_and_brownout() {
     use std::time::{Duration, Instant};
 
     use dsg_workloads::{OpenLoop, Workload, ZipfPairs};
+
+    let _guard = failpoint::exclusive();
 
     const PEERS: u64 = 192;
     const CALIBRATE: usize = 300;
@@ -278,8 +287,6 @@ fn soak_overload_shedding_and_brownout() {
 #[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
 fn soak_fault_injection_schedule() {
     use std::time::Duration;
-
-    use dsg::failpoint;
 
     const PEERS: u64 = 128;
     const ROUNDS: u64 = 3;
