@@ -19,6 +19,7 @@
 //! [`communicate_epoch`]: DynamicSkipGraph::communicate_epoch
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -352,6 +353,29 @@ pub struct EpochReport {
     pub pairs_browned_out: u64,
 }
 
+/// A stamp of an engine's structure and per-node state, from
+/// [`DynamicSkipGraph::generation`]. Two equal stamps were read from the
+/// same engine instance with no change to its graph or state table in
+/// between, so everything that is a function of those two alone — a deep
+/// [`validate`](DynamicSkipGraph::validate), the node section of a
+/// snapshot — is the same at both reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Generation {
+    /// Drawn from [`NEXT_INSTANCE`] whenever an engine's graph and state
+    /// table are built from scratch.
+    instance: u64,
+    graph: u64,
+    states: u64,
+}
+
+/// Process-wide source of [`Generation::instance`] ids, so two engines
+/// (or one engine before and after a rebuild) never share a stamp.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+fn next_instance() -> u64 {
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A locally self-adjusting skip graph (the paper's DSG algorithm).
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -359,6 +383,8 @@ pub struct EpochReport {
 pub struct DynamicSkipGraph {
     graph: SkipGraph,
     states: StateTable,
+    /// Identifies this graph and state table; see [`Generation`].
+    instance: u64,
     config: DsgConfig,
     /// One planning scratch (median engine + overlay columns) per worker
     /// shard; index 0 doubles as the serial engine. Each cluster reseeds
@@ -538,6 +564,7 @@ impl DynamicSkipGraph {
         Ok(DynamicSkipGraph {
             graph,
             states,
+            instance: next_instance(),
             config,
             plan_shards_scratch,
             bufs_pool: Vec::new(),
@@ -732,6 +759,21 @@ impl DynamicSkipGraph {
         self.graph.dummy_count()
     }
 
+    /// The current [`Generation`] stamp: the graph's and the state table's
+    /// generations paired with this engine's instance id. An epoch whose
+    /// clusters were all gated, a tick and every read leave it unchanged;
+    /// anything that touches a node, a link, a membership vector or a
+    /// state entry — including [`peer_state_mut`](Self::peer_state_mut) —
+    /// moves it. The logical clock, the RNG and the frequency sketch are
+    /// not part of it.
+    pub fn generation(&self) -> Generation {
+        Generation {
+            instance: self.instance,
+            graph: self.graph.generation(),
+            states: self.states.generation(),
+        }
+    }
+
     /// Checks the structural invariants of the graph and the self-adjusting
     /// state (every live node has registered state and vice versa).
     ///
@@ -895,6 +937,7 @@ impl DynamicSkipGraph {
         }
         self.graph = graph;
         self.states = states;
+        self.instance = next_instance();
         self.scratch = CommScratch::default();
         self.last_affected.clear();
         self.phase = EpochPhase::Idle;
@@ -970,6 +1013,57 @@ impl DynamicSkipGraph {
         }
     }
 
+    /// Appends the snapshot payload prefix — the magic, the configuration,
+    /// the frequency sketch, the logical clock and the RNG state — straight
+    /// from the engine: the bytes [`encode_snapshot`] writes for
+    /// [`capture_image`](Self::capture_image) ahead of its node section,
+    /// without copying the sketch.
+    ///
+    /// [`encode_snapshot`]: crate::persist::encode_snapshot
+    pub(crate) fn encode_snapshot_prefix(&self, buf: &mut Vec<u8>) {
+        crate::persist::encode_prefix(
+            &self.config,
+            self.sketch.as_ref().map(FreqSketch::view),
+            self.time,
+            self.rng.state(),
+            buf,
+        );
+    }
+
+    /// Appends the snapshot node section — the node count, then every node
+    /// — straight from the engine, walking the level-0 list (every node, in
+    /// key order): the bytes [`encode_snapshot`] writes for
+    /// [`capture_image`](Self::capture_image) after its prefix, with no
+    /// image and no per-node allocation. A function of the graph and the
+    /// state table alone, so an unchanged [`generation`](Self::generation)
+    /// leaves it unchanged.
+    ///
+    /// [`encode_snapshot`]: crate::persist::encode_snapshot
+    pub(crate) fn encode_snapshot_nodes(&self, buf: &mut Vec<u8>) {
+        buf.reserve(8 + self.graph.len() * 64);
+        buf.extend_from_slice(&(self.graph.len() as u64).to_le_bytes());
+        let mut bits = [0u8; MembershipVector::MAX_LEVELS];
+        for id in self.graph.list_iter(0, Prefix::root()) {
+            let entry = self.graph.node(id).expect("list member is live");
+            let mvec = entry.mvec();
+            for (slot, bit) in bits.iter_mut().zip(mvec.iter()) {
+                *slot = bit.as_u8();
+            }
+            let state = self.states.get(id);
+            let (timestamps, group_ids, dominating) = state.raw_parts();
+            crate::persist::NodeFields {
+                key: entry.key().value(),
+                dummy: entry.is_dummy(),
+                mvec_bits: &bits[..mvec.len()],
+                group_base: state.group_base() as u64,
+                timestamps,
+                group_ids,
+                dominating,
+            }
+            .encode(buf);
+        }
+    }
+
     /// Rebuilds an engine from a captured image.
     ///
     /// Nodes are re-inserted in ascending key order, receiving fresh dense
@@ -1029,6 +1123,7 @@ impl DynamicSkipGraph {
         let mut engine = DynamicSkipGraph {
             graph,
             states,
+            instance: next_instance(),
             config,
             plan_shards_scratch,
             bufs_pool: Vec::new(),

@@ -96,7 +96,9 @@ pub mod transform;
 pub use amf::{AmfMedian, ExactMedian, MedianFinder, MedianOutcome};
 pub use config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
 pub use cost::{CostBreakdown, RunStats};
-pub use dsg::{DynamicSkipGraph, EpochPhase, EpochReport, RecoveryReport, RequestOutcome};
+pub use dsg::{
+    DynamicSkipGraph, EpochPhase, EpochReport, Generation, RecoveryReport, RequestOutcome,
+};
 pub use error::DsgError;
 pub use observer::{
     AdmissionEvent, AuditEvent, BalanceRepairEvent, DsgObserver, OverloadEvent, SharedObserver,

@@ -105,8 +105,10 @@ pub struct BalanceRepairEvent {
 pub struct AuditEvent {
     /// 1-based epoch counter of the session the audit ran after.
     pub epoch: u64,
-    /// `true` for a full deep `validate()` sweep, `false` for the
-    /// incremental `validate_fast()` pass over the epoch's affected lists.
+    /// `true` for a deep audit — a full `validate()` sweep, or one the
+    /// service certified because the engine's generation stamp had not
+    /// moved since the last clean sweep — `false` for the incremental
+    /// `validate_fast()` pass over the epoch's affected lists.
     pub deep: bool,
     /// Whether the audit found the structure clean.
     pub passed: bool,

@@ -29,12 +29,22 @@
 //! restart at zero/empty, exactly like the metrics of a restarted process,
 //! and nothing behavioural reads them.
 //!
+//! A payload is a *prefix* — the magic, the configuration, the sketch
+//! section, the clock and the RNG state — followed by the *node section*:
+//! the node count, then every node in ascending key order. Each part has
+//! one encoder (`encode_prefix`, `NodeFields::encode`) that both the
+//! [`EngineImage`] path and the engine-direct path (the engine's
+//! `encode_snapshot_prefix` / `encode_snapshot_nodes`, behind
+//! [`DurableStore::checkpoint_engine`]) call, so the two write the same
+//! bytes by construction.
+//!
+//! [`DurableStore::checkpoint_engine`]: crate::DurableStore::checkpoint_engine
 //! [`NodeState::raw_parts`]: crate::NodeState::raw_parts
 
 use super::{put_u32, put_u64, PersistError, Reader};
 use crate::config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
-use crate::policy::SketchImage;
-use dsg_skipgraph::crc32::crc32;
+use crate::policy::{SketchImage, SketchView};
+use dsg_skipgraph::crc32::{crc32, crc32_combine};
 
 /// Leading magic of a snapshot payload. Version 2 added the adaptation
 /// policy: the `PolicyConfig` fields in the config section and an optional
@@ -107,54 +117,108 @@ fn policy_tag(p: AdaptPolicy) -> u8 {
 /// the file envelope in the store).
 pub fn encode_snapshot(image: &EngineImage) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_snapshot_into(image, &mut buf);
+    image.encode_prefix(&mut buf);
+    image.encode_nodes(&mut buf);
     buf
 }
 
-/// Appends the checkpoint payload of `image` to `buf` — the store encodes
-/// straight into its reused envelope buffer this way.
-pub(crate) fn encode_snapshot_into(image: &EngineImage, buf: &mut Vec<u8>) {
-    buf.reserve(64 + image.nodes.len() * 64);
+impl EngineImage {
+    /// Appends the payload prefix of the image to `buf`.
+    pub(crate) fn encode_prefix(&self, buf: &mut Vec<u8>) {
+        encode_prefix(
+            &self.config,
+            self.sketch.as_ref().map(SketchImage::view),
+            self.time,
+            self.rng_state,
+            buf,
+        );
+    }
+
+    /// Appends the node section of the image to `buf`.
+    pub(crate) fn encode_nodes(&self, buf: &mut Vec<u8>) {
+        buf.reserve(8 + self.nodes.len() * 64);
+        put_u64(buf, self.nodes.len() as u64);
+        for node in &self.nodes {
+            NodeFields {
+                key: node.key,
+                dummy: node.dummy,
+                mvec_bits: &node.mvec_bits,
+                group_base: node.group_base,
+                timestamps: &node.timestamps,
+                group_ids: &node.group_ids,
+                dominating: &node.dominating,
+            }
+            .encode(buf);
+        }
+    }
+}
+
+/// Appends a payload prefix to `buf`: the magic, the configuration, the
+/// sketch section (present exactly when `sketch` is), the logical clock and
+/// the RNG state.
+pub(crate) fn encode_prefix(
+    config: &DsgConfig,
+    sketch: Option<SketchView<'_>>,
+    time: u64,
+    rng_state: [u64; 4],
+    buf: &mut Vec<u8>,
+) {
     buf.extend_from_slice(MAGIC);
-    put_u64(buf, image.config.a as u64);
-    buf.push(median_tag(image.config.median));
-    put_u64(buf, image.config.seed);
-    buf.push(image.config.maintain_balance as u8);
-    buf.push(install_tag(image.config.install));
-    put_u64(buf, image.config.shards as u64);
-    buf.push(image.config.adaptive_flush as u8);
-    buf.push(policy_tag(image.config.policy.policy));
-    put_u32(buf, image.config.policy.threshold);
-    put_u32(buf, image.config.policy.epoch_budget);
-    put_u64(buf, image.config.policy.aging_period);
-    match &image.sketch {
+    put_u64(buf, config.a as u64);
+    buf.push(median_tag(config.median));
+    put_u64(buf, config.seed);
+    buf.push(config.maintain_balance as u8);
+    buf.push(install_tag(config.install));
+    put_u64(buf, config.shards as u64);
+    buf.push(config.adaptive_flush as u8);
+    buf.push(policy_tag(config.policy.policy));
+    put_u32(buf, config.policy.threshold);
+    put_u32(buf, config.policy.epoch_budget);
+    put_u64(buf, config.policy.aging_period);
+    match sketch {
         Some(sketch) => {
             buf.push(1);
             sketch.encode(buf);
         }
         None => buf.push(0),
     }
-    put_u64(buf, image.time);
-    for word in image.rng_state {
+    put_u64(buf, time);
+    for word in rng_state {
         put_u64(buf, word);
     }
-    put_u64(buf, image.nodes.len() as u64);
-    for node in &image.nodes {
-        put_u64(buf, node.key);
-        buf.push(node.dummy as u8);
-        put_u32(buf, node.mvec_bits.len() as u32);
-        buf.extend_from_slice(&node.mvec_bits);
-        put_u64(buf, node.group_base);
-        put_u32(buf, node.timestamps.len() as u32);
-        for &t in &node.timestamps {
+}
+
+/// One node as a payload encodes it, borrowed from a [`NodeImage`] or
+/// straight from an engine's graph and state table.
+pub(crate) struct NodeFields<'a> {
+    pub(crate) key: u64,
+    pub(crate) dummy: bool,
+    /// Membership-vector bits from level 1 upward, one `0`/`1` byte each.
+    pub(crate) mvec_bits: &'a [u8],
+    pub(crate) group_base: u64,
+    pub(crate) timestamps: &'a [u64],
+    pub(crate) group_ids: &'a [u64],
+    pub(crate) dominating: &'a [bool],
+}
+
+impl NodeFields<'_> {
+    /// Appends the node to `buf`.
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.key);
+        buf.push(self.dummy as u8);
+        put_u32(buf, self.mvec_bits.len() as u32);
+        buf.extend_from_slice(self.mvec_bits);
+        put_u64(buf, self.group_base);
+        put_u32(buf, self.timestamps.len() as u32);
+        for &t in self.timestamps {
             put_u64(buf, t);
         }
-        put_u32(buf, node.group_ids.len() as u32);
-        for &g in &node.group_ids {
+        put_u32(buf, self.group_ids.len() as u32);
+        for &g in self.group_ids {
             put_u64(buf, g);
         }
-        put_u32(buf, node.dominating.len() as u32);
-        buf.extend(node.dominating.iter().map(|&d| d as u8));
+        put_u32(buf, self.dominating.len() as u32);
+        buf.extend(self.dominating.iter().map(|&d| d as u8));
     }
 }
 
@@ -332,9 +396,19 @@ pub(crate) fn begin_envelope(buf: &mut Vec<u8>) {
 /// Patches the header reserved by [`begin_envelope`] with the length and
 /// CRC-32 of the payload that follows it.
 pub(crate) fn seal_envelope(buf: &mut [u8]) {
-    let (header, payload) = buf.split_at_mut(ENVELOPE_HEADER);
-    header[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+    seal_split_envelope(buf, 0, 0);
+}
+
+/// [`seal_envelope`] for a payload written in two parts: the part behind
+/// the header in `buf`, then `tail_len` bytes from another buffer whose
+/// CRC-32 is `tail_crc` (a snapshot's node section). The tail is not read:
+/// its checksum is joined to the first part's with [`crc32_combine`].
+pub(crate) fn seal_split_envelope(buf: &mut [u8], tail_len: usize, tail_crc: u32) {
+    let (header, head) = buf.split_at_mut(ENVELOPE_HEADER);
+    let len = (head.len() + tail_len) as u64;
+    let crc = crc32_combine(crc32(head), tail_crc, tail_len as u64);
+    header[..8].copy_from_slice(&len.to_le_bytes());
+    header[8..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Wraps a payload in the CRC-checked file envelope shared by snapshot and

@@ -33,38 +33,41 @@ const TAG_TICK: u8 = 3;
 /// `brownout = false`.
 pub(crate) const FLAG_BROWNOUT: u32 = 1 << 31;
 
-/// Encodes one request chunk as a complete frame (header + payload).
-pub(crate) fn encode_frame(chunk: &[Request], brownout: bool) -> Vec<u8> {
+/// Encodes one request chunk as a complete frame (header + payload) into
+/// `frame`, replacing its contents: the payload is written behind a
+/// reserved header, which is filled in once the payload's CRC is known, so
+/// a caller that keeps `frame` allocates nothing per append.
+pub(crate) fn encode_frame(chunk: &[Request], brownout: bool, frame: &mut Vec<u8>) {
     debug_assert!((chunk.len() as u32) < FLAG_BROWNOUT, "count collides with the flag bit");
     let flag = if brownout { FLAG_BROWNOUT } else { 0 };
-    let mut payload = Vec::with_capacity(4 + chunk.len() * 17);
-    put_u32(&mut payload, chunk.len() as u32 | flag);
+    frame.clear();
+    frame.extend_from_slice(&[0; 8]);
+    put_u32(frame, chunk.len() as u32 | flag);
     for request in chunk {
         match *request {
             Request::Communicate { u, v } => {
-                payload.push(TAG_COMMUNICATE);
-                put_u64(&mut payload, u);
-                put_u64(&mut payload, v);
+                frame.push(TAG_COMMUNICATE);
+                put_u64(frame, u);
+                put_u64(frame, v);
             }
             Request::Join(peer) => {
-                payload.push(TAG_JOIN);
-                put_u64(&mut payload, peer);
+                frame.push(TAG_JOIN);
+                put_u64(frame, peer);
             }
             Request::Leave(peer) => {
-                payload.push(TAG_LEAVE);
-                put_u64(&mut payload, peer);
+                frame.push(TAG_LEAVE);
+                put_u64(frame, peer);
             }
             Request::Tick(to) => {
-                payload.push(TAG_TICK);
-                put_u64(&mut payload, to);
+                frame.push(TAG_TICK);
+                put_u64(frame, to);
             }
         }
     }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    frame
+    let len = (frame.len() - 8) as u32;
+    let crc = crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn decode_payload(payload: &[u8], offset: u64) -> Result<(Vec<Request>, bool), PersistError> {
@@ -239,6 +242,14 @@ mod tests {
     use super::super::assert_cuts_and_flips_are_typed;
     use super::*;
 
+    /// One frame, encoded into a buffer whose stale bytes must not leak
+    /// into it.
+    fn frame_of(chunk: &[Request], brownout: bool) -> Vec<u8> {
+        let mut frame = vec![0xAB; 3];
+        encode_frame(chunk, brownout, &mut frame);
+        frame
+    }
+
     fn chunks() -> Vec<Vec<Request>> {
         vec![
             vec![
@@ -256,7 +267,7 @@ mod tests {
         let mut bytes = Vec::new();
         let mut ends = Vec::new();
         for chunk in chunks() {
-            bytes.extend_from_slice(&encode_frame(&chunk, false));
+            bytes.extend_from_slice(&frame_of(&chunk, false));
             ends.push(bytes.len() as u64);
         }
         (bytes, ends)
@@ -279,15 +290,15 @@ mod tests {
         let flags = [false, true, true, false];
         let mut bytes = Vec::new();
         for (chunk, &flag) in all.iter().zip(&flags) {
-            bytes.extend_from_slice(&encode_frame(chunk, flag));
+            bytes.extend_from_slice(&frame_of(chunk, flag));
         }
         let scanned = scan(&bytes, 0).unwrap();
         assert_eq!(scanned.frames, all);
         assert_eq!(scanned.brownout, flags.to_vec());
         // The flag lives in the count word only: a flagged frame's
         // requests decode identically to the unflagged encoding's.
-        let plain = encode_frame(&all[0], false);
-        let flagged = encode_frame(&all[0], true);
+        let plain = frame_of(&all[0], false);
+        let flagged = frame_of(&all[0], true);
         assert_ne!(plain, flagged);
         assert_eq!(plain.len(), flagged.len());
     }
@@ -340,7 +351,7 @@ mod tests {
     #[test]
     fn payload_truncations_and_bit_flips_decode_or_are_refused_typed() {
         for brownout in [false, true] {
-            let frame = encode_frame(&chunks()[0], brownout);
+            let frame = frame_of(&chunks()[0], brownout);
             let payload = &frame[8..];
             assert_cuts_and_flips_are_typed(
                 payload,

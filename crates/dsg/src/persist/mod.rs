@@ -34,10 +34,17 @@
 //!   cut at epoch boundaries (the `EpochPhase::Idle` quiescent point), on
 //!   a [`PersistConfig::snapshot_every`] cadence. The two most recent
 //!   snapshots are retained: a checkpoint deletes the one that leaves the
-//!   binding by its sequence number, without listing the directory. The
-//!   image is encoded straight into a buffer the store reuses across
-//!   checkpoints, behind a reserved `[len][crc]` header that is patched
-//!   once the payload's CRC is known.
+//!   binding by its sequence number, without listing the directory. A
+//!   payload is a prefix (magic, config, sketch, clock, RNG) followed by
+//!   a node section (count, then every node in key order). The service
+//!   encodes both straight from the engine
+//!   ([`DurableStore::checkpoint_engine`]) into two buffers the store
+//!   reuses, behind a reserved `[len][crc]` header that is patched once
+//!   the payload's CRC is known. While the engine's generation stamp has
+//!   not moved since the last successful checkpoint, the node section is
+//!   neither re-encoded nor re-checksummed: only the prefix is, and the
+//!   two CRCs are joined. The bytes are those of the [`EngineImage`] path
+//!   ([`DurableStore::checkpoint`]) either way.
 //! * `MANIFEST` — the commit record: a small CRC-checked file binding
 //!   `(snapshot seq, journal offset)` for the current snapshot and its
 //!   predecessor. It is replaced atomically (write temp + fsync + rename +
@@ -65,7 +72,9 @@
 //!
 //! The surviving frames are replayed through `submit_batch` by
 //! [`DsgService::open`](crate::DsgService::open), which then runs a deep
-//! `validate()` before serving. `tests/crash_recovery.rs` proves the
+//! `validate()` before serving — unless the replay changed no node, link,
+//! vector or state entry, in which case the deep validation that closed
+//! the snapshot's restore stands for it. `tests/crash_recovery.rs` proves the
 //! resulting engine bit-identical to an uninterrupted twin for every
 //! byte-boundary truncation of the journal tail and every `io.*`/apply
 //! fail-point site.
@@ -92,6 +101,7 @@ mod journal;
 mod store;
 
 pub use image::{decode_snapshot, encode_snapshot, EngineImage, NodeImage};
+pub(crate) use image::{encode_prefix, NodeFields};
 pub use journal::{read_journal, read_journal_from, JournalScan, JOURNAL_FILE};
 pub use store::{DurableStore, Recovered, MANIFEST_FILE};
 

@@ -5,20 +5,35 @@
 //! the [module docs](super) for the layout, the recovery contract, and the
 //! failure model.
 //!
-//! The ingest thread pays for every checkpoint, so a checkpoint does no
-//! work beyond the bytes it must write: the image is encoded once, into a
-//! buffer the store keeps (the envelope header is reserved up front and
-//! patched after the CRC), and the snapshot that leaves the binding is
-//! deleted by its sequence number. [`DurableStore::open`] reads only the
-//! journal suffix behind the bound offset.
+//! The ingest thread pays for every checkpoint and every append, so
+//! neither does work beyond the bytes it must write:
+//!
+//! * a journal frame is encoded into a buffer the store keeps and written
+//!   with one `write_all` (two, around the `io.append` fail point, while
+//!   that site is armed);
+//! * a snapshot is encoded into two buffers the store keeps — the envelope
+//!   header plus the payload prefix, and the node section — and the header
+//!   is patched once both CRCs are known. [`DurableStore::checkpoint_engine`]
+//!   encodes straight from the engine and remembers the
+//!   [`Generation`] its node section was encoded from: while the engine's
+//!   stamp stays the same, the next checkpoint re-encodes only the prefix
+//!   and joins its CRC to the cached one with [`crc32_combine`];
+//! * the snapshot that leaves the binding is deleted by its sequence
+//!   number, and [`DurableStore::open`] reads only the journal suffix
+//!   behind the bound offset.
+//!
+//! The bytes on disk are the same whichever path encoded them.
+//!
+//! [`crc32_combine`]: dsg_skipgraph::crc32::crc32_combine
 
 use super::image::{
-    begin_envelope, decode_snapshot, encode_snapshot_into, seal_envelope, unwrap_file, wrap_file,
-    EngineImage,
+    begin_envelope, decode_snapshot, seal_split_envelope, unwrap_file, wrap_file, EngineImage,
 };
 use super::journal::{encode_frame, read_suffix, scan, JournalScan, JOURNAL_FILE};
 use super::{put_u64, PersistConfig, PersistError, Reader};
+use crate::dsg::{DynamicSkipGraph, Generation};
 use crate::request::Request;
+use dsg_skipgraph::crc32::crc32;
 use dsg_skipgraph::failpoint;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -107,16 +122,24 @@ pub struct Recovered {
     pub fell_back: bool,
 }
 
-/// The buffer a store encodes its snapshot files into, kept across
-/// checkpoints so each one reuses the previous one's allocation. `Debug`
-/// shows its size rather than its bytes.
+/// A buffer the store encodes into, kept across writes so each one reuses
+/// the previous one's allocation. `Debug` shows its size rather than its
+/// bytes.
 #[derive(Default)]
-struct SnapshotBuf(Vec<u8>);
+struct Reused(Vec<u8>);
 
-impl fmt::Debug for SnapshotBuf {
+impl fmt::Debug for Reused {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SnapshotBuf({} bytes)", self.0.len())
+        write!(f, "Reused({} bytes)", self.0.len())
     }
+}
+
+/// What the node-section buffer holds after a successful engine
+/// checkpoint: the engine stamp it was encoded from, and its CRC-32.
+#[derive(Debug, Clone, Copy)]
+struct NodeSection {
+    stamp: Generation,
+    crc: u32,
 }
 
 /// An open store: the append handle on the journal plus the checkpoint
@@ -138,9 +161,21 @@ pub struct DurableStore {
     bound_offset: u64,
     /// The previous binding retained for fallback.
     previous: Option<(u64, u64)>,
-    /// The last snapshot file written: `[len u64][crc u32]` envelope plus
-    /// the encoded image, built in place.
-    snapshot_buf: SnapshotBuf,
+    /// The last journal frame appended.
+    frame: Reused,
+    /// The last snapshot file written, in two parts: the `[len u64]
+    /// [crc u32]` envelope header followed by the payload prefix, and the
+    /// node section.
+    snapshot_head: Reused,
+    snapshot_nodes: Reused,
+    /// Set only by a successful [`checkpoint_engine`]: what
+    /// `snapshot_nodes` was encoded from. Any other checkpoint, successful
+    /// or not, leaves it `None`.
+    ///
+    /// [`checkpoint_engine`]: DurableStore::checkpoint_engine
+    nodes_from: Option<NodeSection>,
+    /// Successful checkpoints that reused the node section.
+    reused_node_sections: u64,
 }
 
 impl DurableStore {
@@ -195,7 +230,11 @@ impl DurableStore {
                 seq: 0,
                 bound_offset: 0,
                 previous: None,
-                snapshot_buf: SnapshotBuf::default(),
+                frame: Reused::default(),
+                snapshot_head: Reused::default(),
+                snapshot_nodes: Reused::default(),
+                nodes_from: None,
+                reused_node_sections: 0,
             };
             return Ok((store, None));
         }
@@ -259,7 +298,11 @@ impl DurableStore {
             seq: manifest.current.0,
             bound_offset: replay_offset,
             previous: manifest.previous,
-            snapshot_buf: SnapshotBuf::default(),
+            frame: Reused::default(),
+            snapshot_head: Reused::default(),
+            snapshot_nodes: Reused::default(),
+            nodes_from: None,
+            reused_node_sections: 0,
         };
         let recovered = Recovered {
             image,
@@ -295,6 +338,13 @@ impl DurableStore {
         self.bound_offset
     }
 
+    /// Checkpoints this store cut through
+    /// [`checkpoint_engine`](DurableStore::checkpoint_engine) that reused
+    /// the previous checkpoint's node section.
+    pub fn reused_node_sections(&self) -> u64 {
+        self.reused_node_sections
+    }
+
     /// Appends one request chunk as a journal frame and fsyncs per the
     /// configured [`PersistConfig::fsync_every`] cadence. Called **before**
     /// the engine applies the chunk. `brownout` records whether the chunk
@@ -303,9 +353,11 @@ impl DurableStore {
     ///
     /// On error the file may hold a partial frame; the caller must
     /// [`rollback`](DurableStore::rollback) (and treat a rollback failure
-    /// as fatal). Carries the `io.append` fail point between the header
-    /// and payload writes, so an armed fail point tears a frame exactly
-    /// like a crash mid-append.
+    /// as fatal). The frame is encoded into a buffer the store keeps and
+    /// written with one `write_all`, except while the `io.append` fail
+    /// point is armed: then the header and the payload are written apart
+    /// with the fail point between them, so it tears a frame exactly like
+    /// a crash mid-append.
     ///
     /// # Errors
     ///
@@ -318,13 +370,19 @@ impl DurableStore {
                 detail: "append before the initial checkpoint".to_string(),
             });
         }
-        let frame = encode_frame(chunk, brownout);
+        let frame = &mut self.frame.0;
+        encode_frame(chunk, brownout, frame);
+        let split = if failpoint::armed(failpoint::IO_APPEND) {
+            8
+        } else {
+            frame.len()
+        };
         self.journal
-            .write_all(&frame[..8])
-            .map_err(|e| PersistError::io("append a journal frame header", e))?;
+            .write_all(&frame[..split])
+            .map_err(|e| PersistError::io("append a journal frame", e))?;
         failpoint::hit(failpoint::IO_APPEND);
         self.journal
-            .write_all(&frame[8..])
+            .write_all(&frame[split..])
             .map_err(|e| PersistError::io("append a journal frame payload", e))?;
         self.journal_len += frame.len() as u64;
         self.unsynced += 1;
@@ -374,10 +432,13 @@ impl DurableStore {
     /// journal is fsynced first so the binding never points past durable
     /// data.
     ///
-    /// The image is encoded straight into a buffer the store keeps across
+    /// The image is encoded straight into buffers the store keeps across
     /// checkpoints, behind a reserved envelope header that is filled in
     /// once the payload's CRC is known, so a checkpoint neither copies the
-    /// payload nor allocates a fresh file-sized buffer.
+    /// payload nor allocates a fresh file-sized buffer. This is the
+    /// reference path; the service checkpoints through
+    /// [`checkpoint_engine`](DurableStore::checkpoint_engine), which writes
+    /// the same bytes. A checkpoint taken here always encodes every node.
     ///
     /// Returns the snapshot file size in bytes.
     ///
@@ -393,12 +454,71 @@ impl DurableStore {
     /// [`abandon_checkpoint`](DurableStore::abandon_checkpoint) to clean
     /// up temp files.
     pub fn checkpoint(&mut self, image: &EngineImage) -> Result<u64, PersistError> {
+        self.nodes_from = None;
+        let nodes = &mut self.snapshot_nodes.0;
+        nodes.clear();
+        image.encode_nodes(nodes);
+        let nodes_crc = crc32(nodes);
+        self.write_snapshot(|head| image.encode_prefix(head), nodes_crc)
+    }
+
+    /// [`checkpoint`](DurableStore::checkpoint) straight from the engine:
+    /// no [`EngineImage`] is built, and the file's bytes are those of
+    /// `checkpoint(&engine.capture_image())`.
+    ///
+    /// The store remembers the engine [`Generation`] its node section was
+    /// last encoded from. When the previous checkpoint succeeded through
+    /// this method and the engine's stamp has not moved since, the node
+    /// section is neither re-encoded nor re-checksummed: only the prefix
+    /// (magic, configuration, frequency sketch, clock and RNG) is encoded
+    /// again, and its CRC is joined to the cached one. A failed checkpoint
+    /// — an error, or a panic out of a fail point — forgets the stamp, so
+    /// the next one encodes everything.
+    ///
+    /// # Errors
+    ///
+    /// As [`checkpoint`](DurableStore::checkpoint).
+    pub fn checkpoint_engine(&mut self, engine: &DynamicSkipGraph) -> Result<u64, PersistError> {
+        let stamp = engine.generation();
+        let reused = self
+            .nodes_from
+            .take()
+            .filter(|section| section.stamp == stamp);
+        let nodes_crc = match reused {
+            Some(section) => section.crc,
+            None => {
+                let nodes = &mut self.snapshot_nodes.0;
+                nodes.clear();
+                engine.encode_snapshot_nodes(nodes);
+                crc32(nodes)
+            }
+        };
+        let bytes = self.write_snapshot(|head| engine.encode_snapshot_prefix(head), nodes_crc)?;
+        self.nodes_from = Some(NodeSection {
+            stamp,
+            crc: nodes_crc,
+        });
+        self.reused_node_sections += u64::from(reused.is_some());
+        Ok(bytes)
+    }
+
+    /// The shared tail of both checkpoint paths: encodes the payload prefix
+    /// with `encode_prefix` behind the envelope header, seals the header
+    /// over the prefix and the node section already in `snapshot_nodes`
+    /// (whose CRC is `nodes_crc`), writes both as `snap-<seq+1>.img` and
+    /// rebinds the manifest.
+    fn write_snapshot(
+        &mut self,
+        encode_prefix: impl FnOnce(&mut Vec<u8>),
+        nodes_crc: u32,
+    ) -> Result<u64, PersistError> {
         self.sync()?;
         let new_seq = self.seq + 1;
-        let file_bytes = &mut self.snapshot_buf.0;
-        begin_envelope(file_bytes);
-        encode_snapshot_into(image, file_bytes);
-        seal_envelope(file_bytes);
+        let head = &mut self.snapshot_head.0;
+        let nodes = &self.snapshot_nodes.0;
+        begin_envelope(head);
+        encode_prefix(head);
+        seal_split_envelope(head, nodes.len(), nodes_crc);
 
         let snap_tmp = self.dir.join(format!("{}.tmp", snapshot_file(new_seq)));
         let snap_final = self.dir.join(snapshot_file(new_seq));
@@ -406,7 +526,8 @@ impl DurableStore {
             let mut f =
                 File::create(&snap_tmp).map_err(|e| PersistError::io("create a snapshot", e))?;
             failpoint::hit(failpoint::IO_SNAPSHOT);
-            f.write_all(file_bytes)
+            f.write_all(head)
+                .and_then(|()| f.write_all(nodes))
                 .map_err(|e| PersistError::io("write a snapshot", e))?;
             f.sync_all()
                 .map_err(|e| PersistError::io("fsync a snapshot", e))?;
@@ -442,15 +563,16 @@ impl DurableStore {
         self.previous = manifest.previous;
         self.seq = new_seq;
         self.bound_offset = self.journal_len;
-        Ok(self.snapshot_buf.0.len() as u64)
+        Ok((head.len() + nodes.len()) as u64)
     }
 
     /// Best-effort cleanup after a failed or panicked
     /// [`checkpoint`](DurableStore::checkpoint): removes stray `.tmp`
     /// files. The manifest was not touched (the rename never happened or
     /// failed atomically), so the store keeps serving under the previous
-    /// binding.
+    /// binding. The next checkpoint encodes every node.
     pub fn abandon_checkpoint(&mut self) {
+        self.nodes_from = None;
         if let Ok(entries) = fs::read_dir(&self.dir) {
             for entry in entries.flatten() {
                 if entry
@@ -550,6 +672,9 @@ mod tests {
     fn checkpoint_files_keep_their_bytes() {
         // Length and CRC-32 of the whole file, as written before the
         // checkpoint encoded into a reused buffer.
+        // `abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node`
+        // arms `io.snapshot` and `io.manifest` meanwhile.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         assert_eq!(store.checkpoint(&fixed_image()).unwrap(), 133_530);
@@ -564,6 +689,9 @@ mod tests {
     fn reused_checkpoint_buffer_writes_the_wrapped_snapshot_exactly() {
         // A served engine, then a much smaller image, then the engine
         // again: nothing of a previous checkpoint may leak into the next.
+        // `abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node`
+        // arms `io.snapshot` and `io.manifest` meanwhile.
+        let _guard = failpoint::exclusive();
         let mut session = crate::DsgSession::builder()
             .peers(0..48)
             .seed(5)
@@ -592,6 +720,126 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A gated session whose traffic decides what restructures: a fresh
+    /// pair of fresh peers is gated, a pair's third request is admitted.
+    fn gated_session() -> crate::DsgSession {
+        crate::DsgSession::builder()
+            .peers(0..64)
+            .seed(17)
+            .policy(crate::config::PolicyConfig::gated().with_threshold(3))
+            .build()
+            .unwrap()
+    }
+
+    /// Serves `pairs` one epoch each; reports whether the engine's
+    /// generation stamp moved.
+    fn serve(session: &mut crate::DsgSession, pairs: &[(u64, u64)]) -> bool {
+        let before = session.engine().generation();
+        for &(u, v) in pairs {
+            session.submit(Request::communicate(u, v)).unwrap();
+        }
+        session.engine().generation() != before
+    }
+
+    /// Cuts an engine checkpoint and checks the file against the image
+    /// path's bytes; returns whether the node section was reused.
+    fn engine_checkpoint_matches(
+        store: &mut DurableStore,
+        session: &crate::DsgSession,
+        seq: u64,
+    ) -> bool {
+        let reused_before = store.reused_node_sections();
+        let expected = reference_file(&session.engine().capture_image());
+        let bytes = store.checkpoint_engine(session.engine()).unwrap();
+        assert_eq!(bytes, expected.len() as u64, "snap-{seq}.img size");
+        let file = fs::read(store.dir().join(snapshot_file(seq))).unwrap();
+        assert!(
+            file == expected,
+            "snap-{seq}.img differs from the image path"
+        );
+        store.reused_node_sections() > reused_before
+    }
+
+    #[test]
+    fn engine_checkpoints_write_the_image_paths_bytes_and_reuse_unchanged_nodes() {
+        let _guard = failpoint::exclusive();
+        let mut session = gated_session();
+        let (direct_dir, image_dir) = (temp_store_dir(), temp_store_dir());
+        let (mut direct, _) = DurableStore::open(&direct_dir, PersistConfig::default()).unwrap();
+        let (mut image, _) = DurableStore::open(&image_dir, PersistConfig::default()).unwrap();
+        // Traffic before each checkpoint, and whether it restructures: full
+        // → reused → reused → admitted → reused. The gated steps still move
+        // the clock and the sketch, so every prefix differs.
+        let script: [(&[(u64, u64)], bool); 5] = [
+            (&[], false),
+            (&[(0, 1), (2, 3)], false),
+            (&[(4, 5)], false),
+            (&[(6, 7), (6, 7), (6, 7)], true),
+            (&[(8, 9)], false),
+        ];
+        for (i, &(pairs, restructures)) in script.iter().enumerate() {
+            assert_eq!(serve(&mut session, pairs), restructures, "step {i}");
+            let seq = i as u64 + 1;
+            let reused = engine_checkpoint_matches(&mut direct, &session, seq);
+            assert_eq!(reused, i > 0 && !restructures, "step {i}");
+            image.checkpoint(&session.engine().capture_image()).unwrap();
+            assert_eq!(
+                fs::read(direct_dir.join(snapshot_file(seq))).unwrap(),
+                fs::read(image_dir.join(snapshot_file(seq))).unwrap(),
+                "snap-{seq}.img"
+            );
+        }
+        assert_eq!(direct.reused_node_sections(), 3);
+        assert_eq!(image.reused_node_sections(), 0);
+        drop((direct, image));
+        fs::remove_dir_all(&direct_dir).unwrap();
+        fs::remove_dir_all(&image_dir).unwrap();
+    }
+
+    #[test]
+    fn abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let _guard = failpoint::exclusive();
+        failpoint::disarm_all();
+        let mut session = gated_session();
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        let mut seq = 1;
+        assert!(!engine_checkpoint_matches(&mut store, &session, seq));
+        // A checkpoint that dies at either fail point forgets the node
+        // section it encoded, although the engine did not change.
+        for site in [failpoint::IO_SNAPSHOT, failpoint::IO_MANIFEST] {
+            assert!(!serve(&mut session, &[(10 + seq, 40 + seq)]));
+            failpoint::arm(site, 1);
+            let torn = catch_unwind(AssertUnwindSafe(|| {
+                store.checkpoint_engine(session.engine())
+            }));
+            failpoint::disarm_all();
+            assert!(torn.is_err(), "{site} must fire");
+            store.abandon_checkpoint();
+            seq += 1;
+            assert!(
+                !engine_checkpoint_matches(&mut store, &session, seq),
+                "after an abandoned checkpoint at {site}"
+            );
+        }
+        // An image-path checkpoint in between forgets it too.
+        seq += 1;
+        store.checkpoint(&session.engine().capture_image()).unwrap();
+        seq += 1;
+        assert!(!engine_checkpoint_matches(&mut store, &session, seq));
+        seq += 1;
+        assert!(engine_checkpoint_matches(&mut store, &session, seq));
+        // A rebuilt engine is a new instance, whatever its counters say.
+        session.engine_mut().recover_from_surviving().unwrap();
+        seq += 1;
+        assert!(!engine_checkpoint_matches(&mut store, &session, seq));
+        seq += 1;
+        assert!(engine_checkpoint_matches(&mut store, &session, seq));
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn manifest_truncations_and_bit_flips_decode_or_are_refused_typed() {
         let payload = Manifest {
@@ -606,6 +854,9 @@ mod tests {
 
     #[test]
     fn a_reopened_store_deletes_the_snapshot_that_leaves_the_binding() {
+        // `abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node`
+        // arms `io.snapshot` and `io.manifest` meanwhile.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
@@ -732,21 +983,26 @@ mod tests {
 
     #[test]
     fn rollback_discards_a_torn_append() {
+        // The guard covers the checkpoint too: other tests arm `io.snapshot`.
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
         store.append_chunk(&[Request::Tick(1)], false).unwrap();
         let committed = store.journal_len();
 
-        let _guard = failpoint::exclusive();
         failpoint::arm(failpoint::IO_APPEND, 1);
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.append_chunk(&[Request::Tick(2)], false)
         }));
         failpoint::disarm_all();
         assert!(torn.is_err(), "the armed fail point must fire");
-        // The header reached the file; rollback removes it.
-        assert!(fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len() > committed);
+        // The header reached the file, the payload did not (the armed
+        // site splits the write); rollback removes it.
+        assert_eq!(
+            fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(),
+            committed + 8
+        );
         store.rollback().unwrap();
         assert_eq!(
             fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(),

@@ -75,4 +75,5 @@ pub mod admission;
 pub mod sketch;
 
 pub use admission::{Admission, AdmissionGate, ClusterSignal, GateCounters};
+pub(crate) use sketch::SketchView;
 pub use sketch::{FreqSketch, SketchImage, SKETCH_ROWS, SKETCH_WIDTH};

@@ -29,7 +29,7 @@
 //! Saturated counters are *not* incremented — and not recorded — so a
 //! rollback is exact even at `u32::MAX`.
 
-use crate::persist::{put_u32, put_u64, Reader};
+use crate::persist::{put_u64, Reader};
 use dsg_skipgraph::Prefix;
 
 /// Number of hash rows in the sketch.
@@ -68,18 +68,42 @@ pub struct SketchImage {
     pub aging_passes: u64,
 }
 
-impl SketchImage {
-    /// Appends the image to `out` in the engine-image byte format.
+/// The sketch state an engine image carries, borrowed from a
+/// [`SketchImage`] or straight from a live [`FreqSketch`]: the snapshot's
+/// sketch section is encoded from this view alone, so both sources write
+/// the same bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SketchView<'a> {
+    counters: &'a [u32],
+    updates_since_aging: u64,
+    aging_passes: u64,
+}
+
+impl SketchView<'_> {
+    /// Appends the sketch section to `out` in the engine-image byte format.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.counters.len() as u64);
-        for &c in &self.counters {
-            put_u32(out, c);
+        let start = out.len();
+        out.resize(start + self.counters.len() * 4, 0);
+        for (word, &c) in out[start..].chunks_exact_mut(4).zip(self.counters) {
+            word.copy_from_slice(&c.to_le_bytes());
         }
         put_u64(out, self.updates_since_aging);
         put_u64(out, self.aging_passes);
     }
+}
 
-    /// Decodes an image previously written by [`SketchImage::encode`].
+impl SketchImage {
+    /// The image as a [`SketchView`].
+    pub(crate) fn view(&self) -> SketchView<'_> {
+        SketchView {
+            counters: &self.counters,
+            updates_since_aging: self.updates_since_aging,
+            aging_passes: self.aging_passes,
+        }
+    }
+
+    /// Decodes an image previously written by [`SketchView::encode`].
     /// The opaque unit error follows the [`Reader`] convention: the
     /// snapshot decoder maps it to its typed corruption error.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, ()> {
@@ -241,12 +265,27 @@ impl FreqSketch {
     /// Panics if increments are staged but neither committed nor rolled
     /// back.
     pub fn to_image(&self) -> SketchImage {
+        let view = self.view();
+        SketchImage {
+            counters: view.counters.to_vec(),
+            updates_since_aging: view.updates_since_aging,
+            aging_passes: view.aging_passes,
+        }
+    }
+
+    /// The persistent state as a [`SketchView`], without copying the
+    /// counters: what a snapshot encodes straight from the engine.
+    ///
+    /// # Panics
+    /// Panics if increments are staged but neither committed nor rolled
+    /// back.
+    pub(crate) fn view(&self) -> SketchView<'_> {
         assert!(
             self.staged.is_empty() && self.staged_updates == 0,
             "sketch image captured with staged increments outstanding"
         );
-        SketchImage {
-            counters: self.counters.clone(),
+        SketchView {
+            counters: &self.counters,
             updates_since_aging: self.updates_since_aging,
             aging_passes: self.aging_passes,
         }
@@ -368,7 +407,11 @@ mod tests {
         s.commit();
         let image = s.to_image();
         let mut bytes = Vec::new();
-        image.encode(&mut bytes);
+        image.view().encode(&mut bytes);
+        // The live sketch encodes the same bytes as its image.
+        let mut live = Vec::new();
+        s.view().encode(&mut live);
+        assert_eq!(live, bytes);
         let mut r = Reader::new(&bytes);
         let decoded = SketchImage::decode(&mut r).expect("decode");
         assert!(r.is_at_end());

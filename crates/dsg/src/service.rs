@@ -47,10 +47,17 @@
 //! [`validate_fast`](crate::DynamicSkipGraph::validate_fast) re-checks the
 //! lists the last epoch's install touched, and every
 //! [`deep_audit_every`](ServiceConfig::deep_audit_every) epochs a full
-//! `validate()` sweeps the entire structure. Audit results are published
-//! as [`AuditEvent`]s to the session's observers; a failed audit degrades
-//! the service to the poisoned state, funnelling it into the same
-//! recovery path as an apply-stage fault.
+//! `validate()` sweeps the entire structure — unless the engine's
+//! [`generation`](crate::DynamicSkipGraph::generation) stamp equals the
+//! one the last clean deep sweep saw. `validate()` reads only the graph
+//! and the state table, and the stamp moves whenever either changes, so
+//! the sweep would find what the last one found: the audit is *certified*
+//! clean without running it (counted in
+//! [`ServiceMetrics::deep_audits_certified`]). Under a gated policy most
+//! epochs only route, so most deep audits are certified. Audit results —
+//! run or certified — are published as [`AuditEvent`]s to the session's
+//! observers; a failed audit degrades the service to the poisoned state,
+//! funnelling it into the same recovery path as an apply-stage fault.
 //!
 //! The fault paths are exercised deterministically through the named
 //! fail-point sites of [`dsg_skipgraph::failpoint`] (re-exported as
@@ -67,12 +74,17 @@
 //! [`PersistConfig::fsync_every`], fsyncs it — **before** the engine
 //! applies it, so an acknowledged request is always on disk. Snapshot
 //! checkpoints are cut at the quiescent point after a served run every
-//! [`PersistConfig::snapshot_every`] epochs. On the next
-//! [`open`](DsgService::open), the newest valid snapshot is restored, a
-//! torn journal tail is truncated, the surviving suffix is replayed, and
-//! the result is deep-validated — `tests/crash_recovery.rs` proves it
-//! bit-identical to an uninterrupted twin for every fail-point site and
-//! every byte-boundary truncation of the journal tail.
+//! [`PersistConfig::snapshot_every`] epochs, encoded straight from the
+//! engine ([`DurableStore::checkpoint_engine`]): while the engine's
+//! generation stamp has not moved since the last checkpoint, only the
+//! snapshot's prefix is re-encoded and the node section is reused. On the
+//! next [`open`](DsgService::open), the newest valid snapshot is restored
+//! (and deep-validated), a torn journal tail is truncated, the surviving
+//! suffix is replayed, and the result is deep-validated again unless the
+//! replay left the stamp where the restore's validation saw it —
+//! `tests/crash_recovery.rs` proves it bit-identical to an uninterrupted
+//! twin for every fail-point site and every byte-boundary truncation of
+//! the journal tail.
 //!
 //! Durability failures are contained like engine faults: a failed or
 //! panicked append rolls the journal back to the last committed frame,
@@ -148,7 +160,7 @@ use std::time::{Duration, Instant};
 
 use dsg_skipgraph::failpoint;
 
-use crate::dsg::{DynamicSkipGraph, EpochPhase, RecoveryReport};
+use crate::dsg::{DynamicSkipGraph, EpochPhase, Generation, RecoveryReport};
 use crate::error::DsgError;
 use crate::observer::{AuditEvent, OverloadEvent, SharedObserver, StallEvent};
 use crate::overload::{OverloadConfig, OverloadController, OverloadTransition, RetryPolicy};
@@ -294,8 +306,17 @@ pub struct ServiceMetrics {
     pub max_queue_depth: usize,
     /// Fast incremental audits run.
     pub audits: u64,
-    /// Deep full-validation audits run.
+    /// Deep audits due on the
+    /// [`deep_audit_every`](ServiceConfig::deep_audit_every) cadence:
+    /// every one, whether its full `validate()` ran or it was certified
+    /// ([`deep_audits_certified`](ServiceMetrics::deep_audits_certified)).
     pub deep_audits: u64,
+    /// Deep audits certified clean without running `validate()`: the
+    /// engine's [`generation`](crate::DynamicSkipGraph::generation) stamp
+    /// equalled the one the last clean deep run saw, so neither the graph
+    /// nor the state table had changed. Included in
+    /// [`deep_audits`](ServiceMetrics::deep_audits).
+    pub deep_audits_certified: u64,
     /// Audits (either tier) that found a violated invariant.
     pub audit_failures: u64,
     /// Plan-stage faults contained (epoch abandoned, engine untouched).
@@ -306,6 +327,12 @@ pub struct ServiceMetrics {
     pub recoveries: u64,
     /// Snapshot checkpoints cut (persistence only).
     pub snapshots: u64,
+    /// Of [`snapshots`](ServiceMetrics::snapshots), those whose node
+    /// section was reused from the previous checkpoint: the engine's
+    /// [`generation`](crate::DynamicSkipGraph::generation) stamp had not
+    /// moved, so only the snapshot's prefix was encoded and checksummed
+    /// again. The bytes written are the same either way.
+    pub snapshots_reused: u64,
     /// Snapshot checkpoints that failed and were abandoned (the store kept
     /// serving under the previous manifest binding).
     pub snapshot_failures: u64,
@@ -645,11 +672,13 @@ struct Shared {
     max_queue_depth: AtomicUsize,
     audits: AtomicU64,
     deep_audits: AtomicU64,
+    deep_audits_certified: AtomicU64,
     audit_failures: AtomicU64,
     plan_aborts: AtomicU64,
     poisonings: AtomicU64,
     recoveries: AtomicU64,
     snapshots: AtomicU64,
+    snapshots_reused: AtomicU64,
     snapshot_failures: AtomicU64,
     append_aborts: AtomicU64,
     /// Durable journal length through the last committed frame (0 without
@@ -696,11 +725,13 @@ impl Shared {
             max_queue_depth: AtomicUsize::new(0),
             audits: AtomicU64::new(0),
             deep_audits: AtomicU64::new(0),
+            deep_audits_certified: AtomicU64::new(0),
             audit_failures: AtomicU64::new(0),
             plan_aborts: AtomicU64::new(0),
             poisonings: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
+            snapshots_reused: AtomicU64::new(0),
             snapshot_failures: AtomicU64::new(0),
             append_aborts: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
@@ -719,11 +750,13 @@ impl Shared {
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             audits: self.audits.load(Ordering::Relaxed),
             deep_audits: self.deep_audits.load(Ordering::Relaxed),
+            deep_audits_certified: self.deep_audits_certified.load(Ordering::Relaxed),
             audit_failures: self.audit_failures.load(Ordering::Relaxed),
             plan_aborts: self.plan_aborts.load(Ordering::Relaxed),
             poisonings: self.poisonings.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
+            snapshots_reused: self.snapshots_reused.load(Ordering::Relaxed),
             snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
             append_aborts: self.append_aborts.load(Ordering::Relaxed),
             shed_submits: self.shed_submits.load(Ordering::Relaxed),
@@ -827,9 +860,13 @@ impl DsgService {
     /// (so the store is recoverable from its very first append), and the
     /// service starts serving. On **recovery**, the engine is restored
     /// from the newest valid snapshot (falling back to the retained
-    /// previous one if the newest is damaged), a torn journal tail is
-    /// truncated, the surviving journal suffix is replayed, and the result
-    /// is deep-validated before the service serves its first request. In
+    /// previous one if the newest is damaged; the restore deep-validates
+    /// it), a torn journal tail is truncated, the surviving journal suffix
+    /// is replayed, and the result is deep-validated before the service
+    /// serves its first request — by a second `validate()`, or, when the
+    /// replayed frames changed no node, link, vector or state entry (the
+    /// engine's [`generation`](crate::DynamicSkipGraph::generation) stamp
+    /// did not move), by the restore's own validation. In
     /// that case the `builder` only contributes its observers — topology
     /// and [`DsgConfig`](crate::DsgConfig) come from the snapshot, not
     /// from the builder.
@@ -861,7 +898,7 @@ impl DsgService {
         let (session, report) = match recovered {
             None => {
                 let session = builder.build()?;
-                let snapshot_bytes = store.checkpoint(&session.engine().capture_image())?;
+                let snapshot_bytes = store.checkpoint_engine(session.engine())?;
                 let report = OpenReport {
                     recovered: false,
                     snapshot_seq: store.snapshot_seq(),
@@ -875,6 +912,9 @@ impl DsgService {
             }
             Some(rec) => {
                 let engine = DynamicSkipGraph::restore_image(&rec.image)?;
+                // `restore_image` closed with a deep validation of this
+                // stamp.
+                let validated = engine.generation();
                 let mut session = builder.build_recovered(engine);
                 let mut requests_replayed = 0u64;
                 for (frame, &brownout) in rec.frames.iter().zip(&rec.brownout) {
@@ -884,7 +924,9 @@ impl DsgService {
                     // bit-identical to the pre-crash one.
                     session.submit_batch_degraded(frame, brownout)?;
                 }
-                session.engine().validate()?;
+                if session.engine().generation() != validated {
+                    session.engine().validate()?;
+                }
                 let report = OpenReport {
                     recovered: true,
                     snapshot_seq: rec.snapshot_seq,
@@ -956,6 +998,7 @@ impl DsgService {
             config,
             journal: Vec::new(),
             epochs_at_last_deep: epochs,
+            last_clean_deep: None,
             epochs_at_last_snapshot: epochs,
             store,
             overload: config.overload.map(|o| OverloadController::new(&o)),
@@ -1285,6 +1328,9 @@ struct Worker {
     config: ServiceConfig,
     journal: Vec<Vec<Request>>,
     epochs_at_last_deep: u64,
+    /// The engine stamp the last deep `validate()` passed on; a deep audit
+    /// due while the stamp still equals it is certified without a sweep.
+    last_clean_deep: Option<Generation>,
     epochs_at_last_snapshot: u64,
     /// The durable store, when the service was opened with persistence.
     /// Single-owner: only this thread touches it.
@@ -1596,11 +1642,12 @@ impl Worker {
         self.cut_checkpoint();
     }
 
-    /// Captures the engine image and checkpoints it. A failure (or a panic
-    /// through the `io.snapshot` / `io.manifest` fail points) abandons the
-    /// checkpoint — temp files removed, counted — and the store keeps
-    /// serving under the previous manifest binding: a checkpoint shortens
-    /// recovery, it is never required for correctness.
+    /// Checkpoints the engine, encoded straight from it (reusing the last
+    /// node section while the engine's generation stamp has not moved). A
+    /// failure (or a panic through the `io.snapshot` / `io.manifest` fail
+    /// points) abandons the checkpoint — temp files removed, counted — and
+    /// the store keeps serving under the previous manifest binding: a
+    /// checkpoint shortens recovery, it is never required for correctness.
     fn cut_checkpoint(&mut self) {
         let Some(store) = self.store.as_mut() else {
             return;
@@ -1608,11 +1655,14 @@ impl Worker {
         self.epochs_at_last_snapshot = self.session.epochs();
         let session = &self.session;
         let cut = panic::catch_unwind(AssertUnwindSafe(|| {
-            store.checkpoint(&session.engine().capture_image())
+            store.checkpoint_engine(session.engine())
         }));
         match cut {
             Ok(Ok(_bytes)) => {
                 self.shared.snapshots.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .snapshots_reused
+                    .store(store.reused_node_sections(), Ordering::Relaxed);
                 self.shared
                     .snapshot_seq
                     .store(store.snapshot_seq(), Ordering::Relaxed);
@@ -1718,7 +1768,9 @@ impl Worker {
     }
 
     /// The tiered invariant audit, run after every successfully served
-    /// run. A failed audit degrades the service to the poisoned state.
+    /// run. A deep audit due on an engine whose generation stamp the last
+    /// clean deep run saw is certified instead of run. A failed audit
+    /// degrades the service to the poisoned state.
     fn audit(&mut self) {
         let epoch = self.session.epochs();
         let fast_ok = self.session.engine().validate_fast().is_ok();
@@ -1734,7 +1786,17 @@ impl Worker {
             && epoch.saturating_sub(self.epochs_at_last_deep) >= self.config.deep_audit_every
         {
             self.epochs_at_last_deep = epoch;
-            let deep_ok = self.session.engine().validate().is_ok();
+            let stamp = self.session.engine().generation();
+            let deep_ok = if self.last_clean_deep == Some(stamp) {
+                self.shared
+                    .deep_audits_certified
+                    .fetch_add(1, Ordering::Relaxed);
+                true
+            } else {
+                let ok = self.session.engine().validate().is_ok();
+                self.last_clean_deep = ok.then_some(stamp);
+                ok
+            };
             self.shared.deep_audits.fetch_add(1, Ordering::Relaxed);
             self.session.notify_audit(&AuditEvent {
                 epoch,

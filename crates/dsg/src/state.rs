@@ -212,6 +212,9 @@ impl StateDelta {
 pub struct StateTable {
     states: Vec<Option<NodeState>>,
     live: usize,
+    /// Bumped by every call that may change an entry; see
+    /// [`StateTable::generation`].
+    generation: u64,
 }
 
 impl StateTable {
@@ -222,6 +225,7 @@ impl StateTable {
 
     /// Registers a node with its initial state.
     pub fn register(&mut self, id: NodeId, key: Key, initial_group_base: usize) {
+        self.generation += 1;
         let index = id.raw() as usize;
         if self.states.len() <= index {
             self.states.resize_with(index + 1, || None);
@@ -236,6 +240,7 @@ impl StateTable {
     /// layer's restore path, where the state comes from a checkpoint
     /// instead of [`NodeState::new`] defaults).
     pub fn register_state(&mut self, id: NodeId, state: NodeState) {
+        self.generation += 1;
         let index = id.raw() as usize;
         if self.states.len() <= index {
             self.states.resize_with(index + 1, || None);
@@ -252,6 +257,7 @@ impl StateTable {
         if let Some(slot) = self.states.get_mut(id.raw() as usize) {
             if slot.take().is_some() {
                 self.live -= 1;
+                self.generation += 1;
             }
         }
     }
@@ -259,6 +265,16 @@ impl StateTable {
     /// Number of registered nodes.
     pub fn len(&self) -> usize {
         self.live
+    }
+
+    /// The table's generation: a counter that every call which may change
+    /// an entry bumps — registration, removal, every setter and every
+    /// [`get_mut`](StateTable::get_mut) — and that reads, an empty
+    /// [`apply_delta`](StateTable::apply_delta) and the removal of an
+    /// unregistered node leave alone. Two reads that see the same
+    /// generation therefore saw the same entries.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Returns `true` if no node is registered.
@@ -279,12 +295,15 @@ impl StateTable {
             .unwrap_or_else(|| panic!("node {id} has no registered state"))
     }
 
-    /// Mutable access to a node's state.
+    /// Mutable access to a node's state. Bumps the
+    /// [generation](StateTable::generation): the caller may write through
+    /// the reference.
     ///
     /// # Panics
     ///
     /// Panics if the node was never registered.
     pub fn get_mut(&mut self, id: NodeId) -> &mut NodeState {
+        self.generation += 1;
         self.states
             .get_mut(id.raw() as usize)
             .and_then(|slot| slot.as_mut())
@@ -490,6 +509,36 @@ mod tests {
         // Re-registering the same slot must not double-count.
         table.register_state(id(3), st.clone());
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn generation_moves_on_writes_and_not_on_reads() {
+        let mut table = StateTable::new();
+        let mut last = table.generation();
+        let mut moved = |table: &StateTable, expected: bool, what: &str| {
+            assert_eq!(table.generation() != last, expected, "{what}");
+            last = table.generation();
+        };
+        table.register(id(0), Key::new(10), 2);
+        moved(&table, true, "register");
+        table.register_state(id(1), NodeState::new(Key::new(20), 1));
+        moved(&table, true, "register_state");
+        let _ = (table.get(id(0)), table.group_id(id(1), 3), table.len());
+        moved(&table, false, "reads");
+        table.apply_delta(&StateDelta::default());
+        moved(&table, false, "an empty delta");
+        table.unregister(id(7));
+        moved(&table, false, "unregistering an unknown node");
+        let mut delta = StateDelta::default();
+        delta.push_dominating(id(0), 1, true);
+        table.apply_delta(&delta);
+        moved(&table, true, "a delta");
+        table.set_timestamp(id(1), 0, 5);
+        moved(&table, true, "a setter");
+        let _ = table.get_mut(id(0));
+        moved(&table, true, "handing out a mutable reference");
+        table.unregister(id(1));
+        moved(&table, true, "unregister");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! and `no_std`-shaped (only `core` items are used). A one-shot [`crc32`]
 //! helper covers contiguous buffers; the streaming [`Crc32`] digest covers
 //! framed writers that checksum a header and a payload without
-//! concatenating them.
+//! concatenating them; [`crc32_combine`] joins the checksums of two
+//! buffers checksummed apart, so a writer that rewrites only the first
+//! part of a file does not re-read the second.
 
 /// The reflected IEEE 802.3 polynomial (the zlib/PNG/gzip CRC).
 const POLYNOMIAL: u32 = 0xEDB8_8320;
@@ -151,6 +153,45 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     digest.finalize()
 }
 
+/// `a · b` modulo the polynomial, both operands and the result in the
+/// reflected representation (bit 31 is the coefficient of `x^0`).
+fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ POLYNOMIAL
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// The CRC-32 of the concatenation `a ‖ b`, given `crc_a = crc32(a)`,
+/// `crc_b = crc32(b)` and `len_b = b.len()`, without reading either
+/// buffer. Appending `len_b` bytes multiplies `a`'s register by
+/// `x^(8·len_b)`; that power is assembled by repeated squaring, one
+/// multiplication per bit of `len_b`, so the cost is `O(log len_b)`
+/// whatever the buffers' sizes.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let mut square = 1u32 << 23; // x^8: one byte
+    let mut n = len_b;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_poly(square, shift);
+        }
+        square = mul_mod_poly(square, square);
+        n >>= 1;
+    }
+    mul_mod_poly(shift, crc_a) ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +308,45 @@ mod tests {
                 digest.update(&message[b..]);
                 assert_eq!(digest.finalize(), oneshot, "splits at {a}, {b}");
             }
+        }
+    }
+
+    #[test]
+    fn combine_matches_the_bytewise_reference_at_every_short_split() {
+        // Every split of every length 0..=64, empty halves included.
+        let message = noise(64, 11);
+        for len in 0..=message.len() {
+            let whole = reference(&message[..len]);
+            for split in 0..=len {
+                let (a, b) = message[..len].split_at(split);
+                assert_eq!(
+                    crc32_combine(reference(a), reference(b), b.len() as u64),
+                    whole,
+                    "len {len}, split at {split}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn combine_matches_the_bytewise_reference_on_a_long_buffer() {
+        let buf = noise(1 << 20, 12);
+        let whole = reference(&buf);
+        let mut splits = vec![0, 1, buf.len() / 2, buf.len() - 1, buf.len()];
+        let mut state = 0xC0B1_u64;
+        for _ in 0..8 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            splits.push((state >> 40) as usize % (buf.len() + 1));
+        }
+        for split in splits {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                whole,
+                "split at {split}"
+            );
         }
     }
 

@@ -211,6 +211,19 @@ pub fn seeded_nth(seed: u64, site: &str, max_nth: u64) -> u64 {
     (z ^ (z >> 31)) % max_nth + 1
 }
 
+/// Whether `site` is armed (its countdown is running). Free (one relaxed
+/// load) while the registry is fully disarmed, like [`hit`]. A writer that
+/// splits a write around a site only while it is armed uses this to keep
+/// its disarmed path in one piece.
+///
+/// # Panics
+///
+/// Panics on an unknown site name while any site is armed.
+#[inline]
+pub fn armed(site: &'static str) -> bool {
+    ARMED_SITES.load(Ordering::Relaxed) != 0 && COUNTDOWNS[index(site)].load(Ordering::Relaxed) != 0
+}
+
 /// Registers one hit of `site`. Free (one relaxed load) while the
 /// registry is fully disarmed.
 ///
@@ -290,6 +303,23 @@ mod tests {
         assert_eq!(hit_count(PLAN_WORKER), 4);
         disarm_all();
         assert_eq!(hit_count(PLAN_WORKER), 0);
+    }
+
+    #[test]
+    fn armed_reports_exactly_the_running_countdowns() {
+        let _guard = exclusive();
+        disarm_all();
+        assert!(!armed(IO_APPEND));
+        arm(IO_SNAPSHOT, 2);
+        assert!(armed(IO_SNAPSHOT));
+        assert!(!armed(IO_APPEND), "another armed site is not this one");
+        arm(IO_APPEND, 1);
+        assert!(armed(IO_APPEND));
+        assert!(std::panic::catch_unwind(|| hit(IO_APPEND)).is_err());
+        assert!(!armed(IO_APPEND), "a fired site disarms itself");
+        assert!(armed(IO_SNAPSHOT));
+        disarm_all();
+        assert!(!armed(IO_SNAPSHOT));
     }
 
     #[test]

@@ -297,6 +297,9 @@ pub struct SkipGraph {
     /// Monotone counter identifying the current batch install, for the
     /// `stamp` based affected-list deduplication.
     batch_epoch: u64,
+    /// Bumped by every call that changes a node, a link or a membership
+    /// vector; see [`SkipGraph::generation`].
+    generation: u64,
 }
 
 impl SkipGraph {
@@ -428,6 +431,7 @@ impl SkipGraph {
         if self.by_key.contains(key) {
             return Err(SkipGraphError::DuplicateKey(key));
         }
+        self.generation += 1;
         let id = self.alloc_node(NodeEntry { key, mvec, dummy });
         self.link_node(id);
         Ok(id)
@@ -485,6 +489,7 @@ impl SkipGraph {
             .get(id.index())
             .and_then(|s| s.entry.clone())
             .ok_or(SkipGraphError::UnknownNode(id))?;
+        self.generation += 1;
         self.unlink_node(id);
         self.by_key.remove(entry.key);
         if entry.dummy {
@@ -802,6 +807,7 @@ impl SkipGraph {
         if self.entry(id).is_none() {
             return Err(SkipGraphError::UnknownNode(id));
         }
+        self.generation += 1;
         self.unlink_node(id);
         let result = {
             let entry = self.arena[id.index()]
@@ -914,6 +920,7 @@ impl SkipGraph {
             if old == new {
                 continue;
             }
+            self.generation += 1;
             let from_level = old.common_prefix_len(&new) + 1;
             debug_assert_eq!(
                 update.from_level, from_level,
@@ -1098,6 +1105,9 @@ impl SkipGraph {
             if let Some(window) = keys.windows(2).find(|w| w[0] == w[1]) {
                 return Err(SkipGraphError::DuplicateKey(window[0]));
             }
+        }
+        if !dummies.is_empty() {
+            self.generation += 1;
         }
         let mut ids = Vec::with_capacity(dummies.len());
         for &(key, mvec) in dummies {
@@ -1320,6 +1330,7 @@ impl SkipGraph {
         if self.entry(id).is_none() {
             return Err(SkipGraphError::UnknownNode(id));
         }
+        self.generation += 1;
         self.unlink_node(id);
         self.arena[id.index()]
             .entry
@@ -1336,6 +1347,17 @@ impl SkipGraph {
 
     fn entry(&self, id: NodeId) -> Option<&NodeEntry> {
         self.arena.get(id.index()).and_then(|s| s.entry.as_ref())
+    }
+
+    /// The structure's generation: a counter that every call changing a
+    /// node, a link or a membership vector bumps before it mutates
+    /// anything, and that a call changing nothing (an empty or all-no-op
+    /// membership batch, a failed insert or removal) leaves alone. Two
+    /// reads of the same graph that see the same generation therefore saw
+    /// the same structure. Clones copy it, so it identifies a structure
+    /// only together with the owner's own identity.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of live nodes (including dummy nodes).
@@ -2410,5 +2432,55 @@ mod tests {
                 assert_eq!(r, list.get(pos + 1).copied());
             }
         }
+    }
+
+    #[test]
+    fn generation_moves_exactly_when_the_structure_does() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut g = SkipGraph::random((0..32).map(Key::new), &mut rng).unwrap();
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        let mut last = g.generation();
+        let mut moved = |g: &SkipGraph, expected: bool, what: &str| {
+            assert_eq!(g.generation() != last, expected, "{what}");
+            last = g.generation();
+        };
+        // Calls that change nothing leave it alone.
+        let mut affected = Vec::new();
+        g.apply_membership_batch_collecting(&[], &mut affected)
+            .unwrap();
+        moved(&g, false, "an empty batch");
+        let same = update_for(&g, ids[3], g.mvec_of(ids[3]).unwrap());
+        g.apply_membership_batch(&[same]).unwrap();
+        moved(&g, false, "a batch of no-op updates");
+        assert!(g.insert(Key::new(5), MembershipVector::empty()).is_err());
+        moved(&g, false, "a duplicate insert");
+        assert!(g.remove_key(Key::new(999)).is_err());
+        moved(&g, false, "removing an unknown key");
+        g.stamp_node_lists(ids[0], 0, &mut affected).unwrap();
+        moved(&g, false, "stamping lists");
+        assert!(g.insert_dummies_bulk(&[]).unwrap().is_empty());
+        moved(&g, false, "an empty bulk insert");
+        // Every structural change bumps it.
+        let mut flipped = g.mvec_of(ids[3]).unwrap();
+        flipped.truncate(0);
+        flipped.push(Bit::One).unwrap();
+        g.apply_membership_batch(&[update_for(&g, ids[3], flipped)])
+            .unwrap();
+        moved(&g, true, "a batch that moves a node");
+        g.insert(Key::new(100), MembershipVector::empty()).unwrap();
+        moved(&g, true, "an insert");
+        g.insert_random(Key::new(101), &mut rng).unwrap();
+        moved(&g, true, "a random insert");
+        g.insert_dummies_bulk(&[(Key::new(102), MembershipVector::empty())])
+            .unwrap();
+        moved(&g, true, "a bulk dummy insert");
+        g.set_membership_suffix(ids[4], 1, [Bit::Zero]).unwrap();
+        moved(&g, true, "a suffix update");
+        g.set_membership_vector(ids[5], MembershipVector::empty())
+            .unwrap();
+        moved(&g, true, "a vector replacement");
+        g.remove_key(Key::new(100)).unwrap();
+        moved(&g, true, "a removal");
+        g.validate().unwrap();
     }
 }

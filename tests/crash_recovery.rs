@@ -211,6 +211,62 @@ fn gated_policy_sketch_survives_restart_bit_identical() {
 }
 
 #[test]
+fn a_crash_after_a_reused_checkpoint_restarts_bit_identical() {
+    let _guard = failpoint::exclusive();
+    let dir = temp_dir("reused");
+    let (n, seed) = (64u64, 23u64);
+    let gated = || builder(n, seed).policy(PolicyConfig::gated().with_threshold(3));
+    // One request per epoch, a checkpoint every 2 epochs.
+    let config = persist_config(1, 2, 1);
+    let (service, _) = DsgService::open(&dir, gated(), config).expect("cold start");
+    // A pair's third request is hot and restructures (epoch 3); fresh
+    // pairs of fresh peers are gated. The checkpoints after epochs 2, 6, 8
+    // and 10 find the engine's stamp where the previous one left it and
+    // reuse its node section; the one after epoch 4 encodes every node.
+    let mut requests = vec![Request::communicate(40, 41); 3];
+    requests.extend((0..8u64).map(|i| Request::communicate(2 * i, 2 * i + 1)));
+    let mut reused_through_epoch_8 = 0;
+    for (i, &request) in requests.iter().enumerate() {
+        serve_one(&service, request).expect("serves cleanly");
+        if i + 1 == 9 {
+            // Run 8 and its checkpoint finished before run 9 started.
+            let metrics = service.metrics();
+            assert_eq!(metrics.snapshots, 4);
+            reused_through_epoch_8 = metrics.snapshots_reused;
+        }
+    }
+    let metrics = service.metrics();
+    assert_eq!(metrics.snapshots, 5);
+    assert_eq!(metrics.snapshots_reused, 4, "{metrics:?}");
+    assert_eq!(
+        metrics.snapshots_reused,
+        reused_through_epoch_8 + 1,
+        "the checkpoint the crash lands on reused its node section"
+    );
+    // Crash: the binding is the reused checkpoint after epoch 10, and
+    // epoch 11's frame is the journal suffix behind it.
+    drop(service);
+
+    // The reopen takes topology and policy from the snapshot, not from the
+    // builder.
+    let (restarted, report) = reopen(&dir, n, seed, config);
+    assert!(report.recovered);
+    assert_eq!(report.snapshot_seq, 6, "the initial checkpoint plus five");
+    assert_eq!(report.frames_replayed, 1);
+    let mut twin = gated().build().expect("twin builds");
+    for chunk in &read_journal(&dir).expect("journal scans clean").frames {
+        twin.submit_batch(chunk).expect("journal replays cleanly");
+    }
+    assert_networks_agree("reused checkpoint twin", restarted.engine(), twin.engine());
+    assert_eq!(
+        restarted.engine().capture_image(),
+        twin.engine().capture_image(),
+        "clock, RNG or sketch diverged"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn open_without_a_persist_config_is_refused() {
     let _guard = failpoint::exclusive();
     let dir = temp_dir("nopersist");

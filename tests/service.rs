@@ -431,6 +431,93 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Certified deep audits
+// ---------------------------------------------------------------------
+
+/// Counts the deep audit events a service publishes.
+#[derive(Default)]
+struct DeepAudits {
+    passed: u64,
+    failed: u64,
+}
+
+impl DsgObserver for DeepAudits {
+    fn on_audit(&mut self, event: &AuditEvent) {
+        if event.deep {
+            if event.passed {
+                self.passed += 1;
+            } else {
+                self.failed += 1;
+            }
+        }
+    }
+}
+
+/// Serves `requests` one epoch each through a gated service that
+/// deep-audits every 4 epochs; returns the final metrics, the number of
+/// epochs that restructured, and the deep audit events observed.
+fn deep_audit_run(threshold: u32, requests: &[Request]) -> (ServiceMetrics, u64, (u64, u64)) {
+    let mut session = DsgSession::builder()
+        .peers(0..128)
+        .seed(61)
+        .policy(PolicyConfig::gated().with_threshold(threshold))
+        .build()
+        .unwrap();
+    let audits = session.observe(DeepAudits::default());
+    let config = ServiceConfig {
+        ingest_batch: 1,
+        deep_audit_every: 4,
+        ..ServiceConfig::default()
+    };
+    let mut service = DsgService::spawn(session, config).unwrap();
+    serve_all(&service, requests);
+    let done = service.shutdown().expect("first shutdown");
+    done.session.engine().validate().unwrap();
+    let restructured = done.session.stats().planned_clusters as u64;
+    let audits = audits.lock().unwrap();
+    (done.metrics, restructured, (audits.passed, audits.failed))
+}
+
+/// Fresh pairs of fresh peers: a gated policy routes every one of them.
+fn fresh_pairs(range: std::ops::Range<u64>) -> impl Iterator<Item = Request> {
+    range.map(|i| Request::communicate(2 * i, 2 * i + 1))
+}
+
+#[test]
+fn deep_audits_of_a_gated_only_trace_are_certified_after_the_first() {
+    let _guard = failpoint::exclusive();
+    let requests: Vec<Request> = fresh_pairs(0..40).collect();
+    let (metrics, restructured, (passed, failed)) = deep_audit_run(1_000_000, &requests);
+    assert_eq!(restructured, 0, "the trace must be gated only");
+    assert_eq!(metrics.epochs, 40);
+    assert_eq!(metrics.deep_audits, 10, "every audit due is counted");
+    // Only the first deep audit sweeps; nothing changed after it.
+    assert_eq!(metrics.deep_audits_certified, 9);
+    // The deep audit event fires for certified audits too.
+    assert_eq!((passed, failed), (metrics.deep_audits, 0));
+    assert_eq!(metrics.audit_failures, 0);
+}
+
+#[test]
+fn an_interval_holding_one_admitted_request_runs_validate() {
+    let _guard = failpoint::exclusive();
+    // Epochs 1-16 and 20-40 are gated; (100, 101) restructures at its
+    // third request, epoch 19, inside the interval the epoch-20 deep
+    // audit closes.
+    let mut requests: Vec<Request> = fresh_pairs(0..16).collect();
+    requests.extend([Request::communicate(100, 101); 3]);
+    requests.extend(fresh_pairs(16..37));
+    let (metrics, restructured, (passed, failed)) = deep_audit_run(3, &requests);
+    assert_eq!(restructured, 1, "exactly one request is admitted");
+    assert_eq!(metrics.epochs, 40);
+    assert_eq!(metrics.deep_audits, 10);
+    // The sweeps at epochs 4 (the first) and 20 (after the admitted
+    // request) run; the other eight are certified.
+    assert_eq!(metrics.deep_audits_certified, 8);
+    assert_eq!((passed, failed), (metrics.deep_audits, 0));
+}
+
+// ---------------------------------------------------------------------
 // Durable journal vs the in-memory recording oracle
 // ---------------------------------------------------------------------
 
