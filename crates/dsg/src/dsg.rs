@@ -1040,9 +1040,10 @@ impl DynamicSkipGraph {
     ///
     /// [`encode_snapshot`]: crate::persist::encode_snapshot
     pub(crate) fn encode_snapshot_nodes(&self, buf: &mut Vec<u8>) {
-        buf.reserve(8 + self.graph.len() * 64);
-        buf.extend_from_slice(&(self.graph.len() as u64).to_le_bytes());
+        buf.reserve(10 + self.graph.len() * crate::persist::NODE_BYTES_HINT);
+        crate::persist::put_varint(buf, self.graph.len() as u64);
         let mut bits = [0u8; MembershipVector::MAX_LEVELS];
+        let mut prev_key = 0;
         for id in self.graph.list_iter(0, Prefix::root()) {
             let entry = self.graph.node(id).expect("list member is live");
             let mvec = entry.mvec();
@@ -1051,8 +1052,9 @@ impl DynamicSkipGraph {
             }
             let state = self.states.get(id);
             let (timestamps, group_ids, dominating) = state.raw_parts();
+            let key = entry.key().value();
             crate::persist::NodeFields {
-                key: entry.key().value(),
+                key,
                 dummy: entry.is_dummy(),
                 mvec_bits: &bits[..mvec.len()],
                 group_base: state.group_base() as u64,
@@ -1060,7 +1062,8 @@ impl DynamicSkipGraph {
                 group_ids,
                 dominating,
             }
-            .encode(buf);
+            .encode(prev_key, buf);
+            prev_key = key;
         }
     }
 

@@ -35,7 +35,7 @@
 //! read their keys as free), the repair then re-derives the desired dummy
 //! set per violated run exactly as the destroy-then-recreate path would,
 //! and each break is *diffed* against the inventory: a standing dummy
-//! whose key the shared salvage-first policy ([`next_break`]) re-derives
+//! whose key the shared salvage-first policy (`next_break`) re-derives
 //! is reclaimed in place (zero graph mutation), a superseded standing
 //! dummy at a freshly chosen key is evicted, and only the genuinely new
 //! dummies are created — all of a repair pass's creations in one
@@ -520,7 +520,7 @@ fn repair_violation(
 ///
 /// This destroy-up-front lifecycle is kept as the
 /// [`InstallStrategy::PerNode`](crate::InstallStrategy) oracle; the batched
-/// engine path reconciles instead ([`collect_dummies_in_lists`] +
+/// engine path reconciles instead ([`plan_reconciliation`] +
 /// [`repair_balance_reconciling`]), with a proven-identical end state.
 pub fn destroy_dummies_in_lists(
     graph: &mut SkipGraph,
@@ -619,7 +619,7 @@ impl NodeStampSet {
 /// across clusters so a warm pass allocates nothing.
 ///
 /// The central piece is the *doomed* set: the standing dummies of the
-/// rebuilt lists, inventoried by [`collect_dummies_in_lists`]. They stay
+/// rebuilt lists, inventoried by [`plan_reconciliation`]. They stay
 /// physically linked, but every planning read treats them as absent — the
 /// filtered balance scans skip them and the key-occupancy probes report
 /// their keys free — so the plan the repair derives is exactly the plan the
@@ -876,7 +876,7 @@ fn scan_chunked<T: Sync, R: Send>(
 /// oracle sees after destroying them. Each inventoried dummy's own lists
 /// at levels ≥ `floor` join the re-check set, since removing it would
 /// merge runs anywhere along its prefix path. Every violated run is then
-/// re-derived through the same [`next_break`] policy as the oracle and
+/// re-derived through the same `next_break` policy as the oracle and
 /// each break is **diffed** against the inventory:
 ///
 /// * salvageable standing dummy in the break gap → **reclaim** in place,

@@ -38,7 +38,7 @@
 //! | [`policy`] | §III (amortized argument) | frequency sketch + admission gate deciding which communicates earn a restructure |
 //! | [`request`] | — | the unified typed [`Request`] vocabulary |
 //! | [`session`] | — | [`DsgSession`] / [`DsgBuilder`], the public entry point |
-//! | [`service`] | — | [`DsgService`](service::DsgService), the fault-contained concurrent ingest front-end |
+//! | [`service`] | — | [`DsgService`], the fault-contained concurrent ingest front-end |
 //! | [`overload`] | — | sojourn-based load shedding, brownout degradation, and the stall watchdog behind [`ServiceConfig::overload`](service::ServiceConfig::overload) |
 //! | [`persist`] | — | durable write-ahead journal + snapshot checkpoints behind [`DsgService::open`](service::DsgService::open) |
 //! | [`observer`] | — | [`DsgObserver`] progress hooks |

@@ -36,12 +36,18 @@
 //! [`EngineImage`] path and the engine-direct path (the engine's
 //! `encode_snapshot_prefix` / `encode_snapshot_nodes`, behind
 //! [`DurableStore::checkpoint_engine`]) call, so the two write the same
-//! bytes by construction.
+//! bytes by construction. [`encode_snapshot`] documents the layout.
+//!
+//! A node holds O(log n) bits of state, and the layout spends about that:
+//! a gated n = 1024 engine with ~1000 dummies encodes in ~80 KB.
 //!
 //! [`DurableStore::checkpoint_engine`]: crate::DurableStore::checkpoint_engine
 //! [`NodeState::raw_parts`]: crate::NodeState::raw_parts
 
-use super::{put_u32, put_u64, PersistError, Reader};
+use super::{
+    apply_zigzag, put_bits, put_u32, put_u64, put_varint, varint_len, zigzag_delta, PersistError,
+    Reader,
+};
 use crate::config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
 use crate::policy::{SketchImage, SketchView};
 use dsg_skipgraph::crc32::{crc32, crc32_combine};
@@ -49,9 +55,13 @@ use dsg_skipgraph::crc32::{crc32, crc32_combine};
 /// Leading magic of a snapshot payload. Version 2 added the adaptation
 /// policy: the `PolicyConfig` fields in the config section and an optional
 /// frequency-sketch section (present exactly when the policy is gated).
-/// Version bumps are deliberate incompatibilities — the decoder rejects
-/// other versions rather than guessing at field layouts.
-const MAGIC: &[u8; 8] = b"DSGSNAP2";
+/// Version 3 encodes the node and sketch sections with varints and packed
+/// bits. Version bumps are deliberate incompatibilities — the decoder
+/// rejects other versions rather than guessing at field layouts.
+const MAGIC: &[u8; 8] = b"DSGSNAP3";
+
+/// What every version's magic starts with.
+const MAGIC_FAMILY: &[u8; 7] = b"DSGSNAP";
 
 /// A serializable image of one graph node (peer or dummy) and its
 /// self-adjusting state.
@@ -113,8 +123,32 @@ fn policy_tag(p: AdaptPolicy) -> u8 {
     }
 }
 
-/// Encodes an image into the checkpoint payload (magic-led, CRC applied by
-/// the file envelope in the store).
+/// Encodes an image into the checkpoint payload (magic-led; the store's
+/// file header adds the binding and the CRC).
+///
+/// The layout (`DSGSNAP3`; "varint" is unsigned LEB128, "bits" are packed
+/// eight per byte, low bit first, with zero padding):
+///
+/// * **prefix** — the magic; the configuration in fixed-width fields;
+///   the sketch section, present exactly when the policy is gated: a
+///   presence byte, the counter count, every counter and the two aging
+///   cursors, all varints; the logical clock (u64); the four RNG words
+///   (u64 each).
+/// * **node section** — the node count (varint), then per node in
+///   ascending key order:
+///   * the key as a varint delta from the previous node's key (from 0 for
+///     the first; a later zero delta is out of order);
+///   * a varint of `membership length << 1 | dummy`, then the membership
+///     bits;
+///   * the group base (varint);
+///   * a varint of `timestamp count << 1 | deltas`, then each timestamp as
+///     a varint — or, when `deltas` is set, as the zigzag varint of its
+///     difference from the previous level's (0 below level 0), whichever
+///     form is smaller;
+///   * the group-id count (varint), then per level the zigzag varint of the
+///     id's difference from the previous level's id (the node's own key
+///     below level 0): a single zero byte where the id repeats;
+///   * the dominating-flag count (varint), then the flags as bits.
 pub fn encode_snapshot(image: &EngineImage) -> Vec<u8> {
     let mut buf = Vec::new();
     image.encode_prefix(&mut buf);
@@ -136,8 +170,9 @@ impl EngineImage {
 
     /// Appends the node section of the image to `buf`.
     pub(crate) fn encode_nodes(&self, buf: &mut Vec<u8>) {
-        buf.reserve(8 + self.nodes.len() * 64);
-        put_u64(buf, self.nodes.len() as u64);
+        buf.reserve(10 + self.nodes.len() * NODE_BYTES_HINT);
+        put_varint(buf, self.nodes.len() as u64);
+        let mut prev_key = 0;
         for node in &self.nodes {
             NodeFields {
                 key: node.key,
@@ -148,7 +183,8 @@ impl EngineImage {
                 group_ids: &node.group_ids,
                 dominating: &node.dominating,
             }
-            .encode(buf);
+            .encode(prev_key, buf);
+            prev_key = node.key;
         }
     }
 }
@@ -201,30 +237,55 @@ pub(crate) struct NodeFields<'a> {
     pub(crate) dominating: &'a [bool],
 }
 
+/// Typical encoded size of a node, for reserving the node section.
+pub(crate) const NODE_BYTES_HINT: usize = 40;
+
 impl NodeFields<'_> {
-    /// Appends the node to `buf`.
-    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.key);
-        buf.push(self.dummy as u8);
-        put_u32(buf, self.mvec_bits.len() as u32);
-        buf.extend_from_slice(self.mvec_bits);
-        put_u64(buf, self.group_base);
-        put_u32(buf, self.timestamps.len() as u32);
+    /// Appends the node to `buf`; `prev_key` is the key of the node encoded
+    /// before it (0 for the first).
+    pub(crate) fn encode(&self, prev_key: u64, buf: &mut Vec<u8>) {
+        put_varint(buf, self.key.wrapping_sub(prev_key));
+        put_varint(
+            buf,
+            (self.mvec_bits.len() as u64) << 1 | u64::from(self.dummy),
+        );
+        put_bits(buf, self.mvec_bits.iter().map(|&bit| bit != 0));
+        put_varint(buf, self.group_base);
+
+        let mut prev = 0;
+        let (mut plain, mut deltas) = (0, 0);
         for &t in self.timestamps {
-            put_u64(buf, t);
+            plain += varint_len(t);
+            deltas += varint_len(zigzag_delta(prev, t));
+            prev = t;
         }
-        put_u32(buf, self.group_ids.len() as u32);
+        let use_deltas = deltas < plain;
+        put_varint(
+            buf,
+            (self.timestamps.len() as u64) << 1 | u64::from(use_deltas),
+        );
+        let mut prev = 0;
+        for &t in self.timestamps {
+            put_varint(buf, if use_deltas { zigzag_delta(prev, t) } else { t });
+            prev = t;
+        }
+
+        put_varint(buf, self.group_ids.len() as u64);
+        let mut prev = self.key;
         for &g in self.group_ids {
-            put_u64(buf, g);
+            put_varint(buf, zigzag_delta(prev, g));
+            prev = g;
         }
-        put_u32(buf, self.dominating.len() as u32);
-        buf.extend(self.dominating.iter().map(|&d| d as u8));
+
+        put_varint(buf, self.dominating.len() as u64);
+        put_bits(buf, self.dominating.iter().copied());
     }
 }
 
-/// Encoded size of a node with empty vectors: key (8), dummy flag (1),
-/// group base (8) and four length words (4 each).
-const MIN_NODE_BYTES: usize = 33;
+/// Encoded size of a node with empty vectors: one varint byte each for
+/// the key delta, the membership word, the group base and the three
+/// counts.
+const MIN_NODE_BYTES: usize = 6;
 
 fn corrupt(detail: &str) -> PersistError {
     PersistError::CorruptSnapshot {
@@ -232,19 +293,37 @@ fn corrupt(detail: &str) -> PersistError {
     }
 }
 
+/// Checks a decoded count against `limit`, the most the remaining bytes
+/// could hold, before anything is allocated for it.
+fn bounded(count: u64, limit: usize, what: &str) -> Result<usize, PersistError> {
+    if count > limit as u64 {
+        return Err(corrupt(&format!("implausible {what} {count}")));
+    }
+    Ok(count as usize)
+}
+
 /// Decodes a checkpoint payload back into an [`EngineImage`].
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::CorruptSnapshot`] on any structural problem:
-/// bad magic, truncated payload, invalid tags, out-of-order keys, or
-/// trailing bytes.
+/// bad magic or another version's (a `DSGSNAP2` payload among them),
+/// truncated payload, malformed varints, invalid tags, counts the
+/// remaining bytes cannot hold, out-of-order or overflowing keys, set
+/// padding bits, or trailing bytes.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     let mut r = Reader::new(bytes);
-    if r.bytes(MAGIC.len())
-        .map_err(|_| corrupt("truncated magic"))?
-        != MAGIC
-    {
+    let magic = r
+        .bytes(MAGIC.len())
+        .map_err(|_| corrupt("truncated magic"))?;
+    if magic != MAGIC {
+        if magic.starts_with(MAGIC_FAMILY) {
+            return Err(corrupt(&format!(
+                "unsupported snapshot version {}; this build reads {} only",
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(MAGIC)
+            )));
+        }
         return Err(corrupt("bad magic"));
     }
     let short = |_| corrupt("payload ran out of bytes");
@@ -316,60 +395,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     for word in &mut rng_state {
         *word = r.u64().map_err(short)?;
     }
-    let count = r.u64().map_err(short)?;
-    if count > (r.remaining() / MIN_NODE_BYTES) as u64 {
-        // More nodes than the remaining bytes can hold is corruption,
-        // caught before the allocation.
-        return Err(corrupt(&format!("implausible node count {count}")));
-    }
-    let mut nodes = Vec::with_capacity(count as usize);
-    let mut last_key: Option<u64> = None;
+    let count = r.varint().map_err(|_| corrupt("malformed node count"))?;
+    let count = bounded(count, r.remaining() / MIN_NODE_BYTES, "node count")?;
+    let mut nodes: Vec<NodeImage> = Vec::with_capacity(count);
     for _ in 0..count {
-        let key = r.u64().map_err(short)?;
-        if let Some(prev) = last_key {
-            if key <= prev {
-                return Err(corrupt(&format!(
-                    "node keys out of order: {key} after {prev}"
-                )));
-            }
-        }
-        last_key = Some(key);
-        let dummy = match r.u8().map_err(short)? {
-            0 => false,
-            1 => true,
-            tag => return Err(corrupt(&format!("bad dummy byte {tag}"))),
-        };
-        let mvec_len = r.u32().map_err(short)? as usize;
-        let mvec_bits = r.bytes(mvec_len).map_err(short)?.to_vec();
-        if mvec_bits.iter().any(|&b| b > 1) {
-            return Err(corrupt("membership-vector byte is not 0/1"));
-        }
-        let group_base = r.u64().map_err(short)?;
-        let ts_len = r.u32().map_err(short)? as usize;
-        let mut timestamps = Vec::with_capacity(ts_len.min(r.remaining() / 8));
-        for _ in 0..ts_len {
-            timestamps.push(r.u64().map_err(short)?);
-        }
-        let gid_len = r.u32().map_err(short)? as usize;
-        let mut group_ids = Vec::with_capacity(gid_len.min(r.remaining() / 8));
-        for _ in 0..gid_len {
-            group_ids.push(r.u64().map_err(short)?);
-        }
-        let dom_len = r.u32().map_err(short)? as usize;
-        let dom_bytes = r.bytes(dom_len).map_err(short)?;
-        if dom_bytes.iter().any(|&b| b > 1) {
-            return Err(corrupt("dominating byte is not 0/1"));
-        }
-        let dominating = dom_bytes.iter().map(|&b| b == 1).collect();
-        nodes.push(NodeImage {
-            key,
-            dummy,
-            mvec_bits,
-            group_base,
-            timestamps,
-            group_ids,
-            dominating,
-        });
+        let node = decode_node(&mut r, nodes.last().map(|node| node.key))?;
+        nodes.push(node);
     }
     if !r.is_at_end() {
         return Err(corrupt("trailing bytes after the last node"));
@@ -383,68 +414,153 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     })
 }
 
-/// Length of the file envelope's header: `[len: u64 LE][crc32: u32 LE]`.
-const ENVELOPE_HEADER: usize = 12;
+/// Decodes one node written by [`NodeFields::encode`]; `prev_key` is the
+/// previous node's key (`None` for the first).
+fn decode_node(r: &mut Reader<'_>, prev_key: Option<u64>) -> Result<NodeImage, PersistError> {
+    let short = |_| corrupt("node ran out of bytes or holds a malformed varint");
+    let delta = r.varint().map_err(short)?;
+    let key = match prev_key {
+        None => delta,
+        Some(prev) if delta == 0 => {
+            return Err(corrupt(&format!(
+                "node keys out of order: a zero delta after {prev}"
+            )))
+        }
+        Some(prev) => prev
+            .checked_add(delta)
+            .ok_or_else(|| corrupt(&format!("node key overflows: {prev} + {delta}")))?,
+    };
+    let word = r.varint().map_err(short)?;
+    let dummy = word & 1 == 1;
+    let mvec_len = bounded(
+        word >> 1,
+        r.remaining().saturating_mul(8),
+        "membership length",
+    )?;
+    let mvec_bits = r
+        .bits(mvec_len)
+        .map_err(|_| corrupt("membership bits cut short or padded with ones"))?
+        .map(u8::from)
+        .collect();
+    let group_base = r.varint().map_err(short)?;
 
-/// Clears `buf` and reserves the envelope header; the payload is then
-/// appended in place and [`seal_envelope`] fills the header in.
-pub(crate) fn begin_envelope(buf: &mut Vec<u8>) {
+    let word = r.varint().map_err(short)?;
+    let deltas = word & 1 == 1;
+    let ts_len = bounded(word >> 1, r.remaining(), "timestamp count")?;
+    let mut timestamps = Vec::with_capacity(ts_len);
+    let mut prev = 0;
+    for _ in 0..ts_len {
+        let v = r.varint().map_err(short)?;
+        prev = if deltas { apply_zigzag(prev, v) } else { v };
+        timestamps.push(prev);
+    }
+
+    let gid_len = r.varint().map_err(short)?;
+    let gid_len = bounded(gid_len, r.remaining(), "group-id count")?;
+    let mut group_ids = Vec::with_capacity(gid_len);
+    let mut prev = key;
+    for _ in 0..gid_len {
+        prev = apply_zigzag(prev, r.varint().map_err(short)?);
+        group_ids.push(prev);
+    }
+
+    let dom_len = r.varint().map_err(short)?;
+    let dom_len = bounded(dom_len, r.remaining().saturating_mul(8), "dominating count")?;
+    let dominating = r
+        .bits(dom_len)
+        .map_err(|_| corrupt("dominating flags cut short or padded with ones"))?
+        .collect();
+    Ok(NodeImage {
+        key,
+        dummy,
+        mvec_bits,
+        group_base,
+        timestamps,
+        group_ids,
+        dominating,
+    })
+}
+
+/// Length of a snapshot file's header, `[len: u64 LE][crc32: u32 LE]`.
+const FILE_HEADER: usize = 12;
+
+/// Clears `buf` and starts a snapshot file in it: a reserved header, then
+/// the binding `[seq u64][journal offset u64]` the CRC covers. The payload
+/// is then appended in place and [`seal_snapshot_file`] fills the header
+/// in.
+pub(crate) fn begin_snapshot_file(buf: &mut Vec<u8>, seq: u64, offset: u64) {
     buf.clear();
-    buf.resize(ENVELOPE_HEADER, 0);
+    buf.resize(FILE_HEADER, 0);
+    put_u64(buf, seq);
+    put_u64(buf, offset);
 }
 
-/// Patches the header reserved by [`begin_envelope`] with the length and
-/// CRC-32 of the payload that follows it.
-pub(crate) fn seal_envelope(buf: &mut [u8]) {
-    seal_split_envelope(buf, 0, 0);
-}
-
-/// [`seal_envelope`] for a payload written in two parts: the part behind
-/// the header in `buf`, then `tail_len` bytes from another buffer whose
-/// CRC-32 is `tail_crc` (a snapshot's node section). The tail is not read:
-/// its checksum is joined to the first part's with [`crc32_combine`].
-pub(crate) fn seal_split_envelope(buf: &mut [u8], tail_len: usize, tail_crc: u32) {
-    let (header, head) = buf.split_at_mut(ENVELOPE_HEADER);
+/// Patches the header reserved by [`begin_snapshot_file`] with the length
+/// and CRC-32 of everything behind it: the part in `buf`, then `tail_len`
+/// bytes from another buffer whose CRC-32 is `tail_crc` (a snapshot's node
+/// section). The tail is not read: its checksum is joined to the first
+/// part's with [`crc32_combine`].
+pub(crate) fn seal_snapshot_file(buf: &mut [u8], tail_len: usize, tail_crc: u32) {
+    let (header, head) = buf.split_at_mut(FILE_HEADER);
     let len = (head.len() + tail_len) as u64;
     let crc = crc32_combine(crc32(head), tail_crc, tail_len as u64);
     header[..8].copy_from_slice(&len.to_le_bytes());
     header[8..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Wraps a payload in the CRC-checked file envelope shared by snapshot and
-/// manifest files: `[len: u64 LE][crc32: u32 LE][payload]`.
-pub(crate) fn wrap_file(payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(ENVELOPE_HEADER + payload.len());
-    begin_envelope(&mut buf);
-    buf.extend_from_slice(payload);
-    seal_envelope(&mut buf);
-    buf
+/// A snapshot file whose length and CRC checked: its binding and payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SnapshotFile<'a> {
+    /// The sequence number the file was written under.
+    pub(crate) seq: u64,
+    /// The journal offset its replay starts from.
+    pub(crate) offset: u64,
+    /// The `DSGSNAP3` payload, not yet decoded.
+    pub(crate) payload: &'a [u8],
 }
 
-/// Unwraps and verifies the file envelope written by [`wrap_file`],
-/// reporting failures through `make_err` (snapshot vs manifest flavour).
-pub(crate) fn unwrap_file(
-    bytes: &[u8],
-    make_err: impl Fn(&str) -> PersistError,
-) -> Result<&[u8], PersistError> {
+/// Verifies a snapshot file's length and CRC and splits off its binding.
+///
+/// # Errors
+///
+/// [`PersistError::CorruptSnapshot`] for a missing or short header, a
+/// length that disagrees with the file, a checksum mismatch, or a file in
+/// the older `DSGSNAP2` layout, which had no binding.
+pub(crate) fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotFile<'_>, PersistError> {
     let mut r = Reader::new(bytes);
-    let len = r.u64().map_err(|_| make_err("missing length header"))?;
-    let crc = r.u32().map_err(|_| make_err("missing checksum header"))?;
-    let payload = r
-        .bytes(len as usize)
-        .map_err(|_| make_err("payload shorter than its declared length"))?;
-    if !r.is_at_end() {
-        return Err(make_err("trailing bytes after the payload"));
+    let len = r.u64().map_err(|_| corrupt("missing length header"))?;
+    let crc = r.u32().map_err(|_| corrupt("missing checksum header"))?;
+    if len != r.remaining() as u64 {
+        return Err(corrupt(&format!(
+            "the header declares {len} bytes but {} follow",
+            r.remaining()
+        )));
     }
-    if crc32(payload) != crc {
-        return Err(make_err("checksum mismatch"));
+    let body = &bytes[FILE_HEADER..];
+    if crc32(body) != crc {
+        return Err(corrupt("checksum mismatch"));
     }
-    Ok(payload)
+    if body.starts_with(MAGIC_FAMILY) {
+        return Err(corrupt(&format!(
+            "a {} file without a binding header; this build reads {} only",
+            String::from_utf8_lossy(&body[..MAGIC.len().min(body.len())]),
+            String::from_utf8_lossy(MAGIC)
+        )));
+    }
+    let mut r = Reader::new(body);
+    let short = |_| corrupt("binding header cut short");
+    let seq = r.u64().map_err(short)?;
+    let offset = r.u64().map_err(short)?;
+    Ok(SnapshotFile {
+        seq,
+        offset,
+        payload: &body[16..],
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::assert_cuts_and_flips_are_typed;
+    use super::super::{assert_cuts_and_flips_are_typed, dsgsnap2_payload};
     use super::*;
 
     fn sample_image() -> EngineImage {
@@ -473,6 +589,17 @@ mod tests {
                     timestamps: Vec::new(),
                     group_ids: Vec::new(),
                     dominating: Vec::new(),
+                },
+                // Timestamps that encode smaller as deltas, and bit vectors
+                // that spill into a second byte.
+                NodeImage {
+                    key: 3 << 20,
+                    dummy: false,
+                    mvec_bits: vec![1, 0, 0, 1, 1, 0, 1, 0, 1],
+                    group_base: 2,
+                    timestamps: vec![5000, 5000, 5001, 4990],
+                    group_ids: vec![3 << 20, 1 << 20, 1 << 20],
+                    dominating: vec![true; 9],
                 },
             ],
             sketch: None,
@@ -519,6 +646,13 @@ mod tests {
             decode_snapshot(&bytes),
             Err(PersistError::CorruptSnapshot { .. })
         ));
+        // Version 2, as it wrote its payloads, is refused by name.
+        match decode_snapshot(&dsgsnap2_payload(&sample_image())) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("DSGSNAP2"), "{detail}")
+            }
+            other => panic!("a DSGSNAP2 payload decoded: {other:?}"),
+        }
     }
 
     #[test]
@@ -541,7 +675,7 @@ mod tests {
         ));
     }
 
-    fn corrupt_snapshot(e: &PersistError) -> bool {
+    pub(crate) fn corrupt_snapshot(e: &PersistError) -> bool {
         matches!(e, PersistError::CorruptSnapshot { .. })
     }
 
@@ -556,45 +690,98 @@ mod tests {
         use crate::policy::{FreqSketch, SKETCH_ROWS, SKETCH_WIDTH};
         let mut image = sample_image();
         image.config = image.config.with_policy(PolicyConfig::gated());
-        image.sketch = Some(FreqSketch::new(image.config.seed, 4096).to_image());
+        let mut sketch = FreqSketch::new(image.config.seed, 1 << 20);
+        for _ in 0..300 {
+            sketch.stage_increment(FreqSketch::pair_key(1, 2));
+        }
+        sketch.commit();
+        image.sketch = Some(sketch.to_image());
         let bytes = encode_snapshot(&image);
         // The test above covers the fields an ungated image shares; here
         // the sketch section's own: its presence byte (offset 53, behind
-        // the magic and the config), its length word, the two cursors
-        // behind the counters, and a sample of the counters.
+        // the magic and the config), its count varint, the counters (one
+        // byte each, but two for the four that count 300) and the two
+        // cursor varints behind them.
         let counters = SKETCH_ROWS * SKETCH_WIDTH;
         assert_eq!(bytes[53], 1);
-        assert_eq!(bytes[54..62], (counters as u64).to_le_bytes());
-        let cursors = 62 + counters * 4;
-        let at = (53..62)
-            .chain((62..cursors).step_by(4099))
-            .chain(cursors..cursors + 16);
+        let mut count = Vec::new();
+        put_varint(&mut count, counters as u64);
+        assert_eq!(bytes[54..57], count[..]);
+        let cursors = 57 + counters + SKETCH_ROWS;
+        let mut tail = Vec::new();
+        put_varint(&mut tail, 300);
+        put_varint(&mut tail, 0);
+        assert_eq!(bytes[cursors..cursors + tail.len()], tail[..]);
+        let two_byte = (57..cursors).filter(|&i| bytes[i] & 0x80 != 0);
+        let at = (53..57)
+            .chain((57..cursors).step_by(4099))
+            .chain(two_byte.flat_map(|i| [i, i + 1]))
+            .chain(cursors..cursors + tail.len());
         assert_cuts_and_flips_are_typed(&bytes, at, decode_snapshot, corrupt_snapshot);
+    }
+
+    /// An ungated image without nodes: the encoding ends in its node count.
+    fn empty_snapshot() -> Vec<u8> {
+        let mut image = sample_image();
+        image.nodes.clear();
+        let bytes = encode_snapshot(&image);
+        assert_eq!(bytes.last(), Some(&0), "a one-byte zero count");
+        bytes
     }
 
     #[test]
     fn node_count_beyond_the_remaining_bytes_is_refused_before_allocating() {
-        let mut image = sample_image();
-        image.nodes.clear();
-        let mut bytes = encode_snapshot(&image);
-        // With no nodes the count word is the payload's last field. Ask
-        // for one node more than the (zero) remaining bytes can hold, then
-        // for as many as the old per-byte bound allowed.
-        let at = bytes.len() - 8;
-        for count in [1u64, bytes.len() as u64] {
-            bytes[at..].copy_from_slice(&count.to_le_bytes());
-            match decode_snapshot(&bytes) {
+        let empty = empty_snapshot();
+        let prefix = &empty[..empty.len() - 1];
+        let claim = |count: u64, rest: &[u8]| {
+            let mut bytes = prefix.to_vec();
+            put_varint(&mut bytes, count);
+            bytes.extend_from_slice(rest);
+            decode_snapshot(&bytes)
+        };
+        // One node more than the remaining bytes can hold, as many as the
+        // bytes would hold at one byte a node, and 2^60 nodes from a
+        // 16-byte section: each is refused before anything is allocated
+        // for the count (a 2^60-node allocation would abort the process).
+        for (count, rest) in [(1, &[][..]), (5, &[0; 5][..]), (1 << 60, &[0; 7][..])] {
+            match claim(count, rest) {
                 Err(PersistError::CorruptSnapshot { detail }) => {
                     assert!(detail.contains("implausible node count"), "{detail}")
                 }
                 other => panic!("count {count}: unexpected {other:?}"),
             }
         }
-        // 33 bytes per node is the floor: a count the remaining bytes can
-        // hold gets past the check and fails on the node fields instead.
-        bytes[at..].copy_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; MIN_NODE_BYTES]);
-        assert_eq!(decode_snapshot(&bytes).unwrap().nodes.len(), 1);
+        // 6 bytes per node is the floor: a count the remaining bytes can
+        // hold gets past the check and decodes the node (key 0 first,
+        // every field empty).
+        assert_eq!(claim(1, &[0; MIN_NODE_BYTES]).unwrap().nodes.len(), 1);
+    }
+
+    #[test]
+    fn vector_lengths_beyond_the_remaining_bytes_are_refused_before_allocating() {
+        let empty = empty_snapshot();
+        let prefix = &empty[..empty.len() - 1];
+        // One node whose membership, timestamp, group-id or dominating
+        // count claims 2^60 entries, padded out to the node floor.
+        let huge = 1u64 << 60;
+        let fields: [(&[u64], &str); 4] = [
+            (&[0, huge << 1], "membership length"),
+            (&[0, 0, 0, huge << 1], "timestamp count"),
+            (&[0, 0, 0, 0, huge], "group-id count"),
+            (&[0, 0, 0, 0, 0, huge], "dominating count"),
+        ];
+        for (varints, what) in fields {
+            let mut bytes = prefix.to_vec();
+            put_varint(&mut bytes, 1);
+            varints.iter().for_each(|&v| put_varint(&mut bytes, v));
+            bytes.extend_from_slice(&[0; MIN_NODE_BYTES]);
+            match decode_snapshot(&bytes) {
+                Err(PersistError::CorruptSnapshot { detail }) => {
+                    assert!(detail.contains(what), "{what}: {detail}")
+                }
+                other => panic!("{what}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -605,21 +792,62 @@ mod tests {
             decode_snapshot(&encode_snapshot(&image)),
             Err(PersistError::CorruptSnapshot { .. })
         ));
+        // A repeated key is a zero delta.
+        image.nodes[0].key = image.nodes[1].key;
+        match decode_snapshot(&encode_snapshot(&image)) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("zero delta"), "{detail}")
+            }
+            other => panic!("a repeated key decoded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overlong_varints_and_counters_past_u32_are_refused() {
+        let mut r = Reader::new(&[0xFF; 11]);
+        assert!(r.varint().is_err(), "more than ten bytes");
+        let mut bits_past_64 = vec![0xFF; 9];
+        bits_past_64.push(0x02);
+        assert!(Reader::new(&bits_past_64).varint().is_err());
+        let mut max = Vec::new();
+        put_varint(&mut max, u64::MAX);
+        assert_eq!(max.len(), 10);
+        assert_eq!(Reader::new(&max).varint(), Ok(u64::MAX));
+
+        use crate::policy::FreqSketch;
+        let mut image = sample_image();
+        image.config = image.config.with_policy(PolicyConfig::gated());
+        image.sketch = Some(FreqSketch::new(image.config.seed, 4096).to_image());
+        let bytes = encode_snapshot(&image);
+        // Widen the first counter (offset 57) from 0 to 2^32.
+        let mut wide = bytes[..57].to_vec();
+        put_varint(&mut wide, 1 << 32);
+        wide.extend_from_slice(&bytes[58..]);
+        assert_eq!(wide.len(), bytes.len() + 4);
+        match decode_snapshot(&wide) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("sketch"), "{detail}")
+            }
+            other => panic!("a counter past u32 decoded: {other:?}"),
+        }
     }
 
     #[test]
     fn file_envelope_detects_bit_flips() {
         let payload = encode_snapshot(&sample_image());
-        let file = wrap_file(&payload);
-        let make = |d: &str| PersistError::CorruptSnapshot {
-            detail: d.to_string(),
-        };
-        assert_eq!(unwrap_file(&file, make).unwrap(), &payload[..]);
-        for byte in [12usize, file.len() / 2, file.len() - 1] {
+        let mut file = Vec::new();
+        begin_snapshot_file(&mut file, 7, 4096);
+        file.extend_from_slice(&payload);
+        seal_snapshot_file(&mut file, 0, 0);
+        let parsed = parse_snapshot_file(&file).unwrap();
+        assert_eq!((parsed.seq, parsed.offset), (7, 4096));
+        assert_eq!(parsed.payload, &payload[..]);
+        // The binding is covered by the CRC like the payload.
+        for byte in [12usize, 20, file.len() / 2, file.len() - 1] {
             let mut bad = file.clone();
             bad[byte] ^= 0x40;
             assert!(
-                unwrap_file(&bad, make).is_err(),
+                parse_snapshot_file(&bad).is_err(),
                 "flip at byte {byte} went undetected"
             );
         }

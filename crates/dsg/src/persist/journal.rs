@@ -2,13 +2,14 @@
 //!
 //! One frame per drained request chunk: `[len: u32 LE][crc: u32 LE]
 //! [payload]`, where `crc` is the CRC-32 of the payload and the payload is
-//! the chunk's requests in submission order. The scanner distinguishes the
-//! two failure shapes precisely (see the [module docs](super)): a file
-//! that *ends* mid-frame is a torn tail (truncate, never serve); a
-//! complete frame whose CRC or structure is wrong is corruption (typed
-//! error, never applied).
+//! a varint of `count << 1 | brownout`, then the chunk's requests in
+//! submission order, each a tag byte and its fields as varints. The
+//! scanner distinguishes the two failure shapes precisely (see the
+//! [module docs](super)): a file that *ends* mid-frame is a torn tail
+//! (truncate, never serve); a complete frame whose CRC or structure is
+//! wrong is corruption (typed error, never applied).
 
-use super::{put_u32, put_u64, PersistError, Reader};
+use super::{put_varint, PersistError, Reader};
 use crate::request::Request;
 use dsg_skipgraph::crc32::crc32;
 use std::fs::{self, File};
@@ -23,44 +24,38 @@ const TAG_JOIN: u8 = 1;
 const TAG_LEAVE: u8 = 2;
 const TAG_TICK: u8 = 3;
 
-/// High bit of the payload's count word: the chunk was served under a
-/// **brownout** verdict (the service's overload controller degraded the
-/// admission gate to route-only for cold traffic), and replay must serve
-/// it the same way for bit-identical recovery. Request counts are bounded
-/// by the service's ingest batch (and by `MAX_EPOCH_PAIRS`-sized epochs),
-/// both far below 2³¹, so the bit never collides with a count — and
-/// pre-brownout journals, whose counts never set it, decode as
-/// `brownout = false`.
-pub(crate) const FLAG_BROWNOUT: u32 = 1 << 31;
-
 /// Encodes one request chunk as a complete frame (header + payload) into
 /// `frame`, replacing its contents: the payload is written behind a
 /// reserved header, which is filled in once the payload's CRC is known, so
 /// a caller that keeps `frame` allocates nothing per append.
+///
+/// `brownout` records that the chunk is served under a **brownout**
+/// verdict (the service's overload controller degraded the admission gate
+/// to route-only for cold traffic): replay must serve it the same way for
+/// bit-identical recovery. It is the low bit of the payload's first
+/// varint, below the request count.
 pub(crate) fn encode_frame(chunk: &[Request], brownout: bool, frame: &mut Vec<u8>) {
-    debug_assert!((chunk.len() as u32) < FLAG_BROWNOUT, "count collides with the flag bit");
-    let flag = if brownout { FLAG_BROWNOUT } else { 0 };
     frame.clear();
     frame.extend_from_slice(&[0; 8]);
-    put_u32(frame, chunk.len() as u32 | flag);
+    put_varint(frame, (chunk.len() as u64) << 1 | u64::from(brownout));
     for request in chunk {
         match *request {
             Request::Communicate { u, v } => {
                 frame.push(TAG_COMMUNICATE);
-                put_u64(frame, u);
-                put_u64(frame, v);
+                put_varint(frame, u);
+                put_varint(frame, v);
             }
             Request::Join(peer) => {
                 frame.push(TAG_JOIN);
-                put_u64(frame, peer);
+                put_varint(frame, peer);
             }
             Request::Leave(peer) => {
                 frame.push(TAG_LEAVE);
-                put_u64(frame, peer);
+                put_varint(frame, peer);
             }
             Request::Tick(to) => {
                 frame.push(TAG_TICK);
-                put_u64(frame, to);
+                put_varint(frame, to);
             }
         }
     }
@@ -70,29 +65,38 @@ pub(crate) fn encode_frame(chunk: &[Request], brownout: bool, frame: &mut Vec<u8
     frame[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
-fn decode_payload(payload: &[u8], offset: u64) -> Result<(Vec<Request>, bool), PersistError> {
+/// Decodes a frame payload written by [`encode_frame`] into its requests
+/// and brownout flag; `offset` (the frame's) goes into the errors.
+pub(crate) fn decode_payload(
+    payload: &[u8],
+    offset: u64,
+) -> Result<(Vec<Request>, bool), PersistError> {
     let corrupt = |detail: &str| PersistError::CorruptFrame {
         offset,
         detail: detail.to_string(),
     };
     let mut r = Reader::new(payload);
-    let word = r.u32().map_err(|_| corrupt("missing request count"))?;
-    let brownout = word & FLAG_BROWNOUT != 0;
-    let count = word & !FLAG_BROWNOUT;
-    // Every encoded request takes at least 9 bytes (tag + one word).
-    let mut requests = Vec::with_capacity((count as usize).min(r.remaining() / 9));
+    let word = r
+        .varint()
+        .map_err(|_| corrupt("missing or malformed request count"))?;
+    let brownout = word & 1 == 1;
+    let count = word >> 1;
+    // Every encoded request takes at least 2 bytes (tag + one varint).
+    if count > (r.remaining() / 2) as u64 {
+        return Err(corrupt(&format!("implausible request count {count}")));
+    }
+    let mut requests = Vec::with_capacity(count as usize);
+    let short = |_| corrupt("payload ran out of bytes or holds a malformed varint");
     for _ in 0..count {
-        let tag = r.u8().map_err(|_| corrupt("payload ran out of bytes"))?;
-        let short = |_| corrupt("payload ran out of bytes");
-        let request = match tag {
+        let request = match r.u8().map_err(short)? {
             TAG_COMMUNICATE => {
-                let u = r.u64().map_err(short)?;
-                let v = r.u64().map_err(short)?;
+                let u = r.varint().map_err(short)?;
+                let v = r.varint().map_err(short)?;
                 Request::Communicate { u, v }
             }
-            TAG_JOIN => Request::Join(r.u64().map_err(short)?),
-            TAG_LEAVE => Request::Leave(r.u64().map_err(short)?),
-            TAG_TICK => Request::Tick(r.u64().map_err(short)?),
+            TAG_JOIN => Request::Join(r.varint().map_err(short)?),
+            TAG_LEAVE => Request::Leave(r.varint().map_err(short)?),
+            TAG_TICK => Request::Tick(r.varint().map_err(short)?),
             other => return Err(corrupt(&format!("unknown request tag {other}"))),
         };
         requests.push(request);

@@ -16,49 +16,77 @@
 //!
 //! # On-disk layout
 //!
-//! A store directory holds three kinds of file:
+//! A store directory holds two kinds of file:
 //!
 //! * `journal.wal` — the append-only write-ahead journal. Each drained
 //!   request chunk is one *frame*: `[len: u32 LE][crc: u32 LE][payload]`,
-//!   where `crc` is the CRC-32 (IEEE) of the payload and the payload is
-//!   the chunk's requests in submission order, prefixed by a count word.
-//!   The count word's high bit records whether the chunk was served under
-//!   a **brownout** verdict (overload degradation, PR 9), so crash replay
-//!   degrades the admission gate identically; counts are far below 2³¹,
-//!   and pre-brownout journals decode with the flag unset. Frames are
-//!   appended and fsynced (per [`PersistConfig::fsync_every`]) **before**
-//!   the engine applies the chunk — classic WAL ordering, so an
-//!   acknowledged request is always on disk.
-//! * `snap-<seq>.img` — snapshot checkpoints: a full serialized engine
-//!   image ([`EngineImage`]) behind a CRC-checked wrapper. Snapshots are
-//!   cut at epoch boundaries (the `EpochPhase::Idle` quiescent point), on
-//!   a [`PersistConfig::snapshot_every`] cadence. The two most recent
-//!   snapshots are retained: a checkpoint deletes the one that leaves the
-//!   binding by its sequence number, without listing the directory. A
-//!   payload is a prefix (magic, config, sketch, clock, RNG) followed by
-//!   a node section (count, then every node in key order). The service
-//!   encodes both straight from the engine
+//!   where `crc` is the CRC-32 (IEEE) of the payload. The payload is a
+//!   varint of `count << 1 | brownout`, then each request of the chunk in
+//!   submission order: its tag byte and its fields as varints (a
+//!   one-request frame takes about 14 bytes). The `brownout` bit records
+//!   whether the chunk was served under a **brownout** verdict (overload
+//!   degradation), so crash replay degrades the admission gate
+//!   identically. Frames are appended and fsynced (per
+//!   [`PersistConfig::fsync_every`]) **before** the engine applies the
+//!   chunk — classic WAL ordering, so an acknowledged request is always on
+//!   disk. Frames carry no version: the snapshot's magic is the store's
+//!   only format check.
+//! * `snap-<seq>.img` — snapshot checkpoints, cut at epoch boundaries (the
+//!   `EpochPhase::Idle` quiescent point) on a
+//!   [`PersistConfig::snapshot_every`] cadence. A file is `[len: u64 LE]
+//!   [crc: u32 LE]` over `[seq: u64 LE][journal offset: u64 LE][payload]`:
+//!   the CRC covers the *binding* — which snapshot this is and where its
+//!   journal suffix starts — as well as the engine image. The payload
+//!   (`DSGSNAP3`) is a prefix (magic, config, frequency sketch, clock,
+//!   RNG) followed by a node section (count, then every node in key
+//!   order), written compactly: varint key deltas, membership bits and
+//!   dominating flags packed eight per byte, timestamps as varints or
+//!   zigzag deltas, group ids as a one-byte marker where a level repeats
+//!   the previous one, sketch counters as varints (see [`encode_snapshot`]).
+//!   The service encodes both parts straight from the engine
 //!   ([`DurableStore::checkpoint_engine`]) into two buffers the store
-//!   reuses, behind a reserved `[len][crc]` header that is patched once
-//!   the payload's CRC is known. While the engine's generation stamp has
-//!   not moved since the last successful checkpoint, the node section is
-//!   neither re-encoded nor re-checksummed: only the prefix is, and the
-//!   two CRCs are joined. The bytes are those of the [`EngineImage`] path
+//!   reuses, behind a reserved header patched once the CRC is known.
+//!   While the engine's generation stamp has not moved since the last
+//!   successful checkpoint, the node section is neither re-encoded nor
+//!   re-checksummed: only the header and prefix are, and the two CRCs are
+//!   joined. The bytes are those of the [`EngineImage`] path
 //!   ([`DurableStore::checkpoint`]) either way.
-//! * `MANIFEST` — the commit record: a small CRC-checked file binding
-//!   `(snapshot seq, journal offset)` for the current snapshot and its
-//!   predecessor. It is replaced atomically (write temp + fsync + rename +
-//!   directory fsync), so the binding either advances completely or not at
-//!   all.
+//!
+//! # Commit protocol
+//!
+//! The newest snapshot file whose CRC checks *is* the binding; no separate
+//! commit record names it. A checkpoint
+//!
+//! 1. fsyncs the journal if it holds unsynced frames, so every byte up to
+//!    the offset it records is durable;
+//! 2. writes `snap-<seq>.img.tmp` and fsyncs it;
+//! 3. renames it to `snap-<seq>.img` — the commit point;
+//! 4. fsyncs the directory, so the rename survives a crash;
+//! 5. deletes every snapshot older than the binding it replaced, plus any
+//!    leftover `.tmp` file the last [`DurableStore::open`] found.
+//!
+//! At most three fsyncs, one file created and one rename. A file reaches
+//! its final name only after its bytes are durable, and the journal is
+//! durable through the recorded offset before the file is written, so
+//! every final-named snapshot whose CRC checks is a valid recovery point.
+//! The journal is never rotated, so replaying from an older snapshot
+//! stays exact too: losing the newest file to damage costs a longer
+//! replay, not correctness.
 //!
 //! # Recovery contract
 //!
-//! [`DurableStore::open`] on an existing store loads the manifest, then
-//! the newest snapshot that passes its checksum (falling back to the
-//! retained predecessor if the newest is damaged), then reads and scans
-//! the journal from the snapshot's bound offset. Only that suffix is read:
-//! the journal is never rotated, so the prefix grows with the store's
-//! whole history. A journal shorter than the offset is
+//! [`DurableStore::open`] lists the `snap-<seq>.img` files and tries them
+//! newest first, taking the first whose CRC checks, whose header seq
+//! matches its name and whose payload decodes
+//! ([`Recovered::fell_back`] reports that a newer one was damaged). Every
+//! snapshot damaged is a typed refusal
+//! ([`PersistError::CorruptSnapshot`]), and so is a store written in the
+//! older `DSGSNAP2` format, before any of its frames is replayed. No
+//! snapshot at all with a non-empty journal is
+//! [`PersistError::StrayJournal`]. Then `open` reads and scans the journal
+//! from the chosen snapshot's offset. Only that suffix is read: the
+//! journal is never rotated, so the prefix grows with the store's whole
+//! history. A journal shorter than the offset is
 //! [`PersistError::ShortJournal`]. Within the suffix:
 //!
 //! * a **partial final frame** — the file ends before the frame's declared
@@ -69,6 +97,12 @@
 //!   flip, not a tear) and is a typed, fatal
 //!   [`PersistError::CorruptFrame`] — it is never applied, and recovery
 //!   refuses to proceed past it silently.
+//!
+//! Truncating a torn tail is the only write `open` makes: it neither
+//! writes nor deletes a snapshot file, so reopening a cleanly shut down
+//! store leaves it byte-identical. Leftovers — a `.tmp` from an abandoned
+//! checkpoint, a snapshot a crash kept from being deleted — go at the next
+//! checkpoint.
 //!
 //! The surviving frames are replayed through `submit_batch` by
 //! [`DsgService::open`](crate::DsgService::open), which then runs a deep
@@ -91,19 +125,23 @@
 //!   was never called, so no state diverged. If the rollback itself fails
 //!   the journal can no longer be trusted to match the engine, and the
 //!   service poisons.
-//! * **checkpoint fails or panics** (`io.snapshot`, `io.manifest`): the
-//!   worker abandons the checkpoint (best-effort temp cleanup), counts it,
-//!   and keeps serving under the previous manifest binding — a checkpoint
-//!   is an optimization of recovery time, never a correctness requirement.
+//! * **checkpoint fails or panics** (`io.snapshot` before the payload is
+//!   written, `io.publish` after the rename): the worker abandons the
+//!   checkpoint (best-effort temp cleanup), counts it, and keeps serving
+//!   under the previous binding — a checkpoint is an optimization of
+//!   recovery time, never a correctness requirement. A snapshot renamed
+//!   into place before the failure is a valid recovery point all the same.
 
+#[cfg(test)]
+mod fuzz;
 mod image;
 mod journal;
 mod store;
 
 pub use image::{decode_snapshot, encode_snapshot, EngineImage, NodeImage};
-pub(crate) use image::{encode_prefix, NodeFields};
+pub(crate) use image::{encode_prefix, NodeFields, NODE_BYTES_HINT};
 pub use journal::{read_journal, read_journal_from, JournalScan, JOURNAL_FILE};
-pub use store::{DurableStore, Recovered, MANIFEST_FILE};
+pub use store::{DurableStore, Recovered};
 
 use std::fmt;
 use std::io;
@@ -161,8 +199,8 @@ impl PersistConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PersistError {
-    /// An I/O operation failed; `op` names it (`"append journal frame"`,
-    /// `"rename manifest"`, …).
+    /// An I/O operation failed; `op` names it (`"append a journal frame"`,
+    /// `"rename a snapshot into place"`, …).
     Io {
         /// The failed operation.
         op: &'static str,
@@ -180,31 +218,32 @@ pub enum PersistError {
         /// What failed.
         detail: String,
     },
-    /// A snapshot file failed its checksum or did not decode.
+    /// A snapshot file failed its checksum, its binding header did not
+    /// match its name, or its payload did not decode — a `DSGSNAP2`
+    /// payload from before the current format among them.
     CorruptSnapshot {
         /// What failed.
         detail: String,
     },
-    /// The manifest failed its checksum or did not decode.
-    CorruptManifest {
-        /// What failed.
-        detail: String,
-    },
-    /// A non-empty journal exists without a manifest: the store directory
-    /// is not a valid store, and cold-starting over it would silently
-    /// discard data.
+    /// A non-empty journal exists without any snapshot file: the store
+    /// directory is not a valid store, and cold-starting over it would
+    /// silently discard data.
     StrayJournal {
         /// Length of the orphaned journal in bytes.
         len: u64,
     },
-    /// The manifest binds a journal offset beyond the journal's end — the
-    /// journal was truncated below its last checkpoint.
+    /// The chosen snapshot binds a journal offset beyond the journal's
+    /// end — the journal was truncated below its last checkpoint.
     ShortJournal {
         /// Actual journal length.
         len: u64,
-        /// The manifest-bound replay offset.
+        /// The snapshot-bound replay offset.
         offset: u64,
     },
+    /// A journal append was attempted before the store's initial
+    /// checkpoint: with no snapshot to replay it from, the frame could
+    /// never be recovered.
+    AppendBeforeCheckpoint,
     /// A journal append panicked mid-write (a fail point in tests); the
     /// journal was rolled back to the last committed frame.
     AppendPanicked {
@@ -225,17 +264,17 @@ impl fmt::Display for PersistError {
             PersistError::CorruptSnapshot { detail } => {
                 write!(f, "corrupt snapshot: {detail}")
             }
-            PersistError::CorruptManifest { detail } => {
-                write!(f, "corrupt manifest: {detail}")
-            }
             PersistError::StrayJournal { len } => write!(
                 f,
-                "a {len}-byte journal exists without a manifest; refusing to cold-start over it"
+                "a {len}-byte journal exists without a snapshot; refusing to cold-start over it"
             ),
             PersistError::ShortJournal { len, offset } => write!(
                 f,
-                "the manifest binds journal offset {offset} but the journal is only {len} bytes"
+                "the snapshot binds journal offset {offset} but the journal is only {len} bytes"
             ),
+            PersistError::AppendBeforeCheckpoint => {
+                write!(f, "journal append before the initial checkpoint")
+            }
             PersistError::AppendPanicked { detail } => {
                 write!(f, "journal append panicked mid-frame: {detail}")
             }
@@ -257,7 +296,8 @@ impl PersistError {
 }
 
 // ----------------------------------------------------------------------
-// Little-endian wire helpers shared by the frame and snapshot codecs.
+// Wire helpers shared by the frame and snapshot codecs: little-endian
+// fixed-width words and LEB128 varints.
 // ----------------------------------------------------------------------
 
 pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -266,6 +306,51 @@ pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// bits first, the high bit set on every byte but the last (1 to 10
+/// bytes).
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Encoded size of `v` as a varint.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// The zigzag form of the wrapping difference `to - from`: small steps in
+/// either direction become small unsigned numbers.
+pub(crate) fn zigzag_delta(from: u64, to: u64) -> u64 {
+    let d = to.wrapping_sub(from) as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The inverse of [`zigzag_delta`]: the value `z` steps away from `from`.
+pub(crate) fn apply_zigzag(from: u64, z: u64) -> u64 {
+    from.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
+
+/// Appends `bits` packed eight per byte, the first bit in the lowest bit
+/// of the first byte; unused high bits of the last byte are zero.
+pub(crate) fn put_bits(buf: &mut Vec<u8>, bits: impl Iterator<Item = bool>) {
+    let (mut byte, mut filled) = (0u8, 0);
+    for bit in bits {
+        byte |= u8::from(bit) << filled;
+        filled += 1;
+        if filled == 8 {
+            buf.push(byte);
+            (byte, filled) = (0, 0);
+        }
+    }
+    if filled > 0 {
+        buf.push(byte);
+    }
 }
 
 /// A bounds-checked little-endian cursor; every read reports the same
@@ -302,6 +387,33 @@ impl<'a> Reader<'a> {
         let slice = self.buf.get(self.pos..end).ok_or(())?;
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Reads a varint written by [`put_varint`]. More than ten bytes, or
+    /// a tenth byte carrying bits past the 64th, is malformed.
+    pub(crate) fn varint(&mut self) -> Result<u64, ()> {
+        let mut value = 0u64;
+        for (i, &byte) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if i == 9 && byte > 1 {
+                return Err(());
+            }
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(())
+    }
+
+    /// Reads `len` bits packed by [`put_bits`], refusing set padding bits
+    /// so that every encoding is the only one of its value.
+    pub(crate) fn bits(&mut self, len: usize) -> Result<impl Iterator<Item = bool> + 'a, ()> {
+        let bytes = self.bytes(len.div_ceil(8))?;
+        if !len.is_multiple_of(8) && bytes[bytes.len() - 1] >> (len % 8) != 0 {
+            return Err(());
+        }
+        Ok((0..len).map(move |i| bytes[i / 8] >> (i % 8) & 1 == 1))
     }
 
     pub(crate) fn is_at_end(&self) -> bool {
@@ -345,4 +457,29 @@ pub(crate) fn assert_cuts_and_flips_are_typed<T>(
             }
         }
     }
+}
+
+/// A `DSGSNAP2` payload as that format wrote it: the image's prefix in
+/// fixed-width fields, then a u64 node count and fixed-width nodes.
+#[cfg(test)]
+pub(crate) fn dsgsnap2_payload(image: &EngineImage) -> Vec<u8> {
+    assert!(image.sketch.is_none(), "an ungated image keeps this short");
+    let mut buf = Vec::new();
+    image.encode_prefix(&mut buf);
+    buf[..8].copy_from_slice(b"DSGSNAP2");
+    put_u64(&mut buf, image.nodes.len() as u64);
+    for node in &image.nodes {
+        put_u64(&mut buf, node.key);
+        buf.push(node.dummy as u8);
+        put_u32(&mut buf, node.mvec_bits.len() as u32);
+        buf.extend_from_slice(&node.mvec_bits);
+        put_u64(&mut buf, node.group_base);
+        put_u32(&mut buf, node.timestamps.len() as u32);
+        node.timestamps.iter().for_each(|&t| put_u64(&mut buf, t));
+        put_u32(&mut buf, node.group_ids.len() as u32);
+        node.group_ids.iter().for_each(|&g| put_u64(&mut buf, g));
+        put_u32(&mut buf, node.dominating.len() as u32);
+        buf.extend(node.dominating.iter().map(|&d| d as u8));
+    }
+    buf
 }

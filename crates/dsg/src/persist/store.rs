@@ -1,9 +1,9 @@
-//! The on-disk store: journal writer, snapshot checkpoints, and the
-//! atomic manifest binding them.
+//! The on-disk store: journal writer and snapshot checkpoints, each
+//! snapshot carrying its own journal binding.
 //!
 //! A [`DurableStore`] is single-owner (the service's ingest worker); see
-//! the [module docs](super) for the layout, the recovery contract, and the
-//! failure model.
+//! the [module docs](super) for the layout, the commit protocol, the
+//! recovery contract, and the failure model.
 //!
 //! The ingest thread pays for every checkpoint and every append, so
 //! neither does work beyond the bytes it must write:
@@ -11,26 +11,29 @@
 //! * a journal frame is encoded into a buffer the store keeps and written
 //!   with one `write_all` (two, around the `io.append` fail point, while
 //!   that site is armed);
-//! * a snapshot is encoded into two buffers the store keeps — the envelope
-//!   header plus the payload prefix, and the node section — and the header
-//!   is patched once both CRCs are known. [`DurableStore::checkpoint_engine`]
-//!   encodes straight from the engine and remembers the
-//!   [`Generation`] its node section was encoded from: while the engine's
-//!   stamp stays the same, the next checkpoint re-encodes only the prefix
-//!   and joins its CRC to the cached one with [`crc32_combine`];
-//! * the snapshot that leaves the binding is deleted by its sequence
-//!   number, and [`DurableStore::open`] reads only the journal suffix
-//!   behind the bound offset.
+//! * a snapshot is encoded into two buffers the store keeps — the file
+//!   header, binding and payload prefix, and the node section — and the
+//!   header is patched once both CRCs are known.
+//!   [`DurableStore::checkpoint_engine`] encodes straight from the engine
+//!   and remembers the [`Generation`] its node section was encoded from:
+//!   while the engine's stamp stays the same, the next checkpoint
+//!   re-encodes only the prefix and joins its CRC to the cached one with
+//!   [`crc32_combine`];
+//! * a checkpoint commits with one rename and three fsyncs (journal,
+//!   snapshot, directory), and deletes the snapshots it retires by their
+//!   sequence numbers, which the store tracks instead of listing the
+//!   directory; [`DurableStore::open`] reads only the journal suffix
+//!   behind the chosen snapshot's offset.
 //!
 //! The bytes on disk are the same whichever path encoded them.
 //!
 //! [`crc32_combine`]: dsg_skipgraph::crc32::crc32_combine
 
 use super::image::{
-    begin_envelope, decode_snapshot, seal_split_envelope, unwrap_file, wrap_file, EngineImage,
+    begin_snapshot_file, decode_snapshot, parse_snapshot_file, seal_snapshot_file, EngineImage,
 };
 use super::journal::{encode_frame, read_suffix, scan, JournalScan, JOURNAL_FILE};
-use super::{put_u64, PersistConfig, PersistError, Reader};
+use super::{PersistConfig, PersistError};
 use crate::dsg::{DynamicSkipGraph, Generation};
 use crate::request::Request;
 use dsg_skipgraph::crc32::crc32;
@@ -40,61 +43,19 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// File name of the manifest inside a store directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Leading magic of a manifest payload (version 1).
-const MANIFEST_MAGIC: &[u8; 8] = b"DSGMANI1";
-
 fn snapshot_file(seq: u64) -> String {
     format!("snap-{seq}.img")
 }
 
-/// The manifest's content: the current `(snapshot seq, journal offset)`
-/// binding and, for fallback, the previous one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Manifest {
-    current: (u64, u64),
-    /// `None` until the second checkpoint exists.
-    previous: Option<(u64, u64)>,
-}
-
-impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(40);
-        payload.extend_from_slice(MANIFEST_MAGIC);
-        put_u64(&mut payload, self.current.0);
-        put_u64(&mut payload, self.current.1);
-        let (prev_seq, prev_offset) = self.previous.unwrap_or((0, 0));
-        put_u64(&mut payload, prev_seq);
-        put_u64(&mut payload, prev_offset);
-        payload
-    }
-
-    fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let corrupt = |detail: &str| PersistError::CorruptManifest {
-            detail: detail.to_string(),
-        };
-        let mut r = Reader::new(payload);
-        if r.bytes(MANIFEST_MAGIC.len())
-            .map_err(|_| corrupt("truncated magic"))?
-            != MANIFEST_MAGIC
-        {
-            return Err(corrupt("bad magic"));
-        }
-        let short = |_| corrupt("payload ran out of bytes");
-        let current = (r.u64().map_err(short)?, r.u64().map_err(short)?);
-        let prev_seq = r.u64().map_err(short)?;
-        let prev_offset = r.u64().map_err(short)?;
-        if !r.is_at_end() {
-            return Err(corrupt("trailing bytes"));
-        }
-        if current.0 == 0 {
-            return Err(corrupt("current snapshot seq is 0"));
-        }
-        let previous = (prev_seq != 0).then_some((prev_seq, prev_offset));
-        Ok(Manifest { current, previous })
-    }
+/// The sequence number of a snapshot file's name, if `name` is one
+/// [`snapshot_file`] writes.
+fn snapshot_seq(name: &str) -> Option<u64> {
+    let seq = name
+        .strip_prefix("snap-")?
+        .strip_suffix(".img")?
+        .parse()
+        .ok()?;
+    (snapshot_file(seq) == name).then_some(seq)
 }
 
 /// What [`DurableStore::open`] recovered from an existing store: the
@@ -117,8 +78,9 @@ pub struct Recovered {
     pub brownout: Vec<bool>,
     /// Torn bytes truncated off the journal tail (0 on a clean shutdown).
     pub torn_bytes_truncated: u64,
-    /// `true` if the manifest-bound snapshot was damaged and recovery fell
-    /// back to the retained previous one.
+    /// `true` if a newer snapshot file was damaged (its CRC, its binding
+    /// header or its payload failed) and recovery fell back to an older
+    /// one, replaying a longer journal suffix.
     pub fell_back: bool,
 }
 
@@ -154,17 +116,22 @@ pub struct DurableStore {
     /// Frames appended since the last fsync.
     unsynced: u64,
     config: PersistConfig,
-    /// Seq of the current manifest-bound snapshot (0 = none yet; the
-    /// store refuses appends until the initial checkpoint exists).
+    /// Seq of the snapshot in force: the one recovery started from, or the
+    /// last checkpoint to complete (0 = none yet; the store refuses
+    /// appends until the initial checkpoint exists).
     seq: u64,
-    /// The current manifest binding's journal offset.
+    /// The journal offset that snapshot binds.
     bound_offset: u64,
-    /// The previous binding retained for fallback.
-    previous: Option<(u64, u64)>,
+    /// Seqs of the snapshot files on disk, ascending: those `open` listed
+    /// and those renamed into place since. The next checkpoint is written
+    /// as the largest plus one.
+    on_disk: Vec<u64>,
+    /// `.tmp` files `open` found; the next checkpoint deletes them.
+    leftovers: Vec<PathBuf>,
     /// The last journal frame appended.
     frame: Reused,
     /// The last snapshot file written, in two parts: the `[len u64]
-    /// [crc u32]` envelope header followed by the payload prefix, and the
+    /// [crc u32]` header, the binding and the payload prefix; then the
     /// node section.
     snapshot_head: Reused,
     snapshot_nodes: Reused,
@@ -178,6 +145,40 @@ pub struct DurableStore {
     reused_node_sections: u64,
 }
 
+/// A snapshot that loaded: its decoded image, binding and file size.
+struct Loaded {
+    image: EngineImage,
+    seq: u64,
+    offset: u64,
+    bytes: u64,
+}
+
+/// Reads, verifies and decodes `snap-<seq>.img`. A file whose CRC checks
+/// but whose binding names another seq was not written under this name.
+fn load_snapshot(dir: &Path, seq: u64) -> Result<Loaded, PersistError> {
+    let name = snapshot_file(seq);
+    let in_file = |err: PersistError| match err {
+        PersistError::CorruptSnapshot { detail } => PersistError::CorruptSnapshot {
+            detail: format!("{name}: {detail}"),
+        },
+        other => other,
+    };
+    let bytes = fs::read(dir.join(&name)).map_err(|e| PersistError::io("read a snapshot", e))?;
+    let file = parse_snapshot_file(&bytes).map_err(in_file)?;
+    if file.seq != seq {
+        return Err(in_file(PersistError::CorruptSnapshot {
+            detail: format!("its header binds seq {}", file.seq),
+        }));
+    }
+    let image = decode_snapshot(file.payload).map_err(in_file)?;
+    Ok(Loaded {
+        image,
+        seq,
+        offset: file.offset,
+        bytes: bytes.len() as u64,
+    })
+}
+
 impl DurableStore {
     /// Opens (or creates) the store at `dir`.
     ///
@@ -185,29 +186,68 @@ impl DurableStore {
     /// [`Recovered`] state to rebuild the engine from — the caller
     /// restores the snapshot image, replays the frames, and only then
     /// appends new ones. `None` means a cold start: the directory was
-    /// missing or empty, and the caller must cut the initial checkpoint
-    /// ([`DurableStore::checkpoint`]) before the first append.
+    /// missing or held no snapshot and an empty journal, and the caller
+    /// must cut the initial checkpoint ([`DurableStore::checkpoint`])
+    /// before the first append.
     ///
-    /// A torn journal tail (partial final frame) is physically truncated
-    /// here, so the next append starts on a clean frame boundary.
+    /// The `snap-<seq>.img` files are tried newest first; the first whose
+    /// CRC checks, whose header seq matches its name and whose payload
+    /// decodes is chosen. A torn journal tail (partial final frame) is
+    /// physically truncated here, so the next append starts on a clean
+    /// frame boundary; that is the only write `open` makes. Leftover
+    /// `.tmp` files and retired snapshots stay until the next checkpoint
+    /// deletes them.
     ///
     /// # Errors
     ///
-    /// Typed [`PersistError`]s: I/O failures, a corrupt
-    /// manifest/snapshot/frame, a non-empty journal without a manifest
-    /// ([`PersistError::StrayJournal`]), or a journal shorter than its
-    /// manifest binding ([`PersistError::ShortJournal`]).
+    /// Typed [`PersistError`]s: I/O failures, a corrupt frame, every
+    /// snapshot damaged (the newest one's error), a non-empty journal
+    /// without any snapshot ([`PersistError::StrayJournal`]), or a journal
+    /// shorter than the chosen snapshot's binding
+    /// ([`PersistError::ShortJournal`]).
     pub fn open(
         dir: impl AsRef<Path>,
         config: PersistConfig,
     ) -> Result<(Self, Option<Recovered>), PersistError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| PersistError::io("create the store directory", e))?;
-        let manifest_path = dir.join(MANIFEST_FILE);
         let journal_path = dir.join(JOURNAL_FILE);
+        let listing = |e| PersistError::io("list the store directory", e);
+        let mut on_disk = Vec::new();
+        let mut leftovers = Vec::new();
+        for entry in fs::read_dir(&dir).map_err(listing)? {
+            let entry = entry.map_err(listing)?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if let Some(seq) = snapshot_seq(name) {
+                on_disk.push(seq);
+            } else if name.ends_with(".tmp") {
+                leftovers.push(entry.path());
+            }
+        }
+        on_disk.sort_unstable();
+        let store = |journal, journal_len, on_disk, seq, bound_offset| DurableStore {
+            dir: dir.clone(),
+            journal,
+            journal_len,
+            // A recovered journal may hold frames its writer never
+            // fsynced; the first checkpoint makes them durable before it
+            // binds an offset past them.
+            unsynced: u64::from(journal_len > 0),
+            config,
+            seq,
+            bound_offset,
+            on_disk,
+            leftovers,
+            frame: Reused::default(),
+            snapshot_head: Reused::default(),
+            snapshot_nodes: Reused::default(),
+            nodes_from: None,
+            reused_node_sections: 0,
+        };
 
-        if !manifest_path.exists() {
-            // Cold start. A non-empty journal without a manifest is not a
+        if on_disk.is_empty() {
+            // Cold start. A non-empty journal without a snapshot is not a
             // store we can safely build over — refuse rather than discard.
             if let Ok(meta) = fs::metadata(&journal_path) {
                 if meta.len() > 0 {
@@ -221,62 +261,34 @@ impl DurableStore {
                 .truncate(false)
                 .open(&journal_path)
                 .map_err(|e| PersistError::io("create the journal", e))?;
-            let store = DurableStore {
-                dir,
-                journal,
-                journal_len: 0,
-                unsynced: 0,
-                config,
-                seq: 0,
-                bound_offset: 0,
-                previous: None,
-                frame: Reused::default(),
-                snapshot_head: Reused::default(),
-                snapshot_nodes: Reused::default(),
-                nodes_from: None,
-                reused_node_sections: 0,
-            };
-            return Ok((store, None));
+            return Ok((store(journal, 0, on_disk, 0, 0), None));
         }
 
-        let manifest_bytes =
-            fs::read(&manifest_path).map_err(|e| PersistError::io("read the manifest", e))?;
-        let payload = unwrap_file(&manifest_bytes, |detail| PersistError::CorruptManifest {
-            detail: detail.to_string(),
-        })?;
-        let manifest = Manifest::decode(payload)?;
-
-        // Newest valid snapshot: the manifest-bound one, else the retained
-        // previous one.
-        let load =
-            |(seq, offset): (u64, u64)| -> Result<(EngineImage, u64, u64, u64), PersistError> {
-                let path = dir.join(snapshot_file(seq));
-                let bytes = fs::read(&path).map_err(|e| PersistError::io("read a snapshot", e))?;
-                let payload = unwrap_file(&bytes, |detail| PersistError::CorruptSnapshot {
-                    detail: format!("snap-{seq}.img: {detail}"),
-                })?;
-                let image = decode_snapshot(payload)?;
-                Ok((image, seq, bytes.len() as u64, offset))
-            };
-        let (image, chosen_seq, snapshot_bytes, replay_offset, fell_back) =
-            match load(manifest.current) {
-                Ok((image, seq, bytes, offset)) => (image, seq, bytes, offset, false),
-                Err(current_err) => match manifest.previous {
-                    Some(previous) => {
-                        let (image, seq, bytes, offset) = load(previous)?;
-                        (image, seq, bytes, offset, true)
-                    }
-                    None => return Err(current_err),
-                },
-            };
+        // Newest valid snapshot first; a damaged one costs a longer replay.
+        let mut newest_err = None;
+        let mut loaded = None;
+        for &seq in on_disk.iter().rev() {
+            match load_snapshot(&dir, seq) {
+                Ok(snapshot) => {
+                    loaded = Some(snapshot);
+                    break;
+                }
+                Err(err) => {
+                    newest_err.get_or_insert(err);
+                }
+            }
+        }
+        let Some(loaded) = loaded else {
+            return Err(newest_err.expect("a listed snapshot failed to load"));
+        };
 
         let mut journal = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&journal_path)
             .map_err(|e| PersistError::io("open the journal", e))?;
-        let suffix = read_suffix(&mut journal, replay_offset)?;
-        let scanned: JournalScan = scan(&suffix, replay_offset)?;
+        let suffix = read_suffix(&mut journal, loaded.offset)?;
+        let scanned: JournalScan = scan(&suffix, loaded.offset)?;
         if scanned.torn_bytes > 0 {
             journal
                 .set_len(scanned.committed_len)
@@ -289,31 +301,23 @@ impl DurableStore {
             .seek(SeekFrom::Start(scanned.committed_len))
             .map_err(|e| PersistError::io("seek to the journal end", e))?;
 
-        let store = DurableStore {
-            dir,
-            journal,
-            journal_len: scanned.committed_len,
-            unsynced: 0,
-            config,
-            seq: manifest.current.0,
-            bound_offset: replay_offset,
-            previous: manifest.previous,
-            frame: Reused::default(),
-            snapshot_head: Reused::default(),
-            snapshot_nodes: Reused::default(),
-            nodes_from: None,
-            reused_node_sections: 0,
-        };
         let recovered = Recovered {
-            image,
-            snapshot_seq: chosen_seq,
-            snapshot_bytes,
-            replay_offset,
+            image: loaded.image,
+            snapshot_seq: loaded.seq,
+            snapshot_bytes: loaded.bytes,
+            replay_offset: loaded.offset,
             frames: scanned.frames,
             brownout: scanned.brownout,
             torn_bytes_truncated: scanned.torn_bytes,
-            fell_back,
+            fell_back: newest_err.is_some(),
         };
+        let store = store(
+            journal,
+            scanned.committed_len,
+            on_disk,
+            loaded.seq,
+            loaded.offset,
+        );
         Ok((store, Some(recovered)))
     }
 
@@ -327,13 +331,13 @@ impl DurableStore {
         self.journal_len
     }
 
-    /// Seq of the current manifest-bound snapshot (0 before the initial
-    /// checkpoint).
+    /// Seq of the snapshot in force: the one recovery started from, or the
+    /// last completed checkpoint (0 before the initial checkpoint).
     pub fn snapshot_seq(&self) -> u64 {
         self.seq
     }
 
-    /// The journal offset the current manifest binding replays from.
+    /// The journal offset the snapshot in force replays from.
     pub fn bound_offset(&self) -> u64 {
         self.bound_offset
     }
@@ -361,14 +365,12 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on write/fsync failure. Appending before the
-    /// initial checkpoint exists is a bug and reports itself as a typed
-    /// corruption error rather than a panic.
+    /// [`PersistError::Io`] on write/fsync failure, and
+    /// [`PersistError::AppendBeforeCheckpoint`] before the initial
+    /// checkpoint exists.
     pub fn append_chunk(&mut self, chunk: &[Request], brownout: bool) -> Result<(), PersistError> {
         if self.seq == 0 {
-            return Err(PersistError::CorruptManifest {
-                detail: "append before the initial checkpoint".to_string(),
-            });
+            return Err(PersistError::AppendBeforeCheckpoint);
         }
         let frame = &mut self.frame.0;
         encode_frame(chunk, brownout, frame);
@@ -425,34 +427,36 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Cuts a snapshot checkpoint: writes the image to `snap-<seq+1>.img`
-    /// (temp + fsync + rename), then atomically rebinds the manifest to
-    /// `(seq+1, current journal length)`, keeping the previous binding for
-    /// fallback and deleting the snapshot that left the binding. The
-    /// journal is fsynced first so the binding never points past durable
-    /// data.
+    /// Cuts a snapshot checkpoint of `image` as `snap-<seq>.img`, `seq`
+    /// one past the newest snapshot file, bound to the current journal
+    /// length. The journal is fsynced first, so the binding never points
+    /// past durable data; the file is written as a `.tmp`, fsynced and
+    /// renamed into place (the commit point), the directory is fsynced,
+    /// and every snapshot older than the binding this one replaces is
+    /// deleted — two snapshots remain, the new one and its fallback.
     ///
     /// The image is encoded straight into buffers the store keeps across
-    /// checkpoints, behind a reserved envelope header that is filled in
-    /// once the payload's CRC is known, so a checkpoint neither copies the
-    /// payload nor allocates a fresh file-sized buffer. This is the
-    /// reference path; the service checkpoints through
+    /// checkpoints, behind a reserved file header that is filled in once
+    /// the CRC is known, so a checkpoint neither copies the payload nor
+    /// allocates a fresh file-sized buffer. This is the reference path;
+    /// the service checkpoints through
     /// [`checkpoint_engine`](DurableStore::checkpoint_engine), which writes
     /// the same bytes. A checkpoint taken here always encodes every node.
     ///
     /// Returns the snapshot file size in bytes.
     ///
     /// Carries the `io.snapshot` fail point (before the snapshot payload
-    /// is written) and the `io.manifest` fail point (after the manifest
-    /// temp is written, before the rename): a crash at either leaves the
-    /// previous binding fully intact.
+    /// is written) and the `io.publish` fail point (after the rename,
+    /// before the directory fsync and the deletions). A crash at
+    /// `io.snapshot` leaves a `.tmp` that recovery ignores; one at
+    /// `io.publish` leaves a complete snapshot that recovery may start
+    /// from. Either way every snapshot on disk is a valid recovery point.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`]. On error the manifest still holds the
-    /// previous binding; call
-    /// [`abandon_checkpoint`](DurableStore::abandon_checkpoint) to clean
-    /// up temp files.
+    /// [`PersistError::Io`]. On error the store keeps its previous binding;
+    /// call [`abandon_checkpoint`](DurableStore::abandon_checkpoint) to
+    /// clean up temp files.
     pub fn checkpoint(&mut self, image: &EngineImage) -> Result<u64, PersistError> {
         self.nodes_from = None;
         let nodes = &mut self.snapshot_nodes.0;
@@ -469,11 +473,11 @@ impl DurableStore {
     /// The store remembers the engine [`Generation`] its node section was
     /// last encoded from. When the previous checkpoint succeeded through
     /// this method and the engine's stamp has not moved since, the node
-    /// section is neither re-encoded nor re-checksummed: only the prefix
-    /// (magic, configuration, frequency sketch, clock and RNG) is encoded
-    /// again, and its CRC is joined to the cached one. A failed checkpoint
-    /// — an error, or a panic out of a fail point — forgets the stamp, so
-    /// the next one encodes everything.
+    /// section is neither re-encoded nor re-checksummed: only the header,
+    /// the binding and the prefix (magic, configuration, frequency sketch,
+    /// clock and RNG) are encoded again, and their CRC is joined to the
+    /// cached one. A failed checkpoint — an error, or a panic out of a
+    /// fail point — forgets the stamp, so the next one encodes everything.
     ///
     /// # Errors
     ///
@@ -502,26 +506,30 @@ impl DurableStore {
         Ok(bytes)
     }
 
-    /// The shared tail of both checkpoint paths: encodes the payload prefix
-    /// with `encode_prefix` behind the envelope header, seals the header
-    /// over the prefix and the node section already in `snapshot_nodes`
-    /// (whose CRC is `nodes_crc`), writes both as `snap-<seq+1>.img` and
-    /// rebinds the manifest.
+    /// The shared tail of both checkpoint paths: encodes the file header,
+    /// the binding and the payload prefix (with `encode_prefix`), seals
+    /// the header over them and the node section already in
+    /// `snapshot_nodes` (whose CRC is `nodes_crc`), and commits both as
+    /// the next `snap-<seq>.img`.
     fn write_snapshot(
         &mut self,
         encode_prefix: impl FnOnce(&mut Vec<u8>),
         nodes_crc: u32,
     ) -> Result<u64, PersistError> {
         self.sync()?;
-        let new_seq = self.seq + 1;
+        let newest = self.on_disk.last().copied().unwrap_or(0);
+        let new_seq = newest.checked_add(1).ok_or_else(|| PersistError::Io {
+            op: "number a snapshot",
+            kind: std::io::ErrorKind::InvalidData,
+            message: format!("snapshot seq {newest} has no successor"),
+        })?;
         let head = &mut self.snapshot_head.0;
         let nodes = &self.snapshot_nodes.0;
-        begin_envelope(head);
+        begin_snapshot_file(head, new_seq, self.journal_len);
         encode_prefix(head);
-        seal_split_envelope(head, nodes.len(), nodes_crc);
+        seal_snapshot_file(head, nodes.len(), nodes_crc);
 
         let snap_tmp = self.dir.join(format!("{}.tmp", snapshot_file(new_seq)));
-        let snap_final = self.dir.join(snapshot_file(new_seq));
         {
             let mut f =
                 File::create(&snap_tmp).map_err(|e| PersistError::io("create a snapshot", e))?;
@@ -532,35 +540,26 @@ impl DurableStore {
             f.sync_all()
                 .map_err(|e| PersistError::io("fsync a snapshot", e))?;
         }
-        fs::rename(&snap_tmp, &snap_final)
+        // The commit point: from here on the file is a recovery point.
+        fs::rename(&snap_tmp, self.dir.join(snapshot_file(new_seq)))
             .map_err(|e| PersistError::io("rename a snapshot into place", e))?;
+        self.on_disk.push(new_seq);
+        failpoint::hit(failpoint::IO_PUBLISH);
         sync_dir(&self.dir)?;
 
-        let manifest = Manifest {
-            current: (new_seq, self.journal_len),
-            previous: (self.seq != 0).then_some((self.seq, self.bound_offset)),
-        };
-        let manifest_tmp = self.dir.join(format!("{MANIFEST_FILE}.tmp"));
-        {
-            let mut f = File::create(&manifest_tmp)
-                .map_err(|e| PersistError::io("create the manifest", e))?;
-            f.write_all(&wrap_file(&manifest.encode()))
-                .map_err(|e| PersistError::io("write the manifest", e))?;
-            f.sync_all()
-                .map_err(|e| PersistError::io("fsync the manifest", e))?;
+        // Retire every snapshot older than the binding this one replaces
+        // (best-effort — a stray file is harmless, and the next `open`
+        // lists it again).
+        let replaced = self.seq;
+        self.on_disk.retain(|&seq| {
+            seq >= replaced || {
+                let _ = fs::remove_file(self.dir.join(snapshot_file(seq)));
+                false
+            }
+        });
+        for leftover in self.leftovers.drain(..) {
+            let _ = fs::remove_file(leftover);
         }
-        failpoint::hit(failpoint::IO_MANIFEST);
-        fs::rename(&manifest_tmp, self.dir.join(MANIFEST_FILE))
-            .map_err(|e| PersistError::io("rename the manifest into place", e))?;
-        sync_dir(&self.dir)?;
-
-        // The binding advanced; the snapshot that left it (the old
-        // previous one) is deleted by name (best-effort — a stray file is
-        // harmless).
-        if let Some((dropped, _)) = self.previous {
-            let _ = fs::remove_file(self.dir.join(snapshot_file(dropped)));
-        }
-        self.previous = manifest.previous;
         self.seq = new_seq;
         self.bound_offset = self.journal_len;
         Ok((head.len() + nodes.len()) as u64)
@@ -568,9 +567,10 @@ impl DurableStore {
 
     /// Best-effort cleanup after a failed or panicked
     /// [`checkpoint`](DurableStore::checkpoint): removes stray `.tmp`
-    /// files. The manifest was not touched (the rename never happened or
-    /// failed atomically), so the store keeps serving under the previous
-    /// binding. The next checkpoint encodes every node.
+    /// files. The store keeps serving under its previous binding; a
+    /// snapshot the failed checkpoint already renamed into place stays a
+    /// valid recovery point, and the next checkpoint is numbered past it.
+    /// The next checkpoint encodes every node.
     pub fn abandon_checkpoint(&mut self) {
         self.nodes_from = None;
         if let Ok(entries) = fs::read_dir(&self.dir) {
@@ -601,7 +601,10 @@ fn sync_dir(dir: &Path) -> Result<(), PersistError> {
 #[cfg(test)]
 mod tests {
     use super::super::journal::read_journal;
-    use super::super::{assert_cuts_and_flips_are_typed, encode_snapshot, NodeImage};
+    use super::super::{
+        assert_cuts_and_flips_are_typed, dsgsnap2_payload, encode_snapshot, put_u32, put_u64,
+        NodeImage,
+    };
     use super::*;
     use crate::config::DsgConfig;
     use dsg_skipgraph::crc32::crc32;
@@ -657,30 +660,52 @@ mod tests {
         }
     }
 
-    /// The snapshot file as the envelope was first defined: the payload
-    /// behind its length and CRC, concatenated.
-    fn reference_file(image: &EngineImage) -> Vec<u8> {
-        let payload = encode_snapshot(image);
+    /// The snapshot file by its definition, concatenated in one pass:
+    /// `[len][crc]` over the binding `(seq, offset)` and the payload.
+    fn reference_file(image: &EngineImage, seq: u64, offset: u64) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u64(&mut body, seq);
+        put_u64(&mut body, offset);
+        body.extend_from_slice(&encode_snapshot(image));
         let mut file = Vec::new();
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
+        put_u64(&mut file, body.len() as u64);
+        put_u32(&mut file, crc32(&body));
+        file.extend_from_slice(&body);
         file
+    }
+
+    /// Every file of a store directory, by name, with its bytes.
+    fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        dir_files(dir).into_iter().map(|(name, _)| name).collect()
     }
 
     #[test]
     fn checkpoint_files_keep_their_bytes() {
-        // Length and CRC-32 of the whole file, as written before the
-        // checkpoint encoded into a reused buffer.
+        // Length and CRC-32 of the whole file.
         // `abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node`
-        // arms `io.snapshot` and `io.manifest` meanwhile.
+        // arms `io.snapshot` and `io.publish` meanwhile.
         let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
-        assert_eq!(store.checkpoint(&fixed_image()).unwrap(), 133_530);
+        assert_eq!(store.checkpoint(&fixed_image()).unwrap(), 33_463);
         let file = fs::read(dir.join("snap-1.img")).unwrap();
-        assert_eq!(file.len(), 133_530);
-        assert_eq!(crc32(&file), 0x2D25_6013);
+        assert_eq!(file.len(), 33_463);
+        assert_eq!(crc32(&file), 0x2025_6916);
         drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -690,7 +715,7 @@ mod tests {
         // A served engine, then a much smaller image, then the engine
         // again: nothing of a previous checkpoint may leak into the next.
         // `abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node`
-        // arms `io.snapshot` and `io.manifest` meanwhile.
+        // arms `io.snapshot` and `io.publish` meanwhile.
         let _guard = failpoint::exclusive();
         let mut session = crate::DsgSession::builder()
             .peers(0..48)
@@ -708,7 +733,7 @@ mod tests {
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         for (seq, image) in [(1, &engine), (2, &tiny_image(4)), (3, &engine)] {
-            let expected = reference_file(image);
+            let expected = reference_file(image, seq, 0);
             assert_eq!(store.checkpoint(image).unwrap(), expected.len() as u64);
             let file = fs::read(dir.join(snapshot_file(seq))).unwrap();
             assert!(
@@ -749,7 +774,7 @@ mod tests {
         seq: u64,
     ) -> bool {
         let reused_before = store.reused_node_sections();
-        let expected = reference_file(&session.engine().capture_image());
+        let expected = reference_file(&session.engine().capture_image(), seq, store.journal_len());
         let bytes = store.checkpoint_engine(session.engine()).unwrap();
         assert_eq!(bytes, expected.len() as u64, "snap-{seq}.img size");
         let file = fs::read(store.dir().join(snapshot_file(seq))).unwrap();
@@ -807,8 +832,13 @@ mod tests {
         let mut seq = 1;
         assert!(!engine_checkpoint_matches(&mut store, &session, seq));
         // A checkpoint that dies at either fail point forgets the node
-        // section it encoded, although the engine did not change.
-        for site in [failpoint::IO_SNAPSHOT, failpoint::IO_MANIFEST] {
+        // section it encoded, although the engine did not change. One that
+        // dies at `io.publish` has already renamed its snapshot into place,
+        // so the next checkpoint is numbered past it.
+        for (site, renamed) in [
+            (failpoint::IO_SNAPSHOT, false),
+            (failpoint::IO_PUBLISH, true),
+        ] {
             assert!(!serve(&mut session, &[(10 + seq, 40 + seq)]));
             failpoint::arm(site, 1);
             let torn = catch_unwind(AssertUnwindSafe(|| {
@@ -817,7 +847,9 @@ mod tests {
             failpoint::disarm_all();
             assert!(torn.is_err(), "{site} must fire");
             store.abandon_checkpoint();
-            seq += 1;
+            assert_eq!(store.snapshot_seq(), seq, "{site}: the binding held");
+            assert_eq!(dir.join(snapshot_file(seq + 1)).exists(), renamed, "{site}");
+            seq += 1 + u64::from(renamed);
             assert!(
                 !engine_checkpoint_matches(&mut store, &session, seq),
                 "after an abandoned checkpoint at {site}"
@@ -841,41 +873,138 @@ mod tests {
     }
 
     #[test]
-    fn manifest_truncations_and_bit_flips_decode_or_are_refused_typed() {
-        let payload = Manifest {
-            current: (7, 4096),
-            previous: Some((6, 1024)),
-        }
-        .encode();
-        assert_cuts_and_flips_are_typed(&payload, 0..payload.len(), Manifest::decode, |e| {
-            matches!(e, PersistError::CorruptManifest { .. })
+    fn snapshot_file_truncations_and_bit_flips_are_refused_typed() {
+        // The file as `open` reads it: header, binding and payload. The CRC
+        // catches every single-bit flip; a cut is short or fails it.
+        let file = reference_file(&tiny_image(3), 7, 4096);
+        let load = |bytes: &[u8]| {
+            let file = parse_snapshot_file(bytes)?;
+            decode_snapshot(file.payload).map(|image| (file.seq, file.offset, image))
+        };
+        assert_eq!(load(&file).unwrap(), (7, 4096, tiny_image(3)));
+        assert_cuts_and_flips_are_typed(&file, 0..file.len(), load, |e| {
+            matches!(e, PersistError::CorruptSnapshot { .. })
         });
     }
 
     #[test]
     fn a_reopened_store_deletes_the_snapshot_that_leaves_the_binding() {
         // `abandoned_image_path_and_rebuilt_engine_checkpoints_encode_every_node`
-        // arms `io.snapshot` and `io.manifest` meanwhile.
+        // arms `io.snapshot` and `io.publish` meanwhile.
         let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
         store.checkpoint(&tiny_image(1)).unwrap();
         drop(store);
-        // The reopened store takes its binding from the manifest and
+        // The reopened store takes its binding from the newest snapshot and
         // deletes snap-1 by name when the next checkpoint retires it.
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(2)).unwrap();
-        let mut names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        assert_eq!(
-            names,
-            [MANIFEST_FILE, JOURNAL_FILE, "snap-2.img", "snap-3.img"]
-        );
+        assert_eq!(names(&dir), [JOURNAL_FILE, "snap-2.img", "snap-3.img"]);
         drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_leaves_strays_in_place_and_the_next_checkpoint_removes_them() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let _guard = failpoint::exclusive();
+        failpoint::disarm_all();
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        store.checkpoint(&tiny_image(0)).unwrap();
+        store.append_chunk(&[Request::Tick(1)], false).unwrap();
+        store.checkpoint(&tiny_image(1)).unwrap();
+        // Crashes with no cleanup: one after checkpoint 3's rename, before
+        // it retired snap-1 (a stray third snapshot); one inside
+        // checkpoint 4 (its `.tmp`). An older `.tmp` lies about too.
+        for site in [failpoint::IO_PUBLISH, failpoint::IO_SNAPSHOT] {
+            failpoint::arm(site, 1);
+            let crashed = catch_unwind(AssertUnwindSafe(|| store.checkpoint(&tiny_image(2))));
+            failpoint::disarm_all();
+            assert!(crashed.is_err(), "{site} must fire");
+        }
+        drop(store);
+        fs::write(dir.join("snap-2.img.tmp"), b"half a snapshot").unwrap();
+        let before = dir_files(&dir);
+        assert_eq!(
+            names(&dir),
+            [
+                JOURNAL_FILE,
+                "snap-1.img",
+                "snap-2.img",
+                "snap-2.img.tmp",
+                "snap-3.img",
+                "snap-4.img.tmp"
+            ]
+        );
+
+        // Recovery starts from the stray third snapshot, the newest, and
+        // changes nothing on disk.
+        let (store, recovered) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        let recovered = recovered.unwrap();
+        assert_eq!(recovered.snapshot_seq, 3);
+        assert_eq!(recovered.image, tiny_image(2));
+        assert!(!recovered.fell_back && recovered.frames.is_empty());
+        drop(store);
+        assert!(dir_files(&dir) == before, "open changed the store");
+
+        // The next checkpoint retires everything but its fallback.
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        store.checkpoint(&tiny_image(3)).unwrap();
+        assert_eq!(names(&dir), [JOURNAL_FILE, "snap-3.img", "snap-4.img"]);
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_dsgsnap2_store_is_refused_before_its_frames_are_replayed() {
+        // A store as the older format left it: a manifest, a snapshot
+        // whose CRC checks over a `DSGSNAP2` payload, and a journal.
+        let dir = temp_store_dir();
+        fs::create_dir_all(&dir).unwrap();
+        let payload = dsgsnap2_payload(&tiny_image(5));
+        let mut snapshot = Vec::new();
+        put_u64(&mut snapshot, payload.len() as u64);
+        put_u32(&mut snapshot, crc32(&payload));
+        snapshot.extend_from_slice(&payload);
+        fs::write(dir.join("snap-1.img"), &snapshot).unwrap();
+        fs::write(dir.join("MANIFEST"), b"DSGMANI1 binding").unwrap();
+        fs::write(dir.join(JOURNAL_FILE), [12, 0, 0, 0, 1, 2, 3, 4]).unwrap();
+        let before = dir_files(&dir);
+        match DurableStore::open(&dir, PersistConfig::default()) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("DSGSNAP2"), "{detail}")
+            }
+            other => panic!("a DSGSNAP2 store opened: {other:?}"),
+        }
+        assert!(dir_files(&dir) == before, "the refusal changed the store");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_snapshot_damaged_is_refused_typed() {
+        let _guard = failpoint::exclusive();
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        store.checkpoint(&tiny_image(0)).unwrap();
+        store.append_chunk(&[Request::Tick(1)], false).unwrap();
+        store.checkpoint(&tiny_image(1)).unwrap();
+        drop(store);
+        // Garbage in the newest, a binding naming another seq in the older
+        // (a valid file copied under the wrong name).
+        fs::copy(dir.join("snap-2.img"), dir.join("snap-1.img")).unwrap();
+        fs::write(dir.join("snap-2.img"), b"garbage").unwrap();
+        match DurableStore::open(&dir, PersistConfig::default()) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(
+                    detail.starts_with("snap-2.img"),
+                    "the newest's error: {detail}"
+                )
+            }
+            other => panic!("a store of damaged snapshots opened: {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -887,7 +1016,10 @@ mod tests {
         let (mut store, recovered) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         assert!(recovered.is_none());
         // Appends before the initial checkpoint are refused.
-        assert!(store.append_chunk(&[Request::Tick(1)], false).is_err());
+        assert_eq!(
+            store.append_chunk(&[Request::Tick(1)], false),
+            Err(PersistError::AppendBeforeCheckpoint)
+        );
         store.checkpoint(&tiny_image(0)).unwrap();
         store
             .append_chunk(&[Request::Communicate { u: 1, v: 2 }], false)

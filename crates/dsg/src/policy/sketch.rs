@@ -29,7 +29,7 @@
 //! Saturated counters are *not* incremented — and not recorded — so a
 //! rollback is exact even at `u32::MAX`.
 
-use crate::persist::{put_u64, Reader};
+use crate::persist::{put_varint, Reader};
 use dsg_skipgraph::Prefix;
 
 /// Number of hash rows in the sketch.
@@ -80,16 +80,18 @@ pub(crate) struct SketchView<'a> {
 }
 
 impl SketchView<'_> {
-    /// Appends the sketch section to `out` in the engine-image byte format.
+    /// Appends the sketch section to `out` in the engine-image byte format:
+    /// the counter count, every counter and the two aging cursors, each a
+    /// varint. Aging keeps counters small (a few hundred on the benchmark
+    /// workloads), so most take one byte; they stay `u32` in memory.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.counters.len() as u64);
-        let start = out.len();
-        out.resize(start + self.counters.len() * 4, 0);
-        for (word, &c) in out[start..].chunks_exact_mut(4).zip(self.counters) {
-            word.copy_from_slice(&c.to_le_bytes());
+        out.reserve(self.counters.len() + 30);
+        put_varint(out, self.counters.len() as u64);
+        for &c in self.counters {
+            put_varint(out, u64::from(c));
         }
-        put_u64(out, self.updates_since_aging);
-        put_u64(out, self.aging_passes);
+        put_varint(out, self.updates_since_aging);
+        put_varint(out, self.aging_passes);
     }
 }
 
@@ -103,22 +105,24 @@ impl SketchImage {
         }
     }
 
-    /// Decodes an image previously written by [`SketchView::encode`].
+    /// Decodes an image previously written by [`SketchView::encode`],
+    /// refusing a counter count other than the sketch's shape (or more
+    /// than the remaining bytes hold) and a counter above `u32::MAX`.
     /// The opaque unit error follows the [`Reader`] convention: the
     /// snapshot decoder maps it to its typed corruption error.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, ()> {
-        let len = r.u64()? as usize;
-        if len != SKETCH_ROWS * SKETCH_WIDTH {
+        let len = r.varint()?;
+        if len != (SKETCH_ROWS * SKETCH_WIDTH) as u64 || len > r.remaining() as u64 {
             return Err(());
         }
-        let mut counters = Vec::with_capacity(len);
+        let mut counters = Vec::with_capacity(len as usize);
         for _ in 0..len {
-            counters.push(r.u32()?);
+            counters.push(u32::try_from(r.varint()?).map_err(|_| ())?);
         }
         Ok(Self {
             counters,
-            updates_since_aging: r.u64()?,
-            aging_passes: r.u64()?,
+            updates_since_aging: r.varint()?,
+            aging_passes: r.varint()?,
         })
     }
 }
@@ -296,7 +300,7 @@ impl FreqSketch {
     ///
     /// # Panics
     /// Panics if `aging_period` is zero or the image has the wrong
-    /// matrix size (images from [`SketchImage::decode`] are pre-checked).
+    /// matrix size (images a decoded snapshot carries are pre-checked).
     pub fn from_image(seed: u64, aging_period: u64, image: &SketchImage) -> Self {
         assert_eq!(
             image.counters.len(),

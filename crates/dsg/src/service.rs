@@ -63,7 +63,7 @@
 //! fail-point sites of [`dsg_skipgraph::failpoint`] (re-exported as
 //! `dsg::failpoint`): `plan.worker`, `apply.splice`, `dummy.pass0`, this
 //! module's `ingest.loop`, and the durability layer's `io.append`,
-//! `io.snapshot`, and `io.manifest`.
+//! `io.snapshot`, and `io.publish`.
 //!
 //! # Durability
 //!
@@ -77,11 +77,13 @@
 //! [`PersistConfig::snapshot_every`] epochs, encoded straight from the
 //! engine ([`DurableStore::checkpoint_engine`]): while the engine's
 //! generation stamp has not moved since the last checkpoint, only the
-//! snapshot's prefix is re-encoded and the node section is reused. On the
-//! next [`open`](DsgService::open), the newest valid snapshot is restored
-//! (and deep-validated), a torn journal tail is truncated, the surviving
-//! suffix is replayed, and the result is deep-validated again unless the
-//! replay left the stamp where the restore's validation saw it —
+//! snapshot's prefix is re-encoded and the node section is reused. Each
+//! snapshot file carries its own journal binding and commits with one
+//! rename. On the next [`open`](DsgService::open), the newest valid
+//! snapshot is restored (and deep-validated), a torn journal tail is
+//! truncated, the surviving suffix is replayed, and the result is
+//! deep-validated again unless the replay left the stamp where the
+//! restore's validation saw it —
 //! `tests/crash_recovery.rs` proves it bit-identical to an uninterrupted
 //! twin for every fail-point site and every byte-boundary truncation of
 //! the journal tail.
@@ -91,7 +93,7 @@
 //! fails only that run's tickets with [`DsgError::Persist`], and keeps
 //! serving (if the rollback itself fails, the journal no longer matches
 //! the engine and the service poisons); a failed checkpoint is abandoned
-//! and counted, and the store keeps serving under the previous manifest
+//! and counted, and the store keeps serving under the previous snapshot's
 //! binding.
 //!
 //! # Overload model
@@ -334,7 +336,7 @@ pub struct ServiceMetrics {
     /// again. The bytes written are the same either way.
     pub snapshots_reused: u64,
     /// Snapshot checkpoints that failed and were abandoned (the store kept
-    /// serving under the previous manifest binding).
+    /// serving under the previous snapshot's binding).
     pub snapshot_failures: u64,
     /// Journal appends that failed and were rolled back (the chunk's
     /// tickets resolved with [`DsgError::Persist`]; the engine never saw
@@ -406,8 +408,8 @@ pub struct OpenReport {
     /// Torn bytes truncated off the journal tail (a crash interrupted an
     /// append; the partial frame was dropped, never served).
     pub torn_bytes_truncated: u64,
-    /// `true` if the manifest-bound snapshot was damaged and recovery fell
-    /// back to the retained previous one (replaying a longer suffix).
+    /// `true` if a newer snapshot file was damaged and recovery fell back
+    /// to an older one (replaying a longer suffix).
     pub fell_back: bool,
 }
 
@@ -461,7 +463,8 @@ pub struct ServiceStatus {
     pub sojourn_p99_us: u64,
     /// Durable journal length in bytes (0 without persistence).
     pub journal_bytes: u64,
-    /// Seq of the current manifest-bound snapshot (0 without persistence).
+    /// Seq of the snapshot in force — the one the store recovered from or
+    /// last checkpointed (0 without persistence).
     pub snapshot_seq: u64,
     /// Journal offset the current snapshot binding replays from.
     pub snapshot_offset: u64,
@@ -684,7 +687,7 @@ struct Shared {
     /// Durable journal length through the last committed frame (0 without
     /// persistence). Published by the worker after each append.
     journal_bytes: AtomicU64,
-    /// Current manifest binding: snapshot seq and its journal offset.
+    /// The snapshot in force: its seq and its journal offset.
     snapshot_seq: AtomicU64,
     snapshot_offset: AtomicU64,
 }
@@ -855,13 +858,13 @@ impl DsgService {
     /// recovering from a previous instance's journal and snapshots if the
     /// directory holds any.
     ///
-    /// On a **cold start** (missing or empty directory) the `builder` is
-    /// built into a fresh session, the initial snapshot checkpoint is cut
-    /// (so the store is recoverable from its very first append), and the
-    /// service starts serving. On **recovery**, the engine is restored
-    /// from the newest valid snapshot (falling back to the retained
-    /// previous one if the newest is damaged; the restore deep-validates
-    /// it), a torn journal tail is truncated, the surviving journal suffix
+    /// On a **cold start** (missing directory, or one with no snapshot and
+    /// an empty journal) the `builder` is built into a fresh session, the
+    /// initial snapshot checkpoint is cut (so the store is recoverable from
+    /// its very first append), and the service starts serving. On
+    /// **recovery**, the engine is restored from the newest valid snapshot
+    /// (falling back to an older one if the newest is damaged; the restore
+    /// deep-validates it), a torn journal tail is truncated, the surviving journal suffix
     /// is replayed, and the result is deep-validated before the service
     /// serves its first request — by a second `validate()`, or, when the
     /// replayed frames changed no node, link, vector or state entry (the
@@ -879,10 +882,10 @@ impl DsgService {
     /// [`DsgError::InvalidConfig`] when [`ServiceConfig::persist`] is
     /// `None` or the queue/batch sizes are zero; [`DsgError::Persist`] for
     /// store damage a restart cannot safely serve over (a corrupt —
-    /// not merely torn — journal frame, a missing or corrupt manifest
-    /// with no usable fallback snapshot, a journal shorter than its
-    /// manifest binding, I/O failures); any engine error of the replay or
-    /// the final deep validation.
+    /// not merely torn — journal frame, every snapshot file damaged or in
+    /// the older `DSGSNAP2` format, a journal without any snapshot, a
+    /// journal shorter than the chosen snapshot's binding, I/O failures);
+    /// any engine error of the replay or the final deep validation.
     pub fn open(
         dir: impl AsRef<Path>,
         builder: DsgBuilder,
@@ -1644,9 +1647,9 @@ impl Worker {
 
     /// Checkpoints the engine, encoded straight from it (reusing the last
     /// node section while the engine's generation stamp has not moved). A
-    /// failure (or a panic through the `io.snapshot` / `io.manifest` fail
+    /// failure (or a panic through the `io.snapshot` / `io.publish` fail
     /// points) abandons the checkpoint — temp files removed, counted — and
-    /// the store keeps serving under the previous manifest binding: a
+    /// the store keeps serving under the previous snapshot's binding: a
     /// checkpoint shortens recovery, it is never required for correctness.
     fn cut_checkpoint(&mut self) {
         let Some(store) = self.store.as_mut() else {

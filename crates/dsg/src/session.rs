@@ -35,7 +35,7 @@
 //! `new_random`, `from_parts`) with one fluent, *validating* path: the
 //! builder returns [`DsgError::InvalidConfig`] instead of panicking on bad
 //! parameters. Metrics flow through [`DsgObserver`] hooks instead of
-//! polling the engine's [`RunStats`](crate::RunStats).
+//! polling the engine's [`RunStats`].
 //!
 //! # Threading model
 //!
@@ -216,7 +216,7 @@ impl DsgBuilder {
     /// [`PolicyConfig::gated()`](crate::PolicyConfig::gated), a count-min
     /// frequency sketch estimates pair hotness and only hot (or budgeted)
     /// clusters restructure; cold pairs are routed without transformation.
-    /// Defaults to [`AdaptPolicy::Always`](crate::AdaptPolicy::Always)
+    /// Defaults to [`AdaptPolicy::Always`]
     /// (every communicate restructures, bit-identical to the pre-policy
     /// engine).
     pub fn policy(mut self, policy: PolicyConfig) -> Self {

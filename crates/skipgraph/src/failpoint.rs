@@ -10,9 +10,10 @@
 //! faults abort the epoch with the engine untouched, apply-stage faults
 //! poison the service with every in-flight ticket resolved. The `io.*`
 //! sites extend the same registry into the durability layer
-//! (`dsg::persist`): a journal append dying mid-frame, a snapshot or
-//! manifest write dying mid-checkpoint — driven by the crash-recovery
-//! harness, which then proves restart-replay equivalence.
+//! (`dsg::persist`): a journal append dying mid-frame, a checkpoint dying
+//! before its snapshot is written or just after it is renamed into place —
+//! driven by the crash-recovery harness, which then proves restart-replay
+//! equivalence.
 //!
 //! # Cost when disarmed
 //!
@@ -76,16 +77,18 @@ pub const IO_APPEND: &str = "io.append";
 /// Fail-point site in the snapshot checkpoint writer (`dsg::persist`), hit
 /// after the snapshot temp file is created but before its payload is
 /// written. Firing here simulates a crash mid-checkpoint: a stray temp
-/// file, no manifest update. A `dsg::service` abandons the checkpoint and
-/// keeps serving; recovery uses the previous manifest binding.
+/// file that recovery ignores. A `dsg::service` abandons the checkpoint and
+/// keeps serving; recovery starts from the previous snapshot.
 pub const IO_SNAPSHOT: &str = "io.snapshot";
 
-/// Fail-point site in the manifest writer (`dsg::persist`), hit after the
-/// manifest temp file is written but before the atomic rename. Firing here
-/// simulates a crash in the commit step of a checkpoint: the new snapshot
-/// file exists but the manifest still binds the old one, which recovery
-/// must honour (the journal suffix is replayed from the old offset).
-pub const IO_MANIFEST: &str = "io.manifest";
+/// Fail-point site in the snapshot checkpoint writer (`dsg::persist`), hit
+/// after the snapshot is renamed into place — the commit point — but
+/// before the directory fsync and the deletion of retired snapshots.
+/// Firing here simulates a crash just after the commit: the new snapshot
+/// is a complete recovery point, and the old ones are still on disk. A
+/// `dsg::service` abandons the checkpoint and keeps serving; recovery
+/// starts from the new snapshot.
+pub const IO_PUBLISH: &str = "io.publish";
 
 const SITE_NAMES: [&str; 7] = [
     PLAN_WORKER,
@@ -94,7 +97,7 @@ const SITE_NAMES: [&str; 7] = [
     INGEST_LOOP,
     IO_APPEND,
     IO_SNAPSHOT,
-    IO_MANIFEST,
+    IO_PUBLISH,
 ];
 
 /// Number of armed sites; the disarmed fast path of [`hit`] tests only

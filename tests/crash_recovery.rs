@@ -19,8 +19,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dsg::failpoint;
-use dsg::persist::{read_journal, PersistError, JOURNAL_FILE, MANIFEST_FILE};
+use dsg::persist::{read_journal, PersistError, JOURNAL_FILE};
 use dsg::prelude::*;
+use dsg::DurableStore;
 
 mod common;
 use common::assert_networks_agree;
@@ -297,8 +298,8 @@ fn stray_journal_without_a_manifest_is_refused() {
 // The torn-write sweep: every byte-boundary truncation of the journal
 // ---------------------------------------------------------------------
 
-/// Copies a store directory (manifest, snapshots, journal truncated to
-/// `keep` bytes) into a fresh directory — a simulated crash image whose
+/// Copies a store directory (snapshots, journal truncated to `keep`
+/// bytes) into a fresh directory — a simulated crash image whose
 /// final append stopped after exactly `keep` durable bytes.
 fn copy_store_truncated(src: &Path, keep: u64, tag: &str) -> PathBuf {
     let dst = temp_dir(tag);
@@ -321,8 +322,8 @@ fn every_byte_boundary_truncation_recovers_or_refuses_typed() {
     let _guard = failpoint::exclusive();
     let dir = temp_dir("sweep");
     let (n, seed) = (24u64, 23u64);
-    // A mid-stream checkpoint (snapshot_every 6) makes the manifest bind a
-    // non-zero offset, so the sweep also crosses the bound boundary.
+    // A mid-stream checkpoint (snapshot_every 6) makes the newest snapshot
+    // bind a non-zero offset, so the sweep also crosses the bound boundary.
     let config = persist_config(1, 6, 1);
     let (service, _) = DsgService::open(&dir, builder(n, seed), config).expect("cold start");
     for i in 0..14u64 {
@@ -357,7 +358,7 @@ fn every_byte_boundary_truncation_recovers_or_refuses_typed() {
                     "truncate@{keep}: logical clocks diverge"
                 );
             }
-            // Truncating *below* the manifest's bound offset is not a torn
+            // Truncating *below* the snapshot's bound offset is not a torn
             // tail — it deleted data a checkpoint vouched for. Typed
             // refusal, never a silent partial recovery.
             Err(DsgError::Persist(PersistError::ShortJournal { .. })) => short_refusals += 1,
@@ -395,7 +396,7 @@ fn every_fail_point_site_restarts_bit_identical() {
         failpoint::INGEST_LOOP,
         failpoint::IO_APPEND,
         failpoint::IO_SNAPSHOT,
-        failpoint::IO_MANIFEST,
+        failpoint::IO_PUBLISH,
     ]
     .iter()
     .enumerate()
@@ -430,7 +431,7 @@ fn every_fail_point_site_restarts_bit_identical() {
         // Checkpoint-path sites never fail a ticket — the checkpoint is
         // abandoned and the service keeps serving under the old binding —
         // so their drive ends on the hit itself rather than on a fault.
-        let snapshot_site = site == failpoint::IO_SNAPSHOT || site == failpoint::IO_MANIFEST;
+        let snapshot_site = site == failpoint::IO_SNAPSHOT || site == failpoint::IO_PUBLISH;
         failpoint::arm(site, 1);
         let mut faulted = false;
         for _ in 0..400 {
@@ -460,6 +461,13 @@ fn every_fail_point_site_restarts_bit_identical() {
             "site {site}: ticket-failure expectation inverted"
         );
         if snapshot_site {
+            // A ticket resolves before the checkpoint after its run, so the
+            // hit may be seen while the abandoned checkpoint is still
+            // unwinding. The ingest loop is sequential: once one more
+            // request is served, the failure has been counted.
+            let request = pair(&mut mix);
+            serve_one(&service, request).expect("serves after the abandoned checkpoint");
+            acked.push(request);
             assert!(service.metrics().snapshot_failures >= 1, "site {site}");
         }
 
@@ -647,17 +655,137 @@ fn journaled_brownout_verdicts_replay_bit_identical() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The files of a store directory, by name.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn bit_flipped_manifest_is_rejected_typed() {
+fn a_damaged_newest_snapshot_falls_back_and_all_damaged_is_refused_typed() {
     let _guard = failpoint::exclusive();
-    let (dir, _session) = corruption_fixture("flip-manifest", 16, 73, 3);
-    flip_last_byte(&dir.join(MANIFEST_FILE));
-    let err = DsgService::open(&dir, builder(16, 73), persist_config(1, 3, 1))
+    // snapshot_every 3 over ten one-request epochs: snapshots 1 to 4, of
+    // which the last two are kept.
+    let config = persist_config(1, 3, 1);
+    let (dir, session) = corruption_fixture("damaged-snaps", 16, 73, 3);
+    assert_eq!(file_names(&dir), [JOURNAL_FILE, "snap-3.img", "snap-4.img"]);
+    let pristine = fs::read(dir.join("snap-4.img")).unwrap();
+    let damages: [(&str, Vec<u8>); 3] = [
+        ("garbage", b"not a snapshot at all".to_vec()),
+        ("a bit flip", {
+            let mut bytes = pristine.clone();
+            bytes[pristine.len() / 2] ^= 0x08;
+            bytes
+        }),
+        ("a truncation", pristine[..pristine.len() - 1].to_vec()),
+    ];
+    for (what, bytes) in &damages {
+        fs::write(dir.join("snap-4.img"), bytes).unwrap();
+        let (restarted, report) = reopen(&dir, 16, 73, config);
+        assert!(report.fell_back, "{what}: recovery must fall back");
+        assert_eq!(report.snapshot_seq, 3, "{what}");
+        assert_eq!(
+            restarted.engine().capture_image(),
+            session.engine().capture_image(),
+            "{what}: the fallback must land on the served engine"
+        );
+    }
+    // Every snapshot damaged: a typed refusal, never a cold start.
+    flip_last_byte(&dir.join("snap-3.img"));
+    let err = DsgService::open(&dir, builder(16, 73), config)
         .map(|_| ())
         .unwrap_err();
     assert!(
-        matches!(err, DsgError::Persist(PersistError::CorruptManifest { .. })),
+        matches!(err, DsgError::Persist(PersistError::CorruptSnapshot { .. })),
         "unexpected error: {err}"
     );
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash inside a checkpoint, at either of its fail points, with none
+/// of the ingest loop's cleanup: the session and the store are driven by
+/// hand, the way the loop drives them, and dropped where the checkpoint
+/// died. The restart must land on the crashed engine bit for bit, and its
+/// first checkpoint must clear what the crash left behind.
+#[test]
+fn crashes_inside_a_checkpoint_restart_bit_identical() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let _guard = failpoint::exclusive();
+    failpoint::disarm_all();
+    let (n, seed) = (32u64, 61u64);
+    let config = persist_config(1, 1, 1);
+    for (site, recovered_seq, left_behind) in [
+        (failpoint::IO_SNAPSHOT, 2, "snap-3.img.tmp"),
+        (failpoint::IO_PUBLISH, 3, "snap-1.img"),
+    ] {
+        let dir = temp_dir("ckpt-crash");
+        let mut session = builder(n, seed).build().expect("session builds");
+        let (mut store, _) = DurableStore::open(&dir, config.persist.unwrap()).expect("cold store");
+        store
+            .checkpoint_engine(session.engine())
+            .expect("initial checkpoint");
+        let mut mix = Mix(0x5EED ^ seed);
+        let mut serve = |session: &mut DsgSession, store: &mut DurableStore| {
+            for _ in 0..5 {
+                let u = mix.next() % n;
+                let v = (u + 1 + mix.next() % (n - 1)) % n;
+                let chunk = [Request::communicate(u, v)];
+                store.append_chunk(&chunk, false).expect("append");
+                session.submit_batch(&chunk).expect("serves");
+            }
+        };
+        serve(&mut session, &mut store);
+        store
+            .checkpoint_engine(session.engine())
+            .expect("checkpoint 2");
+        serve(&mut session, &mut store);
+        failpoint::arm(site, 1);
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            store.checkpoint_engine(session.engine())
+        }));
+        failpoint::disarm_all();
+        assert!(crashed.is_err(), "{site} must fire");
+        drop(store);
+        assert!(
+            file_names(&dir).iter().any(|name| name == left_behind),
+            "{site}: {:?}",
+            file_names(&dir)
+        );
+
+        let (mut restarted, report) =
+            DsgService::open(&dir, builder(n, seed), config).expect("store reopens");
+        assert!(report.recovered && !report.fell_back, "{site}");
+        assert_eq!(report.snapshot_seq, recovered_seq, "{site}");
+        assert_eq!(
+            report.frames_replayed,
+            if recovered_seq == 2 { 5 } else { 0 },
+            "{site}"
+        );
+        // One more request: its checkpoint retires the crash's leftovers.
+        serve_one(&restarted, Request::communicate(1, 2)).expect("serves cleanly");
+        let done = restarted.shutdown().expect("first shutdown");
+        let mut twin = session;
+        twin.submit_batch(&[Request::communicate(1, 2)])
+            .expect("twin serves");
+        assert_eq!(
+            done.session.engine().capture_image(),
+            twin.engine().capture_image(),
+            "{site}: the restart diverged from the crashed engine"
+        );
+        let next = recovered_seq + 1;
+        assert_eq!(
+            file_names(&dir),
+            [
+                JOURNAL_FILE.to_string(),
+                format!("snap-{recovered_seq}.img"),
+                format!("snap-{next}.img")
+            ],
+            "{site}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -277,9 +277,13 @@ fn soak_overload_shedding_and_brownout() {
 /// or is refused with a typed error, (c) a poisoned service recovers and
 /// keeps serving, and (d) the surviving engine passes the deep invariant
 /// sweep at the end. The service runs with persistence on so the
-/// `io.append` / `io.snapshot` / `io.manifest` sites are reachable;
+/// `io.append` / `io.snapshot` / `io.publish` sites are reachable;
 /// checkpoint-path faults are *contained* (the ticket still resolves Ok),
 /// so their drive ends on the hit itself rather than on a ticket error.
+/// Finally (e) the store the schedule leaves behind restarts
+/// bit-identical to the engine it served: every round ends on an
+/// `io.publish` fault, whose snapshot is renamed into place after every
+/// fault of the round, so the restart starts at or past it.
 ///
 /// Serialized on `failpoint::exclusive()` because the registry is
 /// process-global.
@@ -316,7 +320,7 @@ fn soak_fault_injection_schedule() {
             // (1st..4th hit after arming) without giving up determinism.
             let nth = failpoint::seeded_nth(0xFA17 ^ round, site, 4);
             failpoint::arm(site, nth);
-            let contained = site == failpoint::IO_SNAPSHOT || site == failpoint::IO_MANIFEST;
+            let contained = site == failpoint::IO_SNAPSHOT || site == failpoint::IO_PUBLISH;
 
             // Drive organic traffic until the armed site trips, capped so a
             // dead site fails the test instead of spinning forever.
@@ -395,5 +399,17 @@ fn soak_fault_injection_schedule() {
         .engine()
         .validate()
         .expect("post-schedule deep invariant sweep");
+    let (mut restarted, report) = DsgService::open(
+        &dir,
+        DsgSession::builder().peers(0..PEERS).seed(0xFA17),
+        config,
+    )
+    .expect("the soaked store reopens");
+    assert!(report.recovered);
+    let back = restarted.shutdown().expect("shutdown after the restart");
+    assert!(
+        back.session.engine().capture_image() == done.session.engine().capture_image(),
+        "the restart diverged from the soaked engine"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
