@@ -1,20 +1,15 @@
 //! Criterion benchmarks for the skip graph core: O(1) neighbour reads and
 //! routing on the intrusive linked-list arena versus the naive index-based
-//! reference representation, plus end-to-end `communicate` throughput
-//! under the three canonical workload shapes.
+//! reference representation (`dsg_skipgraph::reference`), at the sizes in
+//! `dsg_bench::SIZES`. End-to-end request throughput is `perfbench/`'s to measure.
 //!
-//! The `bench_perf` binary (`cargo run --release --bin bench_perf`) runs
-//! the same comparisons headlessly and writes `BENCH_perf.json`; this
-//! suite is the interactive/criterion view of the same surfaces.
+//! Run with `cargo bench -p dsg-bench --bench core`; the vendored criterion
+//! honours `BENCH_SAMPLE_SIZE` and `BENCH_WARMUP_MS` for a quick smoke.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dsg::DsgConfig;
-use dsg_bench::{
-    comm_trace_len, reference_graph_like, route_pairs, run_dsg, workload_trace, WorkloadKind,
-    SIZES,
-};
+use dsg_bench::{reference_graph_like, route_pairs, SIZES};
 use dsg_skipgraph::fixtures;
 
 fn bench_neighbors(c: &mut Criterion) {
@@ -83,30 +78,5 @@ fn bench_route(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_communicate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("communicate");
-    group.sample_size(10);
-    for &n in SIZES {
-        let m = comm_trace_len(n);
-        for kind in [
-            WorkloadKind::Uniform,
-            WorkloadKind::Skewed,
-            WorkloadKind::WorkingSet,
-        ] {
-            let trace = workload_trace(kind, n, m, 3);
-            group.bench_with_input(
-                BenchmarkId::new(kind.label(), n),
-                &trace,
-                |b, trace| {
-                    b.iter(|| {
-                        black_box(run_dsg(n, DsgConfig::default().with_seed(1), black_box(trace)))
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_neighbors, bench_route, bench_communicate);
+criterion_group!(benches, bench_neighbors, bench_route);
 criterion_main!(benches);

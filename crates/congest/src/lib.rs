@@ -11,34 +11,29 @@
 //! explicit [`Topology`], enforcing the per-link capacity and auditing
 //! message sizes against a configurable bit budget.
 //!
-//! The crate also ships the two primitives the paper's algorithms rely on:
-//!
-//! * [`protocols::ConvergecastSum`] — the distributed-sum protocol of
-//!   Appendix D (values climb a tree toward the root, which aggregates and
-//!   broadcasts the total), and
-//! * [`protocols::Broadcast`] — root-to-all dissemination of a single value,
-//!   used to distribute the approximate median and new group-ids.
-//!
-//! The higher-level `dsg` crate charges round costs analytically for the
-//! main algorithm (see `DESIGN.md`), and uses this simulator to validate
-//! those analytical charges on the underlying primitives.
+//! The crate ships the one primitive the repository checks an analytical
+//! charge against: [`protocols::Broadcast`], root-to-all dissemination of a
+//! single value over a rooted [`protocols::Tree`] (the paper uses it to
+//! distribute the epoch notification, the approximate median and new
+//! group-ids). The `dsg` crate charges round costs analytically, and
+//! `tests/epoch_notification.rs` checks its per-epoch notification charge
+//! against a real broadcast run on this simulator.
 //!
 //! # Example
 //!
 //! ```rust
 //! use dsg_congest::{Simulator, SimConfig, Topology};
-//! use dsg_congest::protocols::{ConvergecastSum, Tree};
+//! use dsg_congest::protocols::{Broadcast, Tree};
 //!
 //! # fn main() -> Result<(), dsg_congest::CongestError> {
 //! // A path of 8 nodes rooted at node 0.
 //! let topology = Topology::path(8);
 //! let tree = Tree::path(8);
-//! let values = vec![1i64, 2, 3, 4, 5, 6, 7, 8];
-//! let nodes = ConvergecastSum::nodes(&tree, &values);
+//! let nodes = Broadcast::nodes(&tree, 42);
 //! let mut sim = Simulator::new(topology, nodes, SimConfig::for_n(8));
 //! let report = sim.run_to_completion()?;
 //! assert!(report.rounds >= 7); // information must travel the path length
-//! assert_eq!(sim.nodes()[0].total(), Some(36));
+//! assert!(sim.nodes().iter().all(|node| node.value() == Some(42)));
 //! # Ok(())
 //! # }
 //! ```

@@ -1,15 +1,12 @@
 //! Reference protocols built on the simulator.
 //!
-//! These implement the two communication primitives the paper's
-//! self-adjusting algorithm reuses from its balanced skip list (Appendix D
-//! and §IV-C/IV-D): converge-cast summation and root-to-all broadcast. They
-//! double as executable validation of the analytical round costs charged by
-//! the `dsg` crate.
+//! [`Broadcast`] implements the root-to-all dissemination the paper's
+//! self-adjusting algorithm reuses from its balanced skip list (§IV-C/IV-D),
+//! over a rooted [`Tree`]. It doubles as executable validation of the
+//! notification charge of the `dsg` crate.
 
 mod broadcast;
-mod sum;
 mod tree;
 
 pub use broadcast::{Broadcast, BroadcastMsg};
-pub use sum::{ConvergecastSum, SumMsg};
 pub use tree::Tree;

@@ -30,12 +30,6 @@ impl SimConfig {
         }
     }
 
-    /// Overrides the per-message bit budget.
-    pub fn with_message_bits(mut self, bits: usize) -> Self {
-        self.max_message_bits = bits;
-        self
-    }
-
     /// Overrides the round limit.
     pub fn with_max_rounds(mut self, rounds: usize) -> Self {
         self.max_rounds = rounds;

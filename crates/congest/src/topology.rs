@@ -2,9 +2,8 @@
 //!
 //! A [`Topology`] is an undirected graph over nodes `0..n`; a node may send
 //! a message to another node only if they share a link. Helpers are provided
-//! for the shapes that appear in the reproduction: paths (linked lists),
-//! stars, arbitrary edge lists, and layered "skip-list" topologies derived
-//! from level membership.
+//! for the shapes that appear in the reproduction: paths (linked lists) and
+//! arbitrary edge lists (such as a tree's parent/child links).
 
 use std::collections::BTreeSet;
 
@@ -33,36 +32,11 @@ impl Topology {
         t
     }
 
-    /// A star with `center` connected to every other node.
-    pub fn star(n: usize, center: usize) -> Self {
-        let mut t = Topology::empty(n);
-        for i in 0..n {
-            if i != center {
-                t.add_link(center, i);
-            }
-        }
-        t
-    }
-
     /// Builds a topology from an explicit list of undirected edges.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
         let mut t = Topology::empty(n);
         for (a, b) in edges {
             t.add_link(a, b);
-        }
-        t
-    }
-
-    /// Builds the layered topology induced by a skip list: `levels[0]` must
-    /// be the full list of positions, and each higher level a subset. Nodes
-    /// adjacent in any level share a link (the level-`d` doubly linked
-    /// lists).
-    pub fn from_levels(n: usize, levels: &[Vec<usize>]) -> Self {
-        let mut t = Topology::empty(n);
-        for level in levels {
-            for pair in level.windows(2) {
-                t.add_link(pair[0], pair[1]);
-            }
         }
         t
     }
@@ -138,23 +112,12 @@ mod tests {
 
     #[test]
     fn star_topology_has_central_hub() {
-        let t = Topology::star(6, 2);
+        let t = Topology::from_edges(6, (0..6).filter(|&i| i != 2).map(|i| (2, i)));
         assert_eq!(t.degree(2), 5);
         assert_eq!(t.max_degree(), 5);
         assert_eq!(t.link_count(), 5);
         assert!(t.has_link(2, 0));
         assert!(!t.has_link(0, 1));
-    }
-
-    #[test]
-    fn from_levels_adds_links_per_level() {
-        // A 6-position list with an upper level {0, 3, 5}.
-        let levels = vec![vec![0, 1, 2, 3, 4, 5], vec![0, 3, 5]];
-        let t = Topology::from_levels(6, &levels);
-        assert!(t.has_link(0, 3));
-        assert!(t.has_link(3, 5));
-        assert!(t.has_link(2, 3));
-        assert!(!t.has_link(0, 5));
     }
 
     #[test]

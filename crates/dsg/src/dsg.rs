@@ -433,26 +433,13 @@ impl DynamicSkipGraph {
     /// `a ≥ 1`, as the paper's model requires of `S₀ ∈ S`. Fresh
     /// self-adjusting state is registered for every peer.
     ///
-    /// Use [`DynamicSkipGraph::new_random`] for the classic randomised
-    /// construction instead.
-    ///
-    /// **Deprecation note:** `DsgSession::builder()` (see
-    /// [`crate::prelude`]) is the supported construction path; this
-    /// constructor remains as a thin shim.
+    /// Reached through `DsgSession::builder()` (see [`crate::prelude`]);
+    /// `random_vectors()` selects [`build_random`](Self::build_random)
+    /// instead.
     ///
     /// # Errors
     ///
     /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    #[deprecated(note = "build a DsgSession via DsgSession::builder() (see dsg::prelude)")]
-    pub fn new<I>(peers: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        Self::build_balanced(peers, config)
-    }
-
-    /// Non-deprecated twin of [`DynamicSkipGraph::new`], used by the
-    /// session builder.
     pub(crate) fn build_balanced<I>(peers: I, config: DsgConfig) -> Result<Self>
     where
         I: IntoIterator<Item = u64>,
@@ -485,24 +472,13 @@ impl DynamicSkipGraph {
     /// (the classic randomised skip graph construction). The initial
     /// structure is only a-balanced in expectation, so the first few
     /// requests may trigger more dummy-node repairs than with
-    /// [`DynamicSkipGraph::new`].
+    /// [`build_balanced`](Self::build_balanced).
     ///
-    /// **Deprecation note:** prefer `DsgSession::builder().random_vectors()`
-    /// (see [`crate::prelude`]).
+    /// Reached through `DsgSession::builder().random_vectors()`.
     ///
     /// # Errors
     ///
     /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    #[deprecated(note = "build a DsgSession via DsgSession::builder().random_vectors()")]
-    pub fn new_random<I>(peers: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        Self::build_random(peers, config)
-    }
-
-    /// Non-deprecated twin of [`DynamicSkipGraph::new_random`], used by
-    /// the session builder.
     pub(crate) fn build_random<I>(peers: I, config: DsgConfig) -> Result<Self>
     where
         I: IntoIterator<Item = u64>,
@@ -521,22 +497,11 @@ impl DynamicSkipGraph {
     /// Builds a network from explicit `(peer key, membership vector)` pairs;
     /// useful for reconstructing the paper's worked examples and for tests.
     ///
-    /// **Deprecation note:** prefer `DsgSession::builder().members(...)`
-    /// (see [`crate::prelude`]).
+    /// Reached through `DsgSession::builder().members(...)`.
     ///
     /// # Errors
     ///
     /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    #[deprecated(note = "build a DsgSession via DsgSession::builder().members(...)")]
-    pub fn from_parts<I>(members: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = (u64, MembershipVector)>,
-    {
-        Self::build_from_members(members, config)
-    }
-
-    /// Non-deprecated twin of [`DynamicSkipGraph::from_parts`], used by
-    /// the session builder.
     pub(crate) fn build_from_members<I>(members: I, config: DsgConfig) -> Result<Self>
     where
         I: IntoIterator<Item = (u64, MembershipVector)>,

@@ -38,9 +38,11 @@ pub enum DsgError {
     /// [`DsgSession`](crate::DsgSession).
     InvalidConfig(String),
     /// A fault (panic) interrupted the epoch **plan** stage — a pure read —
-    /// so the epoch was abandoned before any apply and the engine is
-    /// bit-for-bit untouched. The payload describes the fault. Requests of
-    /// the aborted epoch can simply be resubmitted.
+    /// before anything of the request's chunk applied, so the chunk was
+    /// abandoned and the engine is bit-for-bit untouched. A durable
+    /// service has also taken the chunk back out of its journal. The
+    /// payload describes the fault. The aborted requests can simply be
+    /// resubmitted.
     EpochAborted(String),
     /// A fault (panic) interrupted the epoch **apply** stage: the engine's
     /// structures may be half-mutated, so the owning

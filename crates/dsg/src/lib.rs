@@ -138,8 +138,8 @@ pub use dsg_skipgraph::failpoint;
 /// (`dsg-repro`) re-exports this module, so downstream code can depend on
 /// either and write `use dsg::prelude::*;` / `use dsg_repro::prelude::*;`
 /// interchangeably. The engine type ([`DynamicSkipGraph`]) is included for
-/// inspection APIs; constructing it directly is deprecated in favour of
-/// [`DsgSession::builder`].
+/// inspection APIs; it is built only through [`DsgSession::builder`] (or
+/// rebuilt from a snapshot by [`DynamicSkipGraph::restore_image`]).
 pub mod prelude {
     pub use crate::config::{
         AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig,

@@ -4,9 +4,9 @@
 //! receives one callback per served communication request, one per
 //! transformation epoch, and one per balance-repair pass. This replaces
 //! reading [`RunStats`](crate::RunStats) fields off the engine as the way
-//! experiment harnesses collect metrics: `dsg-metrics` ships
-//! `MetricsObserver`, the default recording observer, and `dsg-bench`
-//! consumes it.
+//! callers collect metrics: `dsg-metrics` ships `MetricsObserver`, the
+//! default recording observer, and `dsg-bench`'s `run_dsg` replays traces
+//! through it for the experiment binaries, examples and end-to-end tests.
 //!
 //! Observers are shared handles (`Arc<Mutex<_>>`) so the caller keeps
 //! access to the collected data while the session drives the callbacks —

@@ -115,6 +115,13 @@ pub struct DurableStore {
     journal_len: u64,
     /// Frames appended since the last fsync.
     unsynced: u64,
+    /// Where the last frame [`append_chunk`] committed begins, while that
+    /// frame is still the journal's last and no checkpoint binds past it:
+    /// the one frame [`retract_last_frame`] may take back.
+    ///
+    /// [`append_chunk`]: DurableStore::append_chunk
+    /// [`retract_last_frame`]: DurableStore::retract_last_frame
+    last_frame: Option<u64>,
     config: PersistConfig,
     /// Seq of the snapshot in force: the one recovery started from, or the
     /// last checkpoint to complete (0 = none yet; the store refuses
@@ -234,6 +241,7 @@ impl DurableStore {
             // fsynced; the first checkpoint makes them durable before it
             // binds an offset past them.
             unsynced: u64::from(journal_len > 0),
+            last_frame: None,
             config,
             seq,
             bound_offset,
@@ -372,6 +380,7 @@ impl DurableStore {
         if self.seq == 0 {
             return Err(PersistError::AppendBeforeCheckpoint);
         }
+        self.last_frame = None;
         let frame = &mut self.frame.0;
         encode_frame(chunk, brownout, frame);
         let split = if failpoint::armed(failpoint::IO_APPEND) {
@@ -386,11 +395,45 @@ impl DurableStore {
         self.journal
             .write_all(&frame[split..])
             .map_err(|e| PersistError::io("append a journal frame payload", e))?;
+        self.last_frame = Some(self.journal_len);
         self.journal_len += frame.len() as u64;
         self.unsynced += 1;
         if self.config.fsync_every > 0 && self.unsynced >= self.config.fsync_every {
             self.sync()?;
         }
+        Ok(())
+    }
+
+    /// Takes back the frame the last [`append_chunk`] committed, for a
+    /// chunk the engine then aborted without applying any of it: truncates
+    /// the journal to where that frame began and fsyncs it, so the chunk is
+    /// in no later replay — not even when a crash follows at once.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Io`] when no frame can be taken back (none was
+    /// appended since the last checkpoint or retraction) or the truncation
+    /// or its fsync fails; the caller must treat a failure as fatal, as
+    /// for [`rollback`](DurableStore::rollback).
+    ///
+    /// [`append_chunk`]: DurableStore::append_chunk
+    pub fn retract_last_frame(&mut self) -> Result<(), PersistError> {
+        let start = self.last_frame.take().ok_or_else(|| PersistError::Io {
+            op: "retract a journal frame",
+            kind: std::io::ErrorKind::InvalidInput,
+            message: "no frame was appended since the last checkpoint".to_string(),
+        })?;
+        self.journal
+            .set_len(start)
+            .map_err(|e| PersistError::io("retract a journal frame", e))?;
+        self.journal
+            .seek(SeekFrom::Start(start))
+            .map_err(|e| PersistError::io("reposition after a retraction", e))?;
+        self.journal
+            .sync_data()
+            .map_err(|e| PersistError::io("fsync a retraction", e))?;
+        self.journal_len = start;
+        self.unsynced = 0;
         Ok(())
     }
 
@@ -516,6 +559,9 @@ impl DurableStore {
         encode_prefix: impl FnOnce(&mut Vec<u8>),
         nodes_crc: u32,
     ) -> Result<u64, PersistError> {
+        // From here a snapshot file may bind the journal's current end, so
+        // no frame behind it can be taken back — even if this one fails.
+        self.last_frame = None;
         self.sync()?;
         let newest = self.on_disk.last().copied().unwrap_or(0);
         let new_seq = newest.checked_add(1).ok_or_else(|| PersistError::Io {
@@ -1142,6 +1188,36 @@ mod tests {
         );
         // The journal is clean again and appendable.
         store.append_chunk(&[Request::Tick(3)], false).unwrap();
+        drop(store);
+        let scanned = read_journal(&dir).unwrap();
+        assert_eq!(
+            scanned.frames,
+            vec![vec![Request::Tick(1)], vec![Request::Tick(3)]]
+        );
+        assert_eq!(scanned.torn_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retraction_takes_back_only_the_last_frame_behind_no_binding() {
+        // The guard covers the checkpoints: other tests arm `io.snapshot`.
+        let _guard = failpoint::exclusive();
+        let dir = temp_store_dir();
+        let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
+        store.checkpoint(&tiny_image(0)).unwrap();
+        store.append_chunk(&[Request::Tick(1)], false).unwrap();
+        let kept = store.journal_len();
+        store.append_chunk(&[Request::Tick(2)], false).unwrap();
+        store.retract_last_frame().unwrap();
+        assert_eq!(store.journal_len(), kept);
+        assert_eq!(fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), kept);
+        // Only the last frame: the one before it stays.
+        assert!(store.retract_last_frame().is_err());
+        // Appending continues on the frame boundary.
+        store.append_chunk(&[Request::Tick(3)], false).unwrap();
+        // A checkpoint binds the journal's end: nothing behind it can go.
+        store.checkpoint(&tiny_image(3)).unwrap();
+        assert!(store.retract_last_frame().is_err());
         drop(store);
         let scanned = read_journal(&dir).unwrap();
         assert_eq!(

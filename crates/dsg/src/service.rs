@@ -29,10 +29,14 @@
 //!   engine's typed [`DsgError`]. The rest of the run is served normally.
 //! * **Plan-stage faults**: a panic caught while the engine's
 //!   [`EpochPhase`] marker says `Planning` (or `Idle`) struck inside the
-//!   pure-read plan stage, so the structure is bit-for-bit untouched. The
-//!   epoch is abandoned *before any apply*: its tickets resolve with
-//!   [`DsgError::EpochAborted`] (resubmittable) and the service keeps
-//!   serving.
+//!   pure-read plan stage. If nothing of the drained run had applied yet
+//!   (neither the logical clock nor the generation stamp moved), the
+//!   structure is bit-for-bit untouched: the run is abandoned, its journal
+//!   frame is truncated off durably (with persistence on), its tickets
+//!   resolve with [`DsgError::EpochAborted`] (resubmittable), and the
+//!   service keeps serving. A fault in the plan stage of a *later* epoch
+//!   of the run, after an earlier one applied, is an apply-stage fault:
+//!   the engine holds part of a journaled run that no replay reproduces.
 //! * **Apply-stage faults**: a panic caught while the marker says
 //!   `Applying` may have left the structure half-mutated. The service
 //!   **poisons** itself: every in-flight and queued ticket resolves with
@@ -92,9 +96,10 @@
 //! panicked append rolls the journal back to the last committed frame,
 //! fails only that run's tickets with [`DsgError::Persist`], and keeps
 //! serving (if the rollback itself fails, the journal no longer matches
-//! the engine and the service poisons); a failed checkpoint is abandoned
-//! and counted, and the store keeps serving under the previous snapshot's
-//! binding.
+//! the engine and the service poisons — as it does when the frame of a
+//! plan-aborted run cannot be truncated off); a failed checkpoint is
+//! abandoned and counted, and the store keeps serving under the previous
+//! snapshot's binding.
 //!
 //! # Overload model
 //!
@@ -321,7 +326,8 @@ pub struct ServiceMetrics {
     pub deep_audits_certified: u64,
     /// Audits (either tier) that found a violated invariant.
     pub audit_failures: u64,
-    /// Plan-stage faults contained (epoch abandoned, engine untouched).
+    /// Plan-stage faults contained (run abandoned before anything of it
+    /// applied, engine untouched, its journal frame taken back).
     pub plan_aborts: u64,
     /// Apply-stage faults (or failed audits) that poisoned the service.
     pub poisonings: u64,
@@ -1525,6 +1531,7 @@ impl Worker {
         }
 
         self.beat(STAGE_ENGINE);
+        let before = self.applied_mark();
         let session = &mut self.session;
         let served = panic::catch_unwind(AssertUnwindSafe(|| {
             // Fault-injection site: a panic at the top of the ingest loop
@@ -1573,8 +1580,16 @@ impl Worker {
                     ticket.resolve(Err(err.clone()));
                 }
             }
-            Err(payload) => self.contain_fault(&tickets, payload),
+            Err(payload) => self.contain_fault(&tickets, payload, before),
         }
+    }
+
+    /// What a chunk moves once any of it applies: the logical clock (every
+    /// epoch advances it at its plan/apply transition, and so may a tick)
+    /// and the generation stamp (every join, leave and install moves it).
+    fn applied_mark(&self) -> (u64, Generation) {
+        let engine = self.session.engine();
+        (engine.time(), engine.generation())
     }
 
     /// Appends the chunk to the durable journal (a no-op without
@@ -1727,28 +1742,54 @@ impl Worker {
     }
 
     /// A panic unwound out of the engine: abort or poison depending on
-    /// which side of the plan/apply boundary it struck.
-    fn contain_fault(&mut self, tickets: &[Arc<TicketCell>], payload: Box<dyn Any + Send>) {
+    /// which side of the plan/apply boundary it struck, and on whether an
+    /// earlier epoch (or membership change) of the chunk had already
+    /// applied — `before` is the chunk's [`applied_mark`](Self::applied_mark)
+    /// from before the engine was entered.
+    fn contain_fault(
+        &mut self,
+        tickets: &[Arc<TicketCell>],
+        payload: Box<dyn Any + Send>,
+        before: (u64, Generation),
+    ) {
         let msg = payload_message(payload.as_ref());
-        match self.session.engine().epoch_phase() {
-            EpochPhase::Applying => {
-                self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
-                self.poison(tickets);
+        // Planning (or Idle, for a fault before the engine was even
+        // entered — e.g. the ingest.loop site) is pure-read territory. If
+        // nothing of the chunk applied either, the engine is untouched:
+        // abandon the chunk and keep serving. Otherwise the engine holds
+        // part of a journaled chunk, which no replay reproduces.
+        let untouched = self.session.engine().epoch_phase() != EpochPhase::Applying
+            && self.applied_mark() == before;
+        if untouched && self.abandon_chunk() {
+            self.shared.plan_aborts.fetch_add(1, Ordering::Relaxed);
+            for ticket in tickets {
+                ticket.resolve(Err(DsgError::EpochAborted(msg.clone())));
             }
-            // Planning (or Idle, for a fault before the engine was even
-            // entered — e.g. the ingest.loop site): pure-read territory,
-            // the engine is untouched. Abandon the epoch, keep serving.
-            EpochPhase::Planning | EpochPhase::Idle => {
-                self.session
-                    .engine_mut()
-                    .acknowledge_plan_abort()
-                    .expect("phase was not Applying");
-                self.shared.plan_aborts.fetch_add(1, Ordering::Relaxed);
-                for ticket in tickets {
-                    ticket.resolve(Err(DsgError::EpochAborted(msg.clone())));
-                }
-            }
+        } else {
+            self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
+            self.poison(tickets);
         }
+    }
+
+    /// Abandons the chunk a plan-stage fault left the engine untouched by:
+    /// clears the phase marker and takes the chunk's frame back off the
+    /// journal — durably, before its tickets say it was not served, since
+    /// a restart would replay it into an engine that never applied it.
+    /// `false` if the frame could not be taken back: the journal no longer
+    /// matches the engine.
+    fn abandon_chunk(&mut self) -> bool {
+        self.session
+            .engine_mut()
+            .acknowledge_plan_abort()
+            .expect("phase was not Applying");
+        let Some(store) = self.store.as_mut() else {
+            return true;
+        };
+        let retracted = store.retract_last_frame().is_ok();
+        self.shared
+            .journal_bytes
+            .store(store.journal_len(), Ordering::Relaxed);
+        retracted
     }
 
     /// Poisons the service: flag set under the queue lock, every
@@ -1902,6 +1943,7 @@ mod tests {
         });
         let done = service.shutdown().unwrap();
         assert_eq!(done.metrics.submitted, 32);
+        assert!(1 <= done.metrics.batches && done.metrics.batches <= done.metrics.epochs);
         done.session.engine().validate().unwrap();
     }
 

@@ -31,9 +31,8 @@
 //! # }
 //! ```
 //!
-//! Construction replaces the three historical constructors (`new`,
-//! `new_random`, `from_parts`) with one fluent, *validating* path: the
-//! builder returns [`DsgError::InvalidConfig`] instead of panicking on bad
+//! The builder is the one construction path, and it *validates*: it
+//! returns [`DsgError::InvalidConfig`] instead of panicking on bad
 //! parameters. Metrics flow through [`DsgObserver`] hooks instead of
 //! polling the engine's [`RunStats`].
 //!
@@ -142,8 +141,7 @@ impl DsgBuilder {
         self
     }
 
-    /// Explicit `(peer key, membership vector)` pairs; replaces the old
-    /// `DynamicSkipGraph::from_parts` constructor (used by the paper's
+    /// Explicit `(peer key, membership vector)` pairs (used by the paper's
     /// worked examples and by tests). Mutually exclusive with
     /// [`peers`](Self::peers).
     pub fn members<I: IntoIterator<Item = (u64, MembershipVector)>>(mut self, members: I) -> Self {
@@ -153,7 +151,7 @@ impl DsgBuilder {
     }
 
     /// Use uniformly random initial membership vectors (the classic
-    /// randomised construction); replaces `DynamicSkipGraph::new_random`.
+    /// randomised construction).
     pub fn random_vectors(mut self) -> Self {
         self.vectors = InitialVectors::Random;
         self

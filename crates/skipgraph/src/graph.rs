@@ -203,9 +203,9 @@ struct ListMeta {
 /// probing candidate keys for occupancy, and under uniform traffic most
 /// split decisions are rewritten each request, so thousands of dummies
 /// churn per request at large n — an O(1) hash probe with no tree walk
-/// makes those probes 7–12× cheaper (the `dummy_probe` table in
-/// `BENCH_perf.json`). The ordered half serves predecessor/successor
-/// queries and ascending iteration. A sorted `Vec` was measured for the
+/// measured 7–12× cheaper than a `BTreeMap` probe at n = 256–4096. The
+/// ordered half serves predecessor/successor queries and ascending
+/// iteration. A sorted `Vec` was measured for the
 /// ordered half first and rejected: at ~10k dummy inserts/removals per
 /// request (n = 4096) the O(n) tail `memmove` per mutation cost more than
 /// the probe win saved.

@@ -10,9 +10,9 @@
 //!   and this reference with identical operation sequences and require
 //!   identical observable behaviour (same ids, same list orders, same
 //!   neighbours, same route hop counts);
-//! * **benchmarking** — the `route`/`neighbors` microbenchmarks and the
-//!   `bench_perf` binary measure the arena's speedup against this
-//!   representation.
+//! * **benchmarking** — the `route`/`neighbors` groups of the `core`
+//!   criterion bench (`crates/bench/benches/core.rs`) measure the arena's
+//!   speedup against this representation.
 //!
 //! Node ids are assigned with exactly the same arena/free-list discipline
 //! as [`SkipGraph`](crate::SkipGraph), so ids obtained from mirrored

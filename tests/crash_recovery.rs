@@ -5,9 +5,11 @@
 //! store yields an engine bit-identical to an uninterrupted twin — a
 //! fresh, identically-built session that replays the journal's surviving
 //! frames from genesis. Acknowledged requests are always a subsequence of
-//! the journaled ones (WAL ordering: append + fsync before apply), a torn
-//! final frame is truncated and never served, and a *corrupt* (bit-flipped
-//! but complete) frame is a typed refusal, never applied.
+//! the journaled ones (WAL ordering: append + fsync before apply), and
+//! exactly the journaled ones unless an apply fault poisoned the service
+//! (a plan-aborted run's frame is taken back), a torn final frame is
+//! truncated and never served, and a *corrupt* (bit-flipped but complete)
+//! frame is a typed refusal, never applied.
 //!
 //! Every test holds `failpoint::exclusive()`: the registry is
 //! process-global, so an engine running beside the fail-point matrix would
@@ -502,7 +504,67 @@ fn every_fail_point_site_restarts_bit_identical() {
             "site {site}: logical clocks diverge"
         );
         let journaled = flatten(&read_journal(&dir).unwrap().frames);
-        assert_subsequence(&format!("site {site}"), &acked, &journaled);
+        if site == failpoint::APPLY_SPLICE || site == failpoint::DUMMY_PASS0 {
+            // A poisoning fault leaves its unacknowledged run journaled:
+            // the restart replays it in full, as the twin does.
+            assert_subsequence(&format!("site {site}"), &acked, &journaled);
+        } else {
+            // An aborted run's frame is taken back, a failed append is
+            // rolled back, and a failed checkpoint fails no ticket: the
+            // journal holds exactly the acknowledged requests.
+            assert_eq!(journaled, acked, "site {site}: journal != acknowledged");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A run aborted in the plan stage leaves no trace: its frame is taken
+/// back off the journal before its ticket resolves, so a restart replays
+/// only the served run and lands on the engine that served it, image and
+/// logical clock alike — for a fault inside planning and for one before
+/// the engine is entered.
+#[test]
+fn a_plan_aborted_run_leaves_no_frame_to_replay() {
+    let _guard = failpoint::exclusive();
+    failpoint::disarm_all();
+    let (n, seed) = (32u64, 5u64);
+    // Every frame fsynced, no periodic checkpoint: the restart replays the
+    // whole journal behind the initial snapshot.
+    let config = persist_config(1, 0, 1);
+    for site in [failpoint::PLAN_WORKER, failpoint::INGEST_LOOP] {
+        let dir = temp_dir("plan-abort");
+        let (mut service, _) =
+            DsgService::open(&dir, builder(n, seed), config).expect("cold start");
+        let served = Request::communicate(3, 17);
+        serve_one(&service, served).expect("serves cleanly");
+        failpoint::arm(site, 1);
+        let aborted = serve_one(&service, Request::communicate(5, 21));
+        failpoint::disarm_all();
+        assert!(
+            matches!(aborted, Err(DsgError::EpochAborted(_))),
+            "{site}: {aborted:?}"
+        );
+        assert_eq!(
+            service.status().journal_bytes,
+            fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(),
+            "{site}"
+        );
+        let done = service.shutdown().expect("first shutdown");
+        assert_eq!(done.metrics.plan_aborts, 1, "{site}");
+
+        let (restarted, report) = reopen(&dir, n, seed, config);
+        assert_eq!(report.frames_replayed, 1, "{site}");
+        assert_eq!(done.journal, vec![vec![served]], "{site}");
+        assert_eq!(
+            restarted.engine().capture_image(),
+            done.session.engine().capture_image(),
+            "{site}: the restart diverged from the engine that served"
+        );
+        assert_eq!(
+            restarted.engine().time(),
+            done.session.engine().time(),
+            "{site}"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -295,3 +295,32 @@ fn bulk_dummy_install_matches_per_dummy_insertion() {
     assert_eq!(bulk.len(), before, "failed bulk installs must not mutate");
     bulk.validate().unwrap();
 }
+
+/// The dummy-churn guard: on the fixed-seed uniform replay at n = 4096 —
+/// ten requests of `UniformRandom::new(4096, 3)`, one per `submit_batch`,
+/// policy off — the reconciling lifecycle must keep reclaiming standing
+/// dummies in place. Churn counts the dummies actually created (placed
+/// slots minus reclaimed ones) plus those destroyed; the reconciling
+/// lifecycle replays this trace at 59,606 (12,760 reclaimed), and a return
+/// of destroy-everything behaviour costs about 200,000. The replay is
+/// deterministic, so the bound is a count, not a timing.
+#[test]
+fn uniform_replay_at_4096_stays_under_the_dummy_churn_guard() {
+    use dsg_workloads::{UniformRandom, Workload};
+
+    const CHURN_GUARD: usize = 75_000;
+    let mut session = session(4096, 1, InstallStrategy::Batched);
+    let (mut churn, mut reused) = (0usize, 0usize);
+    for request in &UniformRandom::new(4096, 3).generate(10) {
+        let batch = session
+            .submit_batch(std::slice::from_ref(request))
+            .expect("trace peers exist");
+        churn += batch.dummies_inserted - batch.dummies_reused + batch.dummies_destroyed;
+        reused += batch.dummies_reused;
+    }
+    assert!(
+        churn <= CHURN_GUARD,
+        "dummy churn regression: {churn} > {CHURN_GUARD} ({reused} reclaimed)"
+    );
+    assert!(reused > 0, "reconciliation reclaimed no standing dummy");
+}

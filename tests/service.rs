@@ -260,6 +260,45 @@ fn ingest_loop_fault_fails_the_run_and_the_service_continues() {
     done.session.engine().validate().unwrap();
 }
 
+/// A plan-stage fault in the *second* epoch of a run, after the first
+/// epoch applied, is not an abort: the engine holds half of a run that no
+/// replay of its (journaled) chunk reproduces, so the service poisons.
+#[test]
+fn a_plan_fault_after_an_applied_epoch_of_the_run_poisons() {
+    let _guard = failpoint::exclusive();
+    failpoint::disarm_all();
+    let gate = Arc::new(GateInner::default());
+    let mut session = build(32, 5);
+    session.add_observer(Arc::new(Mutex::new(GateObserver(Arc::clone(&gate)))));
+    let mut service = DsgService::spawn(session, ServiceConfig::default()).unwrap();
+
+    // Wedge the ingest loop after its first run's planning, so the next
+    // two requests queue up and drain as one run.
+    let first = service.submit(Request::communicate(0, 16)).unwrap();
+    gate.wait_entered();
+    // Peer 1 repeats, so the run splits into two epochs, each planning one
+    // cluster: the second planning hit fires.
+    failpoint::arm(failpoint::PLAN_WORKER, 2);
+    let pair = [
+        service.submit(Request::communicate(1, 20)).unwrap(),
+        service.submit(Request::communicate(1, 9)).unwrap(),
+    ];
+    gate.release();
+    first.wait().expect("the wedged run serves cleanly");
+    for ticket in &pair {
+        assert_eq!(ticket.wait().unwrap_err(), DsgError::EnginePoisoned);
+    }
+    failpoint::disarm_all();
+    assert!(service.is_poisoned());
+    let metrics = service.metrics();
+    assert_eq!((metrics.plan_aborts, metrics.poisonings), (0, 1));
+
+    service.recover().expect("recovery succeeds");
+    serve_all(&service, &[Request::communicate(2, 30)]);
+    let done = service.shutdown().expect("first shutdown");
+    done.session.engine().validate().unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Fault containment: the apply side of the boundary
 // ---------------------------------------------------------------------
@@ -412,7 +451,10 @@ proptest! {
             }
         });
         let done = service.shutdown().expect("first shutdown");
+        // Every request is submitted exactly once, and every run the
+        // ingest loop served formed at least one epoch.
         prop_assert_eq!(done.metrics.submitted as usize, requests.len());
+        prop_assert!(1 <= done.metrics.batches && done.metrics.batches <= done.metrics.epochs);
         if overload {
             // The armed-but-idle overload layer never degraded anything.
             prop_assert_eq!(done.metrics.shed_submits, 0);

@@ -144,13 +144,108 @@ fn soak_mixed_traffic_sharded() {
     soak(4);
 }
 
-/// Overload soak (PR 9): an open-loop driver offers mixed traffic at
-/// ≥ 2× the service's measured closed-loop capacity, with shedding and
-/// brownout enabled. The run proves that (a) no accepted ticket ever
-/// leaks — every one resolves with an outcome or a typed error, (b) the
-/// controller actually walked the degradation ladder (brownout entered
-/// AND exited), (c) overload surfaced to producers as typed refusals,
-/// and (d) the surviving engine passes the deep invariant sweep.
+/// One arm of the overload A/B: what an open-loop drive left behind.
+struct OverloadArm {
+    accepted: u64,
+    refused: u64,
+    served: u64,
+    status: ServiceStatus,
+    done: dsg::service::ShutdownOutcome,
+}
+
+/// Offers `schedule` open-loop — each request at its due time, whatever
+/// the service is doing — to a service spawned over `session` with
+/// `config`; every 4th request carries a deadline. Waits for every
+/// accepted ticket, then waits for `settled` to hold on the metrics, and
+/// shuts down.
+fn drive_open_loop(
+    session: DsgSession,
+    config: ServiceConfig,
+    schedule: &[(std::time::Duration, Request)],
+    settled: impl Fn(&ServiceMetrics) -> bool,
+) -> OverloadArm {
+    use std::time::{Duration, Instant};
+
+    let mut service = DsgService::spawn(session, config).unwrap();
+    let start = Instant::now();
+    let mut accepted: Vec<Ticket> = Vec::new();
+    let mut refused = 0u64;
+    for (i, &(due, request)) in schedule.iter().enumerate() {
+        if let Some(wait) = due.checked_sub(start.elapsed()) {
+            std::thread::sleep(wait);
+        }
+        // Every 4th request carries a deadline: under 2× overload some of
+        // them expire in the queue and must resolve typed, not hang.
+        let submitted = if i % 4 == 0 {
+            service.submit_with_deadline(request, Duration::from_secs(2))
+        } else {
+            service.submit(request)
+        };
+        match submitted {
+            Ok(ticket) => accepted.push(ticket),
+            Err(SubmitError::Shed { .. } | SubmitError::Overloaded) => refused += 1,
+            Err(err) => panic!("unexpected refusal {err}"),
+        }
+    }
+
+    // No leaked tickets: every accepted submission resolves — served or
+    // shed — within the drain budget.
+    let mut served = 0u64;
+    let mut expired = 0u64;
+    for ticket in &accepted {
+        match ticket
+            .wait_timeout(Duration::from_secs(120))
+            .expect("an accepted ticket leaked: no resolution within 120s")
+        {
+            Ok(_) => served += 1,
+            Err(DsgError::DeadlineExceeded) => expired += 1,
+            Err(err) => panic!("unexpected ticket error {err}"),
+        }
+    }
+    assert_eq!(served + expired, accepted.len() as u64);
+    assert!(served >= 1, "the overloaded service served nothing");
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !settled(&service.metrics()) {
+        assert!(
+            Instant::now() < deadline,
+            "the drained service never settled: {:?}",
+            service.metrics()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let status = service.status();
+    let done = service.shutdown().expect("first shutdown");
+    assert_eq!(done.metrics.submitted, accepted.len() as u64);
+    assert_eq!(
+        done.metrics.shed_submits + done.metrics.rejected_overload,
+        refused
+    );
+    done.session
+        .engine()
+        .validate()
+        .expect("post-overload deep invariant sweep");
+    OverloadArm {
+        accepted: accepted.len() as u64,
+        refused,
+        served,
+        status,
+        done,
+    }
+}
+
+/// Overload soak (PR 9) and its A/B: an open-loop driver offers mixed
+/// traffic at ≥ 2× the service's measured closed-loop capacity, with
+/// shedding and brownout enabled. The run proves that (a) no accepted
+/// ticket ever leaks — every one resolves with an outcome or a typed
+/// error, (b) the controller actually walked the degradation ladder
+/// (brownout entered AND exited), (c) overload surfaced to producers as
+/// typed refusals, and (d) the surviving engine passes the deep invariant
+/// sweep. An off twin replays the same schedule with no controller: it
+/// sheds and browns out nothing, and (e) the shedding arm keeps a strictly
+/// lower median queue sojourn and a tail no higher than the twin's (both
+/// arms share the ramp before the controller engages, and the power-of-two
+/// histogram buckets can tie at the top).
 #[test]
 #[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
 fn soak_overload_shedding_and_brownout() {
@@ -162,7 +257,11 @@ fn soak_overload_shedding_and_brownout() {
 
     const PEERS: u64 = 192;
     const CALIBRATE: usize = 300;
-    const OFFERED: usize = 2_000;
+    /// About a second of offered load on a 2-vCPU box: long enough that
+    /// the ramp before the controller engages (both arms share it) is a
+    /// small part of the drive, so the off twin's unbounded backlog sets
+    /// its median sojourn.
+    const OFFERED: usize = 20_000;
 
     // Phase A — closed-loop calibration: measure the sustained service
     // rate with the same skewed workload the overload phase offers.
@@ -188,86 +287,63 @@ fn soak_overload_shedding_and_brownout() {
         ((CALIBRATE as f64 / started.elapsed().as_secs_f64()) as u64).clamp(50, 2_000_000);
     drop(calibration);
 
-    // Phase B — open loop at 2× capacity against a fresh twin service
-    // with the overload layer on.
+    // Phase B — one open-loop schedule at 2× capacity, offered to a fresh
+    // service with the overload layer on and to an off twin without it.
+    // The queue holds the whole schedule, so the twin refuses nothing.
+    let schedule =
+        OpenLoop::new(ZipfPairs::new(PEERS, 1.1, 0xA5), 2 * capacity_rps).schedule(OFFERED);
+    let queue = ServiceConfig {
+        queue_capacity: 65_536,
+        ..ServiceConfig::default()
+    };
     let overload = OverloadConfig::default()
         .with_brownout_target(Duration::from_millis(2))
         .with_shed_target(Duration::from_millis(10))
         .with_interval(Duration::from_millis(20))
         .with_retry_after(Duration::from_millis(5));
-    let mut service = DsgService::spawn(
-        build(),
-        ServiceConfig {
-            queue_capacity: 4096,
-            ..ServiceConfig::default()
-        }
-        .with_overload(overload),
-    )
-    .unwrap();
-    let mut open = OpenLoop::new(ZipfPairs::new(PEERS, 1.1, 0xA5), 2 * capacity_rps);
-    let start = Instant::now();
-    let mut accepted: Vec<Ticket> = Vec::new();
-    let mut refused = 0u64;
-    for i in 0..OFFERED {
-        let (due, request) = open.next_arrival();
-        if let Some(wait) = due.checked_sub(start.elapsed()) {
-            std::thread::sleep(wait);
-        }
-        // Every 4th request carries a deadline: under 2× overload some of
-        // them expire in the queue and must resolve typed, not hang.
-        let submitted = if i % 4 == 0 {
-            service.submit_with_deadline(request, Duration::from_secs(2))
-        } else {
-            service.submit(request)
-        };
-        match submitted {
-            Ok(ticket) => accepted.push(ticket),
-            Err(SubmitError::Shed { .. } | SubmitError::Overloaded) => refused += 1,
-            Err(err) => panic!("unexpected refusal {err}"),
-        }
-    }
-    assert!(refused >= 1, "2x offered load never produced a refusal");
-
-    // No leaked tickets: every accepted submission resolves — served or
-    // shed — within the drain budget.
-    let mut served = 0u64;
-    let mut expired = 0u64;
-    for ticket in &accepted {
-        match ticket
-            .wait_timeout(Duration::from_secs(120))
-            .expect("an accepted ticket leaked: no resolution within 120s")
-        {
-            Ok(_) => served += 1,
-            Err(DsgError::DeadlineExceeded) => expired += 1,
-            Err(err) => panic!("unexpected ticket error {err}"),
-        }
-    }
-    assert_eq!(served + expired, accepted.len() as u64);
-    assert!(served >= 1, "the overloaded service served nothing");
-
     // The drained queue exits the ladder: brownout entered AND exited.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let metrics = service.metrics();
-        if metrics.brownout_entries >= 1 && metrics.brownout_exits >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "brownout was never both entered ({}) and exited ({})",
-            metrics.brownout_entries,
-            metrics.brownout_exits
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let done = service.shutdown().expect("first shutdown");
-    assert_eq!(done.metrics.submitted, accepted.len() as u64);
-    assert_eq!(done.metrics.shed_submits + done.metrics.rejected_overload, refused);
-    assert!(done.metrics.brownout_chunks >= 1);
-    done.session
-        .engine()
-        .validate()
-        .expect("post-overload deep invariant sweep");
+    let on = drive_open_loop(build(), queue.with_overload(overload), &schedule, |m| {
+        m.brownout_entries >= 1 && m.brownout_exits >= 1
+    });
+    assert!(on.refused >= 1, "2x offered load never produced a refusal");
+    assert!(on.done.metrics.brownout_chunks >= 1);
+
+    let off = drive_open_loop(build(), queue, &schedule, |_| true);
+    assert_eq!(
+        off.refused, 0,
+        "the off twin's queue holds the whole schedule"
+    );
+    assert_eq!(
+        off.done.metrics.shed_submits, 0,
+        "no controller, no shedding"
+    );
+    assert_eq!(
+        off.done.metrics.brownout_chunks, 0,
+        "no controller, no brownout"
+    );
+
+    let summary = format!(
+        "on: {}/{} served, {} refused, sojourn p50 {} us p99 {} us; \
+         off: {}/{} served, sojourn p50 {} us p99 {} us",
+        on.served,
+        on.accepted,
+        on.refused,
+        on.status.sojourn_p50_us,
+        on.status.sojourn_p99_us,
+        off.served,
+        off.accepted,
+        off.status.sojourn_p50_us,
+        off.status.sojourn_p99_us
+    );
+    eprintln!("overload A/B at {capacity_rps} req/s x2: {summary}");
+    assert!(
+        on.status.sojourn_p50_us < off.status.sojourn_p50_us,
+        "shedding did not improve the median sojourn ({summary})"
+    );
+    assert!(
+        on.status.sojourn_p99_us <= off.status.sojourn_p99_us,
+        "shedding worsened the tail sojourn ({summary})"
+    );
 }
 
 /// Fault-injection soak (PR 6; io sites PR 7): a seeded fault schedule
