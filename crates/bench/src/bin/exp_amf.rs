@@ -32,7 +32,7 @@ fn main() {
             let mut total_height = 0usize;
             for trial in 0..trials {
                 let values: Vec<Priority> = (0..n as i64)
-                    .map(|v| Priority::Finite(((v * 2654435761 + trial as i64) % 1_000_003) as i128))
+                    .map(|v| Priority::finite(((v * 2654435761 + trial as i64) % 1_000_003) as i128))
                     .collect();
                 let mut finder = AmfMedian::new((a * n + trial) as u64);
                 let outcome = finder.find_median(&values, a);

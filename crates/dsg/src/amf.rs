@@ -20,6 +20,16 @@
 //! distributed algorithm above, with per-call round accounting) and
 //! [`ExactMedian`] (a deterministic oracle used in unit tests and as the
 //! ablation baseline of experiment E11).
+//!
+//! The simulation keeps every climbing value in one flat buffer of compact
+//! climb records — a 16-byte [`Priority`] plus two `u32` ranks, 24 bytes —
+//! grouped by the skip-list member holding them, so a level's gather needs
+//! no data movement at all unless a bucket is sampled, and a bucket is
+//! sorted (stably) only when it is sampled or picked from. It builds the
+//! same skip lists from the same random draws and samples the same sorted
+//! sequences as a simulation holding one buffer per position would, so it
+//! returns the same medians and charges the same rounds
+//! (`tests::amf_outputs_are_pinned` pins a seeded sequence of calls).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,10 +77,9 @@ impl MedianFinder for ExactMedian {
     fn find_median(&mut self, values: &[Priority], _a: usize) -> MedianOutcome {
         assert!(!values.is_empty(), "median of an empty list is undefined");
         let mut sorted: Vec<Priority> = values.to_vec();
-        sorted.sort();
         // The paper's splits use "P(x) ≥ M goes to the 0-subgraph", so the
         // upper median keeps the two subgraphs balanced for even sizes.
-        let median = sorted[sorted.len() / 2];
+        let (_, &mut median, _) = sorted.select_nth_unstable(values.len() / 2);
         let rounds = (values.len().max(2) as f64).log2().ceil() as usize;
         MedianOutcome {
             median,
@@ -82,19 +91,25 @@ impl MedianFinder for ExactMedian {
 
 /// The paper's randomised distributed AMF algorithm.
 ///
-/// The per-position climb buffers and sampling scratch are owned by the
-/// engine and recycled across calls: a transformation runs one median per
-/// list of the rebuilt subtree, and rebuilding these vectors from scratch
-/// for every list made the engine allocation-bound. The recycling changes
-/// no arithmetic and draws no extra randomness, so results are identical
-/// to the allocating version.
+/// The climb buffers and sampling scratch are owned by the engine and
+/// recycled across calls: a transformation runs one median per list of the
+/// rebuilt subtree. Every value still climbing lives in one flat buffer,
+/// grouped by the skip-list member currently holding it, holders in
+/// position order, so gathering a level's values to their owners moves no
+/// data unless a bucket is sampled. Neither the recycling nor the layout
+/// changes the arithmetic or draws extra randomness.
 #[derive(Debug)]
 pub struct AmfMedian {
     rng: StdRng,
     skip_list: Option<BalancedSkipList>,
     tiny: Vec<Priority>,
-    buffers: Vec<Vec<RankedValue>>,
-    gathered: Vec<Vec<RankedValue>>,
+    /// The climb records of the values still travelling, grouped by the
+    /// member of the current level that holds them.
+    climbing: Vec<RankedValue>,
+    /// Where each holder's run starts in `climbing` (one entry per member
+    /// of the current level, plus the end).
+    runs: Vec<u32>,
+    next_runs: Vec<u32>,
     keep_indices: Vec<usize>,
     kept: Vec<RankedValue>,
 }
@@ -107,8 +122,9 @@ impl AmfMedian {
             rng: StdRng::seed_from_u64(seed),
             skip_list: None,
             tiny: Vec::new(),
-            buffers: Vec::new(),
-            gathered: Vec::new(),
+            climbing: Vec::new(),
+            runs: Vec::new(),
+            next_runs: Vec::new(),
             keep_indices: Vec::new(),
             kept: Vec::new(),
         }
@@ -126,14 +142,15 @@ impl AmfMedian {
     }
 }
 
-/// A value travelling up the skip list together with its discard ranks.
+/// A value travelling up the skip list together with its discard ranks
+/// (24 bytes: ranks never exceed the list length, which fits a `u32`).
 #[derive(Debug, Clone, Copy)]
 struct RankedValue {
     value: Priority,
     /// Number of discarded values known to be ≥ this value.
-    left_rank: usize,
+    left_rank: u32,
     /// Number of discarded values known to be ≤ this value.
-    right_rank: usize,
+    right_rank: u32,
 }
 
 impl MedianFinder for AmfMedian {
@@ -147,13 +164,14 @@ impl MedianFinder for AmfMedian {
             // thousands of small lists per request.)
             self.tiny.clear();
             self.tiny.extend_from_slice(values);
-            self.tiny.sort();
+            let (_, median, _) = self.tiny.select_nth_unstable(n / 2);
             return MedianOutcome {
-                median: self.tiny[self.tiny.len() / 2],
+                median: *median,
                 rounds: n + 1,
                 skip_list_height: 0,
             };
         }
+        assert!(u32::try_from(n).is_ok(), "AMF ranks are counted in u32");
         let skip_list = match self.skip_list.as_mut() {
             Some(list) => {
                 list.rebuild(n, a, &mut self.rng);
@@ -168,80 +186,77 @@ impl MedianFinder for AmfMedian {
         // Levels below this threshold only gather; sampling starts here.
         let sampling_start = ((h.max(2) as f64).log((a as f64 / 2.0).max(1.5)).ceil() as usize) + 1;
 
-        // Per-position buffers of ranked values at the current level
-        // (recycled allocations; only the first `n` slots are used).
-        if self.buffers.len() < n {
-            self.buffers.resize_with(n, Vec::new);
-        }
-        for (slot, &value) in self.buffers.iter_mut().zip(values) {
-            slot.clear();
-            slot.push(RankedValue {
+        // Level 0: every position holds its own value.
+        self.climbing.clear();
+        self.climbing
+            .extend(values.iter().map(|&value| RankedValue {
                 value,
                 left_rank: 0,
                 right_rank: 0,
-            });
-        }
+            }));
+        self.runs.clear();
+        self.runs.extend(0..=n as u32);
 
         let mut rounds = skip_list.construction_rounds();
 
         for level in 1..=h {
             let lower = skip_list.level_members(level - 1);
             let upper = skip_list.level_members(level);
-            // Every lower-level member forwards its buffer to the nearest
-            // upper-level member to its left (position 0 is always in the
-            // upper level). The number of rounds is bounded by the largest
-            // support gap.
-            if self.gathered.len() < upper.len() {
-                self.gathered.resize_with(upper.len(), Vec::new);
-            }
-            for bucket in self.gathered.iter_mut().take(upper.len()) {
-                bucket.clear();
-            }
-            let mut max_gap = 0usize;
-            // The owner of a lower member is the last upper member at or
-            // before it; both sequences are ascending, so a two-pointer
-            // sweep replaces the per-member binary searches. `owner_pos_idx`
-            // tracks the owner's own index in `lower` (for the gap bound).
-            let mut owner_idx = 0usize;
-            let mut owner_pos_idx = 0usize;
-            for (idx, &pos) in lower.iter().enumerate() {
-                while owner_idx + 1 < upper.len() && upper[owner_idx + 1] <= pos {
-                    owner_idx += 1;
-                    while lower[owner_pos_idx] < upper[owner_idx] {
-                        owner_pos_idx += 1;
-                    }
-                }
-                max_gap = max_gap.max(idx - owner_pos_idx);
-                let source = &mut self.buffers[pos];
-                self.gathered[owner_idx].append(source);
-            }
-            rounds += max_gap.max(1);
-
-            // Sampling from level `sampling_start` upward (and always at the
-            // root so that the final list stays O(a·h)). Every position's
-            // buffer was drained into a bucket above, so writing the kept
-            // values back to the upper members' positions leaves the rest
-            // empty, exactly like rebuilding the buffer table from scratch.
             let do_sample = level >= sampling_start || level == h;
-            for (owner_idx, &target) in upper.iter().enumerate() {
-                let bucket = &mut self.gathered[owner_idx];
-                bucket.sort_by_key(|x| x.value);
-                if do_sample && bucket.len() > sample_size {
+            // Every lower-level member forwards its values to the nearest
+            // upper-level member at or before it (position 0 is always in
+            // the upper level, and upper ⊆ lower). The holders' runs are
+            // adjacent in position order, so an owner's bucket is one
+            // contiguous slice: its own run and those of the lower members
+            // up to the next owner. A sampled bucket is written back
+            // compacted, left to right, so the write cursor never
+            // overtakes the unread input. The number of rounds is bounded
+            // by the largest support gap.
+            //
+            // A bucket is sorted only when it is sampled. A stable sort of
+            // a concatenation of stably sorted runs equals the stable sort
+            // of the concatenation itself, so sorting an unsampled bucket
+            // would change nothing the next sort does not redo.
+            self.next_runs.clear();
+            let mut write = 0usize;
+            let mut max_gap = 0usize;
+            let mut idx = 0usize;
+            for (owner_idx, &owner) in upper.iter().enumerate() {
+                debug_assert_eq!(lower[idx], owner, "upper levels are subsets of lower ones");
+                let first = idx;
+                let next_owner = upper.get(owner_idx + 1).copied().unwrap_or(usize::MAX);
+                idx += 1;
+                while idx < lower.len() && lower[idx] < next_owner {
+                    idx += 1;
+                }
+                max_gap = max_gap.max(idx - 1 - first);
+                let (from, to) = (self.runs[first] as usize, self.runs[idx] as usize);
+                self.next_runs.push(write as u32);
+                if do_sample && to - from > sample_size {
                     rounds += 1; // local sort + sample round
+                    let bucket = &mut self.climbing[from..to];
+                    bucket.sort_by_key(|x| x.value);
                     sample_with_ranks(bucket, sample_size, &mut self.keep_indices, &mut self.kept);
-                    self.buffers[target].clear();
-                    self.buffers[target].extend_from_slice(&self.kept);
+                    self.climbing[write..write + self.kept.len()].copy_from_slice(&self.kept);
+                    write += self.kept.len();
                 } else {
-                    std::mem::swap(&mut self.buffers[target], bucket);
+                    if write != from {
+                        self.climbing.copy_within(from..to, write);
+                    }
+                    write += to - from;
                 }
             }
+            self.next_runs.push(write as u32);
+            self.climbing.truncate(write);
+            std::mem::swap(&mut self.runs, &mut self.next_runs);
+            rounds += max_gap.max(1);
         }
 
-        // The left-most node now holds the surviving values; pick the one
-        // whose estimated global rank is closest to n/2 (counting from the
-        // top, i.e. rank 0 = largest).
-        let final_values = &self.buffers[0];
-        let median = pick_by_rank(final_values, n);
+        // The left-most node now holds the surviving values (already
+        // sorted if the top level sampled them); pick the one whose
+        // estimated global rank is closest to n/2.
+        self.climbing.sort_by_key(|x| x.value);
+        let median = pick_by_rank(&self.climbing, n);
         // Broadcast the median back to every node of the list.
         rounds += skip_list.broadcast_rounds();
 
@@ -254,10 +269,9 @@ impl MedianFinder for AmfMedian {
 }
 
 /// Uniformly samples `sample_size` values from a sorted bucket, folding the
-/// discarded values' counts and ranks into the nearest kept value (larger
-/// discarded values increase the kept value's left rank, smaller ones its
-/// right rank). `keep_indices` and `kept` are caller-owned scratch buffers
-/// (overwritten); `kept` holds the result.
+/// discarded values' counts and ranks into the nearest kept value above
+/// them (its right rank). `keep_indices` and `kept` are caller-owned
+/// scratch buffers (overwritten); `kept` holds the result.
 fn sample_with_ranks(
     sorted: &[RankedValue],
     sample_size: usize,
@@ -272,48 +286,39 @@ fn sample_with_ranks(
     keep_indices.dedup();
     kept.clear();
     kept.extend(keep_indices.iter().map(|&i| sorted[i]));
-    // Fold discarded values into the nearest kept value above/below them.
+    // Each discarded value is credited once, to the kept value immediately
+    // above it (crediting both neighbours would double count). The last
+    // index is always kept, so every discarded value has one above it, and
+    // one merge walk finds it.
+    let mut above = 0usize;
     for (idx, value) in sorted.iter().enumerate() {
-        if keep_indices.binary_search(&idx).is_ok() {
+        if keep_indices[above] == idx {
+            above += 1;
             continue;
         }
-        // The kept value just above `idx` (larger or equal, sorted
-        // ascending) absorbs it into its right rank; the one below into its
-        // left rank. Splitting the contribution both ways would double
-        // count, so each discarded value is credited once to the kept value
-        // immediately above it.
-        let above = keep_indices.partition_point(|&k| k < idx);
-        if above < keep_indices.len() {
-            kept[above].right_rank += 1 + value.right_rank + value.left_rank;
-        } else {
-            let below = keep_indices.len() - 1;
-            kept[below].left_rank += 1 + value.left_rank + value.right_rank;
-        }
+        kept[above].right_rank += 1 + value.right_rank + value.left_rank;
     }
 }
 
-/// Picks from the surviving values the one whose estimated global rank is
-/// closest to `n / 2`.
-fn pick_by_rank(survivors: &[RankedValue], n: usize) -> Priority {
-    debug_assert!(!survivors.is_empty());
-    // survivors are sorted ascending (each bucket was sorted before the
-    // final merge); recompute to be safe.
-    let mut sorted = survivors.to_vec();
-    sorted.sort_by_key(|x| x.value);
+/// Picks from the surviving values — sorted ascending — the one whose
+/// estimated global rank is closest to `n / 2`.
+fn pick_by_rank(sorted: &[RankedValue], n: usize) -> Priority {
+    debug_assert!(!sorted.is_empty());
+    debug_assert!(sorted.windows(2).all(|w| w[0].value <= w[1].value));
     let target = n / 2;
     let mut best = sorted[sorted.len() / 2];
     let mut best_err = usize::MAX;
     // Estimated number of values ≤ v: survivors below it plus their folded
     // right ranks plus its own right rank.
     let mut cumulative_below = 0usize;
-    for rv in &sorted {
-        let rank_from_bottom = cumulative_below + rv.right_rank + 1;
+    for rv in sorted {
+        let rank_from_bottom = cumulative_below + rv.right_rank as usize + 1;
         let err = rank_from_bottom.abs_diff(target.max(1));
         if err < best_err {
             best_err = err;
             best = *rv;
         }
-        cumulative_below += 1 + rv.right_rank + rv.left_rank;
+        cumulative_below += 1 + rv.right_rank as usize + rv.left_rank as usize;
     }
     best.value
 }
@@ -323,7 +328,7 @@ mod tests {
     use super::*;
 
     fn finite(values: &[i64]) -> Vec<Priority> {
-        values.iter().map(|&v| Priority::Finite(v as i128)).collect()
+        values.iter().map(|&v| Priority::finite(v as i128)).collect()
     }
 
     /// True rank error of `median` within `values`, measured as distance of
@@ -345,18 +350,18 @@ mod tests {
     fn exact_median_is_the_upper_median() {
         let mut finder = ExactMedian;
         let out = finder.find_median(&finite(&[5, 1, 9, 3]), 2);
-        assert_eq!(out.median, Priority::Finite(5));
+        assert_eq!(out.median, Priority::finite(5));
         let out = finder.find_median(&finite(&[7, 2, 4]), 2);
-        assert_eq!(out.median, Priority::Finite(4));
+        assert_eq!(out.median, Priority::finite(4));
         assert!(out.rounds >= 1);
     }
 
     #[test]
     fn exact_median_handles_infinities() {
         let mut finder = ExactMedian;
-        let values = vec![Priority::Infinity, Priority::Infinity, Priority::Finite(-3)];
+        let values = vec![Priority::INFINITY, Priority::INFINITY, Priority::finite(-3)];
         let out = finder.find_median(&values, 2);
-        assert_eq!(out.median, Priority::Infinity);
+        assert_eq!(out.median, Priority::INFINITY);
     }
 
     #[test]
@@ -370,7 +375,7 @@ mod tests {
     fn amf_on_tiny_lists_is_exact() {
         let mut finder = AmfMedian::new(1);
         let out = finder.find_median(&finite(&[4, 8, 1]), 3);
-        assert_eq!(out.median, Priority::Finite(4));
+        assert_eq!(out.median, Priority::finite(4));
     }
 
     #[test]
@@ -380,7 +385,7 @@ mod tests {
             for n in [50usize, 200, 801] {
                 let mut finder = AmfMedian::new(42 + (a * n) as u64);
                 let values: Vec<Priority> = (0..n as i64)
-                    .map(|v| Priority::Finite(((v * 7919) % 104729) as i128 - 50_000))
+                    .map(|v| Priority::finite(((v * 7919) % 104729) as i128 - 50_000))
                     .collect();
                 let out = finder.find_median(&values, a);
                 let err = rank_error(&values, out.median);
@@ -399,7 +404,7 @@ mod tests {
         for n in [128usize, 1024, 4096] {
             let a = 4;
             let values: Vec<Priority> =
-                (0..n as i64).map(|v| Priority::Finite(v as i128)).collect();
+                (0..n as i64).map(|v| Priority::finite(v as i128)).collect();
             let out = finder.find_median(&values, a);
             let bound = 40.0 * (a as f64) * (n as f64).log2();
             assert!(
@@ -414,10 +419,103 @@ mod tests {
     #[test]
     fn amf_handles_duplicate_values() {
         let mut finder = AmfMedian::new(9);
-        let values: Vec<Priority> = (0..500).map(|v| Priority::Finite((v % 3) as i128)).collect();
+        let values: Vec<Priority> = (0..500).map(|v| Priority::finite((v % 3) as i128)).collect();
         let out = finder.find_median(&values, 3);
         let err = rank_error(&values, out.median);
         assert!(err <= 500 / 6 + 1, "err = {err}");
+    }
+
+    /// The shapes of the pinned AMF inputs: distinct values, heavy ties,
+    /// and lists holding `∞` entries (the communicating pair).
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Distinct,
+        Ties,
+        WithInfinity,
+    }
+
+    /// Deterministic inputs for the AMF pin: an LCG stream mapped onto the
+    /// value ranges the priority rules produce (negative bands far below
+    /// zero, small positive timestamps).
+    fn pinned_values(n: usize, shape: Shape, state: &mut u64) -> Vec<Priority> {
+        (0..n)
+            .map(|i| {
+                *state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let draw = (*state >> 20) as i128;
+                match shape {
+                    Shape::Distinct => Priority::finite(draw - (1 << 43)),
+                    Shape::Ties => Priority::finite(draw % 4 - 1),
+                    Shape::WithInfinity if i % 7 == 3 || draw % 11 == 0 => Priority::INFINITY,
+                    Shape::WithInfinity => Priority::finite(-(draw % 1_000_003) * (1 << 40)),
+                }
+            })
+            .collect()
+    }
+
+    /// Pins the exact `(median, rounds, skip_list_height)` of a seeded
+    /// sequence of `AmfMedian::find_median` calls on one recycled engine,
+    /// reseeded midway like the epoch engine does per cluster. Any change
+    /// to the simulation must return the same medians from the same random
+    /// draws; a median is written as its finite value, `None` for `∞`.
+    #[test]
+    fn amf_outputs_are_pinned() {
+        const SIZES: [usize; 12] = [3, 5, 7, 8, 13, 31, 64, 100, 257, 400, 640, 800];
+        let shapes = [Shape::Distinct, Shape::Ties, Shape::WithInfinity];
+        let mut finder = AmfMedian::new(0x5EED);
+        let mut state = 17u64;
+        let mut observed = Vec::new();
+        for (k, &n) in SIZES.iter().enumerate() {
+            if k == SIZES.len() / 2 {
+                finder.reseed(0xC1A5);
+            }
+            for (s, &shape) in shapes.iter().enumerate() {
+                let a = 2 + (k + s) % 3;
+                let values = pinned_values(n, shape, &mut state);
+                let out = finder.find_median(&values, a);
+                observed.push((n, a, out.median.value(), out.rounds, out.skip_list_height));
+            }
+        }
+        let expected: Vec<(usize, usize, Option<i128>, usize, usize)> = vec![
+            (3, 2, Some(-2868642806738), 4, 0),
+            (3, 3, Some(1), 4, 0),
+            (3, 4, Some(-446154330760806400), 4, 0),
+            (5, 3, Some(780754718580), 6, 0),
+            (5, 4, Some(0), 6, 0),
+            (5, 2, Some(-115664225195524096), 22, 3),
+            (7, 4, Some(-5245441979023), 8, 0),
+            (7, 2, Some(0), 24, 3),
+            (7, 3, Some(-593209612929335296), 20, 3),
+            (8, 2, Some(-3834780970792), 31, 3),
+            (8, 3, Some(0), 26, 2),
+            (8, 4, Some(-485228774988709888), 9, 0),
+            (13, 3, Some(-6042722712937), 33, 4),
+            (13, 4, Some(0), 29, 2),
+            (13, 2, Some(-284219357733584896), 38, 4),
+            (31, 4, Some(1048253745312), 50, 2),
+            (31, 2, Some(1), 68, 7),
+            (31, 3, Some(-173761320095580160), 60, 5),
+            (64, 2, Some(-887559990705), 72, 6),
+            (64, 3, Some(0), 61, 4),
+            (64, 4, Some(-707020061520429056), 57, 3),
+            (100, 3, Some(346356998798), 72, 5),
+            (100, 4, Some(0), 69, 3),
+            (100, 2, Some(-371518381955743744), 87, 8),
+            (257, 4, Some(349304445740), 79, 5),
+            (257, 2, Some(0), 103, 9),
+            (257, 3, Some(-415281143764484096), 111, 7),
+            (400, 2, Some(653178144667), 119, 10),
+            (400, 3, Some(1), 106, 7),
+            (400, 4, Some(-352191166562697216), 88, 4),
+            (640, 3, Some(154624082402), 105, 6),
+            (640, 4, Some(0), 95, 5),
+            (640, 2, Some(-324031574263726080), 135, 11),
+            (800, 4, Some(220602230595), 113, 5),
+            (800, 2, Some(1), 134, 11),
+            (800, 3, Some(-410228887834853376), 121, 7),
+        ];
+        assert_eq!(observed, expected);
     }
 
     #[test]
@@ -425,10 +523,10 @@ mod tests {
         // Half the list is the communicating group (∞ priorities cannot
         // occur more than twice in practice, but the finder must not
         // misorder them).
-        let mut values = vec![Priority::Infinity, Priority::Infinity];
-        values.extend((0..100).map(|v| Priority::Finite(-v as i128)));
+        let mut values = vec![Priority::INFINITY, Priority::INFINITY];
+        values.extend((0..100).map(|v| Priority::finite(-v as i128)));
         let mut finder = AmfMedian::new(5);
         let out = finder.find_median(&values, 2);
-        assert!(out.median < Priority::Infinity);
+        assert!(out.median < Priority::INFINITY);
     }
 }

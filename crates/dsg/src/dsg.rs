@@ -18,7 +18,6 @@
 //! [`communicate`]: DynamicSkipGraph::communicate
 //! [`communicate_epoch`]: DynamicSkipGraph::communicate_epoch
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -26,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dsg_skipgraph::{
-    failpoint, FastHashState, Key, MembershipUpdate, MembershipVector, NodeId, Prefix, SkipGraph,
+    failpoint, Key, MembershipUpdate, MembershipVector, NodeId, Prefix, SkipGraph,
 };
 
 use crate::amf::{AmfMedian, ExactMedian, MedianFinder};
@@ -36,7 +35,7 @@ use crate::dummy;
 use crate::error::DsgError;
 use crate::groups::{self, GroupScratch, GroupUpdateInput};
 use crate::policy::{Admission, AdmissionGate, ClusterSignal, FreqSketch};
-use crate::state::{NodeState, StateDelta, StateTable};
+use crate::state::{NodeState, StateTable};
 use crate::timestamps::{self, TimestampInput};
 use crate::transform::{self, TransformInput, TransformOutcome, TransformPair, MAX_EPOCH_PAIRS};
 use crate::Result;
@@ -128,21 +127,22 @@ pub struct RecoveryReport {
 
 #[derive(Debug)]
 enum MedianEngine {
-    Amf(AmfMedian),
+    /// Boxed: the recycled buffers make the AMF engine ~200 bytes.
+    Amf(Box<AmfMedian>),
     Exact(ExactMedian),
 }
 
 impl MedianEngine {
     fn from_config(config: &DsgConfig) -> Self {
         match config.median {
-            MedianStrategy::Amf => MedianEngine::Amf(AmfMedian::new(config.seed ^ 0xA3F)),
+            MedianStrategy::Amf => MedianEngine::Amf(Box::new(AmfMedian::new(config.seed ^ 0xA3F))),
             MedianStrategy::Exact => MedianEngine::Exact(ExactMedian),
         }
     }
 
     fn as_finder(&mut self) -> &mut dyn MedianFinder {
         match self {
-            MedianEngine::Amf(engine) => engine,
+            MedianEngine::Amf(engine) => &mut **engine,
             MedianEngine::Exact(engine) => engine,
         }
     }
@@ -178,32 +178,17 @@ impl PlanShard {
     }
 }
 
-/// Reusable per-cluster snapshot buffers (member list, old vectors,
-/// per-pair group snapshots), pooled on the engine so a warm epoch's plan
-/// stage allocates none of them — the same recycling the pre-split
-/// `CommScratch` provided, now per cluster because plans of one epoch are
-/// alive simultaneously.
+/// Reusable per-cluster buffers — the member list and the transformation
+/// trace, which the plan refills in place — pooled on the engine so a warm
+/// epoch's plan stage allocates none of them. Per cluster because the
+/// plans of one epoch are alive simultaneously.
 #[derive(Debug, Default)]
 struct ClusterBufs {
+    /// The members of the cluster's root list, ascending key order,
+    /// dummies excluded.
     members: Vec<NodeId>,
-    old_mvecs: HashMap<NodeId, MembershipVector, FastHashState>,
-    /// Pooled per-pair pre-merge group snapshots; only the first
-    /// `pair_indices.len()` entries of a run are meaningful.
-    pair_snaps: Vec<(
-        HashSet<NodeId, FastHashState>,
-        HashSet<NodeId, FastHashState>,
-    )>,
-}
-
-impl ClusterBufs {
-    fn reset(&mut self) {
-        self.members.clear();
-        self.old_mvecs.clear();
-        for (u_set, v_set) in &mut self.pair_snaps {
-            u_set.clear();
-            v_set.clear();
-        }
-    }
+    /// The transformation trace, indexed by position in `members`.
+    outcome: TransformOutcome,
 }
 
 /// Splitmix64-style derivation of a cluster's AMF seed from the session
@@ -225,16 +210,12 @@ fn cluster_plan_seed(seed: u64, t_first: u64) -> u64 {
 /// per use.
 #[derive(Debug, Default)]
 struct CommScratch {
-    /// Post-transformation vectors of the members whose vector changed
-    /// (rule T3 resolves through this map so the timestamp rules can run
-    /// before the deferred epoch install).
-    new_mvecs: HashMap<NodeId, MembershipVector, FastHashState>,
     groups: GroupScratch,
     /// Lists whose membership or split pattern the install changed — the
     /// scope of the differential dummy GC and balance repair. Filled by the
     /// batch installer (epoch-deduplicated) or derived from the diff plan
-    /// on the per-node reference path; sorted + deduplicated before the
-    /// repair so its order is deterministic.
+    /// on the per-node reference path; sorted + deduplicated once before
+    /// the repair so its order is deterministic.
     affected: Vec<(usize, Prefix)>,
     /// The slice of [`CommScratch::affected`] belonging to one cluster.
     cluster_affected: Vec<(usize, Prefix)>,
@@ -265,18 +246,14 @@ struct ClusterPlan {
 /// one epoch and consumed by the serial apply/install/repair stages.
 #[derive(Debug)]
 struct ClusterRun {
-    outcome: TransformOutcome,
-    /// The transformation's recorded state writes, applied by the main
-    /// thread in submission order.
-    delta: StateDelta,
     /// Rounds of the per-pair `G_lower` broadcasts, parallel to
     /// [`ClusterPlan::pair_indices`] (filled by the serial group stage).
     group_rounds: Vec<usize>,
     /// Rounds charged for the transformation notification broadcast.
     notification_rounds: usize,
-    /// The cluster's snapshot buffers — member list (ascending key order,
-    /// dummies excluded), pre-transformation vectors, per-pair pre-merge
-    /// group snapshots. Pooled on the engine and recycled across epochs.
+    /// The cluster's member list and transformation trace (whose delta the
+    /// main thread applies in submission order). Pooled on the engine and
+    /// recycled across epochs.
     bufs: ClusterBufs,
     /// Affected lists derived from the diff plan (per-node reference path
     /// only; the batch installer collects them itself).
@@ -1435,11 +1412,7 @@ impl DynamicSkipGraph {
             // One pooled snapshot buffer per cluster (recycled at epoch
             // end), one planning scratch per shard.
             let mut bufs: Vec<ClusterBufs> = (0..clusters.len())
-                .map(|_| {
-                    let mut b = self.bufs_pool.pop().unwrap_or_default();
-                    b.reset();
-                    b
-                })
+                .map(|_| self.bufs_pool.pop().unwrap_or_default())
                 .collect();
             let mut shard_scratch = std::mem::take(&mut self.plan_shards_scratch);
             if plan_shard_target <= 1 {
@@ -1526,12 +1499,9 @@ impl DynamicSkipGraph {
             sketch_aging_passes = sketch.commit();
         }
         for (cluster, run) in clusters.iter().zip(&mut cluster_runs) {
-            self.states.apply_delta(&run.delta);
+            let outcome = &run.bufs.outcome;
+            self.states.apply_delta(&outcome.delta);
             let scratch = &mut self.scratch;
-            scratch.new_mvecs.clear();
-            scratch
-                .new_mvecs
-                .extend(run.outcome.changes.iter().map(|c| (c.node, c.new_mvec)));
             let mut group_rounds = Vec::with_capacity(cluster.pair_indices.len());
             for (j, &pi) in cluster.pair_indices.iter().enumerate() {
                 let (u_id, v_id) = ids[pi];
@@ -1540,7 +1510,7 @@ impl DynamicSkipGraph {
                     v: v_id,
                     alpha: cluster.root_level,
                     members_alpha: &run.bufs.members,
-                    outcome: &run.outcome,
+                    outcome,
                 };
                 let group_outcome = groups::apply_group_updates(
                     &self.graph,
@@ -1554,14 +1524,10 @@ impl DynamicSkipGraph {
                     v: v_id,
                     t: t0 + pi as u64 + 1,
                     alpha: cluster.root_level,
-                    pair_level: run.outcome.pair_levels[j],
+                    pair: j,
                     members_alpha: &run.bufs.members,
-                    old_mvecs: &run.bufs.old_mvecs,
-                    new_mvecs: &scratch.new_mvecs,
-                    u_group_before: &run.bufs.pair_snaps[j].0,
-                    v_group_before: &run.bufs.pair_snaps[j].1,
                     glower_recipients: &scratch.groups.recipients,
-                    outcome: &run.outcome,
+                    outcome,
                 };
                 timestamps::apply_timestamp_rules(&self.graph, &mut self.states, &ts_input);
             }
@@ -1580,13 +1546,13 @@ impl DynamicSkipGraph {
                 let scratch = &mut self.scratch;
                 if cluster_runs.len() == 1 {
                     epoch_touched = self.graph.apply_membership_batch_collecting(
-                        &cluster_runs[0].outcome.changes,
+                        &cluster_runs[0].bufs.outcome.changes,
                         &mut scratch.affected,
                     )?;
                 } else {
                     let merged: Vec<MembershipUpdate> = cluster_runs
                         .iter()
-                        .flat_map(|run| run.outcome.changes.iter().copied())
+                        .flat_map(|run| run.bufs.outcome.changes.iter().copied())
                         .collect();
                     epoch_touched = self
                         .graph
@@ -1598,16 +1564,15 @@ impl DynamicSkipGraph {
             InstallStrategy::PerNode => {
                 let mut touched = 0usize;
                 for (cluster, run) in clusters.iter().zip(&cluster_runs) {
-                    for &node in &run.bufs.members {
-                        if let Some(bits) = run.outcome.suffixes.get(&node) {
-                            self.graph.set_membership_suffix(
-                                node,
-                                cluster.root_level + 1,
-                                bits.iter().copied(),
-                            )?;
-                        }
+                    let outcome = &run.bufs.outcome;
+                    for (pos, &node) in run.bufs.members.iter().enumerate() {
+                        self.graph.set_membership_suffix(
+                            node,
+                            cluster.root_level + 1,
+                            outcome.suffix(pos),
+                        )?;
                     }
-                    touched += run.outcome.touched_pairs;
+                    touched += outcome.touched_pairs;
                 }
                 epoch_touched = touched;
                 install_passes = cluster_runs.len();
@@ -1624,17 +1589,23 @@ impl DynamicSkipGraph {
         // and a repair dummy's prefix extends its own cluster's root), so
         // the pre-computed plans stay exact.
         let batched = !per_node;
+        // The merged install collected one epoch-wide affected set; sort and
+        // deduplicate it once, for the scans below and for
+        // `validate_fast`. Deduplicating matters: a list freed and
+        // re-created within one install pass appears twice in the
+        // collected set, and each duplicate would re-scan the list (and
+        // re-sight its dummies) for nothing.
+        if batched {
+            self.scratch.affected.sort_unstable();
+            self.scratch.affected.dedup();
+        }
         let mut cluster_affected_all: Vec<Vec<(usize, Prefix)>> = Vec::new();
         let mut reconcile_plans: Vec<Option<dummy::ReconcilePlan>> = Vec::new();
         if self.config.maintain_balance && batched {
             for cluster in &clusters {
-                // The merged install collected one epoch-wide affected set;
-                // every entry lies in exactly one cluster's subtree.
-                // Deduplicate before the scan: a list freed and re-created
-                // within one install pass appears twice in the collected
-                // set, and each duplicate would re-scan the list (and
-                // re-sight its dummies) for nothing.
-                let mut affected: Vec<(usize, Prefix)> = self
+                // Every entry lies in exactly one cluster's subtree; the
+                // filter keeps the sorted order.
+                let affected: Vec<(usize, Prefix)> = self
                     .scratch
                     .affected
                     .iter()
@@ -1643,8 +1614,6 @@ impl DynamicSkipGraph {
                         *level >= cluster.root_level && cluster.root_prefix.is_prefix_of(prefix)
                     })
                     .collect();
-                affected.sort_unstable();
-                affected.dedup();
                 cluster_affected_all.push(affected);
             }
             let plan_c_started = Instant::now();
@@ -1821,18 +1790,19 @@ impl DynamicSkipGraph {
             let height_after = self.graph.height();
             for (j, &pi) in cluster.pair_indices.iter().enumerate() {
                 let first = j == 0;
+                let outcome = &run.bufs.outcome;
                 let breakdown = CostBreakdown {
                     routing_cost: routing_costs[pi],
                     notification_rounds: if first { run.notification_rounds } else { 0 },
-                    median_rounds: if first { run.outcome.median_rounds } else { 0 },
+                    median_rounds: if first { outcome.median_rounds } else { 0 },
                     group_accounting_rounds: run.group_rounds[j]
                         + if first {
-                            run.outcome.group_accounting_rounds
+                            outcome.group_accounting_rounds
                         } else {
                             0
                         },
                     restructuring_rounds: if first {
-                        run.outcome.restructuring_rounds + repair_rounds
+                        outcome.restructuring_rounds + repair_rounds
                     } else {
                         0
                     },
@@ -1842,8 +1812,8 @@ impl DynamicSkipGraph {
                     time: t0 + pi as u64 + 1,
                     routing_cost: routing_costs[pi],
                     alpha: alphas[pi],
-                    pair_level: run.outcome.pair_levels[j],
-                    touched_pairs: if first { run.outcome.touched_pairs } else { 0 },
+                    pair_level: outcome.pair_levels[j],
+                    touched_pairs: if first { outcome.touched_pairs } else { 0 },
                     breakdown,
                     height_after,
                     dummies_inserted: if first { dummies_inserted } else { 0 },
@@ -1886,9 +1856,9 @@ impl DynamicSkipGraph {
             for run in &cluster_runs {
                 self.last_affected.extend_from_slice(&run.derived_affected);
             }
+            self.last_affected.sort_unstable();
+            self.last_affected.dedup();
         }
-        self.last_affected.sort_unstable();
-        self.last_affected.dedup();
 
         // Recycle the clusters' snapshot buffers for the next epoch.
         self.bufs_pool
@@ -1929,11 +1899,12 @@ impl DynamicSkipGraph {
 
 /// The *plan* job of one cluster — everything of phase A that reads the
 /// pre-epoch structure: member snapshot, notification accounting, the
-/// pre-merge group snapshots the timestamp rules need, the transformation
-/// proper (planned, state writes recorded), and the per-node reference
-/// path's derived affected-list set. Borrows the graph, states and config
-/// immutably, so disjoint clusters can run on scoped worker threads; the
-/// median engine is the per-shard scratch, reseeded per cluster.
+/// transformation proper (planned, state writes recorded, the pre-merge
+/// group snapshots the timestamp rules need included), and the per-node
+/// reference path's derived affected-list set. Borrows the graph, states
+/// and config immutably, so disjoint clusters can run on scoped worker
+/// threads; the median engine is the per-shard scratch, reseeded per
+/// cluster.
 #[allow(clippy::too_many_arguments)]
 fn plan_cluster(
     graph: &SkipGraph,
@@ -1950,41 +1921,16 @@ fn plan_cluster(
     // the engine is still untouched — the scenario the plan-abort
     // containment (engine bit-for-bit preserved) is tested against.
     failpoint::hit(failpoint::PLAN_WORKER);
+    bufs.members.clear();
     bufs.members.extend(
         graph
             .list_iter(cluster.root_level, cluster.root_prefix)
             .filter(|&id| !graph.node(id).map(|e| e.is_dummy()).unwrap_or(false)),
     );
-    let members = &bufs.members;
     // Broadcasting the notification through the sub skip graph rooted at
     // the cluster root takes O(a · log |l_α|) rounds.
-    let notification_rounds = 1 + config.a * (members.len().max(2) as f64).log2().ceil() as usize;
-
-    // Snapshots needed by the timestamp rules.
-    bufs.old_mvecs.extend(
-        members
-            .iter()
-            .map(|&id| (id, graph.mvec_of(id).expect("member is live"))),
-    );
-    while bufs.pair_snaps.len() < cluster.pair_indices.len() {
-        bufs.pair_snaps.push(Default::default());
-    }
-    for (j, &pi) in cluster.pair_indices.iter().enumerate() {
-        let (u_id, v_id) = ids[pi];
-        let gu = states.group_id(u_id, cluster.root_level);
-        let gv = states.group_id(v_id, cluster.root_level);
-        let (u_set, v_set) = &mut bufs.pair_snaps[j];
-        u_set.extend(
-            members.iter().copied().filter(|&x| {
-                x != u_id && x != v_id && states.group_id(x, cluster.root_level) == gu
-            }),
-        );
-        v_set.extend(
-            members.iter().copied().filter(|&x| {
-                x != u_id && x != v_id && states.group_id(x, cluster.root_level) == gv
-            }),
-        );
-    }
+    let notification_rounds =
+        1 + config.a * (bufs.members.len().max(2) as f64).log2().ceil() as usize;
 
     // Steps 2–9: the transformation proper (one engine run for the whole
     // cluster), planned against the read-only state table.
@@ -2005,48 +1951,37 @@ fn plan_cluster(
     shard
         .median
         .reseed_for_cluster(config.seed, t0 + cluster.pair_indices[0] as u64 + 1);
-    let (outcome, delta) = if per_node {
-        transform::plan_transformation_with(
-            graph,
-            states,
-            shard.median.as_finder(),
-            &input,
-            members,
-            &mut shard.transform,
-        )
-    } else {
-        // The batched installer only needs the diff plan, so the full
-        // per-member suffix map is skipped.
-        transform::plan_transformation_lean_with(
-            graph,
-            states,
-            shard.median.as_finder(),
-            &input,
-            members,
-            &mut shard.transform,
-        )
-    };
+    transform::plan_transformation(
+        graph,
+        states,
+        shard.median.as_finder(),
+        &input,
+        &bufs.members,
+        &mut shard.transform,
+        &mut bufs.outcome,
+    );
 
     // Per-node reference path: derive the affected lists from the diff
-    // plan while the graph still holds the old vectors (the batch
-    // installer collects them itself as it splices).
+    // plan (the batch installer collects them itself as it splices).
     let mut derived_affected = Vec::new();
     if per_node {
-        for change in &outcome.changes {
-            let old = &bufs.old_mvecs[&change.node];
-            for level in (change.from_level - 1)..=old.len() {
+        let outcome = &bufs.outcome;
+        for (old, new) in outcome.before.iter().zip(&outcome.after) {
+            if old == new {
+                continue;
+            }
+            let from_level = old.common_prefix_len(new) + 1;
+            for level in (from_level - 1)..=old.len() {
                 derived_affected.push((level, old.prefix(level)));
             }
-            for level in (change.from_level - 1)..=change.new_mvec.len() {
-                derived_affected.push((level, change.new_mvec.prefix(level)));
+            for level in (from_level - 1)..=new.len() {
+                derived_affected.push((level, new.prefix(level)));
             }
         }
         derived_affected.sort_unstable();
         derived_affected.dedup();
     }
     ClusterRun {
-        outcome,
-        delta,
         group_rounds: Vec::new(),
         notification_rounds,
         bufs,

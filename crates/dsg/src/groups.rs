@@ -10,9 +10,11 @@
 //! *lower* group-base wins and is broadcast to every affected node.
 //!
 //! After a transformation, group-bases are also adjusted for nodes whose
-//! group was split (the two rules at the end of Appendix C).
-
-use std::collections::HashSet;
+//! group was split (the two rules at the end of Appendix C). The split
+//! levels come from the transformation's dense trace: one
+//! [`LevelSet`](crate::transform::LevelSet) per member, indexed by the
+//! member's position in `members_alpha`
+//! ([`TransformOutcome::split_levels`]), so no per-node map is looked up.
 
 use dsg_skipgraph::{NodeId, SkipGraph};
 
@@ -45,10 +47,9 @@ pub struct GroupUpdateOutcome {
 /// the per-request hot path allocates nothing after warm-up.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
-    set: HashSet<NodeId>,
     /// Nodes that initialised or received the `G_lower` vector (timestamp
-    /// rule T4 applies to exactly these nodes). Filled by
-    /// [`apply_group_updates`]; cleared on the next call.
+    /// rule T4 applies to exactly these nodes), sorted and deduplicated.
+    /// Filled by [`apply_group_updates`]; cleared on the next call.
     pub recipients: Vec<NodeId>,
 }
 
@@ -61,7 +62,6 @@ pub fn apply_group_updates(
     scratch: &mut GroupScratch,
 ) -> GroupUpdateOutcome {
     let mut outcome = GroupUpdateOutcome::default();
-    scratch.set.clear();
     scratch.recipients.clear();
     let alpha = input.alpha;
     let bu = states.group_base(input.u);
@@ -80,7 +80,7 @@ pub fn apply_group_updates(
         // arena's borrowing iterator — no member snapshot is allocated.
         let gu_meet = states.group_id(input.u, meet_level);
         let gv_meet = states.group_id(input.v, meet_level);
-        let recipients = &mut scratch.set;
+        let recipients = &mut scratch.recipients;
         let mut broadcast_len = 0usize;
         if let Ok(list) = graph.list_of_iter(input.u, meet_level) {
             for y in list {
@@ -94,7 +94,7 @@ pub fn apply_group_updates(
                     for (i, &g) in glower.iter().enumerate() {
                         states.set_group_id(y, i, g);
                     }
-                    recipients.insert(y);
+                    recipients.push(y);
                 }
             }
         }
@@ -106,25 +106,26 @@ pub fn apply_group_updates(
                 for (i, &g) in glower.iter().enumerate() {
                     states.set_group_id(x, i, g);
                 }
-                recipients.insert(x);
+                recipients.push(x);
             }
         }
-        scratch.recipients.extend(recipients.iter().copied());
+        recipients.sort_unstable();
+        recipients.dedup();
         outcome.rounds += 2 * (broadcast_len.max(2) as f64).log2().ceil() as usize;
     }
 
     // Group-base adjustments for nodes whose group was split by the
     // transformation (Appendix C, final two rules).
-    for &x in input.members_alpha {
-        if let Some(levels) = input.outcome.group_splits.get(&x) {
-            let base = states.group_base(x);
-            if levels.contains(&base) && base > 0 {
-                states.set_group_base(x, base - 1);
-            }
-            let lowest = levels.iter().copied().min().unwrap_or(usize::MAX);
-            if states.group_base(x) == alpha && lowest > alpha + 1 {
-                states.set_group_base(x, lowest - 1);
-            }
+    for (&x, levels) in input.members_alpha.iter().zip(&input.outcome.split_levels) {
+        let Some(lowest) = levels.lowest() else {
+            continue;
+        };
+        let base = states.group_base(x);
+        if levels.contains(base) && base > 0 {
+            states.set_group_base(x, base - 1);
+        }
+        if states.group_base(x) == alpha && lowest > alpha + 1 {
+            states.set_group_base(x, lowest - 1);
         }
     }
 
@@ -141,7 +142,7 @@ pub fn apply_group_updates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::TransformOutcome;
+    use crate::transform::{LevelSet, TransformOutcome};
     use dsg_skipgraph::{Key, MembershipVector};
 
     fn setup(keys: &[u64], vectors: &[&str]) -> (SkipGraph, StateTable, Vec<NodeId>) {
@@ -230,8 +231,12 @@ mod tests {
         let keys = [1u64, 2, 3, 4];
         let (graph, mut states, ids) = setup(&keys, &["0", "0", "0", "0"]);
         states.set_group_base(ids[1], 2);
-        let mut outcome = TransformOutcome::default();
-        outcome.group_splits.insert(ids[1], vec![2]);
+        let mut split_levels = vec![LevelSet::default(); ids.len()];
+        split_levels[1].insert(2);
+        let outcome = TransformOutcome {
+            split_levels,
+            ..TransformOutcome::default()
+        };
         let input = GroupUpdateInput {
             u: ids[0],
             v: ids[3],
@@ -250,8 +255,12 @@ mod tests {
         // x's base sits exactly at α = 0 and its group first splits at
         // level 3 (> α + 1): the base moves up to 2.
         states.set_group_base(ids[2], 0);
-        let mut outcome = TransformOutcome::default();
-        outcome.group_splits.insert(ids[2], vec![3]);
+        let mut split_levels = vec![LevelSet::default(); ids.len()];
+        split_levels[2].insert(3);
+        let outcome = TransformOutcome {
+            split_levels,
+            ..TransformOutcome::default()
+        };
         let input = GroupUpdateInput {
             u: ids[0],
             v: ids[3],

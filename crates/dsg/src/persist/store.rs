@@ -363,13 +363,17 @@ impl DurableStore {
     /// will be served under a brownout verdict, so crash replay degrades
     /// it identically.
     ///
-    /// On error the file may hold a partial frame; the caller must
-    /// [`rollback`](DurableStore::rollback) (and treat a rollback failure
-    /// as fatal). The frame is encoded into a buffer the store keeps and
-    /// written with one `write_all`, except while the `io.append` fail
-    /// point is armed: then the header and the payload are written apart
-    /// with the fail point between them, so it tears a frame exactly like
-    /// a crash mid-append.
+    /// On error the file may hold a partial frame, or a whole frame whose
+    /// cadence fsync failed; either way the frame is not counted in the
+    /// journal length until it is written and, when the cadence falls due,
+    /// synced, so the caller's [`rollback`](DurableStore::rollback) cuts
+    /// the file back to where the frame began (the caller treats a
+    /// rollback failure as fatal). The frame is encoded into a buffer the
+    /// store keeps and written with one `write_all`, except while the
+    /// `io.append` fail point is armed: then the header and the payload
+    /// are written apart with the fail point between them, so it tears a
+    /// frame exactly like a crash mid-append. The `io.sync` fail point sits
+    /// just before the cadence fsync.
     ///
     /// # Errors
     ///
@@ -395,12 +399,17 @@ impl DurableStore {
         self.journal
             .write_all(&frame[split..])
             .map_err(|e| PersistError::io("append a journal frame payload", e))?;
+        if self.config.fsync_every > 0 && self.unsynced + 1 >= self.config.fsync_every {
+            failpoint::hit(failpoint::IO_SYNC);
+            self.journal
+                .sync_data()
+                .map_err(|e| PersistError::io("fsync the journal", e))?;
+            self.unsynced = 0;
+        } else {
+            self.unsynced += 1;
+        }
         self.last_frame = Some(self.journal_len);
         self.journal_len += frame.len() as u64;
-        self.unsynced += 1;
-        if self.config.fsync_every > 0 && self.unsynced >= self.config.fsync_every {
-            self.sync()?;
-        }
         Ok(())
     }
 
@@ -1195,6 +1204,42 @@ mod tests {
             vec![vec![Request::Tick(1)], vec![Request::Tick(3)]]
         );
         assert_eq!(scanned.torn_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rollback_after_a_failed_cadence_sync_lands_on_the_frame_start() {
+        // The guard covers the checkpoint too: other tests arm `io.snapshot`.
+        let _guard = failpoint::exclusive();
+        let dir = temp_store_dir();
+        let config = PersistConfig::default().with_fsync_every(1);
+        let (mut store, _) = DurableStore::open(&dir, config).unwrap();
+        store.checkpoint(&tiny_image(0)).unwrap();
+        store.append_chunk(&[Request::Tick(1)], false).unwrap();
+        let frame_start = store.journal_len();
+
+        failpoint::arm(failpoint::IO_SYNC, 1);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.append_chunk(&[Request::Tick(2)], false)
+        }));
+        failpoint::disarm_all();
+        assert!(failed.is_err(), "the armed fail point must fire");
+        // The whole frame reached the file, but its fsync failed, so it
+        // was never counted: the journal length is where it began.
+        assert!(fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len() > frame_start);
+        assert_eq!(store.journal_len(), frame_start);
+        store.rollback().unwrap();
+        assert_eq!(
+            fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(),
+            frame_start
+        );
+        store.append_chunk(&[Request::Tick(3)], false).unwrap();
+        drop(store);
+        let scanned = read_journal(&dir).unwrap();
+        assert_eq!(
+            scanned.frames,
+            vec![vec![Request::Tick(1)], vec![Request::Tick(3)]]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,7 +13,6 @@
 //!   (rules P3/P4) — which is what lets the split logic recognise when the
 //!   median falls *inside* a non-communicating group (equation (2)).
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use dsg_skipgraph::NodeId;
@@ -22,55 +21,72 @@ use crate::state::StateTable;
 
 /// A node priority: either a finite signed value or `+∞` (the communicating
 /// pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Priority {
-    /// A finite priority (positive for the communicating group, negative for
-    /// everyone else).
-    Finite(i128),
-    /// The communicating nodes' priority (rule P1).
-    Infinity,
+///
+/// Stored as the two halves of an `i128` — `∞` is `i128::MAX` — so a
+/// priority takes 16 bytes at 8-byte alignment instead of the 32 an enum
+/// over `i128` needs: the transformation copies one per member per level
+/// and the median simulation sorts them. The derived order compares the
+/// signed high half, then the unsigned low half, which is exactly the
+/// order of the `i128` values. Finite priorities are capped one below `∞`;
+/// the rules produce values below `2^101` in magnitude, far from the cap.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Priority {
+    hi: i64,
+    lo: u64,
 }
 
 impl Priority {
+    /// The communicating nodes' priority (rule P1).
+    pub const INFINITY: Priority = Priority::from_i128(i128::MAX);
+
+    /// A finite priority (positive for the communicating group, negative
+    /// for everyone else), capped one below [`Priority::INFINITY`].
+    pub const fn finite(value: i128) -> Priority {
+        let capped = if value < i128::MAX { value } else { i128::MAX - 1 };
+        Priority::from_i128(capped)
+    }
+
+    const fn from_i128(value: i128) -> Priority {
+        Priority {
+            hi: (value >> 64) as i64,
+            lo: value as u64,
+        }
+    }
+
+    const fn as_i128(self) -> i128 {
+        ((self.hi as i128) << 64) | self.lo as i128
+    }
+
+    /// Returns `true` for `∞`.
+    pub fn is_infinite(&self) -> bool {
+        *self == Priority::INFINITY
+    }
+
     /// Returns `true` for strictly positive priorities (including `∞`).
     pub fn is_positive(&self) -> bool {
-        match self {
-            Priority::Infinity => true,
-            Priority::Finite(v) => *v > 0,
-        }
+        self.as_i128() > 0
     }
 
     /// Returns the finite value, if any.
-    pub fn finite(&self) -> Option<i128> {
-        match self {
-            Priority::Finite(v) => Some(*v),
-            Priority::Infinity => None,
-        }
+    pub fn value(&self) -> Option<i128> {
+        (!self.is_infinite()).then(|| self.as_i128())
     }
 }
 
-impl PartialOrd for Priority {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Priority {
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Priority::Infinity, Priority::Infinity) => Ordering::Equal,
-            (Priority::Infinity, Priority::Finite(_)) => Ordering::Greater,
-            (Priority::Finite(_), Priority::Infinity) => Ordering::Less,
-            (Priority::Finite(a), Priority::Finite(b)) => a.cmp(b),
+impl fmt::Debug for Priority {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.value() {
+            Some(v) => write!(f, "Finite({v})"),
+            None => write!(f, "Infinity"),
         }
     }
 }
 
 impl fmt::Display for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Priority::Infinity => write!(f, "∞"),
-            Priority::Finite(v) => write!(f, "{v}"),
+        match self.value() {
+            Some(v) => write!(f, "{v}"),
+            None => write!(f, "∞"),
         }
     }
 }
@@ -105,9 +121,9 @@ const PAIR_TOP_BASE: i128 = 1 << 100;
 /// separated deterministically.
 pub fn pair_top_priority(total_pairs: usize, t: u64) -> Priority {
     if total_pairs <= 1 {
-        Priority::Infinity
+        Priority::INFINITY
     } else {
-        Priority::Finite(PAIR_TOP_BASE + t as i128)
+        Priority::finite(PAIR_TOP_BASE + t as i128)
     }
 }
 
@@ -124,7 +140,7 @@ pub fn p2_priority(
     let c = states
         .highest_common_group_level_unbounded(x, anchor)
         .unwrap_or(alpha);
-    Priority::Finite(states.timestamp(x, c).min(states.timestamp(anchor, c)) as i128)
+    Priority::finite(states.timestamp(x, c).min(states.timestamp(anchor, c)) as i128)
 }
 
 /// Evaluates rules P1–P3 for node `x` of the list `l_α` at the start of a
@@ -137,7 +153,7 @@ pub fn p2_priority(
 /// * **P3** — otherwise: `-(G^x_α · t) + T^x_{α+1}`.
 pub fn initial_priority(states: &StateTable, ctx: &PriorityContext, x: NodeId) -> Priority {
     if x == ctx.u || x == ctx.v {
-        return Priority::Infinity;
+        return Priority::INFINITY;
     }
     let gx = states.group_id(x, ctx.alpha);
     if gx == states.group_id(ctx.u, ctx.alpha) {
@@ -189,7 +205,7 @@ pub(crate) fn negative_band_priority(group_id: u64, t: u64, timestamp: u64) -> P
     // Clamp the timestamp into [0, t); the paper guarantees t > T, but a
     // defensive clamp keeps the bands disjoint even for adversarial state.
     let ts = (timestamp as i128).min(t.saturating_sub(1) as i128);
-    Priority::Finite(base + ts)
+    Priority::finite(base + ts)
 }
 
 /// The group-id band that a *negative* finite priority falls into: the
@@ -197,7 +213,7 @@ pub(crate) fn negative_band_priority(group_id: u64, t: u64, timestamp: u64) -> P
 /// the median points at in equation (2) of the paper. Returns `None` for
 /// positive priorities or `∞`.
 pub fn band_of(priority: Priority, t: u64) -> Option<u64> {
-    let p = priority.finite()?;
+    let p = priority.value()?;
     if p > 0 {
         return None;
     }
@@ -232,24 +248,24 @@ mod tests {
     #[test]
     fn priority_ordering_puts_infinity_on_top() {
         let mut ps = vec![
-            Priority::Finite(-40),
-            Priority::Infinity,
-            Priority::Finite(5),
-            Priority::Finite(-68),
+            Priority::finite(-40),
+            Priority::INFINITY,
+            Priority::finite(5),
+            Priority::finite(-68),
         ];
         ps.sort();
         assert_eq!(
             ps,
             vec![
-                Priority::Finite(-68),
-                Priority::Finite(-40),
-                Priority::Finite(5),
-                Priority::Infinity
+                Priority::finite(-68),
+                Priority::finite(-40),
+                Priority::finite(5),
+                Priority::INFINITY
             ]
         );
-        assert!(Priority::Infinity.is_positive());
-        assert!(!Priority::Finite(0).is_positive());
-        assert!(Priority::Finite(3).is_positive());
+        assert!(Priority::INFINITY.is_positive());
+        assert!(!Priority::finite(0).is_positive());
+        assert!(Priority::finite(3).is_positive());
     }
 
     /// Reproduces the priority example of §IV-C: the communication (U, V) at
@@ -316,15 +332,15 @@ mod tests {
 
         let ctx = PriorityContext { u, v, t, alpha: 0 };
 
-        assert_eq!(initial_priority(&st, &ctx, u), Priority::Infinity);
-        assert_eq!(initial_priority(&st, &ctx, v), Priority::Infinity);
+        assert_eq!(initial_priority(&st, &ctx, u), Priority::INFINITY);
+        assert_eq!(initial_priority(&st, &ctx, v), Priority::INFINITY);
         // P2: the highest level where D and U share a group-id is 1, so
         // P(D) = min(T^D_1, T^U_1) = min(4, 2) = 2; same for G and B.
-        assert_eq!(initial_priority(&st, &ctx, d), Priority::Finite(2));
-        assert_eq!(initial_priority(&st, &ctx, g), Priority::Finite(2));
-        assert_eq!(initial_priority(&st, &ctx, b), Priority::Finite(2));
+        assert_eq!(initial_priority(&st, &ctx, d), Priority::finite(2));
+        assert_eq!(initial_priority(&st, &ctx, g), Priority::finite(2));
+        assert_eq!(initial_priority(&st, &ctx, b), Priority::finite(2));
         // P2 for E against V: highest shared level is 2, min(5, 5) = 5.
-        assert_eq!(initial_priority(&st, &ctx, e), Priority::Finite(5));
+        assert_eq!(initial_priority(&st, &ctx, e), Priority::finite(5));
         // P3: the paper's example evaluates −(G · t) + 2 with the raw group
         // identifiers (10 for {H, J}, 6 for {F, I}); this implementation
         // mixes the identifier into the band index (see `mix_group_id`), so
@@ -372,9 +388,9 @@ mod tests {
 
     #[test]
     fn band_of_ignores_positive_priorities() {
-        assert_eq!(band_of(Priority::Infinity, 10), None);
-        assert_eq!(band_of(Priority::Finite(5), 10), None);
-        assert_eq!(band_of(Priority::Finite(-25), 10), Some(3));
+        assert_eq!(band_of(Priority::INFINITY, 10), None);
+        assert_eq!(band_of(Priority::finite(5), 10), None);
+        assert_eq!(band_of(Priority::finite(-25), 10), Some(3));
     }
 
     #[test]
@@ -384,7 +400,7 @@ mod tests {
         st.set_timestamp(id(0), 3, 6);
         let p = recomputed_priority(&st, 50, 2, id(0));
         let band = mix_group_id(9) as i128;
-        assert_eq!(p, Priority::Finite(-(band * 50) + 6));
+        assert_eq!(p, Priority::finite(-(band * 50) + 6));
         assert_eq!(band_of(p, 50), Some(mix_group_id(9)));
     }
 }

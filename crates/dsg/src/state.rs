@@ -403,13 +403,11 @@ impl StateTable {
     /// deferred install must equal the ones a sequential request sequence
     /// would compute after it.
     pub fn highest_common_group_level_unbounded(&self, x: NodeId, y: NodeId) -> Option<usize> {
-        let top = self
-            .get(x)
-            .stored_group_levels()
-            .max(self.get(y).stored_group_levels());
+        let (x, y) = (self.get(x), self.get(y));
+        let top = x.stored_group_levels().max(y.stored_group_levels());
         (0..top)
             .rev()
-            .find(|&level| self.group_id(x, level) == self.group_id(y, level))
+            .find(|&level| x.group_id(level) == y.group_id(level))
     }
 }
 

@@ -20,17 +20,24 @@
 //! * **T4** — the literal text copies a zero timestamp downward, which is a
 //!   no-op; it is read as the intended gap-fill: the lowest level whose
 //!   timestamp is still unset inherits the first set timestamp above it.
+//!
+//! The rules read the transformation's dense trace
+//! ([`TransformOutcome`]), where a member is addressed by its position in
+//! `members_alpha`: the vectors before and after, the pre-merge group
+//! masks of each pair, the split levels, and the medians, recorded once
+//! per list with the list's members. Rule T2 therefore walks the lists,
+//! not the members; it writes only the visited member's own timestamps,
+//! and each member meets its lists in ascending level order, so the result
+//! is the member-by-member one.
 
-use std::collections::{HashMap, HashSet};
-
-use dsg_skipgraph::{FastHashState, MembershipVector, NodeId, SkipGraph};
+use dsg_skipgraph::{NodeId, SkipGraph};
 
 use crate::priority::Priority;
 use crate::state::StateTable;
 use crate::transform::TransformOutcome;
 
 /// Inputs for the timestamp rules.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimestampInput<'a> {
     /// The communicating source.
     pub u: NodeId,
@@ -40,34 +47,32 @@ pub struct TimestampInput<'a> {
     pub t: u64,
     /// The highest common level `α`.
     pub alpha: usize,
-    /// The level `d'` at which this request's pair now forms its two-node
-    /// list (from [`TransformOutcome::pair_levels`]; an epoch applies the
-    /// rules once per pair with that pair's own level).
-    pub pair_level: usize,
+    /// This request's index among the transformation's pairs: it selects
+    /// the pair's level `d'` ([`TransformOutcome::pair_levels`]), its
+    /// endpoints' positions and its pre-merge group masks. An epoch applies
+    /// the rules once per pair.
+    pub pair: usize,
     /// Members of `l_α` (dummies excluded), key order.
     pub members_alpha: &'a [NodeId],
-    /// Membership vectors *before* the transformation.
-    pub old_mvecs: &'a HashMap<NodeId, MembershipVector, FastHashState>,
-    /// Membership vectors *after* the transformation, for the members whose
-    /// vector changed; members absent from this map kept their old vector.
-    /// Rule T3 consults this map first and falls back to the graph, so the
-    /// rules produce identical results whether they run before or after the
-    /// (possibly deferred, epoch-batched) install.
-    pub new_mvecs: &'a HashMap<NodeId, MembershipVector, FastHashState>,
-    /// Members of `u`'s group at level `α` before the merge (excluding `u`).
-    pub u_group_before: &'a HashSet<NodeId, FastHashState>,
-    /// Members of `v`'s group at level `α` before the merge (excluding `v`).
-    pub v_group_before: &'a HashSet<NodeId, FastHashState>,
     /// Nodes that initialised or received `G_lower` (rule T4).
     pub glower_recipients: &'a [NodeId],
-    /// The transformation trace (medians received, group splits, `d'`).
+    /// The transformation trace. Its after-vectors are the
+    /// post-transformation membership vectors, so the rules give the same
+    /// result whether they run before or after the (possibly deferred,
+    /// epoch-batched) install.
     pub outcome: &'a TransformOutcome,
 }
 
+impl TimestampInput<'_> {
+    /// Positions of this pair's `u` and `v` in `members_alpha`.
+    fn endpoints(&self) -> (usize, usize) {
+        self.outcome.endpoints[self.pair]
+    }
+}
+
 /// Applies rules T1–T6 in order. Post-transformation membership vectors
-/// are resolved through [`TimestampInput::new_mvecs`] with the graph as the
-/// fallback, so the caller may invoke this either after the install (the
-/// classic order) or before a deferred epoch-batched install.
+/// come from the trace, so the caller may invoke this either after the
+/// install (the classic order) or before a deferred epoch-batched install.
 pub fn apply_timestamp_rules(
     graph: &SkipGraph,
     states: &mut StateTable,
@@ -75,7 +80,7 @@ pub fn apply_timestamp_rules(
 ) {
     rule_t1(states, input);
     rule_t2(graph, states, input);
-    rule_t3(graph, states, input);
+    rule_t3(states, input);
     rule_t4(states, input);
     rule_t5(states, input);
     rule_t6(states, input);
@@ -85,7 +90,7 @@ pub fn apply_timestamp_rules(
 /// two-node list (and the singleton level above) with the current time, and
 /// harmonises the timestamps of the shared levels below.
 fn rule_t1(states: &mut StateTable, input: &TimestampInput<'_>) {
-    let d = input.pair_level;
+    let d = input.outcome.pair_levels[input.pair];
     for x in [input.u, input.v] {
         states.set_timestamp(x, d, input.t);
         states.set_timestamp(x, d + 1, input.t);
@@ -109,37 +114,34 @@ fn rule_t1(states: &mut StateTable, input: &TimestampInput<'_>) {
 /// median they survived, or the median itself.
 fn rule_t2(graph: &SkipGraph, states: &mut StateTable, input: &TimestampInput<'_>) {
     let u_key = graph.key_of(input.u).map(|k| k.value()).unwrap_or_default();
-    for &x in input.members_alpha {
-        if x == input.u || x == input.v {
-            continue;
-        }
-        let medians = match input.outcome.medians.get(&x) {
-            Some(m) => m,
-            None => continue,
-        };
-        // The nearest communicating node before the transformation: the one
-        // sharing the longer membership-vector prefix with x.
-        let old_x = &input.old_mvecs[&x];
-        let prefix_u = input.old_mvecs[&input.u].common_prefix_len(old_x);
-        let prefix_v = input.old_mvecs[&input.v].common_prefix_len(old_x);
-        let c_prime = prefix_u.max(prefix_v);
-        for &(list_level, median) in medians {
-            let d = list_level;
-            if states.group_id(x, d) != u_key && states.group_id(x, d) != states.group_id(input.u, d)
-            {
+    let (u_pos, v_pos) = input.endpoints();
+    let before = &input.outcome.before;
+    let (old_u, old_v) = (before[u_pos], before[v_pos]);
+    for (d, median, members) in input.outcome.median_lists() {
+        let u_group = states.group_id(input.u, d);
+        let median_ts = median_as_timestamp(median, input.t);
+        for &i in members {
+            let pos = i as usize;
+            if pos == u_pos || pos == v_pos {
                 continue;
             }
-            let median_ts = median_as_timestamp(median, input.t);
+            let x = input.members_alpha[pos];
+            let group = states.group_id(x, d);
+            if group != u_key && group != u_group {
+                continue;
+            }
+            // The nearest communicating node before the transformation:
+            // the one sharing the longer membership-vector prefix with x.
+            let old_x = &before[pos];
+            let c_prime = old_u
+                .common_prefix_len(old_x)
+                .max(old_v.common_prefix_len(old_x));
             // The lowest level c in [α, c') whose timestamp already exceeds
             // the median; if none exists the median becomes the timestamp.
-            let mut inherited = None;
-            for c in input.alpha..c_prime {
-                if states.timestamp(x, c) > median_ts {
-                    inherited = Some(states.timestamp(x, c));
-                    break;
-                }
-            }
-            let value = inherited.unwrap_or(median_ts);
+            let value = (input.alpha..c_prime)
+                .map(|c| states.timestamp(x, c))
+                .find(|&ts| ts > median_ts)
+                .unwrap_or(median_ts);
             states.set_timestamp(x, d + 1, value);
         }
     }
@@ -148,36 +150,30 @@ fn rule_t2(graph: &SkipGraph, states: &mut StateTable, input: &TimestampInput<'_
 /// T3: members of the communicating nodes' old groups whose distance to
 /// their communicating node *shrank* copy the timestamp of the old meeting
 /// level down to the levels the pair no longer shares.
-fn rule_t3(graph: &SkipGraph, states: &mut StateTable, input: &TimestampInput<'_>) {
-    let apply = |states: &mut StateTable, x: NodeId, anchor: NodeId| {
-        let old_x = &input.old_mvecs[&x];
-        let old_anchor = &input.old_mvecs[&anchor];
-        let c_prime = old_anchor.common_prefix_len(old_x);
-        let resolve = |node: NodeId| -> Option<MembershipVector> {
-            match input.new_mvecs.get(&node) {
-                Some(m) => Some(*m),
-                None => graph.mvec_of(node).ok(),
-            }
-        };
-        let Some(new_x) = resolve(x) else { return };
-        let Some(new_anchor) = resolve(anchor) else { return };
-        let c_second = new_anchor.common_prefix_len(&new_x);
+fn rule_t3(states: &mut StateTable, input: &TimestampInput<'_>) {
+    let outcome = input.outcome;
+    let (u_pos, v_pos) = input.endpoints();
+    let apply = |states: &mut StateTable, pos: usize, anchor: usize| {
+        let c_prime = outcome.before[anchor].common_prefix_len(&outcome.before[pos]);
+        let c_second = outcome.after[anchor].common_prefix_len(&outcome.after[pos]);
         if c_prime >= 1 && c_prime - 1 > c_second + 1 {
+            let x = input.members_alpha[pos];
             let anchor_ts = states.timestamp(x, c_prime);
             for i in (c_second + 1)..c_prime {
                 states.set_timestamp(x, i, anchor_ts);
             }
         }
     };
-    for &x in input.members_alpha {
-        if x == input.u || x == input.v {
+    let bit = 1u64 << input.pair;
+    for pos in 0..input.members_alpha.len() {
+        if pos == u_pos || pos == v_pos {
             continue;
         }
-        if input.u_group_before.contains(&x) {
-            apply(states, x, input.u);
+        if outcome.u_groups[pos] & bit != 0 {
+            apply(states, pos, u_pos);
         }
-        if input.v_group_before.contains(&x) {
-            apply(states, x, input.v);
+        if outcome.v_groups[pos] & bit != 0 {
+            apply(states, pos, v_pos);
         }
     }
 }
@@ -215,14 +211,12 @@ fn rule_t4(states: &mut StateTable, input: &TimestampInput<'_>) {
 /// T5: a node whose group was split at level `d` seeds the level below with
 /// the split level's timestamp if it is still unset.
 fn rule_t5(states: &mut StateTable, input: &TimestampInput<'_>) {
-    for &x in input.members_alpha {
-        if let Some(levels) = input.outcome.group_splits.get(&x) {
-            for &d in levels {
-                if d >= 1 && states.timestamp(x, d - 1) == 0 {
-                    let ts = states.timestamp(x, d);
-                    if ts > 0 {
-                        states.set_timestamp(x, d - 1, ts);
-                    }
+    for (&x, levels) in input.members_alpha.iter().zip(&input.outcome.split_levels) {
+        for d in levels.iter() {
+            if states.timestamp(x, d - 1) == 0 {
+                let ts = states.timestamp(x, d);
+                if ts > 0 {
+                    states.set_timestamp(x, d - 1, ts);
                 }
             }
         }
@@ -244,27 +238,34 @@ fn rule_t6(states: &mut StateTable, input: &TimestampInput<'_>) {
 /// time, and negative medians (the node survived a split dominated by a
 /// non-communicating band) contribute nothing.
 fn median_as_timestamp(median: Priority, t: u64) -> u64 {
-    match median {
-        Priority::Infinity => t,
-        Priority::Finite(v) if v > 0 => u64::try_from(v).unwrap_or(t).min(t),
-        Priority::Finite(_) => 0,
+    match median.value() {
+        None => t,
+        Some(v) if v > 0 => u64::try_from(v).unwrap_or(t).min(t),
+        Some(_) => 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::TransformOutcome;
+    use crate::transform::{LevelSet, TransformOutcome};
     use dsg_skipgraph::{Key, MembershipVector, SkipGraph};
 
     struct Fixture {
         graph: SkipGraph,
         states: StateTable,
         ids: Vec<NodeId>,
-        old_mvecs: HashMap<NodeId, MembershipVector, FastHashState>,
+        /// A trace whose pair 0 is `(ids[0], ids[1])` at α = 0, with the
+        /// given old vectors before and the graph's vectors after.
+        outcome: TransformOutcome,
     }
 
-    fn fixture(keys: &[u64], new_vectors: &[&str], old_vectors: &[&str]) -> Fixture {
+    fn fixture(
+        keys: &[u64],
+        new_vectors: &[&str],
+        old_vectors: &[&str],
+        pair_level: usize,
+    ) -> Fixture {
         let graph = SkipGraph::from_members(
             keys.iter()
                 .zip(new_vectors)
@@ -279,16 +280,44 @@ mod tests {
         for (&k, &id) in keys.iter().zip(&ids) {
             states.register(id, Key::new(k), 0);
         }
-        let old_mvecs = ids
-            .iter()
-            .zip(old_vectors)
-            .map(|(&id, v)| (id, MembershipVector::parse(v).unwrap()))
-            .collect();
+        let outcome = TransformOutcome {
+            before: old_vectors
+                .iter()
+                .map(|v| MembershipVector::parse(v).unwrap())
+                .collect(),
+            after: ids.iter().map(|&id| graph.mvec_of(id).unwrap()).collect(),
+            pair_levels: vec![pair_level],
+            endpoints: vec![(0, 1)],
+            u_groups: vec![0; ids.len()],
+            v_groups: vec![0; ids.len()],
+            split_levels: vec![LevelSet::default(); ids.len()],
+            ..TransformOutcome::default()
+        };
         Fixture {
             graph,
             states,
             ids,
-            old_mvecs,
+            outcome,
+        }
+    }
+
+    /// The rules' input for pair 0 of `fx`'s trace at time `t`.
+    fn input<'a>(
+        fx_ids: &[NodeId],
+        outcome: &'a TransformOutcome,
+        t: u64,
+        members: &'a [NodeId],
+        glower: &'a [NodeId],
+    ) -> TimestampInput<'a> {
+        TimestampInput {
+            u: fx_ids[0],
+            v: fx_ids[1],
+            t,
+            alpha: 0,
+            pair: 0,
+            members_alpha: members,
+            glower_recipients: glower,
+            outcome,
         }
     }
 
@@ -298,29 +327,14 @@ mod tests {
             &[1, 2, 3, 4],
             &["000", "001", "01", "1"],
             &["0", "1", "00", "01"],
+            2,
         );
-        let u = fx.ids[0];
-        let v = fx.ids[1];
-        let outcome = TransformOutcome::default();
-        let empty: HashSet<NodeId, FastHashState> = HashSet::default();
-        let input = TimestampInput {
-            u,
-            v,
-            t: 9,
-            alpha: 0,
-            pair_level: 2,
-            members_alpha: &fx.ids,
-            old_mvecs: &fx.old_mvecs,
-            new_mvecs: &HashMap::default(),
-            u_group_before: &empty,
-            v_group_before: &empty,
-            glower_recipients: &[],
-            outcome: &outcome,
-        };
+        let (u, v) = (fx.ids[0], fx.ids[1]);
         // Pre-existing lower-level timestamps to harmonise.
         fx.states.set_timestamp(u, 1, 3);
         fx.states.set_timestamp(v, 1, 5);
-        apply_timestamp_rules(&fx.graph, &mut fx.states, &input);
+        let ts = input(&fx.ids, &fx.outcome, 9, &fx.ids, &[]);
+        apply_timestamp_rules(&fx.graph, &mut fx.states, &ts);
         assert_eq!(fx.states.timestamp(u, 2), 9);
         assert_eq!(fx.states.timestamp(u, 3), 9);
         assert_eq!(fx.states.timestamp(v, 2), 9);
@@ -332,94 +346,43 @@ mod tests {
 
     #[test]
     fn t2_adopts_the_median_when_no_older_timestamp_exists() {
-        let mut fx = fixture(
-            &[1, 2, 3],
-            &["00", "01", "1"],
-            &["0", "00", "01"],
-        );
-        let u = fx.ids[0];
-        let v = fx.ids[1];
-        let w = fx.ids[2];
-        let mut outcome = TransformOutcome::default();
+        let mut fx = fixture(&[1, 2, 3], &["00", "01", "1"], &["0", "00", "01"], 1);
+        let (u, w) = (fx.ids[0], fx.ids[2]);
         // w received a positive median 4 when the level-0 list split.
-        outcome.medians.insert(w, vec![(0, Priority::Finite(4))]);
+        fx.outcome.push_median_list(0, Priority::finite(4), &[2]);
         // w is in u's group at level 0 after the transformation.
         fx.states.set_group_id(w, 0, 1);
         fx.states.set_group_id(u, 0, 1);
-        let empty: HashSet<NodeId, FastHashState> = HashSet::default();
-        let input = TimestampInput {
-            u,
-            v,
-            t: 7,
-            alpha: 0,
-            pair_level: 1,
-            members_alpha: &fx.ids,
-            old_mvecs: &fx.old_mvecs,
-            new_mvecs: &HashMap::default(),
-            u_group_before: &empty,
-            v_group_before: &empty,
-            glower_recipients: &[],
-            outcome: &outcome,
-        };
-        apply_timestamp_rules(&fx.graph, &mut fx.states, &input);
+        let ts = input(&fx.ids, &fx.outcome, 7, &fx.ids, &[]);
+        apply_timestamp_rules(&fx.graph, &mut fx.states, &ts);
         assert_eq!(fx.states.timestamp(w, 1), 4);
     }
 
     #[test]
     fn t5_seeds_the_level_below_a_split() {
-        let mut fx = fixture(&[1, 2], &["0", "1"], &["0", "1"]);
+        let mut fx = fixture(&[1, 2], &["0", "1"], &["0", "1"], 0);
         let x = fx.ids[1];
         fx.states.set_timestamp(x, 3, 6);
-        let mut outcome = TransformOutcome::default();
-        outcome.group_splits.insert(x, vec![3]);
-        let empty: HashSet<NodeId, FastHashState> = HashSet::default();
-        let input = TimestampInput {
-            u: fx.ids[0],
-            v: fx.ids[1],
-            t: 8,
-            alpha: 0,
-            pair_level: 0,
-            members_alpha: &fx.ids,
-            old_mvecs: &fx.old_mvecs,
-            new_mvecs: &HashMap::default(),
-            u_group_before: &empty,
-            v_group_before: &empty,
-            glower_recipients: &[],
-            outcome: &outcome,
-        };
-        rule_t5(&mut fx.states, &input);
+        fx.outcome.split_levels[1].insert(3);
+        let ts = input(&fx.ids, &fx.outcome, 8, &fx.ids, &[]);
+        rule_t5(&mut fx.states, &ts);
         assert_eq!(fx.states.timestamp(x, 2), 6);
         // An already-set timestamp is not overwritten.
         fx.states.set_timestamp(x, 2, 9);
-        rule_t5(&mut fx.states, &input);
+        rule_t5(&mut fx.states, &ts);
         assert_eq!(fx.states.timestamp(x, 2), 9);
     }
 
     #[test]
     fn t6_clears_levels_below_the_group_base() {
-        let mut fx = fixture(&[1, 2], &["0", "1"], &["0", "1"]);
+        let mut fx = fixture(&[1, 2], &["0", "1"], &["0", "1"], 0);
         let x = fx.ids[0];
         fx.states.set_timestamp(x, 0, 4);
         fx.states.set_timestamp(x, 1, 5);
         fx.states.set_timestamp(x, 2, 6);
         fx.states.set_group_base(x, 2);
-        let empty: HashSet<NodeId, FastHashState> = HashSet::default();
-        let outcome = TransformOutcome::default();
-        let input = TimestampInput {
-            u: fx.ids[0],
-            v: fx.ids[1],
-            t: 8,
-            alpha: 0,
-            pair_level: 0,
-            members_alpha: &fx.ids[0..1],
-            old_mvecs: &fx.old_mvecs,
-            new_mvecs: &HashMap::default(),
-            u_group_before: &empty,
-            v_group_before: &empty,
-            glower_recipients: &[],
-            outcome: &outcome,
-        };
-        rule_t6(&mut fx.states, &input);
+        let ts = input(&fx.ids, &fx.outcome, 8, &fx.ids[0..1], &[]);
+        rule_t6(&mut fx.states, &ts);
         assert_eq!(fx.states.timestamp(x, 0), 0);
         assert_eq!(fx.states.timestamp(x, 1), 0);
         assert_eq!(fx.states.timestamp(x, 2), 6);
@@ -427,38 +390,23 @@ mod tests {
 
     #[test]
     fn t4_fills_the_gap_above_the_group_base() {
-        let mut fx = fixture(&[1, 2], &["0", "1"], &["0", "1"]);
+        let mut fx = fixture(&[1, 2], &["0", "1"], &["0", "1"], 0);
         let x = fx.ids[0];
         fx.states.set_group_base(x, 1);
         fx.states.set_timestamp(x, 3, 7);
         fx.states.set_timestamp(x, 2, 0);
         let glower = vec![x];
-        let empty: HashSet<NodeId, FastHashState> = HashSet::default();
-        let outcome = TransformOutcome::default();
-        let input = TimestampInput {
-            u: fx.ids[0],
-            v: fx.ids[1],
-            t: 8,
-            alpha: 0,
-            pair_level: 0,
-            members_alpha: &fx.ids[0..1],
-            old_mvecs: &fx.old_mvecs,
-            new_mvecs: &HashMap::default(),
-            u_group_before: &empty,
-            v_group_before: &empty,
-            glower_recipients: &glower,
-            outcome: &outcome,
-        };
-        rule_t4(&mut fx.states, &input);
+        let ts = input(&fx.ids, &fx.outcome, 8, &fx.ids[0..1], &glower);
+        rule_t4(&mut fx.states, &ts);
         assert_eq!(fx.states.timestamp(x, 2), 7);
         assert_eq!(fx.states.timestamp(x, 1), 7);
     }
 
     #[test]
     fn median_conversion_clamps_sensibly() {
-        assert_eq!(median_as_timestamp(Priority::Infinity, 9), 9);
-        assert_eq!(median_as_timestamp(Priority::Finite(4), 9), 4);
-        assert_eq!(median_as_timestamp(Priority::Finite(400), 9), 9);
-        assert_eq!(median_as_timestamp(Priority::Finite(-3), 9), 0);
+        assert_eq!(median_as_timestamp(Priority::INFINITY, 9), 9);
+        assert_eq!(median_as_timestamp(Priority::finite(4), 9), 4);
+        assert_eq!(median_as_timestamp(Priority::finite(400), 9), 9);
+        assert_eq!(median_as_timestamp(Priority::finite(-3), 9), 0);
     }
 }

@@ -20,14 +20,14 @@
 //!   happened in the past and therefore cannot increase distances inside
 //!   `g_s` (Lemma 3).
 //!
-//! The engine works on an explicit work queue of lists rather than on the
-//! graph itself; the caller applies the resulting membership-vector suffixes
-//! afterwards and then runs the timestamp rules (T1–T6) using the event
-//! trace recorded here.
+//! The engine works on an explicit work stack of lists rather than on the
+//! graph itself; the caller applies the resulting membership vectors
+//! afterwards and then runs the group-base rules (Appendix C) and the
+//! timestamp rules (T1–T6) using the trace recorded here.
 //!
 //! ## Differential install contract
 //!
-//! Besides the full per-member suffix map, the engine reports the
+//! Besides every member's vector before and after, the engine reports the
 //! *difference* between the new vectors and the ones currently installed in
 //! the graph: [`TransformOutcome::changes`] lists, for every member whose
 //! vector actually changes, the first level at which it differs
@@ -41,20 +41,35 @@
 //! the changed `(node, level)` pairs, the quantity the install's work is
 //! proportional to.
 //!
-//! Internally the engine addresses members by their dense position in
-//! `members_alpha` (priorities, partial suffixes, medians and split events
-//! live in flat vectors) so the hot per-level loop performs no hashing; the
-//! hash-keyed maps of [`TransformOutcome`] are materialised once at the
-//! end for the timestamp/group consumers.
-
-use std::collections::HashMap;
+//! ## The dense trace
+//!
+//! A member is addressed by its *position* in `members_alpha` (ascending
+//! key order) throughout, so neither the per-level loop nor the trace it
+//! hands on hashes a [`NodeId`]. The trace lives in flat buffers that the
+//! caller recycles across transformations ([`plan_transformation`] refills
+//! a [`TransformOutcome`] in place):
+//!
+//! * per position: the vector before and after
+//!   ([`TransformOutcome::before`], [`TransformOutcome::after`]), the
+//!   levels at which the member's group was split
+//!   ([`TransformOutcome::split_levels`], one [`LevelSet`] bitmask each)
+//!   and the pre-merge group masks of the pairs
+//!   ([`TransformOutcome::u_groups`], [`TransformOutcome::v_groups`]);
+//! * per list that computed a median: the level, the median and its
+//!   members, concatenated in one buffer ([`TransformOutcome::median_lists`]),
+//!   since every member of a list receives the same median;
+//! * the state writes, as a [`StateDelta`] ([`TransformOutcome::delta`]).
+//!
+//! The group-base rules (`groups`) read the split levels; the timestamp
+//! rules (`timestamps`) read all of it; the per-node reference install
+//! reads the after-vectors.
 
 use dsg_skipgraph::{Bit, MembershipUpdate, MembershipVector, NodeId, SkipGraph};
 
 use crate::amf::MedianFinder;
 use crate::priority::{
-    band_of, negative_band_priority, p2_priority, pair_top_priority, recomputed_priority,
-    Priority,
+    band_of, mix_group_id, negative_band_priority, p2_priority, pair_top_priority,
+    recomputed_priority, Priority,
 };
 use crate::state::{StateDelta, StateTable};
 
@@ -62,6 +77,9 @@ use crate::state::{StateDelta, StateTable};
 /// pairs they contain in a `u64` bitmask. The session layer flushes an
 /// epoch before it accumulates more.
 pub const MAX_EPOCH_PAIRS: usize = 64;
+
+/// Marks a member position that is no pair's endpoint.
+const NO_PAIR: u16 = u16::MAX;
 
 /// One communicating pair served by a transformation epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,14 +124,72 @@ impl TransformInput<'_> {
     }
 }
 
-/// The trace of one transformation, consumed by the timestamp and group-base
-/// rules and by the cost accounting.
+/// A set of levels in `1..=128` — the levels a transformation can split a
+/// group at (the level of the new sublists) — as one bitmask.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelSet(u128);
+
+impl LevelSet {
+    /// Adds `level` (in `1..=128`).
+    pub fn insert(&mut self, level: usize) {
+        debug_assert!((1..=128).contains(&level), "split levels lie in 1..=128");
+        self.0 |= 1u128 << (level - 1);
+    }
+
+    /// Whether `level` is in the set.
+    pub fn contains(&self, level: usize) -> bool {
+        (1..=128).contains(&level) && self.0 & (1u128 << (level - 1)) != 0
+    }
+
+    /// The lowest level in the set.
+    pub fn lowest(&self) -> Option<usize> {
+        (self.0 != 0).then(|| self.0.trailing_zeros() as usize + 1)
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// The levels in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                bit as usize + 1
+            })
+        })
+    }
+}
+
+/// One list of the transformation that computed an approximate median.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MedianList {
+    /// The level at which the list was split (the median decides the bit
+    /// of level `level + 1`).
+    level: usize,
+    /// The approximate median every member received.
+    median: Priority,
+    /// The list's members: `median_members[start..end]` of the outcome.
+    start: u32,
+    end: u32,
+}
+
+/// The trace of one transformation, consumed by the install, the group-base
+/// and timestamp rules and the cost accounting. Every per-member field is
+/// indexed by the member's position in `members_alpha`.
 #[derive(Debug, Clone, Default)]
 pub struct TransformOutcome {
-    /// New membership-vector bits per node, for levels `α+1` upward (in
-    /// order). Nodes not present keep their old vectors (they were not in
-    /// `l_α`).
-    pub suffixes: HashMap<NodeId, Vec<Bit>>,
+    /// The level `α` of the rebuilt subtree's root list.
+    pub alpha: usize,
+    /// Per position: the member's membership vector before the
+    /// transformation.
+    pub before: Vec<MembershipVector>,
+    /// Per position: the member's membership vector after it — the bits of
+    /// levels up to `α` kept, the new bits for levels `α+1` upward.
+    pub after: Vec<MembershipVector>,
     /// The differential install plan: one entry per member whose new vector
     /// *differs* from the one currently installed, carrying the first
     /// changed level and the complete new vector. Members whose bits are
@@ -126,14 +202,29 @@ pub struct TransformOutcome {
     /// The level `d'_i` at which each pair forms its linked list of size
     /// two, indexed like [`TransformInput::pairs`].
     pub pair_levels: Vec<usize>,
-    /// The approximate medians each node received, as `(list_level, M)`
-    /// pairs (timestamp rule T2 needs them).
-    pub medians: HashMap<NodeId, Vec<(usize, Priority)>>,
-    /// For every node, the levels at which the group it belonged to was
-    /// split by this transformation (rule T5 and the group-base updates of
-    /// Appendix C need them). The recorded level is the level of the *new*
-    /// sublists (`list_level + 1`).
-    pub group_splits: HashMap<NodeId, Vec<usize>>,
+    /// The positions of each pair's `u` and `v` in `members_alpha`, indexed
+    /// like [`TransformInput::pairs`] (`usize::MAX` for an endpoint outside
+    /// the root list).
+    pub endpoints: Vec<(usize, usize)>,
+    /// Per position: bit `j` is set when the member was in pair `j`'s `u`
+    /// group at level `α` before the merge (and is neither endpoint of
+    /// pair `j`).
+    pub u_groups: Vec<u64>,
+    /// Per position: the same for pair `j`'s `v` group.
+    pub v_groups: Vec<u64>,
+    /// Per position: the levels at which the group the member belonged to
+    /// was split by this transformation (rule T5 and the group-base updates
+    /// of Appendix C need them): the level of the *new* sublists.
+    pub split_levels: Vec<LevelSet>,
+    /// The lists that computed a median, in processing order (a member's
+    /// lists appear in ascending level order); read through
+    /// [`Self::median_lists`].
+    pub(crate) medians: Vec<MedianList>,
+    /// The members of `medians`, concatenated.
+    pub(crate) median_members: Vec<u32>,
+    /// The state writes the plan recorded (group-ids, dominating flags),
+    /// applied by the caller with [`StateTable::apply_delta`].
+    pub delta: StateDelta,
     /// Number of lists processed (for diagnostics).
     pub processed_lists: usize,
     /// Rounds spent on median computations (including skip-list builds).
@@ -145,394 +236,345 @@ pub struct TransformOutcome {
 }
 
 impl TransformOutcome {
-    /// The lowest level at which `node`'s group was split, if any.
-    pub fn lowest_split_level(&self, node: NodeId) -> Option<usize> {
-        self.group_splits
-            .get(&node)
-            .and_then(|levels| levels.iter().copied().min())
+    /// The lists that computed a median, in processing order, each with
+    /// its level, its median and its members' positions.
+    pub fn median_lists(&self) -> impl Iterator<Item = (usize, Priority, &[u32])> + '_ {
+        self.medians.iter().map(|list| {
+            let members = &self.median_members[list.start as usize..list.end as usize];
+            (list.level, list.median, members)
+        })
+    }
+
+    /// Records that the members at positions `members` formed a list at
+    /// `level` and received `median`.
+    pub fn push_median_list(&mut self, level: usize, median: Priority, members: &[u32]) {
+        let start = self.median_members.len() as u32;
+        self.median_members.extend_from_slice(members);
+        self.medians.push(MedianList {
+            level,
+            median,
+            start,
+            end: self.median_members.len() as u32,
+        });
+    }
+
+    /// The new membership bits of the member at `pos`, for levels `α+1`
+    /// upward.
+    pub fn suffix(&self, pos: usize) -> impl Iterator<Item = Bit> + '_ {
+        self.after[pos].iter().skip(self.alpha)
+    }
+
+    /// Empties the trace for a transformation over `members` members and
+    /// `pairs` pairs, keeping every buffer's capacity.
+    fn reset(&mut self, alpha: usize, members: usize, pairs: usize) {
+        self.alpha = alpha;
+        self.before.clear();
+        self.after.clear();
+        self.changes.clear();
+        self.touched_pairs = 0;
+        self.pair_levels.clear();
+        self.pair_levels.resize(pairs, 0);
+        self.endpoints.clear();
+        self.endpoints.resize(pairs, (usize::MAX, usize::MAX));
+        self.u_groups.clear();
+        self.u_groups.resize(members, 0);
+        self.v_groups.clear();
+        self.v_groups.resize(members, 0);
+        self.split_levels.clear();
+        self.split_levels.resize(members, LevelSet::default());
+        self.medians.clear();
+        self.median_members.clear();
+        self.delta.clear();
+        self.processed_lists = 0;
+        self.median_rounds = 0;
+        self.group_accounting_rounds = 0;
+        self.restructuring_rounds = 0;
     }
 }
 
-/// One list awaiting a split. Members are dense positions into
-/// `members_alpha`, kept in ascending order (hence ascending key order);
-/// vectors are recycled through a pool so the hot loop does not allocate
-/// after warm-up.
-#[derive(Debug)]
+/// One list awaiting a split: a range of the scratch's member order, which
+/// holds the list's members as positions into `members_alpha` in ascending
+/// order (hence ascending key order). Splitting a list partitions its range
+/// stably in place, so the two sublists are the two halves of it.
+#[derive(Debug, Clone, Copy)]
 struct WorkItem {
-    /// The level at which `members` currently form a linked list.
+    /// The level at which the members currently form a linked list.
     list_level: usize,
-    /// The members, as positions into `members_alpha`.
-    members: Vec<u32>,
+    start: usize,
+    end: usize,
     /// Bitmask of the epoch pairs whose *both* endpoints are in this list.
     pairs: u64,
 }
 
+/// The round costs of one level: lists at the same level are processed
+/// *in parallel* by the distributed algorithm, so a level is charged the
+/// maximum over its lists, not the sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct LevelCost {
+    median: usize,
+    group: usize,
+    restructured: bool,
+}
+
 /// Reusable buffers of the transformation's planning half, owned by the
 /// caller (one per plan-stage worker shard) so a warm epoch plans without
-/// allocating the overlay columns.
+/// allocating.
 #[derive(Debug, Default)]
 pub struct TransformScratch {
-    /// Recycled per-member group-id columns of the engine's overlay.
-    columns: Vec<Vec<u64>>,
+    /// Per position: the member's current priority.
+    priorities: Vec<Priority>,
+    /// Per position: the member's group-id at the level of the list it is
+    /// currently in, as decided by this transformation so far.
+    group_ids: Vec<u64>,
+    /// Per position: the pair the member is an endpoint of, or [`NO_PAIR`].
+    pair_of_pos: Vec<u16>,
+    /// Member positions, partitioned in place list by list.
+    order: Vec<u32>,
+    ones: Vec<u32>,
+    stack: Vec<WorkItem>,
+    levels: Vec<LevelCost>,
+    values: Vec<Priority>,
+    bits: Vec<Bit>,
+    gs_mask: Vec<bool>,
+    group_scratch: Vec<(u64, u32)>,
+    /// Per pair: the group-ids of `u` and `v` at the root level before the
+    /// merge.
+    pair_groups: Vec<(u64, u64)>,
 }
 
-/// The group-id view of one transformation in flight: the shared (read-only)
-/// [`StateTable`] overlaid with the group-ids this transformation has
-/// decided so far, addressed by dense member position.
-///
-/// This is what splits the engine into a *plan* half and an *apply* half:
-/// planning needs to read its own group-id writes (step 3's merged root
-/// groups, step 8's sublist ids) while leaving the shared table untouched,
-/// so the writes live in a per-member column starting at the root level and
-/// the matching [`StateDelta`] records them for the caller to apply. A
-/// member descends the split tree through exactly one list per level, so
-/// its column is written in strictly ascending level order with no gaps
-/// (position 0 is pre-filled with the root-level id). Columns are borrowed
-/// from the caller's [`TransformScratch`] and recycled across clusters.
-struct GidOverlay<'a> {
-    states: &'a StateTable,
-    members: &'a [NodeId],
-    alpha: usize,
-    /// Per member position: group-ids for levels `alpha`, `alpha+1`, … as
-    /// decided by this transformation (only the first `members.len()`
-    /// columns are meaningful).
-    written: &'a mut Vec<Vec<u64>>,
-}
-
-impl<'a> GidOverlay<'a> {
-    fn new(
-        states: &'a StateTable,
-        members: &'a [NodeId],
-        alpha: usize,
-        written: &'a mut Vec<Vec<u64>>,
-    ) -> Self {
-        if written.len() < members.len() {
-            written.resize_with(members.len(), Vec::new);
-        }
-        // Pre-fill the root level so every later read of `alpha` and above
-        // hits the dense column instead of the table.
-        for (column, &x) in written.iter_mut().zip(members) {
-            column.clear();
-            column.push(states.group_id(x, alpha));
-        }
-        GidOverlay {
-            states,
-            members,
-            alpha,
-            written,
-        }
-    }
-
-    /// Group-id of the member at dense position `pos` at `level`, reading
-    /// this transformation's own writes first.
-    fn group_id(&self, pos: usize, level: usize) -> u64 {
-        if level >= self.alpha {
-            if let Some(&g) = self.written[pos].get(level - self.alpha) {
-                return g;
-            }
-        }
-        self.states.group_id(self.members[pos], level)
-    }
-
-    /// Records a group-id write (overlay + delta). Writes above the root
-    /// level extend the member's column by exactly one level at a time.
-    fn set_group_id(&mut self, delta: &mut StateDelta, pos: usize, level: usize, value: u64) {
-        let idx = level - self.alpha;
-        let column = &mut self.written[pos];
-        debug_assert!(idx <= column.len(), "group-id writes are level-ordered");
-        if idx == column.len() {
-            column.push(value);
-        } else {
-            column[idx] = value;
-        }
-        delta.push_group_id(self.members[pos], level, value);
-    }
-}
-
-/// Runs the full transformation for one epoch (one or more pairs),
-/// applying the state writes directly: [`plan_transformation`] followed by
-/// [`StateTable::apply_delta`].
-pub fn run_transformation(
-    graph: &SkipGraph,
-    states: &mut StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> TransformOutcome {
-    let (outcome, delta) = plan_transformation(graph, states, median_finder, input, members_alpha);
-    states.apply_delta(&delta);
-    outcome
-}
-
-/// [`run_transformation`] without materialising [`TransformOutcome::suffixes`]
-/// (left empty): the batched install consumes only the diff plan
-/// ([`TransformOutcome::changes`]), so building the full per-member suffix
-/// map — one heap vector per member of `l_α` — would be pure overhead on
-/// the hot path. The timestamp/group traces are identical.
-pub fn run_transformation_lean(
-    graph: &SkipGraph,
-    states: &mut StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> TransformOutcome {
-    let (outcome, delta) =
-        plan_transformation_lean(graph, states, median_finder, input, members_alpha);
-    states.apply_delta(&delta);
-    outcome
-}
-
-/// The *planning* half of the transformation: computes the full trace of
-/// one epoch cluster — membership-bit suffixes, the differential install
-/// plan, medians, split events — against a **read-only** graph and state
-/// table, recording every intended state write in the returned
-/// [`StateDelta`] instead of mutating the table.
+/// Plans the transformation of one epoch cluster: computes the full trace —
+/// new membership vectors, the differential install plan, medians, split
+/// events — against a **read-only** graph and state table, recording every
+/// intended state write in [`TransformOutcome::delta`] instead of mutating
+/// the table. `outcome` is overwritten; its buffers and `scratch`'s are
+/// reused, so a warm plan allocates nothing.
 ///
 /// `members_alpha` must be the members of the root list at `input.alpha`
 /// in ascending key order with dummy nodes already removed, containing
 /// every pair endpoint. Group-ids at the root level are merged per pair in
 /// submission order (Algorithm 1 step 3, recorded in the delta); deeper
 /// group-ids are assigned as lists form (step 8); timestamps are *not*
-/// touched (the caller applies rules T1–T6 per pair using the returned
-/// trace, after applying the delta). `graph` must still hold the
-/// *pre-transformation* membership vectors: the differential install plan
+/// touched (the caller applies rules T1–T6 per pair using the trace, after
+/// applying the delta). `graph` must still hold the *pre-transformation*
+/// membership vectors: the differential install plan
 /// ([`TransformOutcome::changes`]) is computed against them.
 ///
-/// Everything this function touches is borrowed immutably, so disjoint
+/// Everything this function reads is borrowed immutably, so disjoint
 /// clusters of one epoch can be planned concurrently on worker shards; the
 /// caller applies the deltas serially in submission order, which replays
-/// the exact write sequence the mutating twin would have produced.
+/// the exact write sequence a mutating engine would have produced.
 pub fn plan_transformation(
     graph: &SkipGraph,
     states: &StateTable,
     median_finder: &mut dyn MedianFinder,
     input: &TransformInput,
     members_alpha: &[NodeId],
-) -> (TransformOutcome, StateDelta) {
-    let mut scratch = TransformScratch::default();
-    plan_transformation_impl(graph, states, median_finder, input, members_alpha, true, &mut scratch)
-}
-
-/// [`plan_transformation`] with caller-owned recycled buffers (the epoch
-/// engine passes one [`TransformScratch`] per worker shard).
-pub fn plan_transformation_with(
-    graph: &SkipGraph,
-    states: &StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
     scratch: &mut TransformScratch,
-) -> (TransformOutcome, StateDelta) {
-    plan_transformation_impl(graph, states, median_finder, input, members_alpha, true, scratch)
-}
-
-/// [`plan_transformation`] without materialising the suffix map (the
-/// batched-install twin of [`run_transformation_lean`]).
-pub fn plan_transformation_lean(
-    graph: &SkipGraph,
-    states: &StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> (TransformOutcome, StateDelta) {
-    let mut scratch = TransformScratch::default();
-    plan_transformation_impl(graph, states, median_finder, input, members_alpha, false, &mut scratch)
-}
-
-/// [`plan_transformation_lean`] with caller-owned recycled buffers.
-pub fn plan_transformation_lean_with(
-    graph: &SkipGraph,
-    states: &StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-    scratch: &mut TransformScratch,
-) -> (TransformOutcome, StateDelta) {
-    plan_transformation_impl(graph, states, median_finder, input, members_alpha, false, scratch)
-}
-
-fn plan_transformation_impl(
-    graph: &SkipGraph,
-    states: &StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-    collect_suffixes: bool,
-    plan_scratch: &mut TransformScratch,
-) -> (TransformOutcome, StateDelta) {
+    outcome: &mut TransformOutcome,
+) {
     let npairs = input.pairs.len();
     assert!(
         (1..=MAX_EPOCH_PAIRS).contains(&npairs),
         "a transformation epoch serves 1..={MAX_EPOCH_PAIRS} pairs"
     );
+    let alpha = input.alpha;
     let t_epoch = input.t_epoch();
-    let mut outcome = TransformOutcome {
-        pair_levels: vec![0; npairs],
-        ..TransformOutcome::default()
-    };
-    let mut delta = StateDelta::default();
     let n_total = members_alpha.len();
+    outcome.reset(alpha, n_total, npairs);
+    let TransformScratch {
+        priorities,
+        group_ids,
+        pair_of_pos,
+        order,
+        ones,
+        stack,
+        levels,
+        values,
+        bits,
+        gs_mask,
+        group_scratch,
+        pair_groups,
+    } = scratch;
 
-    // Which pair (if any) each dense member position is an endpoint of,
-    // plus the root-item mask of pairs with both endpoints present. One
-    // pass over the members against a small endpoint table — O(n + k),
-    // not O(n · k).
-    let mut pair_of_pos: Vec<Option<u16>> = vec![None; n_total];
-    // Dense positions of each pair's endpoints, for the overlay reads of
-    // the step-3 merge.
-    let mut endpoint_pos: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); npairs];
-    let mut root_pairs = 0u64;
-    {
-        let endpoints: HashMap<NodeId, u16> = input
-            .pairs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, pair)| [(pair.u, i as u16), (pair.v, i as u16)])
-            .collect();
-        let mut seen = [0u8; MAX_EPOCH_PAIRS];
-        for (pos, &x) in members_alpha.iter().enumerate() {
-            if let Some(&i) = endpoints.get(&x) {
-                pair_of_pos[pos] = Some(i);
-                seen[i as usize] += 1;
-                if input.pairs[i as usize].u == x {
-                    endpoint_pos[i as usize].0 = pos;
+    // Which pair (if any) each member position is an endpoint of, plus the
+    // root-item mask of pairs with both endpoints present. Members are in
+    // ascending key order, so each endpoint is found by binary search.
+    pair_of_pos.clear();
+    pair_of_pos.resize(n_total, NO_PAIR);
+    let mut seen = [0u8; MAX_EPOCH_PAIRS];
+    for (i, pair) in input.pairs.iter().enumerate() {
+        for (which, node) in [(0, pair.u), (1, pair.v)] {
+            let key = graph.key_of(node).expect("endpoint is live");
+            let found = members_alpha
+                .binary_search_by_key(&key, |&m| graph.key_of(m).expect("member is live"));
+            if let Ok(pos) = found {
+                pair_of_pos[pos] = i as u16;
+                seen[i] += 1;
+                if which == 0 {
+                    outcome.endpoints[i].0 = pos;
                 } else {
-                    endpoint_pos[i as usize].1 = pos;
+                    outcome.endpoints[i].1 = pos;
                 }
             }
         }
-        for (i, &count) in seen.iter().take(npairs).enumerate() {
-            if count == 2 {
-                root_pairs |= 1 << i;
-            }
+    }
+    let mut root_pairs = 0u64;
+    for (i, &count) in seen.iter().take(npairs).enumerate() {
+        if count == 2 {
+            root_pairs |= 1 << i;
         }
     }
 
-    // Step 2: initial priorities P1–P3 for every member of the root list.
+    // Step 2: initial priorities P1–P3 for every member of the root list,
+    // and the snapshot of each pair's groups before the merge (rule T3).
     // P1 generalises to one distinct top priority per pair; P2 matches a
     // member against the pairs' groups in submission order (first match
     // wins — the deterministic tie-break when groups are shared).
-    let mut priorities: Vec<Priority> = members_alpha
-        .iter()
-        .enumerate()
-        .map(|(pos, &x)| {
-            if let Some(p) = pair_of_pos[pos] {
-                return pair_top_priority(npairs, input.pairs[p as usize].t);
+    pair_groups.clear();
+    pair_groups.extend(input.pairs.iter().map(|pair| {
+        (
+            states.group_id(pair.u, alpha),
+            states.group_id(pair.v, alpha),
+        )
+    }));
+    priorities.clear();
+    group_ids.clear();
+    outcome.before.reserve(n_total);
+    outcome.after.reserve(n_total);
+    for (pos, &x) in members_alpha.iter().enumerate() {
+        let gx = states.group_id(x, alpha);
+        group_ids.push(gx);
+        let before = graph.mvec_of(x).expect("member is live");
+        outcome.before.push(before);
+        let mut after = before;
+        if n_total > 1 {
+            after.truncate(alpha);
+        }
+        outcome.after.push(after);
+        let (mut u_mask, mut v_mask) = (0u64, 0u64);
+        let mut p2 = None;
+        for (j, (pair, &(gu, gv))) in input.pairs.iter().zip(pair_groups.iter()).enumerate() {
+            if gx == gu && p2.is_none() {
+                p2 = Some(pair.u);
+            } else if gx == gv && p2.is_none() {
+                p2 = Some(pair.v);
             }
-            let gx = states.group_id(x, input.alpha);
-            for pair in input.pairs {
-                if gx == states.group_id(pair.u, input.alpha) {
-                    return p2_priority(states, input.alpha, x, pair.u);
-                }
-                if gx == states.group_id(pair.v, input.alpha) {
-                    return p2_priority(states, input.alpha, x, pair.v);
-                }
+            if x != pair.u && x != pair.v {
+                u_mask |= u64::from(gx == gu) << j;
+                v_mask |= u64::from(gx == gv) << j;
             }
-            recomputed_priority(states, t_epoch, input.alpha, x)
-        })
-        .collect();
+        }
+        outcome.u_groups[pos] = u_mask;
+        outcome.v_groups[pos] = v_mask;
+        priorities.push(match (pair_of_pos[pos], p2) {
+            (p, _) if p != NO_PAIR => pair_top_priority(npairs, input.pairs[p as usize].t),
+            (_, Some(anchor)) => p2_priority(states, alpha, x, anchor),
+            (_, None) => recomputed_priority(states, t_epoch, alpha, x),
+        });
+    }
 
     // Step 3: merge each pair's groups at the root level, in submission
     // order (later pairs see — and may absorb — earlier merges). Planned
-    // through the overlay: the shared table stays untouched, the delta
-    // records every write.
-    let mut gids = GidOverlay::new(states, members_alpha, input.alpha, &mut plan_scratch.columns);
+    // against the local group-ids: the shared table stays untouched, the
+    // delta records every write.
     for (i, pair) in input.pairs.iter().enumerate() {
-        let (u_pos, v_pos) = endpoint_pos[i];
-        let gu = if u_pos != usize::MAX {
-            gids.group_id(u_pos, input.alpha)
-        } else {
-            states.group_id(pair.u, input.alpha)
-        };
-        let gv = if v_pos != usize::MAX {
-            gids.group_id(v_pos, input.alpha)
-        } else {
-            states.group_id(pair.v, input.alpha)
-        };
+        let (u_pos, v_pos) = outcome.endpoints[i];
+        let gu = group_ids
+            .get(u_pos)
+            .copied()
+            .unwrap_or_else(|| states.group_id(pair.u, alpha));
+        let gv = group_ids
+            .get(v_pos)
+            .copied()
+            .unwrap_or_else(|| states.group_id(pair.v, alpha));
         let u_key = states.get(pair.u).key().value();
-        for pos in 0..n_total {
-            let gx = gids.group_id(pos, input.alpha);
-            if gx == gu || gx == gv {
-                gids.set_group_id(&mut delta, pos, input.alpha, u_key);
+        for (pos, gx) in group_ids.iter_mut().enumerate() {
+            if *gx == gu || *gx == gv {
+                *gx = u_key;
+                outcome
+                    .delta
+                    .push_group_id(members_alpha[pos], alpha, u_key);
             }
         }
     }
 
-    // Dense per-member traces, indexed by position in `members_alpha`.
-    let mut suffixes: Vec<MembershipVector> = vec![MembershipVector::empty(); n_total];
-    let mut medians: Vec<Vec<(usize, Priority)>> = vec![Vec::new(); n_total];
-    let mut splits: Vec<Vec<usize>> = vec![Vec::new(); n_total];
-
-    // Reusable scratch buffers for the per-list loop.
-    let mut pool: Vec<Vec<u32>> = Vec::new();
-    let mut values: Vec<Priority> = Vec::new();
-    let mut bits: Vec<Bit> = Vec::new();
-    let mut gs_mask: Vec<bool> = Vec::new();
-    let mut group_scratch: Vec<(u64, u32)> = Vec::new();
-
-    // Steps 4–9: recursive, level-parallel splitting. Lists at the same
-    // level are processed *in parallel* by the distributed algorithm, so the
-    // round cost charged for a level is the maximum over its lists, not the
-    // sum; the per-level maxima are accumulated here and summed at the end.
-    let mut median_rounds_per_level: HashMap<usize, usize> = HashMap::new();
-    let mut group_rounds_per_level: HashMap<usize, usize> = HashMap::new();
-    let mut restructure_levels: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let mut queue: Vec<WorkItem> = vec![WorkItem {
-        list_level: input.alpha,
-        members: (0..n_total as u32).collect(),
+    // Steps 4–9: recursive, level-parallel splitting over a stack of lists
+    // (last in, first out: the 1-sublist of a split is processed before
+    // the 0-sublist, which fixes the order the median finder's random
+    // draws are consumed in).
+    order.clear();
+    order.extend(0..n_total as u32);
+    levels.clear();
+    stack.clear();
+    stack.push(WorkItem {
+        list_level: alpha,
+        start: 0,
+        end: n_total,
         pairs: root_pairs,
-    }];
+    });
 
-    while let Some(mut item) = queue.pop() {
-        let n = item.members.len();
+    while let Some(item) = stack.pop() {
+        let n = item.end - item.start;
         if n <= 1 {
-            item.members.clear();
-            pool.push(item.members);
             continue;
         }
         outcome.processed_lists += 1;
-        let next_level = item.list_level + 1;
+        let level = item.list_level;
+        let next_level = level + 1;
+        if levels.len() <= level - alpha {
+            levels.resize(level - alpha + 1, LevelCost::default());
+        }
+        let members = &order[item.start..item.end];
 
         bits.clear();
         if n == 2 {
             // A list of exactly two nodes splits into singletons directly:
             // a communicating pair stops here (this is its level d' of rule
-            // T1); any other two nodes are separated by key order.
+            // T1) as `u → 0, v → 1`; any other two nodes are separated by
+            // key order, i.e. by position.
             if item.pairs != 0 {
                 let p = item.pairs.trailing_zeros() as usize;
-                outcome.pair_levels[p] = item.list_level;
+                outcome.pair_levels[p] = level;
+                let u_pos = outcome.endpoints[p].0;
+                bits.extend(members.iter().map(|&i| {
+                    if i as usize == u_pos {
+                        Bit::Zero
+                    } else {
+                        Bit::One
+                    }
+                }));
+            } else {
+                debug_assert!(members[0] < members[1], "lists keep ascending positions");
+                bits.extend([Bit::Zero, Bit::One]);
             }
-            split_pair_into(graph, input, members_alpha, &item, &mut bits);
         } else {
             // Step 4: approximate median of the members' priorities.
             values.clear();
-            values.extend(item.members.iter().map(|&i| priorities[i as usize]));
-            let median_outcome = median_finder.find_median(&values, input.a);
-            let level_entry = median_rounds_per_level.entry(item.list_level).or_insert(0);
-            *level_entry = (*level_entry).max(median_outcome.rounds);
+            values.extend(members.iter().map(|&i| priorities[i as usize]));
+            let median_outcome = median_finder.find_median(values, input.a);
+            let cost = &mut levels[level - alpha];
+            cost.median = cost.median.max(median_outcome.rounds);
             let m = median_outcome.median;
-            for &i in &item.members {
-                medians[i as usize].push((item.list_level, m));
-            }
+            outcome.push_median_list(level, m, members);
             // Steps 5–6: decide the split.
             let used_counts = decide_split_into(
                 states,
-                &gids,
+                group_ids,
                 t_epoch,
-                item.list_level,
+                level,
                 members_alpha,
-                &item.members,
-                &values,
+                members,
+                values,
                 m,
-                &mut gs_mask,
-                &mut bits,
+                gs_mask,
+                bits,
             );
             if used_counts {
                 // |l_d|, |g_s|, |L_low|, |L_high| are computed by reusing the
                 // balanced skip list: one distributed sum plus a broadcast.
                 let rounds = 2 * (n.max(2) as f64).log2().ceil() as usize;
-                let entry = group_rounds_per_level.entry(item.list_level).or_insert(0);
-                *entry = (*entry).max(rounds);
+                let cost = &mut levels[level - alpha];
+                cost.group = cost.group.max(rounds);
             }
             // Degenerate guard: the approximate median may fail to separate
             // a list (all priorities equal, or an approximate median below
@@ -540,11 +582,11 @@ fn plan_transformation_impl(
             // the classic interleave-and-swap (the pair lands in the
             // 0-subgraph), multi-pair lists interleave *pair atoms* so no
             // pair is torn apart — so that the recursion always terminates.
-            if bits.iter().all(|b| *b == Bit::Zero) || bits.iter().all(|b| *b == Bit::One) {
+            if bits.iter().all(|b| *b == bits[0]) {
                 if npairs > 1 && item.pairs != 0 {
-                    forced_atom_split_into(&pair_of_pos, &item, &mut bits);
+                    forced_atom_split_into(pair_of_pos, item.pairs, members, bits);
                 } else {
-                    forced_balanced_split_into(input, members_alpha, &item, &mut bits);
+                    forced_balanced_split_into(&outcome.endpoints, item.pairs, members, bits);
                 }
             }
             // Case 1 records the is-dominating-group flags. Reads of these
@@ -553,85 +595,92 @@ fn plan_transformation_impl(
             // no planning read can observe a same-transformation write —
             // recording them in the delta is exact.
             if m.is_positive() {
-                for (idx, &i) in item.members.iter().enumerate() {
-                    delta.push_dominating(
+                for (&i, &bit) in members.iter().zip(bits.iter()) {
+                    outcome.delta.push_dominating(
                         members_alpha[i as usize],
-                        item.list_level,
-                        bits[idx] == Bit::Zero,
+                        level,
+                        bit == Bit::Zero,
                     );
                 }
             }
         }
 
-        // Record the new membership bits and form the two sublists. A
-        // pair's endpoints always take the same bit (they share one
-        // priority value and the forced splits keep atoms whole), so a pair
-        // of the parent mask lands entirely in one child; the seen-masks
-        // below track that robustly rather than assuming it.
-        let mut zero_members: Vec<u32> = pool.pop().unwrap_or_default();
-        let mut one_members: Vec<u32> = pool.pop().unwrap_or_default();
+        // Step 8: group bookkeeping for the new sublists. Neighbour search
+        // after the move is bounded by the balance parameter (§IV-C), plus
+        // the a-balance chain check of step 7; all lists of a level perform
+        // it in parallel.
+        let level_group_rounds = assign_new_group_ids(
+            group_ids,
+            &mut outcome.delta,
+            &mut outcome.split_levels,
+            graph,
+            next_level,
+            members_alpha,
+            members,
+            bits,
+            group_scratch,
+        );
+        let cost = &mut levels[level - alpha];
+        cost.group = cost.group.max(level_group_rounds);
+        cost.restructured = true;
+
+        // Record the new membership bits and partition the list stably in
+        // place: 0-members first, then 1-members. A pair's endpoints always
+        // take the same bit (they share one priority value and the forced
+        // splits keep atoms whole), so a pair of the parent mask lands
+        // entirely in one child; the seen-masks track that robustly rather
+        // than assuming it.
         let (mut zero_seen, mut one_seen) = ([0u64; 2], [0u64; 2]);
-        for (idx, &i) in item.members.iter().enumerate() {
-            suffixes[i as usize]
-                .push(bits[idx])
+        ones.clear();
+        let mut write = item.start;
+        for idx in 0..n {
+            let i = order[item.start + idx];
+            let pos = i as usize;
+            let bit = bits[idx];
+            outcome.after[pos]
+                .push(bit)
                 .expect("transformation depth stays far below the 128-level height cap");
-            let endpoint = pair_of_pos[i as usize];
-            match bits[idx] {
+            let seen = match bit {
                 Bit::Zero => {
-                    zero_members.push(i);
-                    if let Some(p) = endpoint {
-                        let which =
-                            usize::from(members_alpha[i as usize] != input.pairs[p as usize].u);
-                        zero_seen[which] |= 1 << p;
-                    }
+                    order[write] = i;
+                    write += 1;
+                    &mut zero_seen
                 }
                 Bit::One => {
-                    one_members.push(i);
-                    if let Some(p) = endpoint {
-                        let which =
-                            usize::from(members_alpha[i as usize] != input.pairs[p as usize].u);
-                        one_seen[which] |= 1 << p;
-                    }
+                    ones.push(i);
+                    &mut one_seen
                 }
+            };
+            let p = pair_of_pos[pos];
+            if p != NO_PAIR {
+                seen[usize::from(pos != outcome.endpoints[p as usize].0)] |= 1 << p;
             }
         }
-        // Neighbour search after the move is bounded by the balance
-        // parameter (§IV-C), plus the a-balance chain check of step 7; all
-        // lists of a level perform it in parallel.
-        restructure_levels.insert(item.list_level);
-
-        // Step 8: group bookkeeping for the new sublists.
-        let zero_pairs = zero_seen[0] & zero_seen[1] & item.pairs;
-        let one_pairs = one_seen[0] & one_seen[1] & item.pairs;
-        let mut level_group_rounds = 0usize;
-        assign_new_group_ids(
-            &mut gids,
-            &mut delta,
-            graph,
-            item.list_level,
-            members_alpha,
-            &item.members,
-            &bits,
-            &mut group_scratch,
-            &mut splits,
-            &mut level_group_rounds,
-        );
-        let entry = group_rounds_per_level.entry(item.list_level).or_insert(0);
-        *entry = (*entry).max(level_group_rounds);
+        order[write..item.end].copy_from_slice(ones);
+        let zero = WorkItem {
+            list_level: next_level,
+            start: item.start,
+            end: write,
+            pairs: zero_seen[0] & zero_seen[1] & item.pairs,
+        };
+        let one = WorkItem {
+            list_level: next_level,
+            start: write,
+            end: item.end,
+            pairs: one_seen[0] & one_seen[1] & item.pairs,
+        };
 
         // Priorities are recomputed with rule P4 for sublists that no
         // longer contain any communicating pair. The group-id at the new
-        // level was just assigned by this transformation, so it is read
-        // from the overlay; the timestamp read is safe against the base
-        // table (the transformation never writes timestamps).
-        for (sublist, pairs_present) in
-            [(&zero_members, zero_pairs), (&one_members, one_pairs)]
-        {
-            if pairs_present == 0 {
-                for &i in sublist.iter() {
+        // level was just assigned by this transformation; the timestamp
+        // read is safe against the base table (the transformation never
+        // writes timestamps).
+        for sublist in [zero, one] {
+            if sublist.pairs == 0 {
+                for &i in &order[sublist.start..sublist.end] {
                     let pos = i as usize;
                     priorities[pos] = negative_band_priority(
-                        gids.group_id(pos, next_level),
+                        group_ids[pos],
                         t_epoch,
                         states.timestamp(members_alpha[pos], next_level + 1),
                     );
@@ -640,87 +689,27 @@ fn plan_transformation_impl(
         }
 
         // Step 9: recurse on both sublists.
-        queue.push(WorkItem {
-            list_level: next_level,
-            members: zero_members,
-            pairs: zero_pairs,
-        });
-        queue.push(WorkItem {
-            list_level: next_level,
-            members: one_members,
-            pairs: one_pairs,
-        });
-        item.members.clear();
-        pool.push(item.members);
+        stack.push(zero);
+        stack.push(one);
     }
 
-    outcome.median_rounds = median_rounds_per_level.values().sum();
-    outcome.group_accounting_rounds = group_rounds_per_level.values().sum();
-    outcome.restructuring_rounds = restructure_levels.len() * (input.a + 1);
+    for cost in levels.iter() {
+        outcome.median_rounds += cost.median;
+        outcome.group_accounting_rounds += cost.group;
+        outcome.restructuring_rounds += usize::from(cost.restructured) * (input.a + 1);
+    }
 
-    // Materialise the per-node trace maps and the differential install
-    // plan. Iterating `members_alpha` (ascending key order) keeps the
-    // `changes` order deterministic.
-    for (i, &x) in members_alpha.iter().enumerate() {
-        let suffix = suffixes[i];
-        if suffix.is_empty() {
-            continue;
-        }
-        if collect_suffixes {
-            outcome.suffixes.insert(x, suffix.iter().collect());
-        }
-        if !medians[i].is_empty() {
-            outcome.medians.insert(x, std::mem::take(&mut medians[i]));
-        }
-        if !splits[i].is_empty() {
-            outcome.group_splits.insert(x, std::mem::take(&mut splits[i]));
-        }
-        let old = graph.mvec_of(x).expect("member is live");
-        let mut new_mvec = old;
-        new_mvec
-            .replace_suffix(input.alpha + 1, suffix.iter())
-            .expect("transformation depth stays far below the 128-level height cap");
-        if new_mvec != old {
-            let from_level = old.common_prefix_len(&new_mvec) + 1;
-            outcome.touched_pairs += old.len().max(new_mvec.len()) + 1 - from_level;
+    // The differential install plan, in position (ascending key) order.
+    for (pos, (&before, &after)) in outcome.before.iter().zip(&outcome.after).enumerate() {
+        if after != before {
+            let from_level = before.common_prefix_len(&after) + 1;
+            outcome.touched_pairs += before.len().max(after.len()) + 1 - from_level;
             outcome.changes.push(MembershipUpdate {
-                node: x,
+                node: members_alpha[pos],
                 from_level,
-                new_mvec,
+                new_mvec: after,
             });
         }
-    }
-    (outcome, delta)
-}
-
-/// Splits a two-node list into singletons: a communicating pair as
-/// `u → 0, v → 1`; any other two nodes by key order.
-fn split_pair_into(
-    graph: &SkipGraph,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-    item: &WorkItem,
-    bits: &mut Vec<Bit>,
-) {
-    let [x, y] = [
-        members_alpha[item.members[0] as usize],
-        members_alpha[item.members[1] as usize],
-    ];
-    if item.pairs != 0 {
-        let pair = &input.pairs[item.pairs.trailing_zeros() as usize];
-        bits.extend(
-            [x, y]
-                .iter()
-                .map(|&m| if m == pair.u { Bit::Zero } else { Bit::One }),
-        );
-        return;
-    }
-    let kx = graph.key_of(x).expect("member is live");
-    let ky = graph.key_of(y).expect("member is live");
-    if kx <= ky {
-        bits.extend([Bit::Zero, Bit::One]);
-    } else {
-        bits.extend([Bit::One, Bit::Zero]);
     }
 }
 
@@ -732,28 +721,24 @@ fn split_pair_into(
 /// pair of a single-pair epoch (if present) is kept in the 0-half; lists
 /// holding several pairs use [`forced_atom_split_into`] instead.
 fn forced_balanced_split_into(
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-    item: &WorkItem,
+    endpoints: &[(usize, usize)],
+    item_pairs: u64,
+    members: &[u32],
     bits: &mut Vec<Bit>,
 ) {
-    let n = item.members.len();
+    let n = members.len();
     bits.clear();
     bits.extend((0..n).map(|i| if i % 2 == 0 { Bit::Zero } else { Bit::One }));
-    if item.pairs != 0 {
-        let pair = &input.pairs[item.pairs.trailing_zeros() as usize];
-        for target in [pair.u, pair.v] {
-            if let Some(pos) = item
-                .members
-                .iter()
-                .position(|&i| members_alpha[i as usize] == target)
-            {
+    if item_pairs != 0 {
+        let (u_pos, v_pos) = endpoints[item_pairs.trailing_zeros() as usize];
+        let is_endpoint = |i: u32| i as usize == u_pos || i as usize == v_pos;
+        for target in [u_pos, v_pos] {
+            if let Some(pos) = members.iter().position(|&i| i as usize == target) {
                 if bits[pos] == Bit::One {
                     // Swap with a 0-half node that is not the other endpoint.
-                    if let Some(swap) = (0..n).find(|&i| {
-                        let member = members_alpha[item.members[i] as usize];
-                        bits[i] == Bit::Zero && member != pair.u && member != pair.v
-                    }) {
+                    if let Some(swap) =
+                        (0..n).find(|&k| bits[k] == Bit::Zero && !is_endpoint(members[k]))
+                    {
                         bits.swap(pos, swap);
                     }
                 }
@@ -767,15 +752,21 @@ fn forced_balanced_split_into(
 /// and atoms are interleaved 0/1 in list order. No pair can be torn apart
 /// (both endpoints copy the atom's bit), every list with at least two
 /// atoms splits into two non-empty halves, and the result is deterministic
-/// in list order. (A two-member list is handled by `split_pair_into`
-/// before this path can be reached, so atom count ≥ 2 here.)
-fn forced_atom_split_into(pair_of_pos: &[Option<u16>], item: &WorkItem, bits: &mut Vec<Bit>) {
+/// in list order. (A two-member list is split directly before this path
+/// can be reached, so atom count ≥ 2 here.)
+fn forced_atom_split_into(
+    pair_of_pos: &[u16],
+    item_pairs: u64,
+    members: &[u32],
+    bits: &mut Vec<Bit>,
+) {
     bits.clear();
     let mut pair_bit = [None::<Bit>; MAX_EPOCH_PAIRS];
     let mut next = Bit::Zero;
-    for &i in &item.members {
-        let bit = match pair_of_pos[i as usize] {
-            Some(p) if item.pairs & (1 << p) != 0 => match pair_bit[p as usize] {
+    for &i in members {
+        let p = pair_of_pos[i as usize];
+        let bit = if p != NO_PAIR && item_pairs & (1 << p) != 0 {
+            match pair_bit[p as usize] {
                 // Second endpoint: copy the pair's bit, don't alternate.
                 Some(bit) => bit,
                 None => {
@@ -784,21 +775,20 @@ fn forced_atom_split_into(pair_of_pos: &[Option<u16>], item: &WorkItem, bits: &m
                     next = next.flipped();
                     bit
                 }
-            },
-            _ => {
-                let bit = next;
-                next = next.flipped();
-                bit
             }
+        } else {
+            let bit = next;
+            next = next.flipped();
+            bit
         };
         bits.push(bit);
     }
 }
 
 /// Implements Cases 1 and 2 of §IV-C for one list, writing the membership
-/// bits (parallel to `item_members`) into `bits`. Returns whether the
-/// distributed counts of Case 2 were needed. Group-ids are read through
-/// the transformation's overlay (the current level's ids were assigned by
+/// bits (parallel to `members`) into `bits`. Returns whether the
+/// distributed counts of Case 2 were needed. Group-ids are this
+/// transformation's current ones (the current level's ids were assigned by
 /// the previous split wave); the is-dominating flags come from the base
 /// table — the transformation's own flag writes can never be observed by
 /// its own reads (a list takes Case 1 *or* the Case-2 dominating split,
@@ -806,62 +796,53 @@ fn forced_atom_split_into(pair_of_pos: &[Option<u16>], item: &WorkItem, bits: &m
 #[allow(clippy::too_many_arguments)]
 fn decide_split_into(
     states: &StateTable,
-    gids: &GidOverlay<'_>,
+    group_ids: &[u64],
     t_epoch: u64,
     list_level: usize,
     members_alpha: &[NodeId],
-    item_members: &[u32],
+    members: &[u32],
     priorities: &[Priority],
     median: Priority,
     gs_mask: &mut Vec<bool>,
     bits: &mut Vec<Bit>,
 ) -> bool {
-    let n = item_members.len();
+    let n = members.len();
+    let by_median = |p: &Priority| if *p >= median { Bit::Zero } else { Bit::One };
     if median.is_positive() {
         // Case 1.
-        bits.extend(
-            priorities
-                .iter()
-                .map(|p| if *p >= median { Bit::Zero } else { Bit::One }),
-        );
+        bits.extend(priorities.iter().map(by_median));
         return false;
     }
     // Case 2: the median falls inside the band of one non-communicating
     // group (equation (2)). Bands are identified by the *mixed* group
     // identifier (see `priority::mix_group_id`).
-    let gs_band = band_of(median, t_epoch);
+    let Some(gs_band) = band_of(median, t_epoch) else {
+        bits.extend(priorities.iter().map(by_median));
+        return false;
+    };
     gs_mask.clear();
-    gs_mask.extend(item_members.iter().zip(priorities).map(|(&i, p)| {
-        !p.is_positive()
-            && gs_band.is_some()
-            && Some(crate::priority::mix_group_id(
-                gids.group_id(i as usize, list_level),
-            )) == gs_band
-    }));
+    gs_mask.extend(
+        members
+            .iter()
+            .zip(priorities)
+            .map(|(&i, p)| !p.is_positive() && mix_group_id(group_ids[i as usize]) == gs_band),
+    );
     let gs_size = gs_mask.iter().filter(|b| **b).count();
     if gs_size == 0 {
         // The median's band does not correspond to any present group (can
         // happen with the approximate median); fall back to the plain
         // comparison split, which cannot split any group because entire
         // bands lie on one side of the median.
-        bits.extend(
-            priorities
-                .iter()
-                .map(|p| if *p >= median { Bit::Zero } else { Bit::One }),
-        );
+        bits.extend(priorities.iter().map(by_median));
         return false;
     }
 
     if 3 * gs_size > 2 * n {
         // |g_s| > ⅔|l|: g_s must be split, but only along its remembered
         // is-dominating-group flags; everyone else joins the 0-subgraph.
-        bits.extend(item_members.iter().zip(gs_mask.iter()).map(|(&i, in_gs)| {
-            if *in_gs {
-                if states.dominating(members_alpha[i as usize], list_level) {
-                    Bit::One
-                } else {
-                    Bit::Zero
-                }
+        bits.extend(members.iter().zip(gs_mask.iter()).map(|(&i, in_gs)| {
+            if *in_gs && states.dominating(members_alpha[i as usize], list_level) {
+                Bit::One
             } else {
                 Bit::Zero
             }
@@ -875,10 +856,8 @@ fn decide_split_into(
         bits.extend(priorities.iter().zip(gs_mask.iter()).map(|(p, in_gs)| {
             if *in_gs {
                 gs_bit
-            } else if *p >= median {
-                Bit::Zero
             } else {
-                Bit::One
+                by_median(p)
             }
         }));
     } else {
@@ -893,13 +872,16 @@ fn decide_split_into(
     true
 }
 
-/// Assigns level-`list_level + 1` group-ids to the members of the two new
-/// sublists (Algorithm 1 step 8) and records a split event (into `splits`)
-/// for every node whose group was split.
+/// Assigns level-`next_level` group-ids to the members of the two new
+/// sublists (Algorithm 1 step 8), records a split level for every member
+/// whose group was split, and returns the rounds of the split groups'
+/// id broadcasts.
 ///
-/// Groups are found by sorting `(group-id, position)` pairs in a reusable
+/// Groups are found by sorting `(group-id, index)` pairs in a reusable
 /// scratch buffer — no per-list hash map, and no quadratic membership
-/// scans.
+/// scans; a list whose members share one group (the common case) is
+/// already sorted. Members keep ascending positions, so within a group the
+/// first 1-member met has the smallest key.
 ///
 /// Note on Algorithm 1 step 8: the paper's wording has *every* member of
 /// the sublist containing u and v adopt u's group-id. The members of the
@@ -911,26 +893,25 @@ fn decide_split_into(
 /// therefore keep unrelated groups' identities intact; see DESIGN.md.
 #[allow(clippy::too_many_arguments)]
 fn assign_new_group_ids(
-    gids: &mut GidOverlay<'_>,
+    group_ids: &mut [u64],
     delta: &mut StateDelta,
+    split_levels: &mut [LevelSet],
     graph: &SkipGraph,
-    list_level: usize,
+    next_level: usize,
     members_alpha: &[NodeId],
-    item_members: &[u32],
+    members: &[u32],
     bits: &[Bit],
     scratch: &mut Vec<(u64, u32)>,
-    splits: &mut [Vec<usize>],
-    group_accounting_rounds: &mut usize,
-) {
-    let next_level = list_level + 1;
+) -> usize {
     scratch.clear();
     scratch.extend(
-        item_members
+        members
             .iter()
             .enumerate()
-            .map(|(pos, &i)| (gids.group_id(i as usize, list_level), pos as u32)),
+            .map(|(idx, &i)| (group_ids[i as usize], idx as u32)),
     );
     scratch.sort_unstable();
+    let mut rounds = 0usize;
     let mut start = 0usize;
     while start < scratch.len() {
         let old_id = scratch[start].0;
@@ -939,50 +920,43 @@ fn assign_new_group_ids(
             end += 1;
         }
         let group = &scratch[start..end];
-        let one_count = group
+        let ones = group
             .iter()
-            .filter(|&&(_, pos)| bits[pos as usize] == Bit::One)
+            .filter(|&&(_, idx)| bits[idx as usize] == Bit::One)
             .count();
-        let split = one_count > 0 && one_count < group.len();
+        let split = ones > 0 && ones < group.len();
         if split {
-            for &(_, pos) in group {
-                splits[item_members[pos as usize] as usize].push(next_level);
-            }
             // Broadcasting the new id over the split part reuses the
             // balanced skip list: O(log) rounds.
-            *group_accounting_rounds += (group.len().max(2) as f64).log2().ceil() as usize;
+            rounds += (group.len().max(2) as f64).log2().ceil() as usize;
         }
         // 0-portion: keeps the old id. 1-portion: keeps the old id if the
-        // group moved whole; a split portion adopts the key of its left-most
-        // member as the new id.
-        let one_id = if split {
-            group
-                .iter()
-                .filter(|&&(_, pos)| bits[pos as usize] == Bit::One)
-                .map(|&(_, pos)| {
-                    graph
-                        .key_of(members_alpha[item_members[pos as usize] as usize])
-                        .expect("member is live")
-                })
-                .min()
-                .expect("split group has a 1-portion")
-                .value()
-        } else {
-            old_id
-        };
-        for &(_, pos) in group {
-            let member_pos = item_members[pos as usize] as usize;
-            match bits[pos as usize] {
-                Bit::Zero => gids.set_group_id(delta, member_pos, next_level, old_id),
-                Bit::One => gids.set_group_id(delta, member_pos, next_level, one_id),
+        // group moved whole; a split portion adopts the key of its
+        // left-most member as the new id.
+        let mut one_id = None;
+        for &(_, idx) in group {
+            let pos = members[idx as usize] as usize;
+            let node = members_alpha[pos];
+            let mut id = old_id;
+            if split {
+                split_levels[pos].insert(next_level);
+                if bits[idx as usize] == Bit::One {
+                    id = *one_id
+                        .get_or_insert_with(|| graph.key_of(node).expect("member is live").value());
+                }
             }
+            group_ids[pos] = id;
+            delta.push_group_id(node, next_level, id);
         }
         start = end;
     }
+    rounds
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::amf::ExactMedian;
     use dsg_skipgraph::{Key, MembershipVector};
@@ -1005,6 +979,9 @@ mod tests {
         (graph, states, ids)
     }
 
+    /// Plans one single-pair transformation over `members` at α = 0 with
+    /// the exact median, applies its state writes, and returns the trace
+    /// together with every member's new suffix bits.
     fn run(
         graph: &SkipGraph,
         states: &mut StateTable,
@@ -1012,15 +989,44 @@ mod tests {
         v: NodeId,
         t: u64,
         members: &[NodeId],
-    ) -> TransformOutcome {
+    ) -> (TransformOutcome, HashMap<NodeId, Vec<Bit>>) {
         let pairs = [TransformPair { u, v, t }];
         let input = TransformInput {
             pairs: &pairs,
             alpha: 0,
             a: 3,
         };
-        let mut finder = ExactMedian;
-        run_transformation(graph, states, &mut finder, &input, members)
+        let mut outcome = TransformOutcome::default();
+        plan_transformation(
+            graph,
+            states,
+            &mut ExactMedian,
+            &input,
+            members,
+            &mut TransformScratch::default(),
+            &mut outcome,
+        );
+        states.apply_delta(&outcome.delta);
+        let suffixes = members
+            .iter()
+            .enumerate()
+            .map(|(pos, &x)| (x, outcome.suffix(pos).collect()))
+            .collect();
+        (outcome, suffixes)
+    }
+
+    #[test]
+    fn level_sets_iterate_in_ascending_order() {
+        let mut set = LevelSet::default();
+        assert!(set.is_empty());
+        assert_eq!(set.lowest(), None);
+        for level in [7, 1, 128, 3] {
+            set.insert(level);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![1, 3, 7, 128]);
+        assert_eq!(set.lowest(), Some(1));
+        assert!(set.contains(128) && set.contains(3));
+        assert!(!set.contains(0) && !set.contains(2) && !set.contains(129));
     }
 
     #[test]
@@ -1029,13 +1035,13 @@ mod tests {
         let (graph, mut states, ids) = flat_instance(&keys);
         let u = ids[0];
         let v = ids[5];
-        let outcome = run(&graph, &mut states, u, v, 1, &ids);
+        let (outcome, suffixes) = run(&graph, &mut states, u, v, 1, &ids);
 
         // Every member received new bits.
-        assert_eq!(outcome.suffixes.len(), keys.len());
+        assert!(suffixes.values().all(|bits| !bits.is_empty()));
         // u and v share a prefix up to the pair level and then split 0/1.
-        let su = &outcome.suffixes[&u];
-        let sv = &outcome.suffixes[&v];
+        let su = &suffixes[&u];
+        let sv = &suffixes[&v];
         let common = su
             .iter()
             .zip(sv.iter())
@@ -1052,11 +1058,10 @@ mod tests {
     fn all_nodes_become_singletons() {
         let keys: Vec<u64> = (1..=20).collect();
         let (graph, mut states, ids) = flat_instance(&keys);
-        let outcome = run(&graph, &mut states, ids[2], ids[17], 1, &ids);
+        let (_, suffixes) = run(&graph, &mut states, ids[2], ids[17], 1, &ids);
         // Apply the suffixes to a scratch graph and verify every node ends
         // up singleton, i.e. all suffix paths are distinct.
-        let mut suffix_strings: Vec<String> = outcome
-            .suffixes
+        let mut suffix_strings: Vec<String> = suffixes
             .values()
             .map(|bits| bits.iter().map(|b| b.as_u8().to_string()).collect())
             .collect();
@@ -1103,8 +1108,8 @@ mod tests {
             states.set_group_id(x, 0, 99);
             states.set_timestamp(x, 1, 0);
         }
-        let outcome = run(&graph, &mut states, ids[0], ids[8], 3, &ids);
-        assert_eq!(outcome.suffixes.len(), 9);
+        let (outcome, suffixes) = run(&graph, &mut states, ids[0], ids[8], 3, &ids);
+        assert!(suffixes.values().all(|bits| !bits.is_empty()));
         assert!(outcome.processed_lists >= 4);
     }
 
@@ -1122,24 +1127,18 @@ mod tests {
         for &x in &ids[5..10] {
             states.set_group_id(x, 0, 60);
         }
-        let outcome = run(&graph, &mut states, ids[0], ids[1], 4, &ids);
+        let (_, suffixes) = run(&graph, &mut states, ids[0], ids[1], 4, &ids);
         // Group 50 members must share their full suffix path until their
         // group's own internal splits; at the very least their first bit
         // must be identical (they may not be separated at level 1), and the
         // same holds for group 60.
-        let first_bits_50: Vec<Bit> = ids[2..5]
-            .iter()
-            .map(|x| outcome.suffixes[x][0])
-            .collect();
+        let first_bits_50: Vec<Bit> = ids[2..5].iter().map(|x| suffixes[x][0]).collect();
         assert!(first_bits_50.windows(2).all(|w| w[0] == w[1]));
-        let first_bits_60: Vec<Bit> = ids[5..10]
-            .iter()
-            .map(|x| outcome.suffixes[x][0])
-            .collect();
+        let first_bits_60: Vec<Bit> = ids[5..10].iter().map(|x| suffixes[x][0]).collect();
         assert!(first_bits_60.windows(2).all(|w| w[0] == w[1]));
         // The communicating pair still ends up alone together.
-        assert_eq!(outcome.suffixes[&ids[0]].last(), Some(&Bit::Zero));
-        assert_eq!(outcome.suffixes[&ids[1]].last(), Some(&Bit::One));
+        assert_eq!(suffixes[&ids[0]].last(), Some(&Bit::Zero));
+        assert_eq!(suffixes[&ids[1]].last(), Some(&Bit::One));
     }
 
     #[test]
@@ -1183,9 +1182,9 @@ mod tests {
             states.set_timestamp(x, 0, (i + 1) as u64);
             states.set_timestamp(x, 1, (i + 1) as u64);
         }
-        let outcome = run(&graph, &mut states, u, v, 20, &ids);
+        let (outcome, _) = run(&graph, &mut states, u, v, 20, &ids);
         assert!(
-            !outcome.group_splits.is_empty(),
+            outcome.split_levels.iter().any(|levels| !levels.is_empty()),
             "splitting the merged group must be recorded"
         );
         assert!(outcome.median_rounds > 0);

@@ -10,10 +10,10 @@
 //! faults abort the epoch with the engine untouched, apply-stage faults
 //! poison the service with every in-flight ticket resolved. The `io.*`
 //! sites extend the same registry into the durability layer
-//! (`dsg::persist`): a journal append dying mid-frame, a checkpoint dying
-//! before its snapshot is written or just after it is renamed into place —
-//! driven by the crash-recovery harness, which then proves restart-replay
-//! equivalence.
+//! (`dsg::persist`): a journal append dying mid-frame or at its fsync, a
+//! checkpoint dying before its snapshot is written or just after it is
+//! renamed into place — driven by the crash-recovery harness, which then
+//! proves restart-replay equivalence.
 //!
 //! # Cost when disarmed
 //!
@@ -74,6 +74,14 @@ pub const INGEST_LOOP: &str = "ingest.loop";
 /// the engine is never called.
 pub const IO_APPEND: &str = "io.append";
 
+/// Fail-point site in the durable journal's frame writer (`dsg::persist`),
+/// hit after a whole frame reached the file and just before the cadence
+/// fsync (`PersistConfig::fsync_every`) that makes it durable. Firing
+/// here is a failed fsync: a `dsg::service` rolls the journal back to
+/// where the frame began, fails the batch's tickets typed, and never calls
+/// the engine — the same containment as [`IO_APPEND`].
+pub const IO_SYNC: &str = "io.sync";
+
 /// Fail-point site in the snapshot checkpoint writer (`dsg::persist`), hit
 /// after the snapshot temp file is created but before its payload is
 /// written. Firing here simulates a crash mid-checkpoint: a stray temp
@@ -90,12 +98,13 @@ pub const IO_SNAPSHOT: &str = "io.snapshot";
 /// starts from the new snapshot.
 pub const IO_PUBLISH: &str = "io.publish";
 
-const SITE_NAMES: [&str; 7] = [
+const SITE_NAMES: [&str; 8] = [
     PLAN_WORKER,
     APPLY_SPLICE,
     DUMMY_PASS0,
     INGEST_LOOP,
     IO_APPEND,
+    IO_SYNC,
     IO_SNAPSHOT,
     IO_PUBLISH,
 ];
@@ -105,14 +114,14 @@ const SITE_NAMES: [&str; 7] = [
 static ARMED_SITES: AtomicU32 = AtomicU32::new(0);
 /// Per-site countdown: 0 = disarmed, `n > 0` = fire on the `n`-th hit
 /// from now.
-static COUNTDOWNS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
+static COUNTDOWNS: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
 /// Per-site stall duration in milliseconds: 0 = the site panics when it
 /// fires (the default), `ms > 0` = the firing hit *sleeps* that long
 /// instead — the hang-injection mode stall-watchdog tests drive.
-static SLEEP_MS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
+static SLEEP_MS: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
 /// Per-site hit counters, recorded while *any* site is armed (coverage
 /// evidence for the fault-injection soak).
-static HITS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
+static HITS: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
 /// Serialisation lock for tests (the registry is process-global).
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 

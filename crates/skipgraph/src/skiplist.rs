@@ -29,6 +29,8 @@ pub struct BalancedSkipList {
     levels: Vec<Vec<usize>>,
     a: usize,
     construction_rounds: usize,
+    /// [`BalancedSkipList::broadcast_rounds`], summed while building.
+    broadcast_rounds: usize,
 }
 
 impl BalancedSkipList {
@@ -45,6 +47,7 @@ impl BalancedSkipList {
             levels: Vec::new(),
             a,
             construction_rounds: 0,
+            broadcast_rounds: 0,
         };
         list.rebuild(n, a, rng);
         list
@@ -64,6 +67,7 @@ impl BalancedSkipList {
         assert!(a >= 2, "the balance parameter a must be at least 2");
         self.a = a;
         self.construction_rounds = 0;
+        let mut broadcast_gaps = 0usize;
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
         }
@@ -85,8 +89,11 @@ impl BalancedSkipList {
             // Linear neighbour search from the level below costs (at most)
             // the largest support gap; plus one round for the local support
             // checks.
-            self.construction_rounds += Self::max_gap(current, next) + 1;
-            if next.len() >= current.len() {
+            let gap = Self::max_gap(current, next);
+            self.construction_rounds += gap + 1;
+            if next.len() < current.len() {
+                broadcast_gaps += gap;
+            } else {
                 // Degenerate random outcome (possible for tiny a): force a
                 // deterministic thinning so construction terminates.
                 let step = a.max(2);
@@ -98,10 +105,12 @@ impl BalancedSkipList {
                     i += step;
                 }
                 next.truncate(keep);
+                broadcast_gaps += Self::max_gap(current, next);
             }
             used += 1;
         }
         self.levels.truncate(used);
+        self.broadcast_rounds = broadcast_gaps.max(1);
         // The root broadcasts the height h to every node of the skip list.
         self.construction_rounds += self.levels.len();
     }
@@ -271,11 +280,7 @@ impl BalancedSkipList {
     /// Number of rounds needed to broadcast one `O(log n)`-bit value from
     /// the root to every position of the underlying list.
     pub fn broadcast_rounds(&self) -> usize {
-        let mut rounds = 0usize;
-        for upper_level in 1..self.levels.len() {
-            rounds += Self::max_gap(&self.levels[upper_level - 1], &self.levels[upper_level]);
-        }
-        rounds.max(1)
+        self.broadcast_rounds
     }
 }
 

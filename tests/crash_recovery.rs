@@ -399,6 +399,7 @@ fn every_fail_point_site_restarts_bit_identical() {
         failpoint::IO_APPEND,
         failpoint::IO_SNAPSHOT,
         failpoint::IO_PUBLISH,
+        failpoint::IO_SYNC,
     ]
     .iter()
     .enumerate()
@@ -509,9 +510,10 @@ fn every_fail_point_site_restarts_bit_identical() {
             // the restart replays it in full, as the twin does.
             assert_subsequence(&format!("site {site}"), &acked, &journaled);
         } else {
-            // An aborted run's frame is taken back, a failed append is
-            // rolled back, and a failed checkpoint fails no ticket: the
-            // journal holds exactly the acknowledged requests.
+            // An aborted run's frame is taken back, a failed append or
+            // cadence fsync is rolled back to the frame's start, and a
+            // failed checkpoint fails no ticket: the journal holds exactly
+            // the acknowledged requests.
             assert_eq!(journaled, acked, "site {site}: journal != acknowledged");
         }
         fs::remove_dir_all(&dir).ok();

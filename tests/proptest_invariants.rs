@@ -88,7 +88,7 @@ proptest! {
         a in 2usize..6,
         seed in 0u64..1000,
     ) {
-        let priorities: Vec<Priority> = values.iter().map(|&v| Priority::Finite(v as i128)).collect();
+        let priorities: Vec<Priority> = values.iter().map(|&v| Priority::finite(v as i128)).collect();
         let mut finder = AmfMedian::new(seed);
         let outcome = finder.find_median(&priorities, a);
         let n = priorities.len();
@@ -110,7 +110,7 @@ proptest! {
     /// rank is the upper median.
     #[test]
     fn exact_median_is_an_upper_median(values in proptest::collection::vec(-500i64..500, 1..50)) {
-        let priorities: Vec<Priority> = values.iter().map(|&v| Priority::Finite(v as i128)).collect();
+        let priorities: Vec<Priority> = values.iter().map(|&v| Priority::finite(v as i128)).collect();
         let mut finder = ExactMedian;
         let outcome = finder.find_median(&priorities, 3);
         let mut sorted = priorities.clone();
