@@ -18,6 +18,7 @@
 //! [`communicate`]: DynamicSkipGraph::communicate
 //! [`communicate_epoch`]: DynamicSkipGraph::communicate_epoch
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -1009,7 +1010,9 @@ impl DynamicSkipGraph {
         }
     }
 
-    /// Rebuilds an engine from a captured image.
+    /// Rebuilds an engine from a captured image, copying its per-node
+    /// state vectors and sketch counters (a caller that owns an image it
+    /// no longer needs, as `DsgService::open` does, moves them instead).
     ///
     /// Nodes are re-inserted in ascending key order, receiving fresh dense
     /// `NodeId`s — which is behaviour-preserving, because every
@@ -1026,10 +1029,22 @@ impl DynamicSkipGraph {
     /// (duplicate or out-of-range keys in a tampered image) and the deep
     /// validation error if the rebuilt structure is not clean.
     pub fn restore_image(image: &crate::persist::EngineImage) -> Result<Self> {
+        Self::restore(Cow::Borrowed(image))
+    }
+
+    /// [`restore_image`](Self::restore_image) of an image the caller is
+    /// done with: each node's state vectors and the sketch counters move
+    /// into the engine instead of being copied.
+    pub(crate) fn restore_image_owned(image: crate::persist::EngineImage) -> Result<Self> {
+        Self::restore(Cow::Owned(image))
+    }
+
+    fn restore(mut image: Cow<'_, crate::persist::EngineImage>) -> Result<Self> {
         let mut graph = SkipGraph::new();
         let mut states = StateTable::new();
-        for node in &image.nodes {
-            let key = Key::new(node.key);
+        for i in 0..image.nodes.len() {
+            let node = &image.nodes[i];
+            let (key, group_base) = (Key::new(node.key), node.group_base as usize);
             let mvec = MembershipVector::from_bits(
                 node.mvec_bits
                     .iter()
@@ -1040,15 +1055,27 @@ impl DynamicSkipGraph {
             } else {
                 graph.insert(key, mvec)?
             };
+            let (timestamps, group_ids, dominating) = match &mut image {
+                Cow::Borrowed(image) => {
+                    let node = &image.nodes[i];
+                    (
+                        node.timestamps.clone(),
+                        node.group_ids.clone(),
+                        node.dominating.clone(),
+                    )
+                }
+                Cow::Owned(image) => {
+                    let node = &mut image.nodes[i];
+                    (
+                        std::mem::take(&mut node.timestamps),
+                        std::mem::take(&mut node.group_ids),
+                        std::mem::take(&mut node.dominating),
+                    )
+                }
+            };
             states.register_state(
                 id,
-                NodeState::from_raw_parts(
-                    key,
-                    node.group_base as usize,
-                    node.timestamps.clone(),
-                    node.group_ids.clone(),
-                    node.dominating.clone(),
-                ),
+                NodeState::from_raw_parts(key, group_base, timestamps, group_ids, dominating),
             );
         }
         let config = image.config;
@@ -1056,9 +1083,13 @@ impl DynamicSkipGraph {
         // A gated engine restores its sketch counters from the image (an
         // image without one — e.g. captured before the policy was turned
         // on — starts the sketch empty, like a fresh engine would).
+        let saved_sketch = match &mut image {
+            Cow::Borrowed(image) => image.sketch.clone(),
+            Cow::Owned(image) => image.sketch.take(),
+        };
         let sketch = match config.policy.policy {
             AdaptPolicy::Always => None,
-            AdaptPolicy::Gated => Some(match &image.sketch {
+            AdaptPolicy::Gated => Some(match saved_sketch {
                 Some(saved) => {
                     FreqSketch::from_image(config.seed, config.policy.aging_period, saved)
                 }

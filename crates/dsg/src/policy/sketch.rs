@@ -147,6 +147,12 @@ impl FreqSketch {
     /// # Panics
     /// Panics if `aging_period` is zero.
     pub fn new(seed: u64, aging_period: u64) -> Self {
+        Self::with_counters(seed, aging_period, vec![0; SKETCH_ROWS * SKETCH_WIDTH])
+    }
+
+    /// A sketch over the given counter matrix, with nothing staged and no
+    /// aging pass counted.
+    fn with_counters(seed: u64, aging_period: u64, counters: Vec<u32>) -> Self {
         assert!(aging_period > 0, "sketch aging period must be positive");
         let mut seeds = [0u64; SKETCH_ROWS];
         for (row, slot) in seeds.iter_mut().enumerate() {
@@ -154,7 +160,7 @@ impl FreqSketch {
         }
         Self {
             seeds,
-            counters: vec![0; SKETCH_ROWS * SKETCH_WIDTH],
+            counters,
             aging_period,
             updates_since_aging: 0,
             aging_passes: 0,
@@ -296,22 +302,23 @@ impl FreqSketch {
     }
 
     /// Rebuilds a sketch from a captured image plus the config-derived
-    /// parameters (`seed`, `aging_period`) it was created with.
+    /// parameters (`seed`, `aging_period`) it was created with. The
+    /// image's counter matrix becomes the sketch's; nothing is copied.
     ///
     /// # Panics
     /// Panics if `aging_period` is zero or the image has the wrong
     /// matrix size (images a decoded snapshot carries are pre-checked).
-    pub fn from_image(seed: u64, aging_period: u64, image: &SketchImage) -> Self {
+    pub fn from_image(seed: u64, aging_period: u64, image: SketchImage) -> Self {
         assert_eq!(
             image.counters.len(),
             SKETCH_ROWS * SKETCH_WIDTH,
             "sketch image has the wrong counter matrix size"
         );
-        let mut sketch = Self::new(seed, aging_period);
-        sketch.counters.copy_from_slice(&image.counters);
-        sketch.updates_since_aging = image.updates_since_aging;
-        sketch.aging_passes = image.aging_passes;
-        sketch
+        Self {
+            updates_since_aging: image.updates_since_aging,
+            aging_passes: image.aging_passes,
+            ..Self::with_counters(seed, aging_period, image.counters)
+        }
     }
 }
 
@@ -420,7 +427,7 @@ mod tests {
         let decoded = SketchImage::decode(&mut r).expect("decode");
         assert!(r.is_at_end());
         assert_eq!(decoded, image);
-        let rebuilt = FreqSketch::from_image(0xD56, 64, &decoded);
+        let rebuilt = FreqSketch::from_image(0xD56, 64, decoded);
         assert_eq!(rebuilt.counters, s.counters);
         assert_eq!(rebuilt.updates_since_aging, s.updates_since_aging);
         assert_eq!(rebuilt.aging_passes, s.aging_passes);

@@ -235,7 +235,7 @@ fn drive_open_loop(
 }
 
 /// Overload soak (PR 9) and its A/B: an open-loop driver offers mixed
-/// traffic at ≥ 2× the service's measured closed-loop capacity, with
+/// traffic at 2× the rate the service was measured to sustain, with
 /// shedding and brownout enabled. The run proves that (a) no accepted
 /// ticket ever leaks — every one resolves with an outcome or a typed
 /// error, (b) the controller actually walked the degradation ladder
@@ -256,15 +256,23 @@ fn soak_overload_shedding_and_brownout() {
     let _guard = failpoint::exclusive();
 
     const PEERS: u64 = 192;
-    const CALIBRATE: usize = 300;
-    /// About a second of offered load on a 2-vCPU box: long enough that
-    /// the ramp before the controller engages (both arms share it) is a
-    /// small part of the drive, so the off twin's unbounded backlog sets
-    /// its median sojourn.
+    /// Requests served before the calibration's clock starts. The cold
+    /// sketch gates most of the trace's first few hundred requests, so a
+    /// rate timed over them is several times what the service sustains;
+    /// by this point it restructures about four requests in five, as it
+    /// does over the rest of the drive.
+    const WARM_UP: usize = 5_000;
+    const CALIBRATE: usize = 2_000;
+    /// Two to three seconds of offered load on a 2-vCPU box: long enough
+    /// that the ramp before the controller engages (both arms share it)
+    /// is a small part of the drive, so the off twin's unbounded backlog
+    /// sets its median sojourn.
     const OFFERED: usize = 20_000;
 
-    // Phase A — closed-loop calibration: measure the sustained service
-    // rate with the same skewed workload the overload phase offers.
+    // Phase A — calibration: the rate the service sustains under a
+    // standing backlog (runs of up to `ingest_batch` requests, as in the
+    // overloaded drive) of the same skewed workload the overload phase
+    // offers, timed once the sketch has warmed up.
     let build = || {
         DsgSession::builder()
             .peers(0..PEERS)
@@ -275,14 +283,21 @@ fn soak_overload_shedding_and_brownout() {
     };
     let calibration = DsgService::spawn(build(), ServiceConfig::default()).unwrap();
     let mut workload = ZipfPairs::new(PEERS, 1.1, 0xA5);
+    let mut serve_backlogged = |requests: usize| {
+        let tickets: Vec<Ticket> = (0..requests)
+            .map(|_| {
+                calibration
+                    .submit_deadline(workload.next_request(), Duration::from_secs(30))
+                    .expect("calibration admits")
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().expect("calibration serves cleanly");
+        }
+    };
+    serve_backlogged(WARM_UP);
     let started = Instant::now();
-    for _ in 0..CALIBRATE {
-        calibration
-            .submit_deadline(workload.next_request(), Duration::from_secs(30))
-            .expect("calibration admits")
-            .wait()
-            .expect("calibration serves cleanly");
-    }
+    serve_backlogged(CALIBRATE);
     let capacity_rps =
         ((CALIBRATE as f64 / started.elapsed().as_secs_f64()) as u64).clamp(50, 2_000_000);
     drop(calibration);
