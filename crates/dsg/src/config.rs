@@ -151,14 +151,6 @@ pub struct DsgConfig {
     /// and every random draw is derived per cluster, not from a shared
     /// stream (`tests/shard_equivalence.rs` proves it).
     pub shards: usize,
-    /// Opt-in adaptive epoch flush: when the previous epoch collapsed into
-    /// a single cluster (total subtree overlap — nothing left for the plan
-    /// shards to parallelise), the session caps the next epoch at
-    /// `4 · shards` pairs instead of the full
-    /// [`MAX_EPOCH_PAIRS`](crate::transform::MAX_EPOCH_PAIRS), restoring
-    /// the full cap as soon as an epoch splits into ≥ 2 clusters again.
-    /// Off by default (fixed caller-driven epoch boundaries).
-    pub adaptive_flush: bool,
     /// The adaptation policy: whether (and how) the frequency-sketch
     /// admission gate decides which communicates earn a restructure.
     /// Default off ([`AdaptPolicy::Always`]).
@@ -174,7 +166,6 @@ impl Default for DsgConfig {
             maintain_balance: true,
             install: InstallStrategy::default(),
             shards: 1,
-            adaptive_flush: false,
             policy: PolicyConfig::default(),
         }
     }
@@ -226,12 +217,6 @@ impl DsgConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "the plan stage needs at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// Enables or disables the adaptive epoch flush.
-    pub fn with_adaptive_flush(mut self, on: bool) -> Self {
-        self.adaptive_flush = on;
         self
     }
 

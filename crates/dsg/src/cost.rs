@@ -14,7 +14,9 @@
 //! along the steps of Algorithm 1 and is recorded per request in a
 //! [`CostBreakdown`]; [`RunStats`] accumulates them over a whole request
 //! sequence so that experiments E8/E9 can compare against the working-set
-//! bound `WS(σ)`.
+//! bound `WS(σ)`. [`EpochCounters`] defines what one epoch counts besides.
+
+use std::ops::AddAssign;
 
 /// Per-request cost breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,6 +57,119 @@ impl CostBreakdown {
     }
 }
 
+/// What one transformation epoch counted: the one definition of every
+/// per-epoch counter the engine reports. [`EpochReport`](crate::EpochReport),
+/// [`RunStats`], [`BatchOutcome`](crate::BatchOutcome), the observers'
+/// [`EpochEvent`](crate::EpochEvent) and the service's
+/// [`ServiceMetrics`](crate::ServiceMetrics) embed it, and `+=` sums it
+/// across epochs.
+///
+/// Every field but the two execution fields is a pure function of the
+/// engine's input: [`deterministic`](Self::deterministic) clears those two
+/// for cross-run and cross-shard comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EpochCounters {
+    /// Transformation clusters formed (pairs with overlapping `l_α`
+    /// subtrees merge; disjoint pairs keep their own) — admitted and gated
+    /// clusters alike.
+    pub clusters: usize,
+    /// Clusters the plan stage planned. Equal to
+    /// [`clusters`](Self::clusters) with the adaptation policy off; with
+    /// the gate on, gated clusters are never planned, so this counts only
+    /// the admitted ones.
+    pub planned_clusters: usize,
+    /// Transformation-install passes pushed into the skip graph: 1 per
+    /// epoch under [`InstallStrategy::Batched`](crate::InstallStrategy::Batched)
+    /// regardless of the batch size, one per cluster under the per-node
+    /// reference strategy.
+    pub install_passes: usize,
+    /// Changed `(node, level)` pairs the installs touched — the work the
+    /// differential install performs, as opposed to the Θ(n · height) a
+    /// full per-node re-splice would.
+    pub touched_pairs: usize,
+    /// Dummy slots the balance repairs established — reclaimed standing
+    /// dummies and created ones alike, so the count is lifecycle-independent
+    /// (it equals what the destroy-then-recreate oracle reports).
+    pub dummies_inserted: usize,
+    /// Dummy nodes actually removed from the graph. Under the reconciling
+    /// lifecycle this counts only the genuinely stale (or evicted) dummies,
+    /// not the standing ones reclaimed in place.
+    pub dummies_destroyed: usize,
+    /// Standing dummies the reconciliation reclaimed with zero graph
+    /// mutation (0 under the per-node destroy/recreate oracle).
+    pub dummies_reused: usize,
+    /// Genuinely new dummies the reconciliation created — almost all
+    /// through the bulk splice installer
+    /// ([`SkipGraph::insert_dummies_bulk`](dsg_skipgraph::SkipGraph::insert_dummies_bulk)),
+    /// stragglers below the bulk threshold directly (0 under the per-node
+    /// oracle, which join-walks every placement).
+    pub dummies_bulk_inserted: usize,
+    /// Requests whose cluster the admission gate declined to restructure:
+    /// routed (and charged routing cost), but no transformation, install
+    /// or balance repair. 0 with the policy off
+    /// ([`AdaptPolicy::Always`](crate::AdaptPolicy::Always)).
+    pub pairs_gated: u64,
+    /// Requests routed without restructuring because the epoch ran under
+    /// a brownout verdict
+    /// ([`communicate_epoch_degraded`](crate::DynamicSkipGraph::communicate_epoch_degraded)
+    /// with `brownout = true`): the admission gate was degraded to
+    /// route-only for cold traffic. Disjoint from
+    /// [`pairs_gated`](Self::pairs_gated); 0 outside brownout.
+    pub pairs_browned_out: u64,
+    /// Cold clusters restructured via the per-epoch budget
+    /// ([`PolicyConfig::epoch_budget`](crate::PolicyConfig::epoch_budget))
+    /// instead of a hot sketch estimate.
+    pub restructures_budgeted: u64,
+    /// Frequency-sketch counter-halving ("aging") passes run at the
+    /// epochs' commit points.
+    pub sketch_aging_passes: u64,
+    /// Worker shards the plan stages actually ran on: 1 when everything
+    /// was planned inline, up to the configured
+    /// [`DsgConfig::shards`](crate::DsgConfig::shards) when clusters (or a
+    /// single cluster's reconcile scan) fanned out. Sums keep the largest.
+    /// An execution field, cleared by [`deterministic`](Self::deterministic).
+    pub plan_shards: usize,
+    /// Wall-clock nanoseconds the plan stages took (transformation planning
+    /// plus dummy-reconciliation detection). An execution field, cleared by
+    /// [`deterministic`](Self::deterministic).
+    pub plan_wall_ns: u64,
+}
+
+impl EpochCounters {
+    /// A copy with the execution fields
+    /// ([`plan_shards`](Self::plan_shards) and
+    /// [`plan_wall_ns`](Self::plan_wall_ns)) cleared: what two runs of the
+    /// same input must agree on, whatever their shard count and timing.
+    pub fn deterministic(self) -> Self {
+        EpochCounters {
+            plan_shards: 0,
+            plan_wall_ns: 0,
+            ..self
+        }
+    }
+}
+
+impl AddAssign for EpochCounters {
+    /// Sums every counter, except [`plan_shards`](Self::plan_shards),
+    /// which keeps the larger.
+    fn add_assign(&mut self, rhs: Self) {
+        self.clusters += rhs.clusters;
+        self.planned_clusters += rhs.planned_clusters;
+        self.install_passes += rhs.install_passes;
+        self.touched_pairs += rhs.touched_pairs;
+        self.dummies_inserted += rhs.dummies_inserted;
+        self.dummies_destroyed += rhs.dummies_destroyed;
+        self.dummies_reused += rhs.dummies_reused;
+        self.dummies_bulk_inserted += rhs.dummies_bulk_inserted;
+        self.pairs_gated += rhs.pairs_gated;
+        self.pairs_browned_out += rhs.pairs_browned_out;
+        self.restructures_budgeted += rhs.restructures_budgeted;
+        self.sketch_aging_passes += rhs.sketch_aging_passes;
+        self.plan_shards = self.plan_shards.max(rhs.plan_shards);
+        self.plan_wall_ns += rhs.plan_wall_ns;
+    }
+}
+
 /// Cumulative statistics over a served request sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
@@ -68,58 +183,14 @@ pub struct RunStats {
     pub total_cost: usize,
     /// The largest structure height observed after any transformation.
     pub max_height: usize,
-    /// Number of dummy nodes currently alive.
-    pub live_dummy_nodes: usize,
-    /// Total number of dummy nodes ever created for a-balance repair. Under
-    /// the reconciling lifecycle this counts only genuinely new dummies;
-    /// `dummy_nodes_created + dummies_reused` is the lifecycle-independent
-    /// number of dummy slots established.
+    /// Total number of dummy nodes ever created for a-balance repair, the
+    /// repairs after joins, leaves and recoveries included. Under the
+    /// reconciling lifecycle this counts only genuinely new dummies;
+    /// `dummy_nodes_created + counters.dummies_reused` is the
+    /// lifecycle-independent number of dummy slots established.
     pub dummy_nodes_created: usize,
-    /// Standing dummies the reconciling repair reclaimed in place instead
-    /// of destroying and re-creating them (0 under the per-node
-    /// destroy/recreate oracle).
-    pub dummies_reused: usize,
-    /// Genuinely new dummies the reconciling repair created — almost all
-    /// through the bulk splice installer
-    /// ([`SkipGraph::insert_dummies_bulk`](dsg_skipgraph::SkipGraph::insert_dummies_bulk)),
-    /// straggler passes below the bulk threshold directly. 0 under the
-    /// per-node oracle, which join-walks every placement.
-    pub dummies_bulk_inserted: usize,
-    /// Total changed `(node, level)` pairs installed by transformations —
-    /// the work the differential install performs, as opposed to the
-    /// Θ(n · height) a full per-node re-splice would (experiments surface
-    /// this to show the diff-install win per workload, not just via wall
-    /// clock).
-    pub transform_touched_pairs: usize,
-    /// Number of transformation-install passes pushed into the skip graph.
-    /// A sequential request sequence performs one pass per request; an
-    /// epoch-batched session performs one pass per *epoch* regardless of
-    /// how many requests the epoch served — this counter is the observable
-    /// behind that claim (the batch tests assert on it).
-    pub transform_install_passes: usize,
-    /// Transformation clusters planned by the (possibly parallel) plan
-    /// stage across all epochs.
-    pub planned_clusters: usize,
-    /// The largest worker-shard count any epoch's plan stages actually ran
-    /// on (1 for fully inline planning).
-    pub plan_shards: usize,
-    /// Total wall-clock nanoseconds spent in the plan stages (cluster
-    /// transformation planning + dummy-reconciliation detection). A timing
-    /// observable — excluded from determinism comparisons.
-    pub plan_wall_ns: u64,
-    /// Requests whose cluster the admission gate declined to restructure
-    /// (routed only). 0 with the policy off
-    /// ([`AdaptPolicy::Always`](crate::AdaptPolicy::Always)).
-    pub pairs_gated: u64,
-    /// Cold clusters restructured via the per-epoch budget instead of a
-    /// hot sketch estimate.
-    pub restructures_budgeted: u64,
-    /// Frequency-sketch counter-halving ("aging") passes performed.
-    pub sketch_aging_passes: u64,
-    /// Requests routed without restructuring under a brownout verdict
-    /// (overload-degraded epochs; disjoint from
-    /// [`pairs_gated`](RunStats::pairs_gated)).
-    pub pairs_browned_out: u64,
+    /// Every epoch's counters, summed.
+    pub counters: EpochCounters,
 }
 
 impl RunStats {
@@ -167,6 +238,62 @@ mod tests {
         };
         assert_eq!(b.transformation_rounds(), 20);
         assert_eq!(b.total_cost(), 4 + 20 + 1);
+    }
+
+    #[test]
+    fn counters_sum_every_field_and_keep_the_widest_fan_out() {
+        let epoch = EpochCounters {
+            clusters: 1,
+            planned_clusters: 2,
+            install_passes: 3,
+            touched_pairs: 4,
+            dummies_inserted: 5,
+            dummies_destroyed: 6,
+            dummies_reused: 7,
+            dummies_bulk_inserted: 8,
+            pairs_gated: 9,
+            pairs_browned_out: 10,
+            restructures_budgeted: 11,
+            sketch_aging_passes: 12,
+            plan_shards: 4,
+            plan_wall_ns: 13,
+        };
+        let mut sum = EpochCounters::default();
+        sum += epoch;
+        assert_eq!(sum, epoch);
+        sum += EpochCounters {
+            plan_shards: 2,
+            ..epoch
+        };
+        assert_eq!(
+            sum,
+            EpochCounters {
+                clusters: 2,
+                planned_clusters: 4,
+                install_passes: 6,
+                touched_pairs: 8,
+                dummies_inserted: 10,
+                dummies_destroyed: 12,
+                dummies_reused: 14,
+                dummies_bulk_inserted: 16,
+                pairs_gated: 18,
+                pairs_browned_out: 20,
+                restructures_budgeted: 22,
+                sketch_aging_passes: 24,
+                plan_shards: 4,
+                plan_wall_ns: 26,
+            }
+        );
+        let cleared = sum.deterministic();
+        assert_eq!((cleared.plan_shards, cleared.plan_wall_ns), (0, 0));
+        assert_eq!(
+            EpochCounters {
+                plan_shards: 4,
+                plan_wall_ns: 26,
+                ..cleared
+            },
+            sum
+        );
     }
 
     #[test]

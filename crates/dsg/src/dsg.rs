@@ -31,7 +31,7 @@ use dsg_skipgraph::{
 
 use crate::amf::{AmfMedian, ExactMedian, MedianFinder};
 use crate::config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy};
-use crate::cost::{CostBreakdown, RunStats};
+use crate::cost::{CostBreakdown, EpochCounters, RunStats};
 use crate::dummy;
 use crate::error::DsgError;
 use crate::groups::{self, GroupScratch, GroupUpdateInput};
@@ -262,9 +262,10 @@ struct ClusterRun {
 }
 
 /// What serving one transformation epoch produced: the per-request
-/// outcomes plus the epoch-level accounting that proves the batched path's
-/// claim — however many pairs an epoch serves, the transformation results
-/// are pushed into the structure by (at most) one install pass.
+/// outcomes plus the epoch's counters, among them the install passes that
+/// prove the batched path's claim — however many pairs an epoch serves,
+/// the transformation results are pushed into the structure by (at most)
+/// one install pass.
 #[derive(Debug, Clone, Default)]
 pub struct EpochReport {
     /// Per-request outcomes, in submission order. Within an epoch, cluster
@@ -272,63 +273,8 @@ pub struct EpochReport {
     /// dummies) are attributed to the first request of each cluster so that
     /// sums over the report equal the epoch totals.
     pub outcomes: Vec<RequestOutcome>,
-    /// Number of transformation clusters the epoch formed (pairs with
-    /// overlapping `l_α` subtrees merge; disjoint pairs keep their own) —
-    /// admitted and gated clusters alike.
-    pub clusters: usize,
-    /// Number of transformation-install passes pushed into the skip graph:
-    /// 1 under [`InstallStrategy::Batched`] regardless of the batch size,
-    /// one per cluster under the per-node reference strategy.
-    pub install_passes: usize,
-    /// Changed `(node, level)` pairs installed across the epoch.
-    pub touched_pairs: usize,
-    /// Dummy nodes actually removed from the graph across the epoch. Under
-    /// the reconciling lifecycle this counts only the genuinely stale (or
-    /// evicted) dummies, not the standing ones reclaimed in place.
-    pub dummies_destroyed: usize,
-    /// Dummy slots the balance repairs established across the epoch —
-    /// reclaimed standing dummies and created ones alike, so the count is
-    /// lifecycle-independent (it equals what the destroy-then-recreate
-    /// oracle reports as inserted).
-    pub dummies_inserted: usize,
-    /// Standing dummies the reconciliation reclaimed with zero graph
-    /// mutation (0 under the per-node destroy/recreate oracle).
-    pub dummies_reused: usize,
-    /// Genuinely new dummies the reconciliation created — almost all
-    /// through the bulk splice installer, stragglers below the bulk
-    /// threshold directly (0 under the per-node oracle, which join-walks
-    /// every placement).
-    pub dummies_bulk_inserted: usize,
-    /// Clusters the epoch's plan stage actually planned. Equal to
-    /// [`EpochReport::clusters`] with the adaptation policy off; with the
-    /// gate on, gated clusters are never planned, so this counts only the
-    /// admitted ones.
-    pub planned_clusters: usize,
-    /// Worker shards the plan stages actually ran on: 1 when everything was
-    /// planned inline, up to the configured [`DsgConfig::shards`] when
-    /// clusters (or a single cluster's reconcile scan) fanned out.
-    pub plan_shards: usize,
-    /// Wall-clock nanoseconds the plan stages took (transformation planning
-    /// plus dummy-reconciliation detection). Timing-only: excluded from the
-    /// determinism comparisons.
-    pub plan_wall_ns: u64,
-    /// Requests whose cluster the admission gate declined to restructure
-    /// this epoch: routed (and charged routing cost), but no
-    /// transformation, install, or balance repair. 0 with the policy off.
-    pub pairs_gated: u64,
-    /// Cold clusters this epoch restructured via the per-epoch budget
-    /// ([`PolicyConfig::epoch_budget`](crate::PolicyConfig::epoch_budget)).
-    pub restructures_budgeted: u64,
-    /// Frequency-sketch counter-halving passes run at this epoch's commit
-    /// point.
-    pub sketch_aging_passes: u64,
-    /// Requests routed without restructuring because the epoch ran under
-    /// a brownout verdict
-    /// ([`communicate_epoch_degraded`](DynamicSkipGraph::communicate_epoch_degraded)
-    /// with `brownout = true`): the admission gate was degraded to
-    /// route-only for cold traffic. Disjoint from
-    /// [`pairs_gated`](EpochReport::pairs_gated); 0 outside brownout.
-    pub pairs_browned_out: u64,
+    /// What the epoch counted.
+    pub counters: EpochCounters,
 }
 
 /// A stamp of an engine's structure and per-node state, from
@@ -898,7 +844,6 @@ impl DynamicSkipGraph {
             dummies_recreated = repair.inserted.len();
             self.stats.dummy_nodes_created += dummies_recreated;
         }
-        self.stats.live_dummy_nodes = self.graph.dummy_count();
 
         self.validate()?;
         Ok(RecoveryReport {
@@ -1096,7 +1041,7 @@ impl DynamicSkipGraph {
                 None => FreqSketch::new(config.seed, config.policy.aging_period),
             }),
         };
-        let mut engine = DynamicSkipGraph {
+        let engine = DynamicSkipGraph {
             graph,
             states,
             instance: next_instance(),
@@ -1112,7 +1057,6 @@ impl DynamicSkipGraph {
             last_affected: Vec::new(),
             sketch,
         };
-        engine.stats.live_dummy_nodes = engine.graph.dummy_count();
         engine.validate()?;
         Ok(engine)
     }
@@ -1147,7 +1091,6 @@ impl DynamicSkipGraph {
             let repair =
                 dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
             self.stats.dummy_nodes_created += repair.inserted.len();
-            self.stats.live_dummy_nodes = self.graph.dummy_count();
         }
         self.phase = EpochPhase::Idle;
         Ok(())
@@ -1169,7 +1112,6 @@ impl DynamicSkipGraph {
             let repair =
                 dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
             self.stats.dummy_nodes_created += repair.inserted.len();
-            self.stats.live_dummy_nodes = self.graph.dummy_count();
         }
         self.phase = EpochPhase::Idle;
         Ok(())
@@ -1317,10 +1259,7 @@ impl DynamicSkipGraph {
         // the default `AdaptPolicy::Always` no sketch exists and this
         // whole block is a no-op (the policy-off differential proptest
         // pins bit-identity).
-        let mut pairs_gated = 0u64;
-        let mut pairs_browned_out = 0u64;
-        let mut restructures_budgeted = 0u64;
-        let mut sketch_aging_passes = 0u64;
+        let mut counters = EpochCounters::default();
         let mut gated_clusters: Vec<ClusterPlan> = Vec::new();
         let clusters = if let Some(sketch) = self.sketch.as_mut() {
             for (pi, &(u, v)) in pairs.iter().enumerate() {
@@ -1399,14 +1338,14 @@ impl DynamicSkipGraph {
                 match verdict {
                     Admission::Hot => admitted.push(cluster),
                     Admission::Budgeted => {
-                        restructures_budgeted += 1;
+                        counters.restructures_budgeted += 1;
                         admitted.push(cluster);
                     }
                     Admission::Gated => {
                         if brownout {
-                            pairs_browned_out += cluster.pair_indices.len() as u64;
+                            counters.pairs_browned_out += cluster.pair_indices.len() as u64;
                         } else {
-                            pairs_gated += cluster.pair_indices.len() as u64;
+                            counters.pairs_gated += cluster.pair_indices.len() as u64;
                         }
                         gated_clusters.push(cluster);
                     }
@@ -1416,6 +1355,8 @@ impl DynamicSkipGraph {
         } else {
             clusters
         };
+        counters.clusters = clusters.len() + gated_clusters.len();
+        counters.planned_clusters = clusters.len();
 
         // Phase A-plan, all clusters (concurrently on worker shards when
         // configured): steps 1b–9 — member snapshot, pre-merge group
@@ -1503,8 +1444,8 @@ impl DynamicSkipGraph {
             }
             self.plan_shards_scratch = shard_scratch;
         }
-        let mut plan_wall_ns = plan_started.elapsed().as_nanos() as u64;
-        let mut plan_shards_used = plan_shard_target;
+        counters.plan_wall_ns = plan_started.elapsed().as_nanos() as u64;
+        counters.plan_shards = plan_shard_target;
 
         // Phase A-apply, per cluster in submission order: replay the
         // recorded state writes, then steps 10–11 per pair — group-ids and
@@ -1527,7 +1468,7 @@ impl DynamicSkipGraph {
         // any due counter-halving passes run — after this epoch's
         // admission decisions, before the next epoch's.
         if let Some(sketch) = self.sketch.as_mut() {
-            sketch_aging_passes = sketch.commit();
+            counters.sketch_aging_passes = sketch.commit();
         }
         for (cluster, run) in clusters.iter().zip(&mut cluster_runs) {
             let outcome = &run.bufs.outcome;
@@ -1570,13 +1511,11 @@ impl DynamicSkipGraph {
         // disjoint subtrees, so the merged batch touches each node at most
         // once and disjoint target lists commute. The per-node reference
         // path re-splices every member, cluster by cluster.
-        let epoch_touched;
-        let install_passes;
         match self.config.install {
             InstallStrategy::Batched => {
                 let scratch = &mut self.scratch;
                 if cluster_runs.len() == 1 {
-                    epoch_touched = self.graph.apply_membership_batch_collecting(
+                    counters.touched_pairs = self.graph.apply_membership_batch_collecting(
                         &cluster_runs[0].bufs.outcome.changes,
                         &mut scratch.affected,
                     )?;
@@ -1585,15 +1524,14 @@ impl DynamicSkipGraph {
                         .iter()
                         .flat_map(|run| run.bufs.outcome.changes.iter().copied())
                         .collect();
-                    epoch_touched = self
+                    counters.touched_pairs = self
                         .graph
                         .apply_membership_batch_collecting(&merged, &mut scratch.affected)?;
                 }
                 // A fully-gated epoch pushes nothing; don't count a pass.
-                install_passes = if cluster_runs.is_empty() { 0 } else { 1 };
+                counters.install_passes = if cluster_runs.is_empty() { 0 } else { 1 };
             }
             InstallStrategy::PerNode => {
-                let mut touched = 0usize;
                 for (cluster, run) in clusters.iter().zip(&cluster_runs) {
                     let outcome = &run.bufs.outcome;
                     for (pos, &node) in run.bufs.members.iter().enumerate() {
@@ -1603,10 +1541,9 @@ impl DynamicSkipGraph {
                             outcome.suffix(pos),
                         )?;
                     }
-                    touched += outcome.touched_pairs;
+                    counters.touched_pairs += outcome.touched_pairs;
                 }
-                epoch_touched = touched;
-                install_passes = cluster_runs.len();
+                counters.install_passes = cluster_runs.len();
             }
         }
 
@@ -1693,7 +1630,7 @@ impl DynamicSkipGraph {
                     }
                 });
                 reconcile_plans = slots;
-                plan_shards_used = plan_shards_used.max(shard_count);
+                counters.plan_shards = counters.plan_shards.max(shard_count);
             } else {
                 for ((cluster, affected), mut shell) in clusters
                     .iter()
@@ -1711,24 +1648,20 @@ impl DynamicSkipGraph {
                     reconcile_plans.push(Some(shell));
                 }
                 if !cluster_affected_all.is_empty() {
-                    plan_shards_used = plan_shards_used.max(
+                    counters.plan_shards = counters.plan_shards.max(
                         self.config
                             .shards
                             .clamp(1, cluster_affected_all[0].len().max(1)),
                     );
                 }
             }
-            plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
+            counters.plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
         }
 
         // Phase C-apply, per cluster in submission order: differential
         // dummy GC and a-balance repair over the lists this cluster's
         // install actually changed, then the per-request outcome assembly.
         let mut outcomes: Vec<Option<RequestOutcome>> = pairs.iter().map(|_| None).collect();
-        let mut total_dummies_inserted = 0usize;
-        let mut total_dummies_destroyed = 0usize;
-        let mut total_dummies_reused = 0usize;
-        let mut total_dummies_bulk_inserted = 0usize;
         for (ci, (cluster, run)) in clusters.iter().zip(&cluster_runs).enumerate() {
             let mut dummies_inserted = 0usize;
             let mut repair_rounds = 0usize;
@@ -1773,21 +1706,19 @@ impl DynamicSkipGraph {
                         &mut scratch.reconcile,
                     );
                     self.reconcile_pool.push(plan);
-                    total_dummies_destroyed += repair.destroyed;
-                    total_dummies_reused += repair.reused;
-                    total_dummies_bulk_inserted += repair.bulk_inserted;
+                    counters.dummies_destroyed += repair.destroyed;
+                    counters.dummies_reused += repair.reused;
+                    counters.dummies_bulk_inserted += repair.bulk_inserted;
                     dummies_inserted = repair.placed.len();
                     repair_rounds = repair.rounds;
                     self.stats.dummy_nodes_created += repair.bulk_inserted;
-                    self.stats.dummies_reused += repair.reused;
-                    self.stats.dummies_bulk_inserted += repair.bulk_inserted;
                 } else {
                     // Destroy-then-recreate oracle: stale dummies inside
                     // affected lists destroy themselves (the §IV-F
                     // notification, scoped to the rebuilt lists); their own
                     // prefix paths join the re-check set, since removing
                     // them can merge runs anywhere along the way.
-                    total_dummies_destroyed += dummy::destroy_dummies_in_lists(
+                    counters.dummies_destroyed += dummy::destroy_dummies_in_lists(
                         &mut self.graph,
                         &mut self.states,
                         cluster.root_level,
@@ -1811,9 +1742,8 @@ impl DynamicSkipGraph {
                     repair_rounds = repair.rounds;
                     self.stats.dummy_nodes_created += dummies_inserted;
                 }
-                self.stats.live_dummy_nodes = self.graph.dummy_count();
             }
-            total_dummies_inserted += dummies_inserted;
+            counters.dummies_inserted += dummies_inserted;
 
             // Per-request outcomes: cluster-level rounds and counters are
             // attributed to the first request of the cluster so that sums
@@ -1894,15 +1824,7 @@ impl DynamicSkipGraph {
         // Recycle the clusters' snapshot buffers for the next epoch.
         self.bufs_pool
             .extend(cluster_runs.drain(..).map(|run| run.bufs));
-        self.stats.transform_touched_pairs += epoch_touched;
-        self.stats.transform_install_passes += install_passes;
-        self.stats.planned_clusters += clusters.len();
-        self.stats.plan_shards = self.stats.plan_shards.max(plan_shards_used);
-        self.stats.plan_wall_ns += plan_wall_ns;
-        self.stats.pairs_gated += pairs_gated;
-        self.stats.pairs_browned_out += pairs_browned_out;
-        self.stats.restructures_budgeted += restructures_budgeted;
-        self.stats.sketch_aging_passes += sketch_aging_passes;
+        self.stats.counters += counters;
         self.phase = EpochPhase::Idle;
 
         Ok(EpochReport {
@@ -1910,20 +1832,7 @@ impl DynamicSkipGraph {
                 .into_iter()
                 .map(|o| o.expect("every pair belongs to exactly one cluster"))
                 .collect(),
-            clusters: clusters.len() + gated_clusters.len(),
-            install_passes,
-            touched_pairs: epoch_touched,
-            dummies_destroyed: total_dummies_destroyed,
-            dummies_inserted: total_dummies_inserted,
-            dummies_reused: total_dummies_reused,
-            dummies_bulk_inserted: total_dummies_bulk_inserted,
-            planned_clusters: clusters.len(),
-            plan_shards: plan_shards_used,
-            plan_wall_ns,
-            pairs_gated,
-            restructures_budgeted,
-            sketch_aging_passes,
-            pairs_browned_out,
+            counters,
         })
     }
 }

@@ -72,8 +72,7 @@ pub struct DummyRepairOutcome {
 /// over-long run. Newly inserted dummies are registered in `states` so that
 /// later transformations can destroy them cleanly.
 ///
-/// Two engineering refinements over the paper's description, both noted in
-/// `DESIGN.md`:
+/// Two engineering refinements over the paper's description (§IV-F):
 ///
 /// * stale dummies from earlier repairs are garbage-collected first, so the
 ///   live dummy population always reflects the *current* structure and stays

@@ -95,18 +95,17 @@ pub mod transform;
 
 pub use amf::{AmfMedian, ExactMedian, MedianFinder, MedianOutcome};
 pub use config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
-pub use cost::{CostBreakdown, RunStats};
+pub use cost::{CostBreakdown, EpochCounters, RunStats};
 pub use dsg::{
     DynamicSkipGraph, EpochPhase, EpochReport, Generation, RecoveryReport, RequestOutcome,
 };
 pub use error::DsgError;
 pub use observer::{
-    AdmissionEvent, AuditEvent, BalanceRepairEvent, DsgObserver, OverloadEvent, SharedObserver,
-    StallEvent, TransformEvent,
+    AuditEvent, DsgObserver, EpochEvent, OverloadEvent, SharedObserver, StallEvent,
 };
 pub use overload::{OverloadConfig, OverloadController, OverloadState, RetryPolicy};
 pub use persist::{DurableStore, EngineImage, PersistConfig, PersistError};
-pub use policy::{Admission, AdmissionGate, ClusterSignal, FreqSketch, GateCounters};
+pub use policy::{Admission, AdmissionGate, ClusterSignal, FreqSketch};
 pub use priority::Priority;
 pub use request::Request;
 pub use service::{
@@ -144,14 +143,13 @@ pub mod prelude {
     pub use crate::config::{
         AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig,
     };
-    pub use crate::cost::{CostBreakdown, RunStats};
+    pub use crate::cost::{CostBreakdown, EpochCounters, RunStats};
     pub use crate::dsg::{
         DynamicSkipGraph, EpochPhase, EpochReport, RecoveryReport, RequestOutcome,
     };
     pub use crate::error::DsgError;
     pub use crate::observer::{
-        AdmissionEvent, AuditEvent, BalanceRepairEvent, DsgObserver, OverloadEvent,
-        SharedObserver, StallEvent, TransformEvent,
+        AuditEvent, DsgObserver, EpochEvent, OverloadEvent, SharedObserver, StallEvent,
     };
     pub use crate::overload::{OverloadConfig, OverloadState, RetryPolicy};
     pub use crate::persist::{PersistConfig, PersistError};

@@ -206,7 +206,8 @@ pub(crate) fn encode_prefix(
     buf.push(config.maintain_balance as u8);
     buf.push(install_tag(config.install));
     put_u64(buf, config.shards as u64);
-    buf.push(config.adaptive_flush as u8);
+    // The retired adaptive-flush option's byte, always 0.
+    buf.push(0);
     buf.push(policy_tag(config.policy.policy));
     put_u32(buf, config.policy.threshold);
     put_u32(buf, config.policy.epoch_budget);
@@ -345,11 +346,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         tag => return Err(corrupt(&format!("unknown install strategy tag {tag}"))),
     };
     let shards = r.u64().map_err(short)? as usize;
-    let adaptive_flush = match r.u8().map_err(short)? {
-        0 => false,
-        1 => true,
+    match r.u8().map_err(short)? {
+        0 => {}
+        // A store written with the option on cut its epochs elsewhere, so
+        // replaying its journal would not rebuild the engine it served.
+        1 => {
+            return Err(corrupt(
+                "written with the retired adaptive_flush option on; its journal \
+                 would replay into different epochs",
+            ))
+        }
         tag => return Err(corrupt(&format!("bad adaptive_flush byte {tag}"))),
-    };
+    }
     let policy = match r.u8().map_err(short)? {
         0 => AdaptPolicy::Always,
         1 => AdaptPolicy::Gated,
@@ -382,7 +390,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         maintain_balance,
         install,
         shards,
-        adaptive_flush,
         policy: PolicyConfig {
             policy,
             threshold,
@@ -565,10 +572,7 @@ mod tests {
 
     fn sample_image() -> EngineImage {
         EngineImage {
-            config: DsgConfig::default()
-                .with_seed(0xFEED)
-                .with_shards(4)
-                .with_adaptive_flush(true),
+            config: DsgConfig::default().with_seed(0xFEED).with_shards(4),
             time: 421,
             rng_state: [1, 2, 3, u64::MAX],
             nodes: vec![
@@ -611,6 +615,26 @@ mod tests {
         let image = sample_image();
         let bytes = encode_snapshot(&image);
         assert_eq!(decode_snapshot(&bytes).unwrap(), image);
+    }
+
+    #[test]
+    fn the_retired_adaptive_flush_option_is_refused_typed() {
+        let mut bytes = encode_snapshot(&sample_image());
+        // Magic, a, median, seed, maintain_balance, install, shards.
+        let at = MAGIC.len() + 8 + 1 + 8 + 1 + 1 + 8;
+        assert_eq!(bytes[at], 0, "the option's byte is always written as 0");
+        bytes[at] = 1;
+        match decode_snapshot(&bytes) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("adaptive_flush"), "{detail}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        bytes[at] = 2;
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(PersistError::CorruptSnapshot { .. })
+        ));
     }
 
     #[test]

@@ -42,17 +42,6 @@ pub enum Admission {
     Gated,
 }
 
-/// Per-epoch tallies of gate activity, merged into the epoch report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GateCounters {
-    /// Requests whose cluster was [`Admission::Gated`] this epoch.
-    pub pairs_gated: u64,
-    /// Clusters admitted via the budget ([`Admission::Budgeted`]).
-    pub restructures_budgeted: u64,
-    /// Sketch halving passes performed at this epoch's commit point.
-    pub sketch_aging_passes: u64,
-}
-
 /// The admission signals of one cluster, collected before judging so the
 /// whole epoch can be judged at once ([`AdmissionGate::judge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -74,6 +74,6 @@
 pub mod admission;
 pub mod sketch;
 
-pub use admission::{Admission, AdmissionGate, ClusterSignal, GateCounters};
+pub use admission::{Admission, AdmissionGate, ClusterSignal};
 pub(crate) use sketch::SketchView;
 pub use sketch::{FreqSketch, SketchImage, SKETCH_ROWS, SKETCH_WIDTH};

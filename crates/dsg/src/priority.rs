@@ -182,8 +182,7 @@ pub fn recomputed_priority(states: &StateTable, t: u64, d: usize, x: NodeId) -> 
 /// graph into key-contiguous sublists with poor routing. Mixing the
 /// identifier keeps the bands distinct (the map is a bijection on `u64`)
 /// while decorrelating them from key order, so splits of unrelated groups
-/// remain pseudo-random exactly like the initial membership vectors. This
-/// refinement is documented in `DESIGN.md`.
+/// remain pseudo-random exactly like the initial membership vectors.
 pub fn mix_group_id(id: u64) -> u64 {
     let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -12,8 +12,7 @@
 //! path — with that request's individual result. The ingest thread drains
 //! the queue in arrival order and serves the drained runs through
 //! [`DsgSession::submit_batch`], so requests are epoch-batched exactly as
-//! a single-threaded caller's batches would be (including the adaptive
-//! flush, when configured); with
+//! a single-threaded caller's batches would be; with
 //! [`record_journal`](ServiceConfig::record_journal) the exact chunk
 //! sequence is kept, and replaying it through a fresh session reproduces
 //! the final structure bit for bit.
@@ -197,6 +196,7 @@ use std::time::{Duration, Instant};
 
 use dsg_skipgraph::failpoint;
 
+use crate::cost::EpochCounters;
 use crate::dsg::{DynamicSkipGraph, EpochPhase, Generation, RecoveryReport};
 use crate::error::DsgError;
 use crate::observer::{AuditEvent, OverloadEvent, SharedObserver, StallEvent};
@@ -324,8 +324,9 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A snapshot of the service's counters (all maintained with relaxed
-/// atomics; exact once the service is shut down).
+/// A snapshot of the service's counters (relaxed atomics, plus the
+/// engine's counters under one lock; exact once the service is shut
+/// down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceMetrics {
     /// Requests accepted onto the queue.
@@ -387,14 +388,14 @@ pub struct ServiceMetrics {
     pub deadline_shed: u64,
     /// Drained chunks served under a brownout verdict.
     pub brownout_chunks: u64,
-    /// Requests routed without restructuring under brownout.
-    pub pairs_browned_out: u64,
     /// Times the controller entered brownout from nominal.
     pub brownout_entries: u64,
     /// Times the controller exited brownout back to nominal.
     pub brownout_exits: u64,
     /// Stall episodes the watchdog reported (one per stuck heartbeat).
     pub stalls: u64,
+    /// The engine's counters, summed over every served run.
+    pub counters: EpochCounters,
 }
 
 /// The session and bookkeeping handed back by
@@ -449,10 +450,9 @@ pub struct OpenReport {
     pub fell_back: bool,
 }
 
-/// A live introspection snapshot from [`DsgService::status`]: queue and
-/// health state plus progress and durability counters. Counters are
-/// relaxed-atomic reads; queue fields are taken under the queue lock, so
-/// they are mutually consistent.
+/// A live introspection snapshot from [`DsgService::status`]: the
+/// service's live state beside its counters. Queue fields are taken under
+/// the queue lock, so they are mutually consistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStatus {
     /// Requests currently queued, awaiting the ingest thread.
@@ -462,34 +462,11 @@ pub struct ServiceStatus {
     /// Whether an apply-stage fault (or failed audit) has poisoned the
     /// engine.
     pub poisoned: bool,
-    /// Transformation epochs served so far by this instance.
-    pub epochs: u64,
-    /// Ingest runs served (each one `submit_batch` call).
-    pub batches: u64,
-    /// Fast incremental audits run.
-    pub audits: u64,
-    /// Requests the admission gate routed without restructuring (0 with
-    /// the adaptation policy off).
-    pub pairs_gated: u64,
-    /// Cold clusters restructured via the per-epoch admission budget.
-    pub restructures_budgeted: u64,
-    /// Frequency-sketch counter-halving passes run so far.
-    pub sketch_aging_passes: u64,
     /// Whether the overload controller is currently refusing submissions
     /// with [`SubmitError::Shed`].
     pub shedding: bool,
     /// Whether chunks are currently served under a brownout verdict.
     pub brownout: bool,
-    /// Submissions refused with [`SubmitError::Shed`] so far.
-    pub shed_submits: u64,
-    /// Queued requests shed at drain time for an expired deadline.
-    pub deadline_shed: u64,
-    /// Drained chunks served under a brownout verdict.
-    pub brownout_chunks: u64,
-    /// Requests routed without restructuring under brownout.
-    pub pairs_browned_out: u64,
-    /// Stall episodes the watchdog reported.
-    pub stalls: u64,
     /// Median queue sojourn of drained requests, as the upper bound of
     /// the matching power-of-two histogram bucket, in microseconds (0
     /// with no drained requests yet).
@@ -504,6 +481,8 @@ pub struct ServiceStatus {
     pub snapshot_seq: u64,
     /// Journal offset the current snapshot binding replays from.
     pub snapshot_offset: u64,
+    /// The service's counters, as [`DsgService::metrics`] reads them.
+    pub metrics: ServiceMetrics,
 }
 
 /// One submitted request's resolution slot, written exactly once (by the
@@ -740,7 +719,6 @@ struct Shared {
     shed_submits: AtomicU64,
     deadline_shed: AtomicU64,
     brownout_chunks: AtomicU64,
-    pairs_browned_out: AtomicU64,
     brownout_entries: AtomicU64,
     brownout_exits: AtomicU64,
     stalls: AtomicU64,
@@ -749,9 +727,9 @@ struct Shared {
     submit_timeouts: AtomicU64,
     epochs: AtomicU64,
     batches: AtomicU64,
-    pairs_gated: AtomicU64,
-    restructures_budgeted: AtomicU64,
-    sketch_aging_passes: AtomicU64,
+    /// The engine's counters, added once per served run by the ingest
+    /// thread.
+    counters: Mutex<EpochCounters>,
     max_queue_depth: AtomicUsize,
     audits: AtomicU64,
     deep_audits: AtomicU64,
@@ -796,7 +774,6 @@ impl Shared {
             shed_submits: AtomicU64::new(0),
             deadline_shed: AtomicU64::new(0),
             brownout_chunks: AtomicU64::new(0),
-            pairs_browned_out: AtomicU64::new(0),
             brownout_entries: AtomicU64::new(0),
             brownout_exits: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
@@ -805,9 +782,7 @@ impl Shared {
             submit_timeouts: AtomicU64::new(0),
             epochs: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            pairs_gated: AtomicU64::new(0),
-            restructures_budgeted: AtomicU64::new(0),
-            sketch_aging_passes: AtomicU64::new(0),
+            counters: Mutex::new(EpochCounters::default()),
             max_queue_depth: AtomicUsize::new(0),
             audits: AtomicU64::new(0),
             deep_audits: AtomicU64::new(0),
@@ -848,10 +823,10 @@ impl Shared {
             shed_submits: self.shed_submits.load(Ordering::Relaxed),
             deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
             brownout_chunks: self.brownout_chunks.load(Ordering::Relaxed),
-            pairs_browned_out: self.pairs_browned_out.load(Ordering::Relaxed),
             brownout_entries: self.brownout_entries.load(Ordering::Relaxed),
             brownout_exits: self.brownout_exits.load(Ordering::Relaxed),
             stalls: self.stalls.load(Ordering::Relaxed),
+            counters: *self.counters.lock().expect("counters lock"),
         }
     }
 
@@ -1280,8 +1255,9 @@ impl DsgService {
     }
 
     /// A live introspection snapshot: queue depth and health flags
-    /// (mutually consistent, taken under the queue lock) plus progress and
-    /// durability counters. Cheap enough to poll from monitoring loops.
+    /// (mutually consistent, taken under the queue lock) plus the live
+    /// overload, sojourn and durability state and every counter. Cheap
+    /// enough to poll from monitoring loops.
     pub fn status(&self) -> ServiceStatus {
         let (queue_depth, closed, poisoned) = {
             let q = self.shared.queue.lock().expect("queue lock");
@@ -1291,24 +1267,14 @@ impl DsgService {
             queue_depth,
             closed,
             poisoned,
-            epochs: self.shared.epochs.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            audits: self.shared.audits.load(Ordering::Relaxed),
-            pairs_gated: self.shared.pairs_gated.load(Ordering::Relaxed),
-            restructures_budgeted: self.shared.restructures_budgeted.load(Ordering::Relaxed),
-            sketch_aging_passes: self.shared.sketch_aging_passes.load(Ordering::Relaxed),
             shedding: self.shared.shedding.load(Ordering::Relaxed),
             brownout: self.shared.brownout.load(Ordering::Relaxed),
-            shed_submits: self.shared.shed_submits.load(Ordering::Relaxed),
-            deadline_shed: self.shared.deadline_shed.load(Ordering::Relaxed),
-            brownout_chunks: self.shared.brownout_chunks.load(Ordering::Relaxed),
-            pairs_browned_out: self.shared.pairs_browned_out.load(Ordering::Relaxed),
-            stalls: self.shared.stalls.load(Ordering::Relaxed),
             sojourn_p50_us: self.shared.sojourn_quantile_us(50),
             sojourn_p99_us: self.shared.sojourn_quantile_us(99),
             journal_bytes: self.shared.journal_bytes.load(Ordering::Relaxed),
             snapshot_seq: self.shared.snapshot_seq.load(Ordering::Relaxed),
             snapshot_offset: self.shared.snapshot_offset.load(Ordering::Relaxed),
+            metrics: self.shared.metrics(),
         }
     }
 
@@ -1703,18 +1669,7 @@ impl Worker {
                 self.shared
                     .epochs
                     .fetch_add(batch.epochs as u64, Ordering::Relaxed);
-                self.shared
-                    .pairs_gated
-                    .fetch_add(batch.pairs_gated, Ordering::Relaxed);
-                self.shared
-                    .restructures_budgeted
-                    .fetch_add(batch.restructures_budgeted, Ordering::Relaxed);
-                self.shared
-                    .sketch_aging_passes
-                    .fetch_add(batch.sketch_aging_passes, Ordering::Relaxed);
-                self.shared
-                    .pairs_browned_out
-                    .fetch_add(batch.pairs_browned_out, Ordering::Relaxed);
+                *self.shared.counters.lock().expect("counters lock") += batch.counters;
                 if brownout {
                     self.shared.brownout_chunks.fetch_add(1, Ordering::Relaxed);
                 }
@@ -2265,8 +2220,9 @@ mod tests {
         // Counters are exact once the worker is joined.
         let status = service.status();
         assert!(status.closed);
-        assert!(status.epochs >= 1);
-        assert!(status.batches >= 1);
-        assert!(status.audits >= 1);
+        assert!(status.metrics.epochs >= 1);
+        assert!(status.metrics.batches >= 1);
+        assert!(status.metrics.audits >= 1);
+        assert!(status.metrics.counters.install_passes >= 1);
     }
 }

@@ -73,17 +73,16 @@
 //! cleanly with the structure untouched (requests of *earlier* epochs in
 //! the same batch remain applied; the error names the first offender).
 
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 use dsg_skipgraph::MembershipVector;
 
-use crate::config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
-use crate::cost::RunStats;
+use crate::config::{DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
+use crate::cost::{EpochCounters, RunStats};
 use crate::dsg::{DynamicSkipGraph, EpochReport, RequestOutcome};
 use crate::error::DsgError;
-use crate::observer::{
-    AdmissionEvent, AuditEvent, BalanceRepairEvent, DsgObserver, SharedObserver, TransformEvent,
-};
+use crate::observer::{AuditEvent, DsgObserver, EpochEvent, SharedObserver};
 use crate::request::Request;
 use crate::transform::MAX_EPOCH_PAIRS;
 use crate::Result;
@@ -193,17 +192,6 @@ impl DsgBuilder {
         self
     }
 
-    /// Enables the adaptive epoch flush: when the previous epoch collapsed
-    /// into a single cluster (total subtree overlap — nothing left for the
-    /// plan shards to parallelise), the session cuts subsequent epochs at
-    /// `4 · shards` pairs instead of the full per-epoch limit, restoring
-    /// the full cap once an epoch splits into ≥ 2 clusters again. Off by
-    /// default.
-    pub fn adaptive_flush(mut self, on: bool) -> Self {
-        self.config.adaptive_flush = on;
-        self
-    }
-
     /// Enable or disable a-balance maintenance (dummy nodes).
     pub fn balance_maintenance(mut self, on: bool) -> Self {
         self.config.maintain_balance = on;
@@ -214,7 +202,7 @@ impl DsgBuilder {
     /// [`PolicyConfig::gated()`](crate::PolicyConfig::gated), a count-min
     /// frequency sketch estimates pair hotness and only hot (or budgeted)
     /// clusters restructure; cold pairs are routed without transformation.
-    /// Defaults to [`AdaptPolicy::Always`]
+    /// Defaults to [`AdaptPolicy::Always`](crate::AdaptPolicy::Always)
     /// (every communicate restructures, bit-identical to the pre-policy
     /// engine).
     pub fn policy(mut self, policy: PolicyConfig) -> Self {
@@ -230,7 +218,7 @@ impl DsgBuilder {
     }
 
     /// Registers an observer; the session invokes its hooks for every
-    /// served request, epoch, and balance repair.
+    /// served request and epoch.
     pub fn observer(mut self, observer: SharedObserver) -> Self {
         self.observers.push(observer);
         self
@@ -337,50 +325,21 @@ pub struct BatchOutcome {
     /// membership/clock request intervenes, or the per-epoch pair limit is
     /// reached.
     pub epochs: usize,
-    /// Merged transformations across all epochs (clusters of pairs with
-    /// overlapping `l_α` subtrees).
-    pub clusters: usize,
-    /// Transformation-install passes pushed into the structure — at most
-    /// one per epoch under [`InstallStrategy::Batched`], regardless of the
-    /// batch size.
-    pub install_passes: usize,
-    /// Changed `(node, level)` pairs installed across the batch.
-    pub touched_pairs: usize,
-    /// Dummy nodes actually removed by the differential GC across the
-    /// batch (reclaimed standing dummies are not counted).
-    pub dummies_destroyed: usize,
-    /// Dummy slots the balance repairs established across the batch —
-    /// reclaimed and created alike (lifecycle-independent).
-    pub dummies_inserted: usize,
-    /// Standing dummies the reconciliation reclaimed in place across the
-    /// batch (0 under the per-node destroy/recreate oracle).
-    pub dummies_reused: usize,
-    /// Genuinely new dummies the reconciliation created across the batch
-    /// (reclaims excluded); almost all go through the bulk splice
-    /// installer.
-    pub dummies_bulk_inserted: usize,
-    /// Clusters the plan stages planned across the batch's epochs
-    /// (= [`BatchOutcome::clusters`] with the adaptation policy off;
-    /// gated clusters are never planned).
-    pub planned_clusters: usize,
-    /// The largest worker-shard count any of the batch's epochs actually
-    /// planned on (1 = fully inline).
-    pub plan_shards: usize,
-    /// Wall-clock nanoseconds the plan stages took across the batch. A
-    /// timing observable — excluded from determinism comparisons.
-    pub plan_wall_ns: u64,
-    /// Requests whose cluster the admission gate declined to restructure
-    /// across the batch (0 with the policy off).
-    pub pairs_gated: u64,
-    /// Cold clusters restructured via the per-epoch budget across the
-    /// batch.
-    pub restructures_budgeted: u64,
-    /// Frequency-sketch counter-halving passes across the batch.
-    pub sketch_aging_passes: u64,
-    /// Requests routed without restructuring under a brownout verdict
-    /// ([`submit_batch_degraded`](DsgSession::submit_batch_degraded) with
-    /// `brownout = true`). 0 outside brownout.
-    pub pairs_browned_out: u64,
+    /// The counters of the batch's epochs, summed.
+    pub counters: EpochCounters,
+}
+
+/// Reads through to [`BatchOutcome::counters`]. It exists only so that the
+/// benchmark in `perfbench/`, which reads `batch.touched_pairs`,
+/// `batch.pairs_gated` and the like, keeps compiling; it goes once the
+/// benchmark reads `batch.counters` instead. Code in this repository reads
+/// `counters` directly.
+impl Deref for BatchOutcome {
+    type Target = EpochCounters;
+
+    fn deref(&self) -> &EpochCounters {
+        &self.counters
+    }
 }
 
 impl BatchOutcome {
@@ -485,54 +444,21 @@ impl DsgSession {
         let mut pending: Vec<(usize, (u64, u64))> = Vec::new();
         let mut endpoints: Vec<u64> = Vec::new();
         let mut slots: Vec<Option<SubmitOutcome>> = requests.iter().map(|_| None).collect();
-        // Adaptive epoch flush (opt-in): while the previous epoch collapsed
-        // into ONE cluster — total subtree overlap, so additional pairs add
-        // no plan-stage parallelism — cap the pending epoch at `4 · shards`
-        // pairs; an epoch that splits into ≥ 2 clusters restores the full
-        // per-epoch limit. Purely a function of served reports, so the
-        // boundaries stay deterministic.
-        let adaptive = self.engine.config().adaptive_flush;
-        let overlap_cap = (4 * self.engine.config().shards).clamp(1, MAX_EPOCH_PAIRS);
-        let mut epoch_cap = MAX_EPOCH_PAIRS;
 
         let flush = |session: &mut Self,
                      pending: &mut Vec<(usize, (u64, u64))>,
                      endpoints: &mut Vec<u64>,
                      slots: &mut Vec<Option<SubmitOutcome>>,
-                     batch: &mut BatchOutcome,
-                     epoch_cap: &mut usize|
+                     batch: &mut BatchOutcome|
          -> Result<()> {
             if pending.is_empty() {
                 return Ok(());
             }
             let pairs: Vec<(u64, u64)> = pending.iter().map(|&(_, pair)| pair).collect();
             let report = session.engine.communicate_epoch_degraded(&pairs, brownout)?;
-            session.record_epoch(&report, pairs.len());
-            if adaptive {
-                if report.clusters >= 2 {
-                    *epoch_cap = MAX_EPOCH_PAIRS;
-                } else if pairs.len() > 1 {
-                    // A multi-pair epoch collapsed into one cluster: total
-                    // overlap pressure. A single-pair epoch is no evidence
-                    // either way and leaves the cap as it is.
-                    *epoch_cap = overlap_cap;
-                }
-            }
+            session.record_epoch(&report);
             batch.epochs += 1;
-            batch.clusters += report.clusters;
-            batch.install_passes += report.install_passes;
-            batch.touched_pairs += report.touched_pairs;
-            batch.dummies_destroyed += report.dummies_destroyed;
-            batch.dummies_inserted += report.dummies_inserted;
-            batch.dummies_reused += report.dummies_reused;
-            batch.dummies_bulk_inserted += report.dummies_bulk_inserted;
-            batch.planned_clusters += report.planned_clusters;
-            batch.plan_shards = batch.plan_shards.max(report.plan_shards);
-            batch.plan_wall_ns += report.plan_wall_ns;
-            batch.pairs_gated += report.pairs_gated;
-            batch.restructures_budgeted += report.restructures_budgeted;
-            batch.sketch_aging_passes += report.sketch_aging_passes;
-            batch.pairs_browned_out += report.pairs_browned_out;
+            batch.counters += report.counters;
             for (&(index, _), outcome) in pending.iter().zip(report.outcomes) {
                 slots[index] = Some(SubmitOutcome::Communicated(outcome));
             }
@@ -549,54 +475,26 @@ impl DsgSession {
                     // touch the same peer.
                     if endpoints.contains(&u)
                         || endpoints.contains(&v)
-                        || pending.len() >= epoch_cap
+                        || pending.len() >= MAX_EPOCH_PAIRS
                     {
-                        flush(
-                            self,
-                            &mut pending,
-                            &mut endpoints,
-                            &mut slots,
-                            &mut batch,
-                            &mut epoch_cap,
-                        )?;
+                        flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     }
                     pending.push((index, (u, v)));
                     endpoints.push(u);
                     endpoints.push(v);
                 }
                 Request::Join(peer) => {
-                    flush(
-                        self,
-                        &mut pending,
-                        &mut endpoints,
-                        &mut slots,
-                        &mut batch,
-                        &mut epoch_cap,
-                    )?;
+                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     self.engine.add_peer(peer)?;
                     slots[index] = Some(SubmitOutcome::Joined { peer });
                 }
                 Request::Leave(peer) => {
-                    flush(
-                        self,
-                        &mut pending,
-                        &mut endpoints,
-                        &mut slots,
-                        &mut batch,
-                        &mut epoch_cap,
-                    )?;
+                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     self.engine.remove_peer(peer)?;
                     slots[index] = Some(SubmitOutcome::Left { peer });
                 }
                 Request::Tick(to) => {
-                    flush(
-                        self,
-                        &mut pending,
-                        &mut endpoints,
-                        &mut slots,
-                        &mut batch,
-                        &mut epoch_cap,
-                    )?;
+                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     self.engine.advance_time(to);
                     slots[index] = Some(SubmitOutcome::Ticked {
                         now: self.engine.time(),
@@ -604,14 +502,7 @@ impl DsgSession {
                 }
             }
         }
-        flush(
-            self,
-            &mut pending,
-            &mut endpoints,
-            &mut slots,
-            &mut batch,
-            &mut epoch_cap,
-        )?;
+        flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
         batch.outcomes = slots
             .into_iter()
             .map(|slot| {
@@ -622,57 +513,21 @@ impl DsgSession {
     }
 
     /// Notifies the observers about one completed epoch.
-    fn record_epoch(&mut self, report: &EpochReport, requests: usize) {
+    fn record_epoch(&mut self, report: &EpochReport) {
         self.epochs += 1;
         if self.observers.is_empty() {
             return;
         }
-        let transform = TransformEvent {
+        let event = EpochEvent {
             epoch: self.epochs,
-            requests,
-            clusters: report.clusters,
-            install_passes: report.install_passes,
-            touched_pairs: report.touched_pairs,
-            planned_clusters: report.planned_clusters,
-            plan_shards: report.plan_shards,
-            plan_wall_ns: report.plan_wall_ns,
-            pairs_gated: report.pairs_gated,
-            restructures_budgeted: report.restructures_budgeted,
-            sketch_aging_passes: report.sketch_aging_passes,
-            pairs_browned_out: report.pairs_browned_out,
-        };
-        let repair = BalanceRepairEvent {
-            epoch: self.epochs,
-            dummies_destroyed: report.dummies_destroyed,
-            dummies_inserted: report.dummies_inserted,
-            dummies_reused: report.dummies_reused,
-            dummies_bulk_inserted: report.dummies_bulk_inserted,
-            live_dummies: self.engine.dummy_count(),
-        };
-        // The admission event only exists when the gate is on: a silent
-        // stream of all-zero events under `Always` would make "the gate is
-        // off" and "the gate never gated" indistinguishable to observers.
-        let admission = match self.engine.config().policy.policy {
-            AdaptPolicy::Gated => Some(AdmissionEvent {
-                epoch: self.epochs,
-                requests,
-                clusters: report.clusters,
-                pairs_gated: report.pairs_gated,
-                restructures_budgeted: report.restructures_budgeted,
-                sketch_aging_passes: report.sketch_aging_passes,
-            }),
-            AdaptPolicy::Always => None,
+            counters: report.counters,
         };
         for observer in &self.observers {
             let mut observer = observer.lock().expect("observer lock");
             for outcome in &report.outcomes {
                 observer.on_request(outcome);
             }
-            observer.on_transform(&transform);
-            observer.on_balance_repair(&repair);
-            if let Some(event) = &admission {
-                observer.on_admission(event);
-            }
+            observer.on_epoch(&event);
         }
     }
 
@@ -741,24 +596,19 @@ impl DsgSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::TransformEvent;
 
     #[derive(Default)]
     struct Recorder {
         requests: usize,
-        epochs: Vec<TransformEvent>,
-        repairs: usize,
+        epochs: Vec<EpochEvent>,
     }
 
     impl DsgObserver for Recorder {
         fn on_request(&mut self, _outcome: &RequestOutcome) {
             self.requests += 1;
         }
-        fn on_transform(&mut self, event: &TransformEvent) {
+        fn on_epoch(&mut self, event: &EpochEvent) {
             self.epochs.push(*event);
-        }
-        fn on_balance_repair(&mut self, _event: &BalanceRepairEvent) {
-            self.repairs += 1;
         }
     }
 
@@ -827,7 +677,13 @@ mod tests {
         let recorder = recorder.lock().unwrap();
         assert_eq!(recorder.requests, 4);
         assert_eq!(recorder.epochs.len(), 3);
-        assert_eq!(recorder.repairs, 3);
+        let epochs: Vec<u64> = recorder.epochs.iter().map(|event| event.epoch).collect();
+        assert_eq!(epochs, [1, 2, 3]);
+        let mut summed = EpochCounters::default();
+        for event in &recorder.epochs {
+            summed += event.counters;
+        }
+        assert_eq!(summed, outcome.counters);
         // Every pair of the batch ends up directly linked.
         for (u, v) in [(1, 18), (99, 3)] {
             assert!(session.engine().are_directly_linked(u, v).unwrap());
@@ -888,13 +744,13 @@ mod tests {
         let batch: Vec<Request> = (0..4).map(|i| Request::communicate(i, i + 32)).collect();
         let outcome = session.submit_batch(&batch).unwrap();
         assert_eq!(outcome.epochs, 1);
-        assert_eq!(outcome.install_passes, 1);
-        assert_eq!(session.stats().transform_install_passes, 1);
+        assert_eq!(outcome.counters.install_passes, 1);
+        assert_eq!(session.stats().counters.install_passes, 1);
         // The same four pairs sequentially: four passes.
         let mut sequential = DsgSession::builder().peers(0..64).seed(7).build().unwrap();
         for request in &batch {
             sequential.submit(*request).unwrap();
         }
-        assert_eq!(sequential.stats().transform_install_passes, 4);
+        assert_eq!(sequential.stats().counters.install_passes, 4);
     }
 }

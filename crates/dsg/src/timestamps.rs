@@ -8,8 +8,7 @@
 //! six rules applied in order.
 //!
 //! Two of the paper's rules are stated with overloaded index variables; the
-//! interpretation choices made here are documented inline and in
-//! `DESIGN.md`:
+//! interpretation choices made here are documented inline:
 //!
 //! * **T2** — "the approximate median received by `x` at level `d`" is read
 //!   as the median received when splitting the list at level `d` (deciding

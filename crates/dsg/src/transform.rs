@@ -890,7 +890,7 @@ fn decide_split_into(
 /// wording literally would only *absorb unrelated groups* that happened to
 /// land in that sublist — after which a later split could separate their
 /// members, violating the working-set property Lemma 2 relies on. We
-/// therefore keep unrelated groups' identities intact; see DESIGN.md.
+/// therefore keep unrelated groups' identities intact.
 #[allow(clippy::too_many_arguments)]
 fn assign_new_group_ids(
     group_ids: &mut [u64],

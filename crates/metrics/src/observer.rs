@@ -25,9 +25,7 @@
 //! # }
 //! ```
 
-use dsg::{
-    BalanceRepairEvent, DsgObserver, OverloadEvent, RequestOutcome, StallEvent, TransformEvent,
-};
+use dsg::{DsgObserver, EpochCounters, EpochEvent, OverloadEvent, RequestOutcome, StallEvent};
 
 /// Records per-request series and epoch counters from session callbacks.
 #[derive(Debug, Clone, Default)]
@@ -47,44 +45,8 @@ pub struct MetricsObserver {
     pub touched_pairs: Vec<usize>,
     /// Transformation epochs observed.
     pub epochs: usize,
-    /// Merged transformations (clusters) across all epochs.
-    pub clusters: usize,
-    /// Transformation-install passes across all epochs.
-    pub install_passes: usize,
-    /// Clusters planned by the (possibly parallel) plan stages across all
-    /// epochs.
-    pub planned_clusters: usize,
-    /// The largest worker-shard count any epoch's plan stages actually ran
-    /// on (1 = fully inline planning).
-    pub plan_shards: usize,
-    /// Total wall-clock nanoseconds spent in the plan stages. Timing-only.
-    pub plan_wall_ns: u64,
-    /// Dummy nodes actually removed by differential GC across all epochs
-    /// (reclaimed standing dummies are not counted).
-    pub dummies_destroyed: usize,
-    /// Dummy slots established by balance repairs across all epochs —
-    /// reclaimed and created alike (lifecycle-independent).
-    pub dummies_inserted: usize,
-    /// Standing dummies reclaimed in place by the reconciling repair across
-    /// all epochs (0 under the per-node destroy/recreate oracle).
-    pub dummies_reused: usize,
-    /// Genuinely new dummies the reconciliation created across all epochs
-    /// (reclaims excluded); almost all go through the bulk splice
-    /// installer.
-    pub dummies_bulk_inserted: usize,
-    /// Live dummy count after the most recent repair pass.
-    pub live_dummies: usize,
-    /// Requests the admission gate declined to restructure across all
-    /// epochs (0 with the adaptation policy off).
-    pub pairs_gated: u64,
-    /// Cold clusters restructured via the per-epoch budget across all
-    /// epochs.
-    pub restructures_budgeted: u64,
-    /// Frequency-sketch counter-halving passes across all epochs.
-    pub sketch_aging_passes: u64,
-    /// Requests routed without restructuring under a brownout verdict
-    /// across all epochs (overload-degraded service only).
-    pub pairs_browned_out: u64,
+    /// Every observed epoch's counters, summed.
+    pub counters: EpochCounters,
     /// Overload-state transitions observed (brownout/shedding entries and
     /// exits alike).
     pub overload_transitions: u64,
@@ -122,7 +84,8 @@ impl MetricsObserver {
     /// that zero-mutation reuse is exactly what the reconciling lifecycle
     /// saves over destroy-then-recreate.
     pub fn dummy_churn(&self) -> usize {
-        (self.dummies_inserted - self.dummies_reused) + self.dummies_destroyed
+        let c = &self.counters;
+        (c.dummies_inserted - c.dummies_reused) + c.dummies_destroyed
     }
 }
 
@@ -137,17 +100,9 @@ impl DsgObserver for MetricsObserver {
         self.touched_pairs.push(outcome.touched_pairs);
     }
 
-    fn on_transform(&mut self, event: &TransformEvent) {
+    fn on_epoch(&mut self, event: &EpochEvent) {
         self.epochs += 1;
-        self.clusters += event.clusters;
-        self.install_passes += event.install_passes;
-        self.planned_clusters += event.planned_clusters;
-        self.plan_shards = self.plan_shards.max(event.plan_shards);
-        self.plan_wall_ns += event.plan_wall_ns;
-        self.pairs_gated += event.pairs_gated;
-        self.restructures_budgeted += event.restructures_budgeted;
-        self.sketch_aging_passes += event.sketch_aging_passes;
-        self.pairs_browned_out += event.pairs_browned_out;
+        self.counters += event.counters;
     }
 
     fn on_overload(&mut self, _event: &OverloadEvent) {
@@ -156,14 +111,6 @@ impl DsgObserver for MetricsObserver {
 
     fn on_stall(&mut self, _event: &StallEvent) {
         self.stalls += 1;
-    }
-
-    fn on_balance_repair(&mut self, event: &BalanceRepairEvent) {
-        self.dummies_destroyed += event.dummies_destroyed;
-        self.dummies_inserted += event.dummies_inserted;
-        self.dummies_reused += event.dummies_reused;
-        self.dummies_bulk_inserted += event.dummies_bulk_inserted;
-        self.live_dummies = event.live_dummies;
     }
 }
 
@@ -189,7 +136,7 @@ mod tests {
         assert_eq!(metrics.epochs, 2);
         assert_eq!(metrics.routing_costs.len(), 4);
         assert_eq!(metrics.heights.len(), 4);
-        assert!(metrics.install_passes >= 2);
+        assert!(metrics.counters.install_passes >= 2);
         assert!(metrics.avg_routing() >= 0.0);
         // The stats the engine accumulated agree with the observer series.
         assert_eq!(
@@ -197,8 +144,9 @@ mod tests {
             metrics.routing_costs.iter().sum::<usize>()
         );
         assert_eq!(
-            session.stats().transform_touched_pairs,
+            session.stats().counters.touched_pairs,
             metrics.total_touched_pairs()
         );
+        assert_eq!(session.stats().counters, metrics.counters);
     }
 }

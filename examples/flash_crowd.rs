@@ -38,19 +38,20 @@ fn main() -> Result<(), DsgError> {
         println!(
             "{name:<6}  {:>12}  {:>13}  {:>5}  {:>8}  {:>5}",
             stats.total_routing_cost,
-            stats.transform_touched_pairs,
-            stats.pairs_gated,
-            stats.restructures_budgeted,
-            stats.sketch_aging_passes,
+            stats.counters.touched_pairs,
+            stats.counters.pairs_gated,
+            stats.counters.restructures_budgeted,
+            stats.counters.sketch_aging_passes,
         );
     }
 
     let saved = off
-        .transform_touched_pairs
-        .saturating_sub(on.transform_touched_pairs);
+        .counters
+        .touched_pairs
+        .saturating_sub(on.counters.touched_pairs);
     println!(
         "\nthe gate skipped restructuring for {} of {} requests, touching {} fewer (node, level) pairs",
-        on.pairs_gated,
+        on.counters.pairs_gated,
         trace.len(),
         saved
     );

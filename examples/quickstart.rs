@@ -52,8 +52,8 @@ fn main() -> Result<(), DsgError> {
         "batch of {}: {} epoch(s), {} cluster(s), {} install pass(es)",
         batch.len(),
         outcome.epochs,
-        outcome.clusters,
-        outcome.install_passes
+        outcome.counters.clusters,
+        outcome.counters.install_passes
     );
 
     // Unrelated traffic does not tear the hot pair apart.

@@ -20,10 +20,12 @@
 //! # }
 //! ```
 //!
-//! The member crates stay reachable for the specialised surfaces
-//! (workload generators, baselines, the CONGEST simulator, the benchmark
+//! The re-exported member crates stay reachable for the specialised
+//! surfaces (workload generators, baselines, metrics, the benchmark
 //! plumbing), but applications should not need to depend on them
-//! directly.
+//! directly. The CONGEST simulator, `dsg-congest`, is a workspace member
+//! this crate does not depend on: its own tests check the engine's
+//! per-epoch notification charge against a simulated broadcast.
 
 #![forbid(unsafe_code)]
 

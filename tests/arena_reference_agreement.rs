@@ -277,28 +277,27 @@ proptest! {
             );
         }
         assert_networks_agree(batched, naive);
-        // The lifecycle counters intentionally differ between the two
-        // strategies: the batched path reconciles (reclaims standing
-        // dummies, bulk-creates the rest) while the per-node oracle
-        // destroys and re-creates every one. The lifecycle-independent
-        // total — dummy slots established — must agree, and so must every
-        // other stat.
+        // The lifecycle counters (created, reused, bulk-inserted,
+        // destroyed) intentionally differ between the two strategies: the
+        // batched path reconciles (reclaims standing dummies, bulk-creates
+        // the rest) while the per-node oracle destroys and re-creates every
+        // one. The lifecycle-independent total — dummy slots established —
+        // must agree, and so must every other stat.
         let stats_batched = *batched.stats();
         let stats_naive = *naive.stats();
         prop_assert_eq!(
-            stats_batched.dummy_nodes_created + stats_batched.dummies_reused,
-            stats_naive.dummy_nodes_created + stats_naive.dummies_reused,
+            stats_batched.dummy_nodes_created + stats_batched.counters.dummies_reused,
+            stats_naive.dummy_nodes_created + stats_naive.counters.dummies_reused,
             "dummy slots established diverge"
         );
-        prop_assert_eq!(stats_naive.dummies_reused, 0);
-        prop_assert_eq!(stats_naive.dummies_bulk_inserted, 0);
+        prop_assert_eq!(stats_naive.counters.dummies_reused, 0);
+        prop_assert_eq!(stats_naive.counters.dummies_bulk_inserted, 0);
         let normalize = |mut stats: RunStats| {
             stats.dummy_nodes_created = 0;
-            stats.dummies_reused = 0;
-            stats.dummies_bulk_inserted = 0;
-            // Wall-clock timing of the plan stage is inherently
-            // non-deterministic; everything else must agree bit for bit.
-            stats.plan_wall_ns = 0;
+            stats.counters.dummies_reused = 0;
+            stats.counters.dummies_bulk_inserted = 0;
+            stats.counters.dummies_destroyed = 0;
+            stats.counters = stats.counters.deterministic();
             stats
         };
         prop_assert_eq!(normalize(stats_batched), normalize(stats_naive));

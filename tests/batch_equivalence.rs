@@ -119,20 +119,20 @@ proptest! {
         let mut batched = session(n, seed);
         let outcome = batched.submit_batch(&batch).unwrap();
         prop_assert_eq!(outcome.epochs, 1, "disjoint pairs share one epoch");
-        prop_assert_eq!(outcome.install_passes, 1,
+        prop_assert_eq!(outcome.counters.install_passes, 1,
             "one epoch must perform exactly one install pass for k = {}", k);
-        prop_assert_eq!(batched.stats().transform_install_passes, 1);
+        prop_assert_eq!(batched.stats().counters.install_passes, 1);
 
         let mut sequential = session(n, seed);
         for request in &batch {
             sequential.submit(*request).unwrap();
         }
-        prop_assert_eq!(sequential.stats().transform_install_passes, k);
+        prop_assert_eq!(sequential.stats().counters.install_passes, k);
 
         // Same installed work, one pass instead of k.
         prop_assert_eq!(
-            batched.stats().transform_touched_pairs,
-            sequential.stats().transform_touched_pairs,
+            batched.stats().counters.touched_pairs,
+            sequential.stats().counters.touched_pairs,
             "disjoint clusters must install exactly the sequential changes"
         );
         assert_networks_agree(batched.engine(), sequential.engine());
@@ -166,9 +166,12 @@ proptest! {
             let outcome_first = first.submit_batch(chunk).unwrap();
             let outcome_second = second.submit_batch(chunk).unwrap();
             prop_assert_eq!(outcome_first.epochs, outcome_second.epochs);
-            prop_assert_eq!(outcome_first.install_passes, outcome_second.install_passes);
+            prop_assert_eq!(
+                outcome_first.counters.install_passes,
+                outcome_second.counters.install_passes
+            );
             // Batched install: one pass per epoch, never more.
-            prop_assert!(outcome_first.install_passes <= outcome_first.epochs);
+            prop_assert!(outcome_first.counters.install_passes <= outcome_first.epochs);
             // The last pair of the chunk is directly linked afterwards (an
             // earlier pair's link may legitimately be recycled by a later
             // overlapping transformation in the same chunk).
@@ -195,14 +198,14 @@ fn install_pass_counter_proves_one_pass_per_epoch() {
         let mut batched = session(n, 9);
         let outcome = batched.submit_batch(&batch).unwrap();
         assert_eq!(outcome.epochs, 1);
-        assert_eq!(outcome.install_passes, 1, "k = {k}");
-        assert_eq!(batched.stats().transform_install_passes, 1, "k = {k}");
+        assert_eq!(outcome.counters.install_passes, 1, "k = {k}");
+        assert_eq!(batched.stats().counters.install_passes, 1, "k = {k}");
 
         let mut sequential = session(n, 9);
         for request in &batch {
             sequential.submit(*request).unwrap();
         }
-        assert_eq!(sequential.stats().transform_install_passes, k);
+        assert_eq!(sequential.stats().counters.install_passes, k);
         assert_networks_agree(batched.engine(), sequential.engine());
     }
 }
@@ -219,8 +222,11 @@ fn overlapping_pairs_merge_into_one_cluster() {
     let batch: Vec<Request> = (0..8).map(|i| Request::communicate(2 * i, 2 * i + 1)).collect();
     let outcome = batched.submit_batch(&batch).unwrap();
     assert_eq!(outcome.epochs, 1);
-    assert_eq!(outcome.clusters, 1, "α = 0 pairs share the root cluster");
-    assert_eq!(outcome.install_passes, 1);
+    assert_eq!(
+        outcome.counters.clusters, 1,
+        "α = 0 pairs share the root cluster"
+    );
+    assert_eq!(outcome.counters.install_passes, 1);
     for request in &batch {
         let (u, v) = request.pair();
         assert!(

@@ -181,8 +181,9 @@ fn gated_policy_sketch_survives_restart_bit_identical() {
         serve_one(&service, Request::communicate(i % 6, (i % 6) + 16)).expect("serves cleanly");
     }
     let status = service.status();
-    assert!(status.pairs_gated > 0, "cold sightings must be gated");
-    assert!(status.sketch_aging_passes > 0, "the tiny period must age");
+    let counters = status.metrics.counters;
+    assert!(counters.pairs_gated > 0, "cold sightings must be gated");
+    assert!(counters.sketch_aging_passes > 0, "the tiny period must age");
     let done = service.shutdown().expect("first shutdown");
     let image = done.session.engine().capture_image();
     assert!(

@@ -137,15 +137,13 @@ proptest! {
             );
             // Placed-slot accounting is lifecycle-independent; the reuse
             // split is the reconciliation's own observable.
-            prop_assert_eq!(out_a.dummies_inserted, out_b.dummies_inserted);
-            prop_assert_eq!(out_b.dummies_reused, 0, "the oracle cannot reclaim in place");
-            prop_assert_eq!(out_b.dummies_bulk_inserted, 0, "the oracle join-walks each dummy");
+            let (a, b) = (out_a.counters, out_b.counters);
+            prop_assert_eq!(a.dummies_inserted, b.dummies_inserted);
+            prop_assert_eq!(b.dummies_reused, 0, "the oracle cannot reclaim in place");
+            prop_assert_eq!(b.dummies_bulk_inserted, 0, "the oracle join-walks each dummy");
             // What the reconciliation did not reuse, it created through the
             // bulk installer — there is no third way to place a dummy.
-            prop_assert_eq!(
-                out_a.dummies_reused + out_a.dummies_bulk_inserted,
-                out_a.dummies_inserted
-            );
+            prop_assert_eq!(a.dummies_reused + a.dummies_bulk_inserted, a.dummies_inserted);
         }
         assert_networks_agree(reconciling.engine(), oracle.engine());
     }
@@ -315,8 +313,9 @@ fn uniform_replay_at_4096_stays_under_the_dummy_churn_guard() {
         let batch = session
             .submit_batch(std::slice::from_ref(request))
             .expect("trace peers exist");
-        churn += batch.dummies_inserted - batch.dummies_reused + batch.dummies_destroyed;
-        reused += batch.dummies_reused;
+        let c = batch.counters;
+        churn += c.dummies_inserted - c.dummies_reused + c.dummies_destroyed;
+        reused += c.dummies_reused;
     }
     assert!(
         churn <= CHURN_GUARD,

@@ -13,9 +13,9 @@
 //! * `E` (V's old partner) stays on the communicating side, and
 //! * the structure height stays within the Lemma-5 bound.
 //!
-//! Exact per-level timestamps depend on interpretation choices documented in
-//! `DESIGN.md`; the assertions here are the ones that are unambiguous in the
-//! paper.
+//! Exact per-level timestamps depend on the interpretation choices the
+//! `dsg::timestamps` module documents; the assertions here are the ones that
+//! are unambiguous in the paper.
 
 use dsg::fixtures::{figure4_s8, internal, peers};
 use dsg::{DsgConfig, MedianStrategy};

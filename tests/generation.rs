@@ -62,7 +62,7 @@ fn epoch(engine: &mut DynamicSkipGraph, u: u64, v: u64) -> Option<bool> {
     }
     let before = engine.generation();
     let report = engine.communicate_epoch(&[(u, v)]).unwrap();
-    let admitted = report.planned_clusters > 0;
+    let admitted = report.counters.planned_clusters > 0;
     if !admitted {
         assert_eq!(
             engine.generation(),

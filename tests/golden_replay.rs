@@ -73,8 +73,8 @@ fn replay(mut session: DsgSession, trace: &[Request], chunk: usize) -> Golden {
             golden.rounds += request.transformation_rounds();
             golden.inserted += request.dummies_inserted;
         }
-        golden.destroyed += outcome.dummies_destroyed;
-        golden.reused += outcome.dummies_reused;
+        golden.destroyed += outcome.counters.dummies_destroyed;
+        golden.reused += outcome.counters.dummies_reused;
     }
     let engine = session.engine();
     engine.validate().expect("the replayed network is sound");

@@ -18,7 +18,10 @@
 //!    restructuring (zero touched pairs, no direct link), repetition
 //!    crosses the admission threshold, the per-epoch budget admits cold
 //!    clusters, aging halves the counters on schedule, and the counters
-//!    surface through `BatchOutcome`, `RunStats`, and `AdmissionEvent`.
+//!    agree at every layer: `BatchOutcome`, `RunStats`, `MetricsObserver`
+//!    and the service's `ServiceMetrics`.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -26,6 +29,7 @@ mod common;
 use common::{assert_networks_agree, assert_outcomes_agree};
 
 use dsg::prelude::*;
+use dsg_metrics::MetricsObserver;
 
 fn gated_session(n: u64, seed: u64, policy: PolicyConfig) -> DsgSession {
     DsgSession::builder()
@@ -82,14 +86,14 @@ proptest! {
             let baseline = plain.submit_batch(chunk).unwrap();
             let outcome = explicit.submit_batch(chunk).unwrap();
             assert_outcomes_agree("explicit Always vs default", &baseline, &outcome);
-            prop_assert_eq!(outcome.pairs_gated, 0, "the gate must not fire when off");
+            prop_assert_eq!(outcome.counters.pairs_gated, 0, "the gate must not fire when off");
         }
         assert_networks_agree("explicit Always vs default", plain.engine(), explicit.engine());
-        // Full stats equality, wall-clock plan timing excluded.
+        // Full stats equality, the execution fields excluded.
         let mut a = *plain.stats();
         let mut b = *explicit.stats();
-        a.plan_wall_ns = 0;
-        b.plan_wall_ns = 0;
+        a.counters = a.counters.deterministic();
+        b.counters = b.counters.deterministic();
         prop_assert_eq!(a, b);
     }
 
@@ -185,12 +189,18 @@ fn cold_traffic_routes_without_restructuring() {
         .collect();
     let outcome = gated.submit_batch(&requests).unwrap();
 
-    assert_eq!(outcome.pairs_gated, 8, "every cold pair is gated");
-    assert_eq!(outcome.restructures_budgeted, 0);
-    assert_eq!(outcome.touched_pairs, 0, "gated epochs install nothing");
-    assert!(outcome.clusters >= 1, "gated clusters still counted");
+    assert_eq!(outcome.counters.pairs_gated, 8, "every cold pair is gated");
+    assert_eq!(outcome.counters.restructures_budgeted, 0);
     assert_eq!(
-        outcome.planned_clusters, 0,
+        outcome.counters.touched_pairs, 0,
+        "gated epochs install nothing"
+    );
+    assert!(
+        outcome.counters.clusters >= 1,
+        "gated clusters still counted"
+    );
+    assert_eq!(
+        outcome.counters.planned_clusters, 0,
         "gated clusters are never planned"
     );
     for o in &outcome.outcomes {
@@ -223,11 +233,19 @@ fn cold_traffic_routes_without_restructuring() {
 fn repeated_pairs_become_hot_and_restructure() {
     let mut session = gated_session(64, 9, PolicyConfig::gated());
     let first = session.submit(Request::communicate(5, 40)).unwrap();
-    assert_eq!(session.stats().pairs_gated, 1, "first sighting is cold");
+    assert_eq!(
+        session.stats().counters.pairs_gated,
+        1,
+        "first sighting is cold"
+    );
     assert_eq!(first.request_outcome().unwrap().touched_pairs, 0);
 
     let second = session.submit(Request::communicate(5, 40)).unwrap();
-    assert_eq!(session.stats().pairs_gated, 1, "second sighting is hot");
+    assert_eq!(
+        session.stats().counters.pairs_gated,
+        1,
+        "second sighting is hot"
+    );
     assert!(
         second.request_outcome().unwrap().touched_pairs > 0,
         "the hot pair restructures"
@@ -251,18 +269,24 @@ fn epoch_budget_admits_cold_clusters() {
     let requests = vec![Request::communicate(0, 20), Request::communicate(3, 31)];
     let outcome = session.submit_batch(&requests).unwrap();
     assert_eq!(outcome.epochs, 1);
-    assert_eq!(outcome.clusters, 2, "the pairs form disjoint clusters");
     assert_eq!(
-        outcome.planned_clusters, 1,
+        outcome.counters.clusters, 2,
+        "the pairs form disjoint clusters"
+    );
+    assert_eq!(
+        outcome.counters.planned_clusters, 1,
         "only the budgeted cluster plans"
     );
     assert_eq!(
-        outcome.restructures_budgeted, 1,
+        outcome.counters.restructures_budgeted, 1,
         "one budget slot per epoch"
     );
-    assert_eq!(outcome.pairs_gated, 1, "the other cluster is gated");
+    assert_eq!(
+        outcome.counters.pairs_gated, 1,
+        "the other cluster is gated"
+    );
     assert!(
-        outcome.touched_pairs > 0,
+        outcome.counters.touched_pairs > 0,
         "the budgeted cluster restructured"
     );
 }
@@ -279,80 +303,86 @@ fn sketch_aging_surfaces_in_stats() {
             .unwrap();
     }
     assert!(
-        session.stats().sketch_aging_passes >= 2,
+        session.stats().counters.sketch_aging_passes >= 2,
         "32 requests at aging period 16 must age at least twice, got {}",
-        session.stats().sketch_aging_passes
+        session.stats().counters.sketch_aging_passes
     );
 }
 
-/// `on_admission` fires with the policy on — and only then. All-zero
-/// events under `Always` would make "gate off" indistinguishable from
-/// "never gated", so the hook stays silent there.
-#[test]
-fn admission_events_fire_only_with_the_policy_on() {
-    #[derive(Default)]
-    struct Capture {
-        events: Vec<AdmissionEvent>,
-        transforms: usize,
-    }
-    impl DsgObserver for Capture {
-        fn on_transform(&mut self, _event: &TransformEvent) {
-            self.transforms += 1;
-        }
-        fn on_admission(&mut self, event: &AdmissionEvent) {
-            self.events.push(*event);
-        }
-    }
-
-    let requests: Vec<Request> = (0..6u64)
-        .map(|i| Request::communicate(2 * i, 2 * i + 20))
-        .collect();
-
-    let mut off = DsgSession::builder()
-        .peers(0..64u64)
-        .seed(3)
-        .build()
-        .unwrap();
-    let capture = off.observe(Capture::default());
-    off.submit_batch(&requests).unwrap();
-    {
-        let capture = capture.lock().unwrap();
-        assert!(capture.transforms > 0);
-        assert!(capture.events.is_empty(), "no admission events when off");
-    }
-
-    let mut on = gated_session(64, 3, PolicyConfig::gated());
-    let capture = on.observe(Capture::default());
-    let outcome = on.submit_batch(&requests).unwrap();
-    let capture = capture.lock().unwrap();
-    assert_eq!(capture.events.len(), 1, "one admission event per epoch");
-    let event = &capture.events[0];
-    assert_eq!(event.requests, 6);
-    assert_eq!(event.pairs_gated, outcome.pairs_gated);
-    assert_eq!(event.restructures_budgeted, outcome.restructures_budgeted);
+/// A fixed gated trace with joins, leaves, a tick and one brownout chunk:
+/// cold one-shot pairs (gated, or browned out under the brownout verdict),
+/// repeated pairs that turn hot and restructure, and a tiny aging period.
+fn layered_trace() -> Vec<Vec<Request>> {
+    let cold = |i: u64| Request::communicate(2 * i, 2 * i + 33);
+    vec![
+        (0..4).map(cold).collect(),
+        // Served under brownout: cold pairs are browned out, not gated.
+        (4..8).map(cold).collect(),
+        vec![
+            Request::communicate(5, 40),
+            Request::Join(100),
+            Request::communicate(5, 40),
+            Request::communicate(100, 7),
+        ],
+        vec![
+            Request::communicate(100, 7),
+            Request::Tick(10_000),
+            Request::communicate(5, 40),
+            Request::Leave(100),
+        ],
+        (8..14).map(cold).collect(),
+    ]
 }
 
-/// The gate counters flow end to end: `EpochReport` → `BatchOutcome` →
-/// `RunStats` → `TransformEvent` → `MetricsObserver`.
+/// The chunk of [`layered_trace`] served under a brownout verdict.
+const BROWNOUT_CHUNK: usize = 1;
+
+fn layered_session() -> (DsgSession, Arc<Mutex<MetricsObserver>>) {
+    let mut session = gated_session(64, 21, PolicyConfig::gated().with_aging_period(8));
+    let metrics = session.observe(MetricsObserver::new());
+    (session, metrics)
+}
+
+/// The counters agree at every layer, compared whole with the execution
+/// fields cleared. Session leg: the engine's `RunStats`, the sum of the
+/// returned `BatchOutcome`s and a `MetricsObserver`. Service leg: the
+/// service's `ServiceMetrics`, the returned session's `RunStats` and its
+/// `MetricsObserver`.
 #[test]
 fn gate_counters_flow_through_the_metrics_observer() {
-    let mut session = gated_session(64, 21, PolicyConfig::gated().with_aging_period(8));
-    let metrics = session.observe(dsg_metrics::MetricsObserver::new());
-    for i in 0..16u64 {
-        session
-            .submit(Request::communicate(2 * i, 2 * i + 1))
+    let (mut session, metrics) = layered_session();
+    let mut summed = EpochCounters::default();
+    for (i, chunk) in layered_trace().iter().enumerate() {
+        let batch = session
+            .submit_batch_degraded(chunk, i == BROWNOUT_CHUNK)
             .unwrap();
+        summed += batch.counters;
     }
-    let metrics = metrics.lock().unwrap();
-    assert_eq!(metrics.pairs_gated, session.stats().pairs_gated);
-    assert_eq!(
-        metrics.restructures_budgeted,
-        session.stats().restructures_budgeted
+    let engine = session.stats().counters.deterministic();
+    assert_eq!(summed.deterministic(), engine, "batch outcomes vs engine");
+    let observed = metrics.lock().unwrap().counters.deterministic();
+    assert_eq!(observed, engine, "observer vs engine");
+    assert!(engine.pairs_gated > 0, "cold one-shot pairs must be gated");
+    assert!(
+        engine.pairs_browned_out > 0,
+        "the brownout chunk must route"
     );
+    assert!(engine.sketch_aging_passes > 0, "the tiny period must age");
+    assert!(engine.touched_pairs > 0, "repeated pairs must restructure");
+
+    let (session, metrics) = layered_session();
+    let mut service = DsgService::spawn(session, ServiceConfig::default()).unwrap();
+    for request in layered_trace().into_iter().flatten() {
+        service.submit(request).unwrap().wait().unwrap();
+    }
+    let done = service.shutdown().unwrap();
+    let engine = done.session.stats().counters.deterministic();
     assert_eq!(
-        metrics.sketch_aging_passes,
-        session.stats().sketch_aging_passes
+        done.metrics.counters.deterministic(),
+        engine,
+        "service metrics vs engine"
     );
-    assert!(metrics.pairs_gated > 0, "cold one-shot pairs must be gated");
-    assert!(metrics.sketch_aging_passes > 0, "the tiny period must age");
+    let observed = metrics.lock().unwrap().counters.deterministic();
+    assert_eq!(observed, engine, "observer vs engine");
+    assert!(engine.pairs_gated > 0 && engine.touched_pairs > 0);
 }

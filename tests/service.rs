@@ -48,7 +48,7 @@ fn serve_all(service: &DsgService, requests: &[Request]) {
 // Ticket lifecycle under backpressure
 // ---------------------------------------------------------------------
 
-/// An observer whose `on_transform` blocks until the test releases it —
+/// An observer whose `on_epoch` blocks until the test releases it —
 /// a deterministic "slow engine" that wedges the ingest thread mid-epoch.
 #[derive(Default)]
 struct GateInner {
@@ -60,7 +60,7 @@ struct GateInner {
 struct GateObserver(Arc<GateInner>);
 
 impl DsgObserver for GateObserver {
-    fn on_transform(&mut self, _event: &TransformEvent) {
+    fn on_epoch(&mut self, _event: &EpochEvent) {
         {
             let mut entered = self.0.entered.lock().unwrap();
             *entered = true;
@@ -460,7 +460,7 @@ proptest! {
             prop_assert_eq!(done.metrics.shed_submits, 0);
             prop_assert_eq!(done.metrics.deadline_shed, 0);
             prop_assert_eq!(done.metrics.brownout_chunks, 0);
-            prop_assert_eq!(done.metrics.pairs_browned_out, 0);
+            prop_assert_eq!(done.metrics.counters.pairs_browned_out, 0);
         }
 
         let mut twin = build(n, seed);
@@ -515,7 +515,7 @@ fn deep_audit_run(threshold: u32, requests: &[Request]) -> (ServiceMetrics, u64,
     serve_all(&service, requests);
     let done = service.shutdown().expect("first shutdown");
     done.session.engine().validate().unwrap();
-    let restructured = done.session.stats().planned_clusters as u64;
+    let restructured = done.session.stats().counters.planned_clusters as u64;
     let audits = audits.lock().unwrap();
     (done.metrics, restructured, (audits.passed, audits.failed))
 }
@@ -664,7 +664,7 @@ fn expired_deadline_is_shed_before_the_engine_and_the_ticket_resolves() {
 struct SlowEngine(Duration);
 
 impl DsgObserver for SlowEngine {
-    fn on_transform(&mut self, _event: &TransformEvent) {
+    fn on_epoch(&mut self, _event: &EpochEvent) {
         std::thread::sleep(self.0);
     }
 }
@@ -711,7 +711,7 @@ fn sustained_backlog_engages_shedding_then_recovers() {
         "the shed refusal carries the configured retry-after hint"
     );
     let status = service.status();
-    assert!(status.shed_submits >= 1);
+    assert!(status.metrics.shed_submits >= 1);
     assert!(
         status.brownout,
         "shedding is the harsher rung: brownout must already be engaged"

@@ -100,72 +100,11 @@ proptest! {
             let label = format!("shards {} vs 1", counts[i]);
             assert_networks_agree(&label, sessions[0].engine(), other.engine());
             prop_assert_eq!(
-                sessions[0].stats().transform_touched_pairs,
-                other.stats().transform_touched_pairs,
-                "{}: touched-pair stats diverge", &label
+                sessions[0].stats().counters.deterministic(),
+                other.stats().counters.deterministic(),
+                "{}: engine counters diverge", &label
             );
         }
-    }
-
-    /// The adaptive flush changes *epoch boundaries*, never results: with
-    /// it enabled, every shard count still produces the identical session
-    /// (and the cap only ever splits epochs, so outcomes stay per-request
-    /// comparable across shard counts with the same flush config).
-    #[test]
-    fn adaptive_flush_stays_shard_deterministic(
-        n in 8u64..32,
-        seed in 0u64..200,
-        raw in proptest::collection::vec((0u64..1000, 0u64..1000), 4..40),
-    ) {
-        let requests: Vec<Request> = raw
-            .iter()
-            .filter_map(|&(a, b)| {
-                let (u, v) = (a % n, b % n);
-                (u != v).then(|| Request::communicate(u, v))
-            })
-            .collect();
-        if requests.is_empty() {
-            return;
-        }
-        let counts = shard_counts();
-        let mut sessions: Vec<DsgSession> = counts
-            .iter()
-            .map(|&k| {
-                DsgSession::builder()
-                    .peers(0..n)
-                    .seed(seed)
-                    .shards(k)
-                    .adaptive_flush(true)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        // One big submission: the adaptive cap decides the epoch cuts.
-        let baseline = sessions[0].submit_batch(&requests).unwrap();
-        for (i, other) in sessions.iter_mut().enumerate().skip(1) {
-            let outcome = other.submit_batch(&requests).unwrap();
-            // Different shard counts give different caps (4·k), so epoch
-            // STRUCTURE may differ; per-request outcomes must not... unless
-            // epoch boundaries shift merged-transformation tie-breaks. The
-            // invariant that survives any boundary shift: every submitted
-            // pair ends directly linked and the session stays sound.
-            prop_assert_eq!(outcome.outcomes.len(), baseline.outcomes.len());
-            other.engine().validate().unwrap();
-            let (u, v) = requests.last().unwrap().pair();
-            prop_assert!(other.engine().are_directly_linked(u, v).unwrap(),
-                "shards {}: last pair not directly linked", counts[i]);
-        }
-        // Same shard count + same flush config ⇒ bit-for-bit reproducible.
-        let mut twin = DsgSession::builder()
-            .peers(0..n)
-            .seed(seed)
-            .shards(counts[0])
-            .adaptive_flush(true)
-            .build()
-            .unwrap();
-        let twin_outcome = twin.submit_batch(&requests).unwrap();
-        assert_outcomes_agree("adaptive twin", &baseline, &twin_outcome);
-        assert_networks_agree("adaptive twin", sessions[0].engine(), twin.engine());
     }
 }
 
@@ -190,17 +129,23 @@ fn plan_stage_observables_and_determinism_pin() {
         // Merged epoch on one session...
         let mut merged = session(n, 11, k);
         let first = merged.submit_batch(&overlapping).unwrap();
-        assert_eq!(first.clusters, 1, "α = 0 pairs merge into one cluster");
-        assert_eq!(first.planned_clusters, 1);
+        assert_eq!(
+            first.counters.clusters, 1,
+            "α = 0 pairs merge into one cluster"
+        );
+        assert_eq!(first.counters.planned_clusters, 1);
         // ...and the disjoint epoch on a fresh balanced session, where the
         // (i, i + n/2) construction guarantees pairwise-incomparable roots.
         let mut split = session(n, 11, k);
         let second = split.submit_batch(&disjoint).unwrap();
-        assert!(second.clusters > 1, "disjoint pairs keep their clusters");
-        assert_eq!(second.planned_clusters, second.clusters);
+        assert!(
+            second.counters.clusters > 1,
+            "disjoint pairs keep their clusters"
+        );
+        assert_eq!(second.counters.planned_clusters, second.counters.clusters);
         if k > 1 {
             assert!(
-                second.plan_shards > 1,
+                second.counters.plan_shards > 1,
                 "a multi-cluster epoch at shards={k} must fan out"
             );
         }
