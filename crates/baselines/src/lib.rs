@@ -3,7 +3,7 @@
 //! The paper positions DSG against two reference points: the *static* skip
 //! graph it starts from (no adaptation, `O(log n)` per request no matter the
 //! skew) and the family of self-adjusting tree networks it generalises
-//! (SplayNet, Avin et al.). The evaluation harness also needs the
+//! (SplayNet, Avin et al.). The comparisons also need the
 //! information-theoretic reference of Theorem 1, the working-set bound.
 //!
 //! This crate implements all three:
@@ -17,8 +17,8 @@
 //! * [`WorkingSetOracle`] — charges each request exactly
 //!   `log₂ T_i(σ_i)`, the per-request share of the lower bound `WS(σ)`.
 //!
-//! All three expose the same [`Baseline`] interface so the experiment
-//! harness can sweep them uniformly.
+//! All three expose the same [`Baseline`] interface so a trace replay can
+//! sweep them uniformly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,7 @@ use dsg::Request;
 /// A baseline overlay that serves communication requests and reports their
 /// cost.
 pub trait Baseline {
-    /// A short human-readable name used in experiment tables.
+    /// A short human-readable name used in comparison tables.
     fn name(&self) -> &'static str;
 
     /// Number of peers in the overlay.

@@ -7,8 +7,7 @@ use crate::Baseline;
 /// Charges every request exactly `⌈log₂ T_i(σ_i)⌉` — its share of the
 /// working-set bound `WS(σ)` that Theorem 1 proves no conforming
 /// self-adjusting algorithm can beat (amortized). It is not an executable
-/// overlay; it is the yardstick the other curves are compared against in
-/// experiments E8/E9.
+/// overlay; it is the yardstick the other overlays are compared against.
 #[derive(Debug, Clone)]
 pub struct WorkingSetOracle {
     tracker: WorkingSetTracker,

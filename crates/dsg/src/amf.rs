@@ -18,8 +18,8 @@
 //!
 //! Two [`MedianFinder`] implementations are provided: [`AmfMedian`] (the
 //! distributed algorithm above, with per-call round accounting) and
-//! [`ExactMedian`] (a deterministic oracle used in unit tests and as the
-//! ablation baseline of experiment E11).
+//! [`ExactMedian`] (a deterministic oracle for unit tests and the
+//! worked examples).
 //!
 //! The simulation keeps every climbing value in one flat buffer of compact
 //! climb records — a 16-byte [`Priority`] plus two `u32` ranks, 24 bytes —
@@ -378,6 +378,74 @@ mod tests {
         assert_eq!(out.median, Priority::finite(4));
     }
 
+    /// One cell of the AMF grid: `trials` seeded inputs of length `n` at
+    /// balance parameter `a`.
+    struct GridCell {
+        a: usize,
+        n: usize,
+        worst_rank_error: usize,
+        mean_rounds: f64,
+    }
+
+    /// Runs AMF over the grid `a ∈ {2, 3, 4, 8}` × `sizes`, `trials`
+    /// pseudo-random inputs per cell, each on a freshly seeded finder.
+    fn amf_grid(sizes: &[usize], trials: usize) -> Vec<GridCell> {
+        let mut cells = Vec::new();
+        for a in [2usize, 3, 4, 8] {
+            for &n in sizes {
+                let mut worst_rank_error = 0;
+                let mut rounds = 0;
+                for trial in 0..trials {
+                    let values: Vec<Priority> = (0..n as i64)
+                        .map(|v| {
+                            Priority::finite(((v * 2654435761 + trial as i64) % 1_000_003) as i128)
+                        })
+                        .collect();
+                    let out = AmfMedian::new((a * n + trial) as u64).find_median(&values, a);
+                    worst_rank_error = worst_rank_error.max(rank_error(&values, out.median));
+                    rounds += out.rounds;
+                }
+                cells.push(GridCell {
+                    a,
+                    n,
+                    worst_rank_error,
+                    mean_rounds: rounds as f64 / trials as f64,
+                });
+            }
+        }
+        cells
+    }
+
+    /// Lemma 1 on every cell of the grid: rank error within `n/2a`.
+    fn assert_lemma_1_on_grid(sizes: &[usize], trials: usize) {
+        for cell in amf_grid(sizes, trials) {
+            let bound = cell.n / (2 * cell.a);
+            assert!(
+                cell.worst_rank_error <= bound,
+                "rank error {} exceeds n/2a = {bound} for n = {}, a = {}",
+                cell.worst_rank_error,
+                cell.n,
+                cell.a
+            );
+        }
+    }
+
+    /// §V: AMF takes expected `O(log n)` rounds. The paper gives no
+    /// constant; the mean over 50 trials is 9.9–17.1 · log2 n on the full
+    /// grid (n up to 4096), so 18 · log2 n caps it.
+    fn assert_logarithmic_rounds_on_grid(sizes: &[usize], trials: usize) {
+        for cell in amf_grid(sizes, trials) {
+            let per_log_n = cell.mean_rounds / (cell.n as f64).log2();
+            assert!(
+                per_log_n <= 18.0,
+                "mean rounds {:.2} = {per_log_n:.2} · log2 n for n = {}, a = {}",
+                cell.mean_rounds,
+                cell.n,
+                cell.a
+            );
+        }
+    }
+
     #[test]
     fn amf_rank_error_respects_lemma_1() {
         // Lemma 1: the output has rank within n/2 ± n/(2a).
@@ -396,6 +464,13 @@ mod tests {
                 );
             }
         }
+        assert_lemma_1_on_grid(&[64, 256], 50);
+    }
+
+    #[test]
+    #[ignore = "full grid; run with --release -- --ignored"]
+    fn amf_rank_error_respects_lemma_1_on_the_full_grid() {
+        assert_lemma_1_on_grid(&[64, 256, 1024, 4096], 50);
     }
 
     #[test]
@@ -414,6 +489,13 @@ mod tests {
             );
             assert!(out.skip_list_height >= 1);
         }
+        assert_logarithmic_rounds_on_grid(&[64, 256], 50);
+    }
+
+    #[test]
+    #[ignore = "full grid; run with --release -- --ignored"]
+    fn amf_rounds_are_logarithmic_on_the_full_grid() {
+        assert_logarithmic_rounds_on_grid(&[64, 256, 1024, 4096], 50);
     }
 
     #[test]

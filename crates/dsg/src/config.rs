@@ -8,9 +8,8 @@ pub enum MedianStrategy {
     /// `n/2 ± n/2a` (Lemma 1).
     #[default]
     Amf,
-    /// An exact median oracle. Deterministic and useful for unit tests and
-    /// as an ablation baseline (experiment E11); charged an idealised
-    /// `⌈log₂ n⌉` rounds.
+    /// An exact median oracle. Deterministic, for unit tests and the
+    /// worked examples; charged an idealised `⌈log₂ n⌉` rounds.
     Exact,
 }
 
@@ -133,13 +132,10 @@ pub struct DsgConfig {
     pub a: usize,
     /// Median strategy used by every per-level split.
     pub median: MedianStrategy,
-    /// Seed for all randomised components (AMF skip lists, initial
-    /// membership vectors), making runs reproducible.
+    /// Seed for all randomised components (AMF skip lists, the policy
+    /// sketch's hashing, joining peers' membership vectors), making runs
+    /// reproducible.
     pub seed: u64,
-    /// Whether to re-check and repair the a-balance property after every
-    /// transformation (§IV-F). Disabling it is an ablation knob for
-    /// experiment E10.
-    pub maintain_balance: bool,
     /// How new membership vectors are installed after a transformation.
     pub install: InstallStrategy,
     /// Worker shards for the *plan* stages of an epoch (≥ 1). With `k > 1`,
@@ -163,7 +159,6 @@ impl Default for DsgConfig {
             a: 3,
             median: MedianStrategy::default(),
             seed: 0xD56,
-            maintain_balance: true,
             install: InstallStrategy::default(),
             shards: 1,
             policy: PolicyConfig::default(),
@@ -193,12 +188,6 @@ impl DsgConfig {
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables a-balance maintenance (dummy nodes).
-    pub fn with_balance_maintenance(mut self, on: bool) -> Self {
-        self.maintain_balance = on;
         self
     }
 
@@ -236,7 +225,6 @@ mod tests {
         let c = DsgConfig::default();
         assert!(c.a >= 2);
         assert_eq!(c.median, MedianStrategy::Amf);
-        assert!(c.maintain_balance);
     }
 
     #[test]
@@ -244,12 +232,10 @@ mod tests {
         let c = DsgConfig::default()
             .with_a(4)
             .with_median(MedianStrategy::Exact)
-            .with_seed(9)
-            .with_balance_maintenance(false);
+            .with_seed(9);
         assert_eq!(c.a, 4);
         assert_eq!(c.median, MedianStrategy::Exact);
         assert_eq!(c.seed, 9);
-        assert!(!c.maintain_balance);
     }
 
     #[test]

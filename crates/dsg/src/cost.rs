@@ -13,8 +13,8 @@
 //! The transformation cost charged by this reproduction decomposes exactly
 //! along the steps of Algorithm 1 and is recorded per request in a
 //! [`CostBreakdown`]; [`RunStats`] accumulates them over a whole request
-//! sequence so that experiments E8/E9 can compare against the working-set
-//! bound `WS(σ)`. [`EpochCounters`] defines what one epoch counts besides.
+//! sequence, the totals the paper compares against the working-set bound
+//! `WS(σ)`. [`EpochCounters`] defines what one epoch counts besides.
 
 use std::ops::AddAssign;
 

@@ -357,9 +357,7 @@ impl DynamicSkipGraph {
     /// `a ≥ 1`, as the paper's model requires of `S₀ ∈ S`. Fresh
     /// self-adjusting state is registered for every peer.
     ///
-    /// Reached through `DsgSession::builder()` (see [`crate::prelude`]);
-    /// `random_vectors()` selects [`build_random`](Self::build_random)
-    /// instead.
+    /// Reached through `DsgSession::builder()` (see [`crate::prelude`]).
     ///
     /// # Errors
     ///
@@ -388,32 +386,6 @@ impl DynamicSkipGraph {
             graph
                 .insert(Self::internal_key(*peer), mvec)
                 .map_err(|_| DsgError::DuplicatePeer(*peer))?;
-        }
-        Self::finish_construction(graph, config, rng)
-    }
-
-    /// Builds a network with uniformly random initial membership vectors
-    /// (the classic randomised skip graph construction). The initial
-    /// structure is only a-balanced in expectation, so the first few
-    /// requests may trigger more dummy-node repairs than with
-    /// [`build_balanced`](Self::build_balanced).
-    ///
-    /// Reached through `DsgSession::builder().random_vectors()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    pub(crate) fn build_random<I>(peers: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut graph = SkipGraph::new();
-        for peer in peers {
-            let key = Self::internal_key(peer);
-            graph
-                .insert_random(key, &mut rng)
-                .map_err(|_| DsgError::DuplicatePeer(peer))?;
         }
         Self::finish_construction(graph, config, rng)
     }
@@ -618,7 +590,7 @@ impl DynamicSkipGraph {
 
     /// Routing distance between two peers counting only *peers* as
     /// intermediate nodes (dummy placeholders are transparent). This is the
-    /// distance notion used by the working-set experiments.
+    /// distance the working set property (Theorem 2) bounds.
     ///
     /// # Errors
     ///
@@ -837,13 +809,10 @@ impl DynamicSkipGraph {
 
         // The balanced construction satisfies a-balance for every `a`, but
         // the invariant is re-derived rather than assumed.
-        let mut dummies_recreated = 0usize;
-        if self.config.maintain_balance {
-            let repair =
-                dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
-            dummies_recreated = repair.inserted.len();
-            self.stats.dummy_nodes_created += dummies_recreated;
-        }
+        let repair =
+            dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
+        let dummies_recreated = repair.inserted.len();
+        self.stats.dummy_nodes_created += dummies_recreated;
 
         self.validate()?;
         Ok(RecoveryReport {
@@ -1087,11 +1056,9 @@ impl DynamicSkipGraph {
             Self::internal_key(peer),
             outcome.levels_joined,
         );
-        if self.config.maintain_balance {
-            let repair =
-                dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
-            self.stats.dummy_nodes_created += repair.inserted.len();
-        }
+        let repair =
+            dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
+        self.stats.dummy_nodes_created += repair.inserted.len();
         self.phase = EpochPhase::Idle;
         Ok(())
     }
@@ -1108,11 +1075,9 @@ impl DynamicSkipGraph {
         self.phase = EpochPhase::Applying;
         self.graph.leave(Self::internal_key(peer))?;
         self.states.unregister(id);
-        if self.config.maintain_balance {
-            let repair =
-                dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
-            self.stats.dummy_nodes_created += repair.inserted.len();
-        }
+        let repair =
+            dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
+        self.stats.dummy_nodes_created += repair.inserted.len();
         self.phase = EpochPhase::Idle;
         Ok(())
     }
@@ -1569,7 +1534,7 @@ impl DynamicSkipGraph {
         }
         let mut cluster_affected_all: Vec<Vec<(usize, Prefix)>> = Vec::new();
         let mut reconcile_plans: Vec<Option<dummy::ReconcilePlan>> = Vec::new();
-        if self.config.maintain_balance && batched {
+        if batched {
             for cluster in &clusters {
                 // Every entry lies in exactly one cluster's subtree; the
                 // filter keeps the sorted order.
@@ -1663,86 +1628,80 @@ impl DynamicSkipGraph {
         // install actually changed, then the per-request outcome assembly.
         let mut outcomes: Vec<Option<RequestOutcome>> = pairs.iter().map(|_| None).collect();
         for (ci, (cluster, run)) in clusters.iter().zip(&cluster_runs).enumerate() {
-            let mut dummies_inserted = 0usize;
-            let mut repair_rounds = 0usize;
-            if self.config.maintain_balance {
-                let scratch = &mut self.scratch;
-                if !batched {
-                    scratch.cluster_affected.clear();
-                    scratch
-                        .cluster_affected
-                        .extend_from_slice(&run.derived_affected);
-                    scratch.cluster_affected.sort_unstable();
-                    scratch.cluster_affected.dedup();
-                }
-                let protect: Vec<(Key, Key)> = cluster
-                    .pair_indices
-                    .iter()
-                    .map(|&pi| {
-                        (
-                            Self::internal_key(pairs[pi].0),
-                            Self::internal_key(pairs[pi].1),
-                        )
-                    })
-                    .collect();
-                if batched {
-                    // Reconciling lifecycle: plan-then-apply. The plan's
-                    // fused detection pass inventoried the standing dummies
-                    // of the rebuilt lists (their prefix paths joined the
-                    // re-check set exactly as if they were destroyed); the
-                    // apply reclaims the standing dummies whose break
-                    // re-derives onto them, bulk-splices the genuinely new
-                    // ones, and sweeps only the genuinely stale ones.
-                    let mut plan = reconcile_plans[ci]
-                        .take()
-                        .expect("cluster plan computed above");
-                    let repair = dummy::repair_balance_reconciling_planned(
-                        &mut self.graph,
-                        &mut self.states,
-                        self.config.a,
-                        &protect,
-                        cluster.root_level,
-                        &mut plan,
-                        &mut scratch.reconcile,
-                    );
-                    self.reconcile_pool.push(plan);
-                    counters.dummies_destroyed += repair.destroyed;
-                    counters.dummies_reused += repair.reused;
-                    counters.dummies_bulk_inserted += repair.bulk_inserted;
-                    dummies_inserted = repair.placed.len();
-                    repair_rounds = repair.rounds;
-                    self.stats.dummy_nodes_created += repair.bulk_inserted;
-                } else {
-                    // Destroy-then-recreate oracle: stale dummies inside
-                    // affected lists destroy themselves (the §IV-F
-                    // notification, scoped to the rebuilt lists); their own
-                    // prefix paths join the re-check set, since removing
-                    // them can merge runs anywhere along the way.
-                    counters.dummies_destroyed += dummy::destroy_dummies_in_lists(
-                        &mut self.graph,
-                        &mut self.states,
-                        cluster.root_level,
-                        &mut scratch.cluster_affected,
-                        &mut scratch.stale_dummies,
-                        batched,
-                        &mut scratch.salvage,
-                    );
-                    scratch.cluster_affected.sort_unstable();
-                    scratch.cluster_affected.dedup();
-                    let repair = dummy::repair_balance_incremental(
-                        &mut self.graph,
-                        &mut self.states,
-                        self.config.a,
-                        &protect,
-                        cluster.root_level,
-                        &mut scratch.cluster_affected,
-                        &mut scratch.salvage,
-                    );
-                    dummies_inserted = repair.inserted.len();
-                    repair_rounds = repair.rounds;
-                    self.stats.dummy_nodes_created += dummies_inserted;
-                }
+            let scratch = &mut self.scratch;
+            if !batched {
+                scratch.cluster_affected.clear();
+                scratch
+                    .cluster_affected
+                    .extend_from_slice(&run.derived_affected);
+                scratch.cluster_affected.sort_unstable();
+                scratch.cluster_affected.dedup();
             }
+            let protect: Vec<(Key, Key)> = cluster
+                .pair_indices
+                .iter()
+                .map(|&pi| {
+                    (
+                        Self::internal_key(pairs[pi].0),
+                        Self::internal_key(pairs[pi].1),
+                    )
+                })
+                .collect();
+            let (dummies_inserted, repair_rounds) = if batched {
+                // Reconciling lifecycle: plan-then-apply. The plan's
+                // fused detection pass inventoried the standing dummies
+                // of the rebuilt lists (their prefix paths joined the
+                // re-check set exactly as if they were destroyed); the
+                // apply reclaims the standing dummies whose break
+                // re-derives onto them, bulk-splices the genuinely new
+                // ones, and sweeps only the genuinely stale ones.
+                let mut plan = reconcile_plans[ci]
+                    .take()
+                    .expect("cluster plan computed above");
+                let repair = dummy::repair_balance_reconciling_planned(
+                    &mut self.graph,
+                    &mut self.states,
+                    self.config.a,
+                    &protect,
+                    cluster.root_level,
+                    &mut plan,
+                    &mut scratch.reconcile,
+                );
+                self.reconcile_pool.push(plan);
+                counters.dummies_destroyed += repair.destroyed;
+                counters.dummies_reused += repair.reused;
+                counters.dummies_bulk_inserted += repair.bulk_inserted;
+                self.stats.dummy_nodes_created += repair.bulk_inserted;
+                (repair.placed.len(), repair.rounds)
+            } else {
+                // Destroy-then-recreate oracle: stale dummies inside
+                // affected lists destroy themselves (the §IV-F
+                // notification, scoped to the rebuilt lists); their own
+                // prefix paths join the re-check set, since removing
+                // them can merge runs anywhere along the way.
+                counters.dummies_destroyed += dummy::destroy_dummies_in_lists(
+                    &mut self.graph,
+                    &mut self.states,
+                    cluster.root_level,
+                    &mut scratch.cluster_affected,
+                    &mut scratch.stale_dummies,
+                    batched,
+                    &mut scratch.salvage,
+                );
+                scratch.cluster_affected.sort_unstable();
+                scratch.cluster_affected.dedup();
+                let repair = dummy::repair_balance_incremental(
+                    &mut self.graph,
+                    &mut self.states,
+                    self.config.a,
+                    &protect,
+                    cluster.root_level,
+                    &mut scratch.cluster_affected,
+                    &mut scratch.salvage,
+                );
+                self.stats.dummy_nodes_created += repair.inserted.len();
+                (repair.inserted.len(), repair.rounds)
+            };
             counters.dummies_inserted += dummies_inserted;
 
             // Per-request outcomes: cluster-level rounds and counters are
@@ -2096,8 +2055,7 @@ mod tests {
         // The paper bounds the dummies needed per rearranged level by n / a;
         // this implementation repairs every level after each request, so the
         // live population is bounded by that per-level bound times the
-        // height. Check a loose version of it (experiment E10 measures the
-        // real distribution).
+        // height. Check a loose version of it.
         let bound = (48 / 3) * (net.height() + 1);
         assert!(
             net.dummy_count() <= bound,

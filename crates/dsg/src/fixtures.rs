@@ -4,7 +4,7 @@
 //! 4(b), complete with the membership vectors, per-level timestamps,
 //! group-ids and group-bases the paper describes. Serving the request
 //! `(U, V)` on it reproduces the S₈ → S₉ transformation that the paper uses
-//! to illustrate every rule (experiment E3).
+//! to illustrate every rule (`tests/figure4.rs` checks it).
 
 use dsg_skipgraph::MembershipVector;
 

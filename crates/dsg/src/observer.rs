@@ -5,9 +5,8 @@
 //! transformation epoch, carrying the epoch's [`EpochCounters`]. This
 //! replaces reading [`RunStats`](crate::RunStats) fields off the engine as
 //! the way callers collect metrics: `dsg-metrics` ships `MetricsObserver`,
-//! the default recording observer, and `dsg-bench`'s `run_dsg` replays
-//! traces through it for the experiment binaries, examples and end-to-end
-//! tests.
+//! the default recording observer, and the root crate's `replay::run_dsg`
+//! replays traces through it for the examples and the end-to-end tests.
 //!
 //! Observers are shared handles (`Arc<Mutex<_>>`) so the caller keeps
 //! access to the collected data while the session drives the callbacks —

@@ -203,7 +203,8 @@ pub(crate) fn encode_prefix(
     put_u64(buf, config.a as u64);
     buf.push(median_tag(config.median));
     put_u64(buf, config.seed);
-    buf.push(config.maintain_balance as u8);
+    // The retired maintain_balance option's byte, always 1.
+    buf.push(1);
     buf.push(install_tag(config.install));
     put_u64(buf, config.shards as u64);
     // The retired adaptive-flush option's byte, always 0.
@@ -335,11 +336,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         tag => return Err(corrupt(&format!("unknown median strategy tag {tag}"))),
     };
     let seed = r.u64().map_err(short)?;
-    let maintain_balance = match r.u8().map_err(short)? {
-        0 => false,
-        1 => true,
+    match r.u8().map_err(short)? {
+        1 => {}
+        // A store written with the option off never repaired a-balance, so
+        // replaying its journal with the repair would not rebuild its engine.
+        0 => {
+            return Err(corrupt(
+                "written with the retired maintain_balance option off; its journal \
+                 would replay into a different structure",
+            ))
+        }
         tag => return Err(corrupt(&format!("bad maintain_balance byte {tag}"))),
-    };
+    }
     let install = match r.u8().map_err(short)? {
         0 => InstallStrategy::Batched,
         1 => InstallStrategy::PerNode,
@@ -387,7 +395,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         a,
         median,
         seed,
-        maintain_balance,
         install,
         shards,
         policy: PolicyConfig {
@@ -627,6 +634,26 @@ mod tests {
         match decode_snapshot(&bytes) {
             Err(PersistError::CorruptSnapshot { detail }) => {
                 assert!(detail.contains("adaptive_flush"), "{detail}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        bytes[at] = 2;
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(PersistError::CorruptSnapshot { .. })
+        ));
+    }
+
+    #[test]
+    fn the_retired_maintain_balance_option_is_refused_typed() {
+        let mut bytes = encode_snapshot(&sample_image());
+        // Magic, a, median, seed.
+        let at = MAGIC.len() + 8 + 1 + 8;
+        assert_eq!(bytes[at], 1, "the option's byte is always written as 1");
+        bytes[at] = 0;
+        match decode_snapshot(&bytes) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("maintain_balance"), "{detail}");
             }
             other => panic!("expected a typed refusal, got {other:?}"),
         }

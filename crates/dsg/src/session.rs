@@ -94,8 +94,6 @@ enum InitialVectors {
     /// structure is a-balanced for every `a ≥ 1` (the paper's `S₀ ∈ S`).
     #[default]
     Balanced,
-    /// Uniformly random bits — the classic randomised construction.
-    Random,
     /// Explicit `(peer, vector)` pairs supplied via [`DsgBuilder::members`].
     Explicit,
 }
@@ -133,8 +131,8 @@ impl std::fmt::Debug for DsgBuilder {
 }
 
 impl DsgBuilder {
-    /// The peer keys of the initial network (balanced rank-derived vectors
-    /// unless [`random_vectors`](Self::random_vectors) is set).
+    /// The peer keys of the initial network, given balanced rank-derived
+    /// membership vectors.
     pub fn peers<I: IntoIterator<Item = u64>>(mut self, peers: I) -> Self {
         self.peers = peers.into_iter().collect();
         self
@@ -146,13 +144,6 @@ impl DsgBuilder {
     pub fn members<I: IntoIterator<Item = (u64, MembershipVector)>>(mut self, members: I) -> Self {
         self.members = members.into_iter().collect();
         self.vectors = InitialVectors::Explicit;
-        self
-    }
-
-    /// Use uniformly random initial membership vectors (the classic
-    /// randomised construction).
-    pub fn random_vectors(mut self) -> Self {
-        self.vectors = InitialVectors::Random;
         self
     }
 
@@ -189,12 +180,6 @@ impl DsgBuilder {
     /// [module documentation](self)'s threading model).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Enable or disable a-balance maintenance (dummy nodes).
-    pub fn balance_maintenance(mut self, on: bool) -> Self {
-        self.config.maintain_balance = on;
         self
     }
 
@@ -256,7 +241,6 @@ impl DsgBuilder {
         }
         let engine = match self.vectors {
             InitialVectors::Balanced => DynamicSkipGraph::build_balanced(self.peers, config)?,
-            InitialVectors::Random => DynamicSkipGraph::build_random(self.peers, config)?,
             InitialVectors::Explicit => DynamicSkipGraph::build_from_members(self.members, config)?,
         };
         Ok(DsgSession {

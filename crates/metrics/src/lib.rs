@@ -13,7 +13,6 @@
 //!
 //! * [`CommunicationGraph`] — a time-labelled view of who communicated,
 //! * [`WorkingSetTracker`] — incremental `T_i` / `WS(σ)` computation,
-//! * [`Summary`] — small statistics helpers used by the experiment harness,
 //! * [`MetricsObserver`] — the default recording [`dsg::DsgObserver`] that
 //!   collects per-request series and epoch counters off a session.
 //!
@@ -39,10 +38,8 @@
 
 pub mod comm_graph;
 pub mod observer;
-pub mod summary;
 pub mod working_set;
 
 pub use comm_graph::CommunicationGraph;
 pub use observer::MetricsObserver;
-pub use summary::Summary;
 pub use working_set::{working_set_bound, working_set_numbers, WorkingSetTracker};

@@ -1,9 +1,9 @@
 //! The default recording observer for [`DsgSession`](dsg::DsgSession)s.
 //!
 //! [`MetricsObserver`] implements [`dsg::DsgObserver`] and records the
-//! per-request series and epoch-level counters the experiment harnesses
-//! report — the observer-based replacement for polling
-//! [`RunStats`](dsg::RunStats) fields off the engine. Register it with
+//! per-request series and epoch-level counters of a replay — the
+//! observer-based replacement for polling [`RunStats`](dsg::RunStats)
+//! fields off the engine. Register it with
 //! [`DsgSession::observe`](dsg::DsgSession::observe) (which hands back a
 //! shared handle) and read the series after the replay.
 //!
@@ -34,15 +34,10 @@ pub struct MetricsObserver {
     pub routing_costs: Vec<usize>,
     /// Transformation rounds per request.
     pub transformation_rounds: Vec<usize>,
-    /// Total cost (`d + ρ + 1`) per request.
-    pub total_costs: Vec<usize>,
     /// Structure height after each request.
     pub heights: Vec<usize>,
     /// Level of the direct link created for each request.
     pub pair_levels: Vec<usize>,
-    /// Changed `(node, level)` pairs installed per request (cluster totals
-    /// are attributed to the cluster's first request).
-    pub touched_pairs: Vec<usize>,
     /// Transformation epochs observed.
     pub epochs: usize,
     /// Every observed epoch's counters, summed.
@@ -74,11 +69,6 @@ impl MetricsObserver {
         }
     }
 
-    /// Total changed `(node, level)` pairs installed.
-    pub fn total_touched_pairs(&self) -> usize {
-        self.touched_pairs.iter().sum()
-    }
-
     /// Dummy churn: dummies actually created plus dummies actually
     /// destroyed. Reclaimed standing dummies contribute to neither side —
     /// that zero-mutation reuse is exactly what the reconciling lifecycle
@@ -94,10 +84,8 @@ impl DsgObserver for MetricsObserver {
         self.routing_costs.push(outcome.routing_cost);
         self.transformation_rounds
             .push(outcome.transformation_rounds());
-        self.total_costs.push(outcome.total_cost());
         self.heights.push(outcome.height_after);
         self.pair_levels.push(outcome.pair_level);
-        self.touched_pairs.push(outcome.touched_pairs);
     }
 
     fn on_epoch(&mut self, event: &EpochEvent) {
@@ -142,10 +130,6 @@ mod tests {
         assert_eq!(
             session.stats().total_routing_cost,
             metrics.routing_costs.iter().sum::<usize>()
-        );
-        assert_eq!(
-            session.stats().counters.touched_pairs,
-            metrics.total_touched_pairs()
         );
         assert_eq!(session.stats().counters, metrics.counters);
     }

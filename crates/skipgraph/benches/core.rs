@@ -1,16 +1,55 @@
 //! Criterion benchmarks for the skip graph core: O(1) neighbour reads and
 //! routing on the intrusive linked-list arena versus the naive index-based
 //! reference representation (`dsg_skipgraph::reference`), at the sizes in
-//! `dsg_bench::SIZES`. End-to-end request throughput is `perfbench/`'s to measure.
+//! [`SIZES`]. End-to-end request throughput is `perfbench/`'s to measure.
 //!
-//! Run with `cargo bench -p dsg-bench --bench core`; the vendored criterion
-//! honours `BENCH_SAMPLE_SIZE` and `BENCH_WARMUP_MS` for a quick smoke.
+//! Run with `cargo bench -p dsg-skipgraph --bench core`; the vendored
+//! criterion honours `BENCH_SAMPLE_SIZE` and `BENCH_WARMUP_MS` for a quick
+//! smoke.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dsg_bench::{reference_graph_like, route_pairs, SIZES};
-use dsg_skipgraph::fixtures;
+use dsg_skipgraph::reference::ReferenceGraph;
+use dsg_skipgraph::{fixtures, Key, SkipGraph};
+
+/// The network sizes the `neighbors` and `route` groups sweep.
+const SIZES: &[u64] = &[256, 1024, 4096];
+
+/// The source/destination key pairs the `route` group sweeps for an
+/// `n`-key graph.
+fn route_pairs(n: u64) -> Vec<(Key, Key)> {
+    let step = (n / 64).max(1) as usize;
+    (0..n)
+        .step_by(step)
+        .map(|i| (Key::new(i), Key::new(n - 1 - i)))
+        .collect()
+}
+
+/// Builds a [`ReferenceGraph`] holding exactly the nodes and membership
+/// vectors of `graph`, inserted in ascending key order. The fixtures here
+/// are themselves built by key-ordered insertion, so the node ids coincide
+/// and both representations are driven with the same id stream; the
+/// precondition is checked, not assumed, since a graph built with churn
+/// (free-list reuse) would violate it silently.
+fn reference_graph_like(graph: &SkipGraph) -> ReferenceGraph {
+    let reference = ReferenceGraph::from_members(graph.node_ids().map(|id| {
+        (
+            graph.key_of(id).expect("live node"),
+            graph.mvec_of(id).expect("live node"),
+        )
+    }))
+    .expect("keys are distinct in the source graph");
+    for id in graph.node_ids() {
+        let key = graph.key_of(id).expect("live node");
+        assert_eq!(
+            reference.node_by_key(key),
+            Some(id),
+            "reference_graph_like requires key-ordered insertion so ids coincide"
+        );
+    }
+    reference
+}
 
 fn bench_neighbors(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbors");

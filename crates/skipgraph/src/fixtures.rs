@@ -1,8 +1,8 @@
 //! Ready-made skip graph instances used by tests, examples and benchmarks.
 //!
 //! The most important fixture is [`figure1`], the 6-node instance the paper
-//! uses to introduce skip graphs (Figure 1). Larger parametric fixtures are
-//! provided for benchmarks.
+//! uses to introduce skip graphs (Figure 1). Larger parametric fixtures
+//! serve the tests and the `core` bench.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,6 +67,23 @@ mod tests {
         let g = figure1();
         g.validate().unwrap();
         assert_eq!(g.len(), 6);
+    }
+
+    #[test]
+    fn figure1_lists_match_the_paper() {
+        let g = figure1();
+        // The lists of Figure 1(b): the level-1 0- and 1-sublists {A, J, M}
+        // and {G, R, W}, and the 10-subgraph {G, W}.
+        let keys = |bits: &str| -> Vec<u64> {
+            let prefix = MembershipVector::parse(bits).unwrap().prefix(bits.len());
+            g.list_iter(bits.len(), prefix)
+                .map(|id| g.key_of(id).unwrap().value())
+                .collect()
+        };
+        assert_eq!(keys(""), vec![1, 7, 10, 13, 18, 23]);
+        assert_eq!(keys("0"), vec![1, 10, 13]);
+        assert_eq!(keys("1"), vec![7, 18, 23]);
+        assert_eq!(keys("10"), vec![7, 23]);
     }
 
     #[test]

@@ -81,26 +81,6 @@ impl NodeEntry {
     }
 }
 
-/// Identifies one linked list of the skip graph: the list at `level` whose
-/// members share the membership-vector `prefix`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ListRef {
-    /// The level of the list (0 = base list containing every node).
-    pub level: usize,
-    /// The membership-vector prefix shared by all members.
-    pub prefix: Prefix,
-}
-
-impl ListRef {
-    /// The base list at level 0.
-    pub fn root() -> Self {
-        ListRef {
-            level: 0,
-            prefix: Prefix::root(),
-        }
-    }
-}
-
 /// Index of a [`ListMeta`] record in the list arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ListId(u32);
@@ -1565,11 +1545,6 @@ impl SkipGraph {
     /// allocates; hot paths should use the iterator.
     pub fn list_members(&self, level: usize, prefix: Prefix) -> Vec<NodeId> {
         self.list_iter(level, prefix).collect()
-    }
-
-    /// Members of the list identified by a [`ListRef`].
-    pub fn list(&self, list: ListRef) -> Vec<NodeId> {
-        self.list_members(list.level, list.prefix)
     }
 
     /// Members of the list that `id` belongs to at `level`, in ascending key

@@ -33,8 +33,6 @@
 //!   arena's speedup against (`reference` module).
 //! * [`route`](SkipGraph::route) — the standard skip graph routing algorithm
 //!   (Appendix B of the paper) with hop accounting (`routing` module).
-//! * [`TreeView`] — the binary-tree-of-linked-lists view used throughout the
-//!   paper (Figure 1) for reasoning about subgraphs (`tree` module).
 //! * a-balance checking (`balance` module) — the structural property the
 //!   self-adjusting algorithm must preserve.
 //! * [`BalancedSkipList`] — the probabilistic, support-balanced skip list
@@ -75,19 +73,17 @@ pub mod reference;
 pub mod routing;
 pub mod skiplist;
 mod smallvec;
-pub mod tree;
 
 pub use balance::{BalanceReport, BalanceViolation};
 pub use crc32::{crc32, Crc32};
 pub use error::SkipGraphError;
 pub use fasthash::{FastHashState, KeyHashState};
-pub use graph::{ListIter, ListRef, MembershipUpdate, NodeEntry, SkipGraph};
+pub use graph::{ListIter, MembershipUpdate, NodeEntry, SkipGraph};
 pub use ids::{Key, NodeId};
 pub use maintenance::{JoinOutcome, LeaveOutcome};
 pub use mvec::{Bit, MembershipVector, Prefix};
 pub use routing::{RouteHop, RouteResult};
 pub use skiplist::BalancedSkipList;
-pub use tree::{TreeNode, TreeView};
 
 /// Convenience result alias used across the crate.
 pub type Result<T, E = SkipGraphError> = std::result::Result<T, E>;

@@ -2,8 +2,8 @@
 //!
 //! The paper motivates self-adjustment with *skewed* communication patterns:
 //! "most real-world communication patterns are skewed". This crate provides
-//! the request-sequence generators the evaluation harness uses to exercise
-//! the self-adjusting skip graph and its baselines:
+//! the request-sequence generators the tests, examples and benchmark use to
+//! exercise the self-adjusting skip graph and its baselines:
 //!
 //! * [`UniformRandom`] — no skew at all (the adversarial regime for
 //!   self-adjustment),
@@ -18,9 +18,7 @@
 //! * [`Adversarial`] — a non-repeating permutation stream with no locality
 //!   to exploit,
 //! * [`FlashCrowd`] — uniform background with a sudden burst window where a
-//!   few fixed pairs dominate (the adaptation-policy stress pattern),
-//! * [`HotSetDrift`] — a contiguous hot window sliding over the key space
-//!   (exercises frequency-sketch aging).
+//!   few fixed pairs dominate (the adaptation-policy stress pattern).
 //!
 //! [`OpenLoop`] wraps any of them into an **open-loop arrival schedule**
 //! at a fixed offered rate, for driving a service *into* overload instead
@@ -48,7 +46,6 @@
 
 pub mod datacenter;
 pub mod flash_crowd;
-pub mod hot_set_drift;
 pub mod hotset;
 pub mod open_loop;
 pub mod repeated;
@@ -58,7 +55,6 @@ pub mod zipf;
 
 pub use datacenter::Datacenter;
 pub use flash_crowd::FlashCrowd;
-pub use hot_set_drift::HotSetDrift;
 pub use hotset::RotatingHotSet;
 pub use open_loop::{Arrival, OpenLoop};
 pub use repeated::RepeatedPairs;

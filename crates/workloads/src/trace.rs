@@ -13,12 +13,6 @@ pub use dsg::Request;
 /// A sequence of requests.
 pub type Trace = Vec<Request>;
 
-/// Converts a trace into the plain pair representation used by the metrics
-/// crate. Non-communication requests contribute nothing.
-pub fn as_pairs(trace: &[Request]) -> Vec<(u64, u64)> {
-    trace.iter().filter_map(|r| r.endpoints()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,15 +24,5 @@ mod tests {
         assert_eq!(r.unordered(), Some((2, 9)));
         let r2: Request = (1u64, 5u64).into();
         assert_eq!(r2.pair(), (1, 5));
-    }
-
-    #[test]
-    fn as_pairs_preserves_order_and_skips_membership() {
-        let trace = vec![
-            Request::communicate(1, 2),
-            Request::Join(9),
-            Request::communicate(5, 3),
-        ];
-        assert_eq!(as_pairs(&trace), vec![(1, 2), (5, 3)]);
     }
 }

@@ -7,7 +7,7 @@
 
 use dsg::DsgConfig;
 use dsg_baselines::StaticSkipGraph;
-use dsg_bench::{f2, format_table, run_baseline, run_dsg};
+use dsg_repro::replay::{f2, format_table, run_baseline, run_dsg};
 use dsg_workloads::{Datacenter, Workload};
 
 fn main() {

@@ -9,7 +9,7 @@
 
 use dsg::DsgConfig;
 use dsg_baselines::{SplayNet, StaticSkipGraph, WorkingSetOracle};
-use dsg_bench::{f2, format_table, run_baseline, run_dsg};
+use dsg_repro::replay::{f2, format_table, run_baseline, run_dsg};
 use dsg_workloads::{Workload, ZipfPairs};
 
 fn main() {

@@ -1,64 +1,11 @@
-//! # dsg-bench — experiment harness
-//!
-//! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`), the
-//! criterion bench (`benches/core.rs`), two runnable examples and the
-//! end-to-end tests. Each experiment binary prints the table or series it
-//! reproduces; end-to-end performance is measured by `perfbench/` alone.
-//!
-//! The helpers here run a request trace through the self-adjusting skip
+//! Trace replay for the end-to-end tests, the paper-claim tests and the
+//! comparison examples: run a request trace through the self-adjusting skip
 //! graph (collecting the paper's cost metrics) and through the baseline
-//! overlays, and format plain-text tables.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+//! overlays, and format plain-text tables of the results.
 
 use dsg::prelude::*;
 use dsg_baselines::Baseline;
 use dsg_metrics::{MetricsObserver, WorkingSetTracker};
-use dsg_skipgraph::reference::ReferenceGraph;
-use dsg_skipgraph::{Key, SkipGraph};
-
-/// The network sizes the `neighbors` and `route` groups of
-/// `benches/core.rs` sweep.
-pub const SIZES: &[u64] = &[256, 1024, 4096];
-
-/// The source/destination key pairs the `route` microbenchmarks sweep for
-/// an `n`-key graph.
-pub fn route_pairs(n: u64) -> Vec<(Key, Key)> {
-    let step = (n / 64).max(1) as usize;
-    (0..n)
-        .step_by(step)
-        .map(|i| (Key::new(i), Key::new(n - 1 - i)))
-        .collect()
-}
-
-/// Builds a [`ReferenceGraph`] holding exactly the nodes and membership
-/// vectors of `graph`, inserted in ascending key order. For graphs that
-/// were themselves built by key-ordered insertion (every fixture
-/// `benches/core.rs` uses) the resulting node ids are identical, so
-/// measurements drive both representations with the same id stream.
-pub fn reference_graph_like(graph: &SkipGraph) -> ReferenceGraph {
-    let reference = ReferenceGraph::from_members(graph.node_ids().map(|id| {
-        (
-            graph.key_of(id).expect("live node"),
-            graph.mvec_of(id).expect("live node"),
-        )
-    }))
-    .expect("keys are distinct in the source graph");
-    // The comparisons drive both representations with the same id stream,
-    // so the id-coincidence precondition is checked, not assumed: a graph
-    // built with churn (free-list reuse) would violate it silently.
-    for id in graph.node_ids() {
-        let key = graph.key_of(id).expect("live node");
-        assert_eq!(
-            reference.node_by_key(key),
-            Some(id),
-            "reference_graph_like requires key-ordered insertion so ids coincide"
-        );
-    }
-    reference
-}
 
 /// Result of replaying a trace through the self-adjusting skip graph.
 #[derive(Debug, Clone, Default)]
@@ -67,16 +14,12 @@ pub struct DsgRun {
     pub routing_costs: Vec<usize>,
     /// Transformation rounds per request.
     pub transformation_rounds: Vec<usize>,
-    /// Total cost (`d + ρ + 1`) per request.
-    pub total_costs: Vec<usize>,
     /// Structure height after each request.
     pub heights: Vec<usize>,
     /// Working set number of each request (computed alongside).
     pub working_sets: Vec<usize>,
     /// Level of the direct link created for each request.
     pub pair_levels: Vec<usize>,
-    /// Dummy nodes alive after the whole trace.
-    pub final_dummies: usize,
 }
 
 impl DsgRun {
@@ -115,8 +58,8 @@ impl DsgRun {
 
 /// Replays `trace` on a fresh `n`-peer session built with `config`, one
 /// request per [`DsgSession::submit_batch`] (one epoch per communicate),
-/// collecting the per-request metrics the experiments report through the
-/// default recording observer ([`MetricsObserver`]).
+/// collecting the per-request metrics through the default recording
+/// observer ([`MetricsObserver`]).
 ///
 /// # Panics
 ///
@@ -147,11 +90,9 @@ pub fn run_dsg(n: u64, config: DsgConfig, trace: &[Request]) -> DsgRun {
     DsgRun {
         routing_costs: metrics.routing_costs.clone(),
         transformation_rounds: metrics.transformation_rounds.clone(),
-        total_costs: metrics.total_costs.clone(),
         heights: metrics.heights.clone(),
         working_sets,
         pair_levels: metrics.pair_levels.clone(),
-        final_dummies: session.engine().dummy_count(),
     }
 }
 
@@ -202,44 +143,4 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Formats a float with two decimals (table helper).
 pub fn f2(value: f64) -> String {
     format!("{value:.2}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsg_workloads::{RepeatedPairs, Workload};
-
-    #[test]
-    fn run_dsg_collects_one_sample_per_request() {
-        let trace = RepeatedPairs::single(16, 1, 9).generate(5);
-        let run = run_dsg(16, DsgConfig::default().with_seed(3), &trace);
-        assert_eq!(run.routing_costs.len(), 5);
-        assert_eq!(run.total_costs.len(), 5);
-        assert_eq!(run.working_sets[0], 16);
-        assert_eq!(run.working_sets[4], 2);
-        // After the first request the pair is directly linked.
-        assert!(run.routing_costs[1..].iter().all(|&c| c <= 1));
-    }
-
-    #[test]
-    fn baselines_are_replayable() {
-        let trace = RepeatedPairs::single(32, 0, 31).generate(4);
-        let mut baseline = dsg_baselines::StaticSkipGraph::new(32);
-        let costs = run_baseline(&mut baseline, &trace);
-        assert_eq!(costs.len(), 4);
-        assert!(costs.iter().all(|&c| c == costs[0]));
-    }
-
-    #[test]
-    fn tables_are_aligned() {
-        let table = format_table(
-            &["n", "cost"],
-            &[
-                vec!["8".into(), "1.25".into()],
-                vec!["1024".into(), "10.00".into()],
-            ],
-        );
-        assert!(table.contains("1024"));
-        assert!(table.lines().count() >= 4);
-    }
 }

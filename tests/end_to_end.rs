@@ -1,11 +1,10 @@
 //! Cross-crate integration tests: workloads → self-adjusting skip graph →
-//! metrics → baselines, exercised together the way the experiment harness
-//! uses them.
+//! metrics → baselines, replayed together through `dsg_repro::replay`.
 
 use dsg::prelude::*;
 use dsg_baselines::{SplayNet, StaticSkipGraph, WorkingSetOracle};
-use dsg_bench::{run_baseline, run_dsg};
 use dsg_metrics::working_set_bound;
+use dsg_repro::replay::{run_baseline, run_dsg};
 use dsg_workloads::{
     Adversarial, Datacenter, RepeatedPairs, RotatingHotSet, UniformRandom, Workload, ZipfPairs,
 };
