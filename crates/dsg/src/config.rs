@@ -13,26 +13,6 @@ pub enum MedianStrategy {
     Exact,
 }
 
-/// How the transformation's new membership vectors are installed into the
-/// skip graph substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InstallStrategy {
-    /// Differential batched install: only the members whose vector actually
-    /// changes are touched; the changed `(node, level)` pairs are grouped
-    /// by target list and each affected list is relinked in one ordered
-    /// splice pass
-    /// ([`SkipGraph::apply_membership_batch`](dsg_skipgraph::SkipGraph::apply_membership_batch)).
-    #[default]
-    Batched,
-    /// One
-    /// [`set_membership_suffix`](dsg_skipgraph::SkipGraph::set_membership_suffix)
-    /// call per member of `l_α` — the naive reference path, kept for the
-    /// differential agreement tests and as an ablation baseline. Observably
-    /// identical to [`InstallStrategy::Batched`], just Θ(n · height) per
-    /// request.
-    PerNode,
-}
-
 /// Whether the engine restructures on every communicate (the paper's
 /// unconditional rule) or consults the adaptation policy first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,8 +116,6 @@ pub struct DsgConfig {
     /// sketch's hashing, joining peers' membership vectors), making runs
     /// reproducible.
     pub seed: u64,
-    /// How new membership vectors are installed after a transformation.
-    pub install: InstallStrategy,
     /// Worker shards for the *plan* stages of an epoch (≥ 1). With `k > 1`,
     /// the disjoint clusters of an epoch are planned concurrently on up to
     /// `k` threads (and the dummy-reconciliation detection scan of a single
@@ -159,7 +137,6 @@ impl Default for DsgConfig {
             a: 3,
             median: MedianStrategy::default(),
             seed: 0xD56,
-            install: InstallStrategy::default(),
             shards: 1,
             policy: PolicyConfig::default(),
         }
@@ -188,12 +165,6 @@ impl DsgConfig {
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the membership-vector install strategy.
-    pub fn with_install(mut self, install: InstallStrategy) -> Self {
-        self.install = install;
         self
     }
 

@@ -79,9 +79,8 @@ pub struct EpochCounters {
     /// the admitted ones.
     pub planned_clusters: usize,
     /// Transformation-install passes pushed into the skip graph: 1 per
-    /// epoch under [`InstallStrategy::Batched`](crate::InstallStrategy::Batched)
-    /// regardless of the batch size, one per cluster under the per-node
-    /// reference strategy.
+    /// epoch that restructures, regardless of the batch size (0 when the
+    /// admission gate declined every cluster).
     pub install_passes: usize,
     /// Changed `(node, level)` pairs the installs touched — the work the
     /// differential install performs, as opposed to the Θ(n · height) a
@@ -89,20 +88,21 @@ pub struct EpochCounters {
     pub touched_pairs: usize,
     /// Dummy slots the balance repairs established — reclaimed standing
     /// dummies and created ones alike, so the count is lifecycle-independent
-    /// (it equals what the destroy-then-recreate oracle reports).
+    /// (it equals what the destroy-then-recreate reference lifecycle,
+    /// [`repair_balance_destroy_recreate`](crate::dummy::repair_balance_destroy_recreate),
+    /// reports).
     pub dummies_inserted: usize,
-    /// Dummy nodes actually removed from the graph. Under the reconciling
-    /// lifecycle this counts only the genuinely stale (or evicted) dummies,
-    /// not the standing ones reclaimed in place.
+    /// Dummy nodes actually removed from the graph: only the genuinely
+    /// stale (or evicted) dummies, not the standing ones the reconciliation
+    /// reclaimed in place.
     pub dummies_destroyed: usize,
     /// Standing dummies the reconciliation reclaimed with zero graph
-    /// mutation (0 under the per-node destroy/recreate oracle).
+    /// mutation.
     pub dummies_reused: usize,
     /// Genuinely new dummies the reconciliation created — almost all
     /// through the bulk splice installer
     /// ([`SkipGraph::insert_dummies_bulk`](dsg_skipgraph::SkipGraph::insert_dummies_bulk)),
-    /// stragglers below the bulk threshold directly (0 under the per-node
-    /// oracle, which join-walks every placement).
+    /// stragglers below the bulk threshold directly.
     pub dummies_bulk_inserted: usize,
     /// Requests whose cluster the admission gate declined to restructure:
     /// routed (and charged routing cost), but no transformation, install

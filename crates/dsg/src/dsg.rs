@@ -30,7 +30,7 @@ use dsg_skipgraph::{
 };
 
 use crate::amf::{AmfMedian, ExactMedian, MedianFinder};
-use crate::config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy};
+use crate::config::{AdaptPolicy, DsgConfig, MedianStrategy};
 use crate::cost::{CostBreakdown, EpochCounters, RunStats};
 use crate::dummy;
 use crate::error::DsgError;
@@ -213,20 +213,11 @@ fn cluster_plan_seed(seed: u64, t_first: u64) -> u64 {
 struct CommScratch {
     groups: GroupScratch,
     /// Lists whose membership or split pattern the install changed — the
-    /// scope of the differential dummy GC and balance repair. Filled by the
-    /// batch installer (epoch-deduplicated) or derived from the diff plan
-    /// on the per-node reference path; sorted + deduplicated once before
-    /// the repair so its order is deterministic.
+    /// scope of the dummy reconciliation. Filled by the batch installer
+    /// (epoch-deduplicated), then sorted + deduplicated once before the
+    /// repair so its order is deterministic.
     affected: Vec<(usize, Prefix)>,
-    /// The slice of [`CommScratch::affected`] belonging to one cluster.
-    cluster_affected: Vec<(usize, Prefix)>,
-    /// Stale dummies found in affected lists, pending destruction (per-node
-    /// reference path only; the batched path reconciles instead).
-    stale_dummies: Vec<NodeId>,
-    /// Salvage snapshot of the destroyed dummies (per-node reference path;
-    /// the reconcile scratch carries its own).
-    salvage: dummy::DummySalvage,
-    /// Workspace of the dummy-reconciliation pass (batched path).
+    /// Workspace of the dummy-reconciliation pass.
     reconcile: dummy::ReconcileScratch,
 }
 
@@ -256,9 +247,6 @@ struct ClusterRun {
     /// main thread applies in submission order). Pooled on the engine and
     /// recycled across epochs.
     bufs: ClusterBufs,
-    /// Affected lists derived from the diff plan (per-node reference path
-    /// only; the batch installer collects them itself).
-    derived_affected: Vec<(usize, Prefix)>,
 }
 
 /// What serving one transformation epoch produced: the per-request
@@ -809,8 +797,7 @@ impl DynamicSkipGraph {
 
         // The balanced construction satisfies a-balance for every `a`, but
         // the invariant is re-derived rather than assumed.
-        let repair =
-            dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
+        let repair = dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a);
         let dummies_recreated = repair.inserted.len();
         self.stats.dummy_nodes_created += dummies_recreated;
 
@@ -1056,8 +1043,7 @@ impl DynamicSkipGraph {
             Self::internal_key(peer),
             outcome.levels_joined,
         );
-        let repair =
-            dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
+        let repair = dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a);
         self.stats.dummy_nodes_created += repair.inserted.len();
         self.phase = EpochPhase::Idle;
         Ok(())
@@ -1075,8 +1061,7 @@ impl DynamicSkipGraph {
         self.phase = EpochPhase::Applying;
         self.graph.leave(Self::internal_key(peer))?;
         self.states.unregister(id);
-        let repair =
-            dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a, &[], None);
+        let repair = dummy::repair_balance(&mut self.graph, &mut self.states, self.config.a);
         self.stats.dummy_nodes_created += repair.inserted.len();
         self.phase = EpochPhase::Idle;
         Ok(())
@@ -1211,7 +1196,6 @@ impl DynamicSkipGraph {
             prefixes.push(self.graph.mvec_of(u_id)?.prefix(alpha));
         }
         let clusters = cluster_pairs(&alphas, &prefixes);
-        let per_node = matches!(self.config.install, InstallStrategy::PerNode);
 
         // Adaptation policy: the epoch's single deterministic update
         // point. Sketch increments are staged on the main thread in
@@ -1356,7 +1340,7 @@ impl DynamicSkipGraph {
                 let shard = &mut shard_scratch[0];
                 for (cluster, b) in clusters.iter().zip(bufs.drain(..)) {
                     cluster_runs.push(plan_cluster(
-                        graph, states, config, shard, b, cluster, &ids, t0, per_node,
+                        graph, states, config, shard, b, cluster, &ids, t0,
                     ));
                 }
             } else {
@@ -1391,7 +1375,6 @@ impl DynamicSkipGraph {
                                             &clusters[ci],
                                             ids,
                                             t0,
-                                            per_node,
                                         ),
                                     ));
                                 }
@@ -1471,172 +1454,138 @@ impl DynamicSkipGraph {
             run.group_rounds = group_rounds;
         }
 
-        // Phase B: the install. Batched pushes the concatenated diff plans
-        // of every cluster in ONE ordered splice pass — clusters rebuild
-        // disjoint subtrees, so the merged batch touches each node at most
-        // once and disjoint target lists commute. The per-node reference
-        // path re-splices every member, cluster by cluster.
-        match self.config.install {
-            InstallStrategy::Batched => {
-                let scratch = &mut self.scratch;
-                if cluster_runs.len() == 1 {
-                    counters.touched_pairs = self.graph.apply_membership_batch_collecting(
-                        &cluster_runs[0].bufs.outcome.changes,
-                        &mut scratch.affected,
-                    )?;
-                } else {
-                    let merged: Vec<MembershipUpdate> = cluster_runs
-                        .iter()
-                        .flat_map(|run| run.bufs.outcome.changes.iter().copied())
-                        .collect();
-                    counters.touched_pairs = self
-                        .graph
-                        .apply_membership_batch_collecting(&merged, &mut scratch.affected)?;
-                }
-                // A fully-gated epoch pushes nothing; don't count a pass.
-                counters.install_passes = if cluster_runs.is_empty() { 0 } else { 1 };
-            }
-            InstallStrategy::PerNode => {
-                for (cluster, run) in clusters.iter().zip(&cluster_runs) {
-                    let outcome = &run.bufs.outcome;
-                    for (pos, &node) in run.bufs.members.iter().enumerate() {
-                        self.graph.set_membership_suffix(
-                            node,
-                            cluster.root_level + 1,
-                            outcome.suffix(pos),
-                        )?;
-                    }
-                    counters.touched_pairs += outcome.touched_pairs;
-                }
-                counters.install_passes = cluster_runs.len();
-            }
-        }
+        // Phase B: the install. The concatenated diff plans of every
+        // cluster go in ONE ordered splice pass — clusters rebuild disjoint
+        // subtrees, so the merged batch touches each node at most once and
+        // disjoint target lists commute.
+        let changes: Cow<'_, [MembershipUpdate]> = match cluster_runs.as_slice() {
+            [run] => Cow::Borrowed(&run.bufs.outcome.changes),
+            runs => runs
+                .iter()
+                .flat_map(|run| run.bufs.outcome.changes.iter().copied())
+                .collect(),
+        };
+        counters.touched_pairs = self
+            .graph
+            .apply_membership_batch_collecting(&changes, &mut self.scratch.affected)?;
+        // A fully-gated epoch pushes nothing; don't count a pass.
+        counters.install_passes = usize::from(!cluster_runs.is_empty());
 
-        // Phase C-plan (batched lifecycle only): the dummy-reconciliation
-        // detection pass is a pure read of the post-install graph, so the
-        // plans of ALL clusters are computed up front — concurrently across
-        // clusters when the epoch has several, chunked across shards inside
-        // the single cluster's scan otherwise — and applied serially below
-        // in submission order. Repairs of one cluster never touch another
-        // cluster's subtree lists (roots are pairwise prefix-incomparable
-        // and a repair dummy's prefix extends its own cluster's root), so
-        // the pre-computed plans stay exact.
-        let batched = !per_node;
+        // Phase C-plan: the dummy-reconciliation detection pass is a pure
+        // read of the post-install graph, so the plans of ALL clusters are
+        // computed up front — concurrently across clusters when the epoch
+        // has several, chunked across shards inside the single cluster's
+        // scan otherwise — and applied serially below in submission order.
+        // Repairs of one cluster never touch another cluster's subtree
+        // lists (roots are pairwise prefix-incomparable and a repair
+        // dummy's prefix extends its own cluster's root), so the
+        // pre-computed plans stay exact.
+        //
         // The merged install collected one epoch-wide affected set; sort and
         // deduplicate it once, for the scans below and for
         // `validate_fast`. Deduplicating matters: a list freed and
         // re-created within one install pass appears twice in the
         // collected set, and each duplicate would re-scan the list (and
         // re-sight its dummies) for nothing.
-        if batched {
-            self.scratch.affected.sort_unstable();
-            self.scratch.affected.dedup();
-        }
-        let mut cluster_affected_all: Vec<Vec<(usize, Prefix)>> = Vec::new();
-        let mut reconcile_plans: Vec<Option<dummy::ReconcilePlan>> = Vec::new();
-        if batched {
-            for cluster in &clusters {
+        self.scratch.affected.sort_unstable();
+        self.scratch.affected.dedup();
+        let cluster_affected_all: Vec<Vec<(usize, Prefix)>> = clusters
+            .iter()
+            .map(|cluster| {
                 // Every entry lies in exactly one cluster's subtree; the
                 // filter keeps the sorted order.
-                let affected: Vec<(usize, Prefix)> = self
-                    .scratch
+                self.scratch
                     .affected
                     .iter()
                     .copied()
                     .filter(|(level, prefix)| {
                         *level >= cluster.root_level && cluster.root_prefix.is_prefix_of(prefix)
                     })
-                    .collect();
-                cluster_affected_all.push(affected);
+                    .collect()
+            })
+            .collect();
+        let plan_c_started = Instant::now();
+        let a = self.config.a;
+        // One pooled plan shell per cluster (recycled at epoch end).
+        let mut shells: Vec<dummy::ReconcilePlan> = (0..clusters.len())
+            .map(|_| self.reconcile_pool.pop().unwrap_or_default())
+            .collect();
+        let mut reconcile_plans: Vec<dummy::ReconcilePlan> = Vec::with_capacity(clusters.len());
+        if clusters.len() > 1 && self.config.shards > 1 {
+            let graph = &self.graph;
+            let shard_count = self.config.shards.min(clusters.len());
+            let mut slots: Vec<Option<dummy::ReconcilePlan>> =
+                (0..clusters.len()).map(|_| None).collect();
+            let mut jobs: Vec<Vec<(usize, dummy::ReconcilePlan)>> =
+                (0..shard_count).map(|_| Vec::new()).collect();
+            for (ci, shell) in shells.drain(..).enumerate() {
+                jobs[ci % shard_count].push((ci, shell));
             }
-            let plan_c_started = Instant::now();
-            let a = self.config.a;
-            // One pooled plan shell per cluster (recycled at epoch end).
-            let mut shells: Vec<dummy::ReconcilePlan> = (0..clusters.len())
-                .map(|_| self.reconcile_pool.pop().unwrap_or_default())
-                .collect();
-            if clusters.len() > 1 && self.config.shards > 1 {
-                let graph = &self.graph;
-                let shard_count = self.config.shards.min(clusters.len());
-                let mut slots: Vec<Option<dummy::ReconcilePlan>> =
-                    (0..clusters.len()).map(|_| None).collect();
-                let mut jobs: Vec<Vec<(usize, dummy::ReconcilePlan)>> =
-                    (0..shard_count).map(|_| Vec::new()).collect();
-                for (ci, shell) in shells.drain(..).enumerate() {
-                    jobs[ci % shard_count].push((ci, shell));
-                }
-                std::thread::scope(|scope| {
-                    let clusters = &clusters;
-                    let affected_all = &cluster_affected_all;
-                    let handles: Vec<_> = jobs
-                        .drain(..)
-                        .map(|jobs| {
-                            scope.spawn(move || {
-                                let mut planned = Vec::new();
-                                for (ci, mut shell) in jobs {
-                                    dummy::plan_reconciliation(
-                                        graph,
-                                        a,
-                                        clusters[ci].root_level,
-                                        &affected_all[ci],
-                                        1,
-                                        &mut shell,
-                                    );
-                                    planned.push((ci, shell));
-                                }
-                                planned
-                            })
+            std::thread::scope(|scope| {
+                let clusters = &clusters;
+                let affected_all = &cluster_affected_all;
+                let handles: Vec<_> = jobs
+                    .drain(..)
+                    .map(|jobs| {
+                        scope.spawn(move || {
+                            let mut planned = Vec::new();
+                            for (ci, mut shell) in jobs {
+                                dummy::plan_reconciliation(
+                                    graph,
+                                    a,
+                                    clusters[ci].root_level,
+                                    &affected_all[ci],
+                                    1,
+                                    &mut shell,
+                                );
+                                planned.push((ci, shell));
+                            }
+                            planned
                         })
-                        .collect();
-                    for handle in handles {
-                        for (ci, plan) in handle.join().expect("reconcile plan shard panicked") {
-                            slots[ci] = Some(plan);
-                        }
+                    })
+                    .collect();
+                for handle in handles {
+                    for (ci, plan) in handle.join().expect("reconcile plan shard panicked") {
+                        slots[ci] = Some(plan);
                     }
-                });
-                reconcile_plans = slots;
-                counters.plan_shards = counters.plan_shards.max(shard_count);
-            } else {
-                for ((cluster, affected), mut shell) in clusters
-                    .iter()
-                    .zip(&cluster_affected_all)
-                    .zip(shells.drain(..))
-                {
-                    dummy::plan_reconciliation(
-                        &self.graph,
-                        a,
-                        cluster.root_level,
-                        affected,
-                        self.config.shards,
-                        &mut shell,
-                    );
-                    reconcile_plans.push(Some(shell));
                 }
-                if !cluster_affected_all.is_empty() {
-                    counters.plan_shards = counters.plan_shards.max(
-                        self.config
-                            .shards
-                            .clamp(1, cluster_affected_all[0].len().max(1)),
-                    );
-                }
+            });
+            reconcile_plans.extend(slots.into_iter().map(|slot| slot.expect("cluster planned")));
+            counters.plan_shards = counters.plan_shards.max(shard_count);
+        } else {
+            for ((cluster, affected), mut shell) in clusters
+                .iter()
+                .zip(&cluster_affected_all)
+                .zip(shells.drain(..))
+            {
+                dummy::plan_reconciliation(
+                    &self.graph,
+                    a,
+                    cluster.root_level,
+                    affected,
+                    self.config.shards,
+                    &mut shell,
+                );
+                reconcile_plans.push(shell);
             }
-            counters.plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
+            if let Some(first) = cluster_affected_all.first() {
+                counters.plan_shards = counters
+                    .plan_shards
+                    .max(self.config.shards.clamp(1, first.len().max(1)));
+            }
         }
+        counters.plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
 
-        // Phase C-apply, per cluster in submission order: differential
-        // dummy GC and a-balance repair over the lists this cluster's
-        // install actually changed, then the per-request outcome assembly.
+        // Phase C-apply, per cluster in submission order: the reconciling
+        // dummy lifecycle over the lists this cluster's install actually
+        // changed, then the per-request outcome assembly. The plan's fused
+        // detection pass inventoried the standing dummies of the rebuilt
+        // lists (their prefix paths joined the re-check set exactly as if
+        // they were destroyed); the apply reclaims the standing dummies
+        // whose break re-derives onto them, bulk-splices the genuinely new
+        // ones, and sweeps only the genuinely stale ones.
         let mut outcomes: Vec<Option<RequestOutcome>> = pairs.iter().map(|_| None).collect();
-        for (ci, (cluster, run)) in clusters.iter().zip(&cluster_runs).enumerate() {
-            let scratch = &mut self.scratch;
-            if !batched {
-                scratch.cluster_affected.clear();
-                scratch
-                    .cluster_affected
-                    .extend_from_slice(&run.derived_affected);
-                scratch.cluster_affected.sort_unstable();
-                scratch.cluster_affected.dedup();
-            }
+        for ((cluster, run), mut plan) in clusters.iter().zip(&cluster_runs).zip(reconcile_plans) {
             let protect: Vec<(Key, Key)> = cluster
                 .pair_indices
                 .iter()
@@ -1647,61 +1596,21 @@ impl DynamicSkipGraph {
                     )
                 })
                 .collect();
-            let (dummies_inserted, repair_rounds) = if batched {
-                // Reconciling lifecycle: plan-then-apply. The plan's
-                // fused detection pass inventoried the standing dummies
-                // of the rebuilt lists (their prefix paths joined the
-                // re-check set exactly as if they were destroyed); the
-                // apply reclaims the standing dummies whose break
-                // re-derives onto them, bulk-splices the genuinely new
-                // ones, and sweeps only the genuinely stale ones.
-                let mut plan = reconcile_plans[ci]
-                    .take()
-                    .expect("cluster plan computed above");
-                let repair = dummy::repair_balance_reconciling_planned(
-                    &mut self.graph,
-                    &mut self.states,
-                    self.config.a,
-                    &protect,
-                    cluster.root_level,
-                    &mut plan,
-                    &mut scratch.reconcile,
-                );
-                self.reconcile_pool.push(plan);
-                counters.dummies_destroyed += repair.destroyed;
-                counters.dummies_reused += repair.reused;
-                counters.dummies_bulk_inserted += repair.bulk_inserted;
-                self.stats.dummy_nodes_created += repair.bulk_inserted;
-                (repair.placed.len(), repair.rounds)
-            } else {
-                // Destroy-then-recreate oracle: stale dummies inside
-                // affected lists destroy themselves (the §IV-F
-                // notification, scoped to the rebuilt lists); their own
-                // prefix paths join the re-check set, since removing
-                // them can merge runs anywhere along the way.
-                counters.dummies_destroyed += dummy::destroy_dummies_in_lists(
-                    &mut self.graph,
-                    &mut self.states,
-                    cluster.root_level,
-                    &mut scratch.cluster_affected,
-                    &mut scratch.stale_dummies,
-                    batched,
-                    &mut scratch.salvage,
-                );
-                scratch.cluster_affected.sort_unstable();
-                scratch.cluster_affected.dedup();
-                let repair = dummy::repair_balance_incremental(
-                    &mut self.graph,
-                    &mut self.states,
-                    self.config.a,
-                    &protect,
-                    cluster.root_level,
-                    &mut scratch.cluster_affected,
-                    &mut scratch.salvage,
-                );
-                self.stats.dummy_nodes_created += repair.inserted.len();
-                (repair.inserted.len(), repair.rounds)
-            };
+            let repair = dummy::repair_balance_reconciling_planned(
+                &mut self.graph,
+                &mut self.states,
+                self.config.a,
+                &protect,
+                cluster.root_level,
+                &mut plan,
+                &mut self.scratch.reconcile,
+            );
+            self.reconcile_pool.push(plan);
+            counters.dummies_destroyed += repair.destroyed;
+            counters.dummies_reused += repair.reused;
+            counters.dummies_bulk_inserted += repair.bulk_inserted;
+            self.stats.dummy_nodes_created += repair.bulk_inserted;
+            let dummies_inserted = repair.placed.len();
             counters.dummies_inserted += dummies_inserted;
 
             // Per-request outcomes: cluster-level rounds and counters are
@@ -1722,7 +1631,7 @@ impl DynamicSkipGraph {
                             0
                         },
                     restructuring_rounds: if first {
-                        outcome.restructuring_rounds + repair_rounds
+                        outcome.restructuring_rounds + repair.rounds
                     } else {
                         0
                     },
@@ -1767,18 +1676,9 @@ impl DynamicSkipGraph {
             }
         }
         // Scope of the next `validate_fast` call: the lists this epoch's
-        // install touched. The batched install collected one epoch-wide
-        // affected set; the per-node path derived one per cluster.
+        // install touched.
         self.last_affected.clear();
-        if batched {
-            self.last_affected.extend_from_slice(&self.scratch.affected);
-        } else {
-            for run in &cluster_runs {
-                self.last_affected.extend_from_slice(&run.derived_affected);
-            }
-            self.last_affected.sort_unstable();
-            self.last_affected.dedup();
-        }
+        self.last_affected.extend_from_slice(&self.scratch.affected);
 
         // Recycle the clusters' snapshot buffers for the next epoch.
         self.bufs_pool
@@ -1797,10 +1697,9 @@ impl DynamicSkipGraph {
 }
 
 /// The *plan* job of one cluster — everything of phase A that reads the
-/// pre-epoch structure: member snapshot, notification accounting, the
+/// pre-epoch structure: member snapshot, notification accounting, and the
 /// transformation proper (planned, state writes recorded, the pre-merge
-/// group snapshots the timestamp rules need included), and the per-node
-/// reference path's derived affected-list set. Borrows the graph, states
+/// group snapshots the timestamp rules need included). Borrows the graph, states
 /// and config immutably, so disjoint clusters can run on scoped worker
 /// threads; the median engine is the per-shard scratch, reseeded per
 /// cluster.
@@ -1814,7 +1713,6 @@ fn plan_cluster(
     cluster: &ClusterPlan,
     ids: &[(NodeId, NodeId)],
     t0: u64,
-    per_node: bool,
 ) -> ClusterRun {
     // Fault-injection site: a panic here unwinds out of a plan worker while
     // the engine is still untouched — the scenario the plan-abort
@@ -1860,31 +1758,10 @@ fn plan_cluster(
         &mut bufs.outcome,
     );
 
-    // Per-node reference path: derive the affected lists from the diff
-    // plan (the batch installer collects them itself as it splices).
-    let mut derived_affected = Vec::new();
-    if per_node {
-        let outcome = &bufs.outcome;
-        for (old, new) in outcome.before.iter().zip(&outcome.after) {
-            if old == new {
-                continue;
-            }
-            let from_level = old.common_prefix_len(new) + 1;
-            for level in (from_level - 1)..=old.len() {
-                derived_affected.push((level, old.prefix(level)));
-            }
-            for level in (from_level - 1)..=new.len() {
-                derived_affected.push((level, new.prefix(level)));
-            }
-        }
-        derived_affected.sort_unstable();
-        derived_affected.dedup();
-    }
     ClusterRun {
         group_rounds: Vec::new(),
         notification_rounds,
         bufs,
-        derived_affected,
     }
 }
 

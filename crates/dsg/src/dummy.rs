@@ -11,39 +11,41 @@
 //! rearranged level by `n / a`; this implementation repairs every level, so
 //! its live population is bounded by that per-level bound times the height.
 //!
-//! Three repair entry points exist. [`repair_balance`] is the full sweep
-//! used after membership churn (join/leave): global balance check, repair,
-//! repeat. [`repair_balance_incremental`] is the differential form: it
-//! re-checks only the lists the transformation install actually changed
-//! (plus, transitively, the runs around each dummy the repair itself
-//! inserts), so its cost is proportional to the change, not the structure.
-//! Relatedly, the paper's "dummies destroy themselves on notification" is
-//! applied differentially by [`destroy_dummies_in_lists`]: only dummies
-//! sitting in rebuilt lists self-destruct — a dummy in an untouched list
-//! still breaks exactly the run it was placed for, so destroying and
-//! re-creating it each request (the literal reading) would be pure churn
-//! with an observably identical end state.
+//! Two repair entry points serve the engine. [`repair_balance`] is the
+//! full sweep used after membership churn (join/leave) and recovery:
+//! destroy every dummy, then global balance check, repair, repeat.
+//! [`repair_balance_reconciling`] is the differential form a transformation
+//! runs (the epoch engine calls its two halves, [`plan_reconciliation`]
+//! and [`repair_balance_reconciling_planned`], separately): it re-checks
+//! only the lists the install actually changed (plus, transitively, the
+//! runs around each dummy the repair itself places), so its cost is
+//! proportional to the change, not the structure. The paper's "dummies
+//! destroy themselves on notification" applies to the dummies sitting in
+//! rebuilt lists only — a dummy in an untouched list still breaks exactly
+//! the run it was placed for, so destroying and re-creating it each
+//! request (the literal reading) would be pure churn with an observably
+//! identical end state.
 //!
-//! [`repair_balance_reconciling`] pushes the same differential principle
-//! into the dummy *lifecycle* itself. Even the incremental form destroyed
-//! every dummy standing in a rebuilt list and re-created most of them at
-//! the very same keys — tens of thousands of full join walks per request
-//! under uniform traffic at large n. The reconciling form runs
-//! **plan-then-apply**: its fused first pass only *inventories* the
-//! standing dummies (they stay linked, but the planner treats them as
-//! absent — the filtered balance scans skip them and key-occupancy probes
-//! read their keys as free), the repair then re-derives the desired dummy
-//! set per violated run exactly as the destroy-then-recreate path would,
-//! and each break is *diffed* against the inventory: a standing dummy
-//! whose key the shared salvage-first policy (`next_break`) re-derives
-//! is reclaimed in place (zero graph mutation), a superseded standing
-//! dummy at a freshly chosen key is evicted, and only the genuinely new
-//! dummies are created — all of a repair pass's creations in one
-//! [`SkipGraph::insert_dummies_bulk`] ordered-splice pass instead of one
-//! join walk each. The end state is bit-for-bit the destroy-then-recreate
-//! state (the `dummy_reconcile` differential proptests assert exactly
-//! this); the destroy/recreate pair survives as the
-//! [`InstallStrategy::PerNode`](crate::InstallStrategy) oracle.
+//! The reconciling form pushes the same differential principle into the
+//! dummy *lifecycle* itself. Destroying every dummy standing in a rebuilt
+//! list and re-creating most of them at the very same keys costs tens of
+//! thousands of full join walks per request under uniform traffic at
+//! large n. The reconciling form runs **plan-then-apply** instead: its
+//! fused first pass only *inventories* the standing dummies (they stay
+//! linked, but the planner treats them as absent — the filtered balance
+//! scans skip them and key-occupancy probes read their keys as free), the
+//! repair then re-derives the desired dummy set per violated run exactly
+//! as the destroy-then-recreate path would, and each break is *diffed*
+//! against the inventory: a standing dummy whose key the shared
+//! salvage-first policy (`next_break`) re-derives is reclaimed in place
+//! (zero graph mutation), a superseded standing dummy at a freshly chosen
+//! key is evicted, and only the genuinely new dummies are created — all of
+//! a repair pass's creations in one [`SkipGraph::insert_dummies_bulk`]
+//! ordered-splice pass instead of one join walk each. The end state is
+//! bit-for-bit the destroy-then-recreate state. That literal lifecycle
+//! stays as reference code, [`repair_balance_destroy_recreate`], which no
+//! engine path calls: the `dummy_reconcile` replay test runs it beside
+//! every epoch the engine serves and requires the same graph.
 
 use std::collections::HashSet;
 
@@ -68,48 +70,29 @@ pub struct DummyRepairOutcome {
     pub rounds: usize,
 }
 
-/// Detects a-balance violations and inserts dummy nodes to break every
-/// over-long run. Newly inserted dummies are registered in `states` so that
-/// later transformations can destroy them cleanly.
+/// Detects a-balance violations across the whole graph and inserts dummy
+/// nodes to break every over-long run — the full sweep after membership
+/// churn and recovery. Newly inserted dummies are registered in `states`
+/// so that later transformations can destroy them cleanly.
 ///
-/// Two engineering refinements over the paper's description (§IV-F):
-///
-/// * stale dummies from earlier repairs are garbage-collected first, so the
-///   live dummy population always reflects the *current* structure and stays
-///   within the paper's `n / a` bound;
-/// * `protect` names adjacencies (normally the pairs that just
-///   communicated in the current epoch) that a dummy key must not be
-///   placed into, preserving the direct links the transformation just
-///   established.
+/// Stale dummies from earlier repairs are garbage-collected first, so the
+/// live dummy population always reflects the *current* structure and stays
+/// within the paper's `n / a` bound; the passes below re-create exactly
+/// the ones the current structure needs.
 pub fn repair_balance(
     graph: &mut SkipGraph,
     states: &mut StateTable,
     a: usize,
-    protect: &[(Key, Key)],
-    scope: Option<(usize, dsg_skipgraph::Prefix)>,
 ) -> DummyRepairOutcome {
     let mut outcome = DummyRepairOutcome::default();
-    // Without a scope (membership churn), garbage-collect dummies left over
-    // from earlier repairs; the passes below re-create exactly the ones the
-    // current structure needs. With a scope (the subtree a transformation
-    // just rebuilt, §IV-F), the stale dummies of that subtree were already
-    // destroyed by the notification, so nothing needs collecting.
-    if scope.is_none() {
-        let stale: Vec<NodeId> = graph
-            .node_ids()
-            .filter(|id| graph.node(*id).map(|e| e.is_dummy()).unwrap_or(false))
-            .collect();
-        for id in stale {
-            let _ = graph.remove(id);
-            states.unregister(id);
-        }
+    let stale: Vec<NodeId> = graph
+        .node_ids()
+        .filter(|id| graph.node(*id).map(|e| e.is_dummy()).unwrap_or(false))
+        .collect();
+    for id in stale {
+        let _ = graph.remove(id);
+        states.unregister(id);
     }
-    let in_scope = |level: usize, prefix: &dsg_skipgraph::Prefix| match &scope {
-        None => true,
-        Some((scope_level, scope_prefix)) => {
-            level >= *scope_level && scope_prefix.is_prefix_of(prefix)
-        }
-    };
     // Inserting a dummy splits a run of length r into pieces of length ≤ a,
     // but the inserted node itself joins every ancestor list and may extend
     // a run there; each pass repairs one "layer" of damage, so the number of
@@ -118,9 +101,8 @@ pub fn repair_balance(
     // Reused across violations/passes: the key snapshot of the run being
     // repaired (dummy insertion mutates the chain while the run is walked).
     let mut list_buf: Vec<Key> = Vec::new();
-    let mut protect_norm: Vec<(Key, Key)> = Vec::new();
-    normalize_protect(protect, &mut protect_norm);
-    // Full sweeps re-derive every dummy key from scratch: no salvage.
+    // Full sweeps re-derive every dummy key from scratch: no salvage, and
+    // no communicating pair to protect.
     let salvage: DummySalvage = Vec::new();
     for _pass in 0..max_passes {
         let mut report = graph.check_balance(a);
@@ -130,66 +112,85 @@ pub fn repair_balance(
         }
         // `check_balance` sweeps the list arena in slab order, which
         // depends on the engine's list-recycling history — hidden state
-        // that legitimately differs between the two dummy lifecycles (and
-        // between otherwise-identical engines with different install
-        // strategies). Repairs in different orders can pick different
-        // dummy keys when runs compete for overlapping gaps, so the sweep
-        // normalises to the same sorted order the incremental paths use.
+        // that legitimately differs between otherwise-identical engines.
+        // Repairs in different orders can pick different dummy keys when
+        // runs compete for overlapping gaps, so the sweep normalises to the
+        // same sorted order the incremental paths use.
         report
             .violations
             .sort_unstable_by_key(|v| (v.level, v.prefix, v.start_key));
-        let mut repaired_any = false;
         for violation in &report.violations {
-            if !in_scope(violation.level, &violation.prefix) {
-                continue;
-            }
-            repaired_any = true;
             repair_violation(
                 graph,
                 states,
                 a,
-                &protect_norm,
+                &[],
                 violation,
                 &salvage,
                 &mut list_buf,
                 &mut outcome,
             );
         }
-        if !repaired_any {
-            // Every remaining violation lies outside the repair scope; the
-            // paper leaves those to the transformations that rebuild the
-            // corresponding regions.
-            break;
-        }
     }
     outcome
 }
 
-/// Incremental a-balance repair: instead of sweeping the whole graph per
-/// pass, only the lists named in `worklist` are checked — after a
-/// differential transformation these are exactly the lists whose membership
-/// or next-level split pattern changed, so the repair cost is proportional
-/// to the change, not to the structure size. Each inserted dummy enqueues
-/// its own lists (at levels ≥ `floor`, mirroring the scope rule of
-/// [`repair_balance`]) for the next pass, so follow-up damage from the
-/// insertions themselves is still caught.
+/// The destroy-then-recreate lifecycle over one rebuilt scope — the
+/// literal reading of §IV-F, with [`repair_balance_reconciling`]'s
+/// arguments and contract. No engine path calls it: it is the reference
+/// the reconciling lifecycle is tested against, with a proven-identical
+/// end state.
 ///
-/// `worklist` is consumed; it must be deduplicated, and a sorted order makes
-/// the repair (and hence the dummy keys it picks) deterministic. `salvage`
-/// is the snapshot of the dummies [`destroy_dummies_in_lists`] just
-/// destroyed: the salvage-first placement policy re-creates a destroyed
-/// dummy at its old key whenever that key still falls in a slot needing its
-/// exact vector, keeping dummy keys sticky across requests (and therefore
-/// reclaimable by the reconciling lifecycle).
-pub fn repair_balance_incremental(
+/// Every dummy standing in one of the `worklist` lists (the lists an
+/// install rebuilt) destroys itself first. Removing a dummy splices it out
+/// of *all* its lists, which can merge two runs anywhere along its prefix
+/// path, so each destroyed dummy's lists at levels ≥ `floor` join the
+/// worklist. The repair then checks only the worklist lists, so its cost is
+/// proportional to the change, not to the structure size; each dummy it
+/// inserts enqueues the runs around it at levels ≥ `floor` for the next
+/// pass, so follow-up damage from the insertions themselves is still
+/// caught. The destroyed dummies' `(key, vector)` snapshot feeds the
+/// salvage-first placement policy, which re-creates a destroyed dummy at
+/// its old key whenever that key still falls in a slot needing its exact
+/// vector.
+///
+/// `worklist` is consumed and must arrive sorted + deduplicated.
+pub fn repair_balance_destroy_recreate(
     graph: &mut SkipGraph,
     states: &mut StateTable,
     a: usize,
     protect: &[(Key, Key)],
     floor: usize,
     worklist: &mut Vec<(usize, Prefix)>,
-    salvage: &mut DummySalvage,
 ) -> DummyRepairOutcome {
+    // Only the lists present on entry are searched for dummies.
+    let mut stale: Vec<NodeId> = Vec::new();
+    for &(level, prefix) in worklist.iter() {
+        stale.extend(
+            graph
+                .list_iter(level, prefix)
+                .filter(|&id| graph.node(id).map(|e| e.is_dummy()).unwrap_or(false)),
+        );
+    }
+    let mut salvage: DummySalvage = Vec::new();
+    for id in stale {
+        // A dummy can sit in several rebuilt lists; the second sighting
+        // finds it already removed.
+        let Some(entry) = graph.node(id) else {
+            continue;
+        };
+        let mvec = *entry.mvec();
+        salvage.push(SalvageEntry::new(entry.key(), mvec));
+        for level in floor..=mvec.len() {
+            worklist.push((level, mvec.prefix(level)));
+        }
+        let _ = graph.remove(id);
+        states.unregister(id);
+    }
+    salvage.sort_unstable_by_key(|e| e.sort_key());
+    worklist.sort_unstable();
+    worklist.dedup();
+
     let mut outcome = DummyRepairOutcome::default();
     let max_passes = graph.height() + 10;
     let mut list_buf: Vec<Key> = Vec::new();
@@ -201,33 +202,33 @@ pub fn repair_balance_incremental(
         violations.clear();
         let pass_inserted_from = outcome.inserted.len();
         if pass == 0 {
-            // First pass: full scan of the lists the install changed. The
-            // sort mirrors the reconciling lifecycle, whose fused
-            // collect + detect scans originals and appended lists in a
-            // different order — both repair the sorted sequence.
+            // First pass: full scan of the rebuilt lists. The sort mirrors
+            // the reconciling lifecycle, whose fused collect + detect scans
+            // originals and appended lists in a different order — both
+            // repair the sorted sequence.
             for &(level, prefix) in worklist.iter() {
                 graph.list_balance_violations(a, level, prefix, &mut violations);
             }
-            violations.sort_unstable_by_key(|v| (v.level, v.prefix, v.start_key));
-            violations.dedup_by_key(|v| (v.level, v.prefix, v.start_key));
         } else {
             // Cascade passes: a repair only lengthens the runs its dummies
             // landed in (every dummy joins its whole prefix path), so only
             // the runs around the dummies of the previous pass can have
             // become over-long — O(run length) checks instead of whole-list
-            // rescans. Sorting + dedup collapses dummies that landed in the
-            // same run.
+            // rescans.
             for &dummy in &prev_pass_dummies {
-                let Ok(mvec) = graph.mvec_of(dummy) else { continue };
+                let Ok(mvec) = graph.mvec_of(dummy) else {
+                    continue;
+                };
                 for level in floor..=mvec.len() {
                     if let Some(violation) = graph.run_violation_at(a, dummy, level) {
                         violations.push(violation);
                     }
                 }
             }
-            violations.sort_unstable_by_key(|v| (v.level, v.prefix, v.start_key));
-            violations.dedup_by_key(|v| (v.level, v.prefix, v.start_key));
         }
+        // Sorting + dedup collapses dummies that landed in the same run.
+        violations.sort_unstable_by_key(|v| (v.level, v.prefix, v.start_key));
+        violations.dedup_by_key(|v| (v.level, v.prefix, v.start_key));
         outcome.rounds += a + 1;
         if violations.is_empty() {
             break;
@@ -239,7 +240,7 @@ pub fn repair_balance_incremental(
                 a,
                 &protect_norm,
                 violation,
-                salvage,
+                &salvage,
                 &mut list_buf,
                 &mut outcome,
             );
@@ -251,7 +252,6 @@ pub fn repair_balance_incremental(
         }
     }
     worklist.clear();
-    salvage.clear();
     outcome
 }
 
@@ -293,7 +293,7 @@ fn is_protected(protect: &[(Key, Key)], left: Key, right: Key) -> bool {
 /// itself is lifecycle-independent: the destroy-then-recreate oracle
 /// consults the same snapshot and re-creates the dummy at the same sticky
 /// key, so both lifecycles produce bit-for-bit identical structures.
-pub type DummySalvage = Vec<SalvageEntry>;
+type DummySalvage = Vec<SalvageEntry>;
 
 /// One snapshot entry of a [`DummySalvage`]. Sorting by `(vector, key)`
 /// means a slot lookup touches only the entries of the exact sibling list
@@ -301,7 +301,7 @@ pub type DummySalvage = Vec<SalvageEntry>;
 /// (unrelated) dummies of every other list in the gap's key range, which
 /// in deep lists spans most of the key space.
 #[derive(Debug, Clone, Copy)]
-pub struct SalvageEntry {
+struct SalvageEntry {
     key: Key,
     mvec: MembershipVector,
 }
@@ -501,71 +501,6 @@ fn repair_violation(
     }
 }
 
-/// Differential dummy garbage collection: destroys exactly the dummies that
-/// are members of one of the `affected` lists — the lists a transformation
-/// install actually rebuilt. Dummies elsewhere keep standing; the lists
-/// they balance did not change, so they are still load-bearing and the
-/// destroy-everything-recreate-identically churn of a full notification is
-/// skipped.
-///
-/// Removing a dummy splices it out of *all* its lists, which can merge two
-/// runs anywhere along its prefix path, so every destroyed dummy's lists at
-/// levels ≥ `floor` are appended to `affected` for the balance re-check
-/// (only the entries present on entry are searched for dummies). With
-/// `use_stamps`, the appends are deduplicated against the current
-/// batch-install epoch via [`SkipGraph::stamp_node_lists`]; the per-node
-/// reference install path passes `false` and relies on the caller's
-/// sort + dedup instead. Returns the number of dummies destroyed.
-///
-/// This destroy-up-front lifecycle is kept as the
-/// [`InstallStrategy::PerNode`](crate::InstallStrategy) oracle; the batched
-/// engine path reconciles instead ([`plan_reconciliation`] +
-/// [`repair_balance_reconciling`]), with a proven-identical end state.
-pub fn destroy_dummies_in_lists(
-    graph: &mut SkipGraph,
-    states: &mut StateTable,
-    floor: usize,
-    affected: &mut Vec<(usize, Prefix)>,
-    stale_buf: &mut Vec<NodeId>,
-    use_stamps: bool,
-    salvage: &mut DummySalvage,
-) -> usize {
-    stale_buf.clear();
-    salvage.clear();
-    for &(level, prefix) in affected.iter() {
-        stale_buf.extend(
-            graph
-                .list_iter(level, prefix)
-                .filter(|&id| graph.node(id).map(|e| e.is_dummy()).unwrap_or(false)),
-        );
-    }
-    let mut destroyed = 0usize;
-    for &id in stale_buf.iter() {
-        // A dummy can sit in several affected lists; the second sighting
-        // finds it already removed.
-        let Some(entry) = graph.node(id) else { continue };
-        if !entry.is_dummy() {
-            continue;
-        }
-        salvage.push(SalvageEntry::new(entry.key(), *entry.mvec()));
-        if use_stamps {
-            graph
-                .stamp_node_lists(id, floor, affected)
-                .expect("dummy is live");
-        } else {
-            let mvec = *entry.mvec();
-            for level in floor..=mvec.len() {
-                affected.push((level, mvec.prefix(level)));
-            }
-        }
-        let _ = graph.remove(id);
-        states.unregister(id);
-        destroyed += 1;
-    }
-    salvage.sort_unstable_by_key(|e| e.sort_key());
-    destroyed
-}
-
 /// A set of [`NodeId`]s backed by a dense stamp vector indexed by the
 /// arena slot — membership tests run inside every balance scan and run
 /// walk of the reconciliation (millions per request), so they must be one
@@ -723,17 +658,6 @@ impl ReconcilePlan {
         self.violations.clear();
         self.seen.clear();
     }
-
-    /// Number of standing dummies the plan inventoried (sightings, not
-    /// distinct dummies).
-    pub fn inventoried(&self) -> usize {
-        self.inventory.len()
-    }
-
-    /// Number of pass-0 violations the plan detected.
-    pub fn violation_count(&self) -> usize {
-        self.violations.len()
-    }
 }
 
 /// Computes the [`ReconcilePlan`] for one repair scope: `worklist` names
@@ -862,9 +786,8 @@ fn scan_chunked<T: Sync, R: Send>(
 }
 
 
-/// The reconciling twin of [`destroy_dummies_in_lists`] +
-/// [`repair_balance_incremental`]: plan-then-apply over an inventory
-/// instead of destroy-then-recreate.
+/// The reconciling twin of [`repair_balance_destroy_recreate`]:
+/// plan-then-apply over an inventory instead of destroy-then-recreate.
 ///
 /// The **collect** phase is the read-only [`plan_reconciliation`] (inlined
 /// here for the serial path; the epoch engine pre-computes plans on worker
@@ -890,8 +813,8 @@ fn scan_chunked<T: Sync, R: Send>(
 /// what the insert-one-by-one oracle would observe. Dummies still doomed
 /// when the cascade converges are removed in a final sweep. The resulting
 /// graph, state table, and dummy population are bit-for-bit identical to
-/// [`destroy_dummies_in_lists`] + [`repair_balance_incremental`]; only the
-/// churn (and its wall-clock cost) differs.
+/// [`repair_balance_destroy_recreate`]'s; only the churn (and its
+/// wall-clock cost) differs.
 ///
 /// `worklist` is consumed and must arrive sorted + deduplicated.
 #[allow(clippy::too_many_arguments)]
@@ -953,7 +876,7 @@ pub fn repair_balance_reconciling_planned(
         } else {
             // Cascade passes: only the runs around the previous pass's
             // placements can have become over-long (see
-            // [`repair_balance_incremental`]).
+            // [`repair_balance_destroy_recreate`]).
             for &id in prev_placed.iter() {
                 let Ok(mvec) = graph.mvec_of(id) else { continue };
                 for level in floor..=mvec.len() {
@@ -1304,7 +1227,7 @@ mod tests {
     fn repair_breaks_long_runs() {
         let a = 3;
         let (mut graph, mut states) = unbalanced_graph(10, a);
-        let outcome = repair_balance(&mut graph, &mut states, a, &[], None);
+        let outcome = repair_balance(&mut graph, &mut states, a);
         assert!(!outcome.inserted.is_empty());
         assert_eq!(outcome.unrepairable_runs, 0);
         assert!(graph.is_a_balanced(a), "graph still unbalanced after repair");
@@ -1330,7 +1253,7 @@ mod tests {
             let key = graph.key_of(id).unwrap();
             states.register(id, key, 0);
         }
-        let outcome = repair_balance(&mut graph, &mut states, 2, &[], None);
+        let outcome = repair_balance(&mut graph, &mut states, 2);
         assert!(outcome.inserted.is_empty());
         assert_eq!(graph.dummy_count(), 0);
     }
@@ -1406,7 +1329,7 @@ mod tests {
             let key = graph.key_of(id).unwrap();
             states.register(id, key, 0);
         }
-        let outcome = repair_balance(&mut graph, &mut states, 2, &[], None);
+        let outcome = repair_balance(&mut graph, &mut states, 2);
         assert!(outcome.unrepairable_runs > 0);
         assert!(outcome.inserted.is_empty());
     }

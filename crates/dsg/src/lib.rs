@@ -94,7 +94,7 @@ pub mod timestamps;
 pub mod transform;
 
 pub use amf::{AmfMedian, ExactMedian, MedianFinder, MedianOutcome};
-pub use config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
+pub use config::{AdaptPolicy, DsgConfig, MedianStrategy, PolicyConfig};
 pub use cost::{CostBreakdown, EpochCounters, RunStats};
 pub use dsg::{
     DynamicSkipGraph, EpochPhase, EpochReport, Generation, RecoveryReport, RequestOutcome,
@@ -140,9 +140,7 @@ pub use dsg_skipgraph::failpoint;
 /// inspection APIs; it is built only through [`DsgSession::builder`] (or
 /// rebuilt from a snapshot by [`DynamicSkipGraph::restore_image`]).
 pub mod prelude {
-    pub use crate::config::{
-        AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig,
-    };
+    pub use crate::config::{AdaptPolicy, DsgConfig, MedianStrategy, PolicyConfig};
     pub use crate::cost::{CostBreakdown, EpochCounters, RunStats};
     pub use crate::dsg::{
         DynamicSkipGraph, EpochPhase, EpochReport, RecoveryReport, RequestOutcome,

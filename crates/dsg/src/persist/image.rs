@@ -48,7 +48,7 @@ use super::{
     apply_zigzag, put_bits, put_u32, put_u64, put_varint, varint_len, zigzag_delta, PersistError,
     Reader,
 };
-use crate::config::{AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
+use crate::config::{AdaptPolicy, DsgConfig, MedianStrategy, PolicyConfig};
 use crate::policy::{SketchImage, SketchView};
 use dsg_skipgraph::crc32::{crc32, crc32_combine};
 
@@ -106,13 +106,6 @@ fn median_tag(m: MedianStrategy) -> u8 {
     match m {
         MedianStrategy::Amf => 0,
         MedianStrategy::Exact => 1,
-    }
-}
-
-fn install_tag(i: InstallStrategy) -> u8 {
-    match i {
-        InstallStrategy::Batched => 0,
-        InstallStrategy::PerNode => 1,
     }
 }
 
@@ -205,7 +198,8 @@ pub(crate) fn encode_prefix(
     put_u64(buf, config.seed);
     // The retired maintain_balance option's byte, always 1.
     buf.push(1);
-    buf.push(install_tag(config.install));
+    // The retired install option's byte, always 0.
+    buf.push(0);
     put_u64(buf, config.shards as u64);
     // The retired adaptive-flush option's byte, always 0.
     buf.push(0);
@@ -348,11 +342,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         }
         tag => return Err(corrupt(&format!("bad maintain_balance byte {tag}"))),
     }
-    let install = match r.u8().map_err(short)? {
-        0 => InstallStrategy::Batched,
-        1 => InstallStrategy::PerNode,
-        tag => return Err(corrupt(&format!("unknown install strategy tag {tag}"))),
-    };
+    match r.u8().map_err(short)? {
+        // Both install strategies built bit-identical structures, so a
+        // store written with either replays exactly.
+        0 | 1 => {}
+        tag => return Err(corrupt(&format!("bad install byte {tag}"))),
+    }
     let shards = r.u64().map_err(short)? as usize;
     match r.u8().map_err(short)? {
         0 => {}
@@ -395,7 +390,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         a,
         median,
         seed,
-        install,
         shards,
         policy: PolicyConfig {
             policy,
@@ -624,44 +618,60 @@ mod tests {
         assert_eq!(decode_snapshot(&bytes).unwrap(), image);
     }
 
-    #[test]
-    fn the_retired_adaptive_flush_option_is_refused_typed() {
-        let mut bytes = encode_snapshot(&sample_image());
-        // Magic, a, median, seed, maintain_balance, install, shards.
-        let at = MAGIC.len() + 8 + 1 + 8 + 1 + 1 + 8;
-        assert_eq!(bytes[at], 0, "the option's byte is always written as 0");
-        bytes[at] = 1;
-        match decode_snapshot(&bytes) {
-            Err(PersistError::CorruptSnapshot { detail }) => {
-                assert!(detail.contains("adaptive_flush"), "{detail}");
+    /// Magic, a, median, seed: the offset of the first retired byte.
+    const MAINTAIN_BALANCE_AT: usize = MAGIC.len() + 8 + 1 + 8;
+
+    /// The prefix bytes of options that no longer exist, as (option name,
+    /// offset, written value, accepted values). Each is always written with
+    /// one value; a decoder accepts the values that rebuild the same engine
+    /// on replay and refuses every other one, typed and naming the option.
+    const RETIRED_OPTION_BYTES: [(&str, usize, u8, &[u8]); 3] = [
+        // Off never repaired a-balance, so its journal replays into a
+        // different structure.
+        ("maintain_balance", MAINTAIN_BALANCE_AT, 1, &[1]),
+        // Both install strategies built bit-identical structures.
+        ("install", MAINTAIN_BALANCE_AT + 1, 0, &[0, 1]),
+        // On cut epochs elsewhere, so its journal replays into different
+        // epochs. It follows the install byte and shards.
+        ("adaptive_flush", MAINTAIN_BALANCE_AT + 1 + 1 + 8, 0, &[0]),
+    ];
+
+    /// Decodes all 256 values of the retired `option`'s byte: accepted ones
+    /// must decode to the original image, every other one must be refused
+    /// typed with the option named.
+    fn assert_retired_option_byte_is_refused_typed(option: &str) {
+        let &(name, at, written, accepted) = RETIRED_OPTION_BYTES
+            .iter()
+            .find(|row| row.0 == option)
+            .expect("a retired option");
+        let image = sample_image();
+        let mut bytes = encode_snapshot(&image);
+        assert_eq!(bytes[at], written, "{name}: written as {written}");
+        for value in 0..=u8::MAX {
+            bytes[at] = value;
+            match decode_snapshot(&bytes) {
+                Ok(decoded) if accepted.contains(&value) => assert_eq!(decoded, image),
+                Err(PersistError::CorruptSnapshot { detail }) if !accepted.contains(&value) => {
+                    assert!(detail.contains(name), "{name} = {value}: {detail}");
+                }
+                other => panic!("{name} = {value}: unexpected {other:?}"),
             }
-            other => panic!("expected a typed refusal, got {other:?}"),
         }
-        bytes[at] = 2;
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(PersistError::CorruptSnapshot { .. })
-        ));
     }
 
     #[test]
     fn the_retired_maintain_balance_option_is_refused_typed() {
-        let mut bytes = encode_snapshot(&sample_image());
-        // Magic, a, median, seed.
-        let at = MAGIC.len() + 8 + 1 + 8;
-        assert_eq!(bytes[at], 1, "the option's byte is always written as 1");
-        bytes[at] = 0;
-        match decode_snapshot(&bytes) {
-            Err(PersistError::CorruptSnapshot { detail }) => {
-                assert!(detail.contains("maintain_balance"), "{detail}");
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
-        }
-        bytes[at] = 2;
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(PersistError::CorruptSnapshot { .. })
-        ));
+        assert_retired_option_byte_is_refused_typed("maintain_balance");
+    }
+
+    #[test]
+    fn the_retired_install_option_is_refused_typed() {
+        assert_retired_option_byte_is_refused_typed("install");
+    }
+
+    #[test]
+    fn the_retired_adaptive_flush_option_is_refused_typed() {
+        assert_retired_option_byte_is_refused_typed("adaptive_flush");
     }
 
     #[test]

@@ -233,10 +233,10 @@ pub struct ServiceConfig {
     /// incremental audit runs after every served run regardless). 0
     /// disables the deep tier.
     pub deep_audit_every: u64,
-    /// Keep the exact chunk sequence handed to `submit_batch`, returned by
-    /// [`shutdown`](DsgService::shutdown) for deterministic replay. With
-    /// persistence on this is a redundant in-memory oracle — the durable
-    /// journal is the source of truth — kept for cross-checking.
+    /// Keep the exact chunk sequence handed to `submit_batch` in memory,
+    /// returned by [`shutdown`](DsgService::shutdown) for deterministic
+    /// replay. Only a service without persistence records: a durable one
+    /// returns the chunks its journal holds whatever this says.
     pub record_journal: bool,
     /// What happens to the queued backlog on shutdown or drop.
     pub shutdown: ShutdownPolicy,
@@ -408,20 +408,12 @@ pub struct ShutdownOutcome {
     pub session: DsgSession,
     /// The exact chunk sequence served through `submit_batch`, in order.
     /// With persistence on, this is read back from the **durable journal**
-    /// (the frames this instance appended) — one source of truth — and is
-    /// present regardless of [`ServiceConfig::record_journal`]. Without
-    /// persistence it is the in-memory recording (empty unless
-    /// `record_journal` was set). Replaying it through a fresh,
-    /// identically-built session reproduces the final structure bit for
-    /// bit.
+    /// (the frames this instance appended) and is present regardless of
+    /// [`ServiceConfig::record_journal`]. Without persistence it is the
+    /// in-memory recording (empty unless `record_journal` was set).
+    /// Replaying it through a fresh, identically-built session reproduces
+    /// the final structure bit for bit.
     pub journal: Vec<Vec<Request>>,
-    /// The in-memory chunk recording (empty unless
-    /// [`ServiceConfig::record_journal`] was set). With persistence on
-    /// this is a redundant oracle: it must agree with [`journal`], chunk
-    /// for chunk — the service tests assert exactly that.
-    ///
-    /// [`journal`]: ShutdownOutcome::journal
-    pub journal_recorded: Vec<Vec<Request>>,
     /// Final counter snapshot.
     pub metrics: ServiceMetrics,
 }
@@ -1329,7 +1321,7 @@ impl DsgService {
     /// (the session is lost with the error; this requires the just-written
     /// journal to be unreadable, i.e. a failing disk).
     pub fn shutdown(&mut self) -> Result<ShutdownOutcome, DsgError> {
-        let (session, journal_recorded, store) =
+        let (session, recorded, store) =
             self.close_and_join().ok_or(DsgError::AlreadyShutDown)?;
         let journal = match &self.persist_dir {
             Some(dir) => {
@@ -1339,12 +1331,11 @@ impl DsgService {
                     .map_err(DsgError::from)?
                     .frames
             }
-            None => journal_recorded.clone(),
+            None => recorded,
         };
         Ok(ShutdownOutcome {
             session,
             journal,
-            journal_recorded,
             metrics: self.shared.metrics(),
         })
     }
@@ -1673,7 +1664,7 @@ impl Worker {
                 if brownout {
                     self.shared.brownout_chunks.fetch_add(1, Ordering::Relaxed);
                 }
-                if self.config.record_journal {
+                if self.config.record_journal && self.store.is_none() {
                     self.journal.push(chunk.clone());
                 }
                 self.beat(STAGE_AUDIT);

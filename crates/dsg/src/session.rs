@@ -11,7 +11,6 @@
 //! let mut session = DsgSession::builder()
 //!     .peers(0..32)
 //!     .seed(42)
-//!     .install(InstallStrategy::Batched)
 //!     .build()?;
 //!
 //! // Single typed requests...
@@ -78,7 +77,7 @@ use std::sync::{Arc, Mutex};
 
 use dsg_skipgraph::MembershipVector;
 
-use crate::config::{DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig};
+use crate::config::{DsgConfig, MedianStrategy, PolicyConfig};
 use crate::cost::{EpochCounters, RunStats};
 use crate::dsg::{DynamicSkipGraph, EpochReport, RequestOutcome};
 use crate::error::DsgError;
@@ -163,12 +162,6 @@ impl DsgBuilder {
     /// The median strategy of the per-level splits.
     pub fn median(mut self, median: MedianStrategy) -> Self {
         self.config.median = median;
-        self
-    }
-
-    /// The membership-vector install strategy.
-    pub fn install(mut self, install: InstallStrategy) -> Self {
-        self.config.install = install;
         self
     }
 

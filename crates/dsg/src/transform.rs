@@ -61,8 +61,8 @@
 //! * the state writes, as a [`StateDelta`] ([`TransformOutcome::delta`]).
 //!
 //! The group-base rules (`groups`) read the split levels; the timestamp
-//! rules (`timestamps`) read all of it; the per-node reference install
-//! reads the after-vectors.
+//! rules (`timestamps`) read all of it; the install reads the diff plan
+//! ([`TransformOutcome::changes`]).
 
 use dsg_skipgraph::{Bit, MembershipUpdate, MembershipVector, NodeId, SkipGraph};
 
@@ -256,12 +256,6 @@ impl TransformOutcome {
             start,
             end: self.median_members.len() as u32,
         });
-    }
-
-    /// The new membership bits of the member at `pos`, for levels `α+1`
-    /// upward.
-    pub fn suffix(&self, pos: usize) -> impl Iterator<Item = Bit> + '_ {
-        self.after[pos].iter().skip(self.alpha)
     }
 
     /// Empties the trace for a transformation over `members` members and
@@ -1010,7 +1004,7 @@ mod tests {
         let suffixes = members
             .iter()
             .enumerate()
-            .map(|(pos, &x)| (x, outcome.suffix(pos).collect()))
+            .map(|(pos, &x)| (x, outcome.after[pos].iter().skip(outcome.alpha).collect()))
             .collect();
         (outcome, suffixes)
     }

@@ -826,9 +826,10 @@ impl SkipGraph {
     /// `(node, level)` pairs plus the sizes of the lists they move into —
     /// not to the total link count of the touched nodes. The resulting
     /// structure is observably identical to the per-node install: every
-    /// list holds the nodes sharing its prefix, in ascending key order (the
-    /// differential property tests in `tests/arena_reference_agreement.rs`
-    /// assert exactly this).
+    /// list holds the nodes sharing its prefix, in ascending key order
+    /// (this module's random-script test asserts exactly this, and the
+    /// engine's epoch replay in `tests/dummy_reconcile.rs` does so for
+    /// every epoch the engine serves).
     ///
     /// Returns the number of changed `(node, level)` pairs installed.
     /// Entries whose new vector equals the current one are skipped. Each
@@ -1014,37 +1015,6 @@ impl SkipGraph {
             meta.stamp = epoch;
             affected.push((meta.level, meta.prefix));
         }
-    }
-
-    /// Records the lists `id` belongs to at levels ≥ `floor` into
-    /// `affected`, deduplicated against everything already collected by the
-    /// current batch-install epoch. The differential dummy GC uses this:
-    /// destroying a node changes the run pattern of every list along its
-    /// prefix path, which therefore needs the same balance re-check as the
-    /// lists the install rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SkipGraphError::UnknownNode`] for a dead id.
-    pub fn stamp_node_lists(
-        &mut self,
-        id: NodeId,
-        floor: usize,
-        affected: &mut Vec<(usize, Prefix)>,
-    ) -> Result<()> {
-        if self.entry(id).is_none() {
-            return Err(SkipGraphError::UnknownNode(id));
-        }
-        let level_count = self.arena[id.index()].links.len();
-        for level in floor..level_count {
-            let lid = self.arena[id.index()]
-                .links
-                .get(level)
-                .expect("level within link count")
-                .list;
-            self.stamp_list(lid, affected);
-        }
-        Ok(())
     }
 
     /// Inserts a whole batch of *dummy* nodes through the ordered-splice
@@ -2233,7 +2203,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_install_matches_per_node_install_on_random_scripts() {
+    fn batch_install_matches_node_by_node_install_on_random_scripts() {
         let mut rng = StdRng::seed_from_u64(99);
         let mut batched = SkipGraph::random((0..128).map(Key::new), &mut rng).unwrap();
         let mut naive = batched.clone();
@@ -2431,8 +2401,6 @@ mod tests {
         moved(&g, false, "a duplicate insert");
         assert!(g.remove_key(Key::new(999)).is_err());
         moved(&g, false, "removing an unknown key");
-        g.stamp_node_lists(ids[0], 0, &mut affected).unwrap();
-        moved(&g, false, "stamping lists");
         assert!(g.insert_dummies_bulk(&[]).unwrap().is_empty());
         moved(&g, false, "an empty bulk insert");
         // Every structural change bumps it.

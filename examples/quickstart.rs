@@ -9,11 +9,7 @@ use dsg::prelude::*;
 fn main() -> Result<(), DsgError> {
     // A network of 64 peers with the default balance parameter (a = 3).
     // The builder validates the configuration instead of panicking.
-    let mut session = DsgSession::builder()
-        .peers(0..64)
-        .seed(42)
-        .install(InstallStrategy::Batched)
-        .build()?;
+    let mut session = DsgSession::builder().peers(0..64).seed(42).build()?;
     println!(
         "built a skip graph over {} peers, height {}",
         session.len(),

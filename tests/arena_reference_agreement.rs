@@ -8,20 +8,24 @@
 //! vectors), removals, and `set_membership_suffix` updates — the three
 //! mutations the self-adjusting layer drives the substrate with.
 //!
-//! A second family of tests runs full `communicate` scripts through two
-//! complete [`DynamicSkipGraph`] networks that differ only in their install
-//! strategy — the batched differential installer
-//! ([`SkipGraph::apply_membership_batch`]) versus the naive per-node
-//! `set_membership_suffix` reference path — and asserts that every
-//! observable output is identical: per-request outcomes and cost
-//! accounting, membership vectors, list orders at every level, dummy-node
-//! placement, group-ids, group-bases, and timestamps.
+//! A second test serves request scripts through a [`DynamicSkipGraph`],
+//! one pair per epoch as `communicate` does, and rebuilds every epoch on a
+//! copy of the pre-epoch graph through the node-by-node install
+//! (`SkipGraph::set_membership_vector`) and the destroy/recreate dummy
+//! lifecycle (`common::replay_epoch`): the engine's batched install
+//! ([`SkipGraph::apply_membership_batch_collecting`]) and reconciling
+//! repair must leave the same keys, dummy flags, vectors, list orders at
+//! every level and dummy group bases. `tests/dummy_reconcile.rs` replays
+//! multi-pair epochs with joins and leaves the same way.
 
 use proptest::prelude::*;
 
 use dsg::prelude::*;
 use dsg_skipgraph::reference::ReferenceGraph;
 use dsg_skipgraph::{Bit, Key, MembershipVector, SkipGraph};
+
+mod common;
+use common::replay_epoch;
 
 /// One scripted mutation. `key_pick` / `level_pick` / `bits` are raw
 /// randomness that gets mapped onto the graph's current population, so
@@ -161,63 +165,6 @@ fn assert_agreement(arena: &SkipGraph, reference: &ReferenceGraph) {
     }
 }
 
-/// Asserts that two DSG networks (normally: batched vs per-node install)
-/// are observably identical — structure, dummy placement, and the full
-/// per-peer self-adjusting state.
-fn assert_networks_agree(batched: &DynamicSkipGraph, naive: &DynamicSkipGraph) {
-    batched.validate().expect("batched network is structurally sound");
-    naive.validate().expect("per-node network is structurally sound");
-    assert_eq!(batched.height(), naive.height(), "heights diverge");
-    assert_eq!(
-        batched.dummy_count(),
-        naive.dummy_count(),
-        "dummy populations diverge"
-    );
-    let ga = batched.graph();
-    let gb = naive.graph();
-    let keys_a: Vec<Key> = ga.keys().collect();
-    let keys_b: Vec<Key> = gb.keys().collect();
-    assert_eq!(keys_a, keys_b, "node (and dummy) key sets diverge");
-    for &key in &keys_a {
-        let ia = ga.node_by_key(key).expect("key just listed");
-        let ib = gb.node_by_key(key).expect("key sets agree");
-        assert_eq!(
-            ga.node(ia).expect("live").is_dummy(),
-            gb.node(ib).expect("live").is_dummy(),
-            "dummy flag diverges for key {key}"
-        );
-        let mvec = ga.mvec_of(ia).expect("live");
-        assert_eq!(
-            mvec,
-            gb.mvec_of(ib).expect("live"),
-            "membership vector diverges for key {key}"
-        );
-        for level in 0..=mvec.len() + 1 {
-            let list_a: Vec<u64> = ga
-                .list_of_iter(ia, level)
-                .expect("live")
-                .map(|id| ga.key_of(id).expect("live").value())
-                .collect();
-            let list_b: Vec<u64> = gb
-                .list_of_iter(ib, level)
-                .expect("live")
-                .map(|id| gb.key_of(id).expect("live").value())
-                .collect();
-            assert_eq!(list_a, list_b, "list order diverges at level {level} for key {key}");
-        }
-    }
-    // Self-adjusting state: timestamps, group-ids, dominating flags and
-    // group-bases, all levels (NodeState equality covers every stored
-    // level and the defaults beyond).
-    for peer in batched.peers() {
-        assert_eq!(
-            batched.peer_state(peer).expect("peer exists"),
-            naive.peer_state(peer).expect("peer exists"),
-            "self-adjusting state diverges for peer {peer}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -240,67 +187,28 @@ proptest! {
         assert_agreement(&arena, &reference);
     }
 
-    /// Full `communicate` scripts produce observably identical networks
-    /// under the batched differential install and the per-node reference
-    /// install: identical request outcomes (routing costs, α, d', round
-    /// accounting, touched pairs), list orders, dummy placement, group-ids
-    /// and timestamps.
+    /// Full request scripts, served one pair per epoch, equal their rebuild
+    /// through the node-by-node install and the destroy/recreate lifecycle
+    /// after every request: the same structure and dummy placement, and
+    /// per request the same placed-dummy count and repair rounds.
     #[test]
     fn batched_install_agrees_with_per_node_install(
         n in 8u64..40,
         seed in 0u64..500,
         raw_requests in proptest::collection::vec((0u64..1000, 0u64..1000), 1..25),
     ) {
-        let config = DsgConfig::default().with_seed(seed);
-        let mut batched = DsgSession::builder().peers(0..n).config(config).build().unwrap();
-        let mut naive = DsgSession::builder()
-            .peers(0..n)
-            .config(config.with_install(InstallStrategy::PerNode))
-            .build()
-            .unwrap();
-        let batched = batched.engine_mut();
-        let naive = naive.engine_mut();
+        let mut session = DsgSession::builder().peers(0..n).seed(seed).build().unwrap();
         for (a, b) in raw_requests {
-            let u = a % n;
-            let v = b % n;
-            if u == v {
+            let pair = [(a % n, b % n)];
+            if pair[0].0 == pair[0].1 {
                 continue;
             }
-            let outcome_batched = batched.communicate(u, v).unwrap();
-            let outcome_naive = naive.communicate(u, v).unwrap();
-            prop_assert_eq!(
-                outcome_batched,
-                outcome_naive,
-                "request ({}, {}) outcomes diverge",
-                u,
-                v
-            );
+            let before = session.engine().graph().clone();
+            let before_image = session.engine().capture_image();
+            let report = session.engine_mut().communicate_epoch(&pair).unwrap();
+            replay_epoch(&before, &before_image, session.engine(), &pair, &report);
         }
-        assert_networks_agree(batched, naive);
-        // The lifecycle counters (created, reused, bulk-inserted,
-        // destroyed) intentionally differ between the two strategies: the
-        // batched path reconciles (reclaims standing dummies, bulk-creates
-        // the rest) while the per-node oracle destroys and re-creates every
-        // one. The lifecycle-independent total — dummy slots established —
-        // must agree, and so must every other stat.
-        let stats_batched = *batched.stats();
-        let stats_naive = *naive.stats();
-        prop_assert_eq!(
-            stats_batched.dummy_nodes_created + stats_batched.counters.dummies_reused,
-            stats_naive.dummy_nodes_created + stats_naive.counters.dummies_reused,
-            "dummy slots established diverge"
-        );
-        prop_assert_eq!(stats_naive.counters.dummies_reused, 0);
-        prop_assert_eq!(stats_naive.counters.dummies_bulk_inserted, 0);
-        let normalize = |mut stats: RunStats| {
-            stats.dummy_nodes_created = 0;
-            stats.counters.dummies_reused = 0;
-            stats.counters.dummies_bulk_inserted = 0;
-            stats.counters.dummies_destroyed = 0;
-            stats.counters = stats.counters.deterministic();
-            stats
-        };
-        prop_assert_eq!(normalize(stats_batched), normalize(stats_naive));
+        session.engine().validate().expect("the engine is structurally sound");
     }
 
     /// Randomised construction through the public API also agrees: building

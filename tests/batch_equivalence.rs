@@ -17,65 +17,9 @@
 use proptest::prelude::*;
 
 use dsg::prelude::*;
-use dsg_skipgraph::Key;
 
-/// Asserts that two engines are observably identical — structure, dummy
-/// placement, and the full per-peer self-adjusting state.
-fn assert_networks_agree(batched: &DynamicSkipGraph, sequential: &DynamicSkipGraph) {
-    batched.validate().expect("batched network is structurally sound");
-    sequential
-        .validate()
-        .expect("sequential network is structurally sound");
-    assert_eq!(batched.height(), sequential.height(), "heights diverge");
-    assert_eq!(
-        batched.dummy_count(),
-        sequential.dummy_count(),
-        "dummy populations diverge"
-    );
-    let ga = batched.graph();
-    let gb = sequential.graph();
-    let keys_a: Vec<Key> = ga.keys().collect();
-    let keys_b: Vec<Key> = gb.keys().collect();
-    assert_eq!(keys_a, keys_b, "node (and dummy) key sets diverge");
-    for &key in &keys_a {
-        let ia = ga.node_by_key(key).expect("key just listed");
-        let ib = gb.node_by_key(key).expect("key sets agree");
-        assert_eq!(
-            ga.node(ia).expect("live").is_dummy(),
-            gb.node(ib).expect("live").is_dummy(),
-            "dummy flag diverges for key {key}"
-        );
-        let mvec = ga.mvec_of(ia).expect("live");
-        assert_eq!(
-            mvec,
-            gb.mvec_of(ib).expect("live"),
-            "membership vector diverges for key {key}"
-        );
-        for level in 0..=mvec.len() + 1 {
-            let list_a: Vec<u64> = ga
-                .list_of_iter(ia, level)
-                .expect("live")
-                .map(|id| ga.key_of(id).expect("live").value())
-                .collect();
-            let list_b: Vec<u64> = gb
-                .list_of_iter(ib, level)
-                .expect("live")
-                .map(|id| gb.key_of(id).expect("live").value())
-                .collect();
-            assert_eq!(
-                list_a, list_b,
-                "list order diverges at level {level} for key {key}"
-            );
-        }
-    }
-    for peer in batched.peers() {
-        assert_eq!(
-            batched.peer_state(peer).expect("peer exists"),
-            sequential.peer_state(peer).expect("peer exists"),
-            "self-adjusting state diverges for peer {peer}"
-        );
-    }
-}
+mod common;
+use common::assert_networks_agree;
 
 fn session(n: u64, seed: u64) -> DsgSession {
     DsgSession::builder()
@@ -135,7 +79,7 @@ proptest! {
             sequential.stats().counters.touched_pairs,
             "disjoint clusters must install exactly the sequential changes"
         );
-        assert_networks_agree(batched.engine(), sequential.engine());
+        assert_networks_agree("batched vs sequential", batched.engine(), sequential.engine());
     }
 
     /// Arbitrary (possibly overlapping, endpoint-sharing) batches: the
@@ -179,7 +123,7 @@ proptest! {
             prop_assert!(first.engine().are_directly_linked(u, v).unwrap(),
                 "pair ({u}, {v}) not directly linked after its epoch");
         }
-        assert_networks_agree(first.engine(), second.engine());
+        assert_networks_agree("replay twins", first.engine(), second.engine());
     }
 }
 
@@ -206,7 +150,7 @@ fn install_pass_counter_proves_one_pass_per_epoch() {
             sequential.submit(*request).unwrap();
         }
         assert_eq!(sequential.stats().counters.install_passes, k);
-        assert_networks_agree(batched.engine(), sequential.engine());
+        assert_networks_agree("batched vs sequential", batched.engine(), sequential.engine());
     }
 }
 

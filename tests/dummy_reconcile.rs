@@ -1,16 +1,20 @@
-//! Differential tests for the reconciling dummy lifecycle (PR 4).
+//! Differential tests for the epoch engine's install and dummy lifecycle.
 //!
-//! The batched engine path no longer destroys and re-creates the dummy
-//! population of rebuilt lists: it inventories standing dummies, reclaims
-//! in place the ones the (shared, salvage-first) placement policy
-//! re-derives, bulk-splices the genuinely new ones, and sweeps only the
-//! genuinely stale ones. The [`InstallStrategy::PerNode`] oracle keeps the
-//! literal destroy-then-recreate lifecycle over the same placement policy.
-//! These tests pin the central claim: **the two lifecycles produce
-//! bit-for-bit identical graphs, self-adjusting state, dummy populations,
-//! and request outcomes** — over epoch-batched request streams with
-//! interleaved membership churn, not just the sequential scripts the
-//! `arena_reference_agreement` suite already replays.
+//! The engine pushes each epoch's new membership vectors into the graph in
+//! one batched splice pass and repairs a-balance with the reconciling
+//! dummy lifecycle: it inventories the standing dummies of the rebuilt
+//! lists, reclaims in place the ones the (shared, salvage-first) placement
+//! policy re-derives, bulk-splices the genuinely new ones, and sweeps only
+//! the genuinely stale ones. Both fast paths keep a slow reference that no
+//! engine path runs: `SkipGraph::set_membership_vector`, node by node, for
+//! the install, and `dummy::repair_balance_destroy_recreate`, the literal
+//! destroy-then-recreate lifecycle, for the repair. The replay test below
+//! serves real epochs (batches of endpoint-disjoint pairs, with joins and
+//! leaves in between) and rebuilds each one through both references on a
+//! copy of the pre-epoch graph (`common::replay_epoch`): **the graphs must
+//! agree bit for bit**, and every cluster must place as many dummies, in as
+//! many rounds, as the reconciliation and the engine did.
+//! `arena_reference_agreement.rs` replays one-pair epochs the same way.
 
 use proptest::prelude::*;
 
@@ -19,133 +23,68 @@ use dsg::prelude::*;
 use dsg::StateTable;
 use dsg_skipgraph::{Key, MembershipVector, Prefix, SkipGraph};
 
-/// Asserts the two engines are observably identical — structure, dummy
-/// placement (keys *and* vectors), and the full per-peer state. Dummy
-/// `NodeId`s may legitimately differ (the lifecycles recycle arena slots
-/// in different orders), so everything is compared by key.
-fn assert_networks_agree(reconciling: &DynamicSkipGraph, oracle: &DynamicSkipGraph) {
-    reconciling
-        .validate()
-        .expect("reconciling network is structurally sound");
-    oracle.validate().expect("oracle network is structurally sound");
-    assert_eq!(reconciling.height(), oracle.height(), "heights diverge");
-    assert_eq!(
-        reconciling.dummy_count(),
-        oracle.dummy_count(),
-        "dummy populations diverge"
-    );
-    let ga = reconciling.graph();
-    let gb = oracle.graph();
-    let keys_a: Vec<Key> = ga.keys().collect();
-    let keys_b: Vec<Key> = gb.keys().collect();
-    assert_eq!(keys_a, keys_b, "node (and dummy) key sets diverge");
-    for &key in &keys_a {
-        let ia = ga.node_by_key(key).expect("key just listed");
-        let ib = gb.node_by_key(key).expect("key sets agree");
-        assert_eq!(
-            ga.node(ia).expect("live").is_dummy(),
-            gb.node(ib).expect("live").is_dummy(),
-            "dummy flag diverges for key {key}"
-        );
-        let mvec = ga.mvec_of(ia).expect("live");
-        assert_eq!(
-            mvec,
-            gb.mvec_of(ib).expect("live"),
-            "membership vector diverges for key {key}"
-        );
-        for level in 0..=mvec.len() + 1 {
-            let list_a: Vec<u64> = ga
-                .list_of_iter(ia, level)
-                .expect("live")
-                .map(|id| ga.key_of(id).expect("live").value())
-                .collect();
-            let list_b: Vec<u64> = gb
-                .list_of_iter(ib, level)
-                .expect("live")
-                .map(|id| gb.key_of(id).expect("live").value())
-                .collect();
-            assert_eq!(
-                list_a, list_b,
-                "list order diverges at level {level} for key {key}"
-            );
-        }
-    }
-    for peer in reconciling.peers() {
-        assert_eq!(
-            reconciling.peer_state(peer).expect("peer exists"),
-            oracle.peer_state(peer).expect("peer exists"),
-            "self-adjusting state diverges for peer {peer}"
-        );
-    }
-}
+mod common;
+use common::replay_epoch;
 
-fn session(n: u64, seed: u64, install: InstallStrategy) -> DsgSession {
+fn session(n: u64, seed: u64) -> DsgSession {
     DsgSession::builder()
         .peers(0..n)
-        .config(DsgConfig::default().with_seed(seed).with_install(install))
+        .seed(seed)
         .build()
         .expect("peer keys 0..n are distinct")
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Epoch-batched request streams with interleaved joins and leaves:
-    /// the reconciling lifecycle and the destroy/recreate oracle end in
-    /// bit-for-bit identical networks, and every per-request outcome
-    /// (costs, rounds, placed-dummy counts) agrees.
+    /// Every epoch the engine serves equals its rebuild through the
+    /// node-by-node install and the destroy/recreate lifecycle: the same
+    /// keys, dummy flags, vectors and list orders at every level, the same
+    /// dummy group bases, and per cluster the same placed-dummy count and
+    /// repair rounds as the reconciling lifecycle and the engine's report.
     #[test]
     fn reconciliation_equals_destroy_recreate_oracle(
         n in 8u64..40,
         seed in 0u64..300,
-        raw in proptest::collection::vec((0u64..1000, 0u64..1000, 0u64..100), 1..28),
-        chunk in 1usize..7,
+        script in proptest::collection::vec(
+            (0u64..100, proptest::collection::vec((0u64..1000, 0u64..1000), 1..7)),
+            1..12,
+        ),
     ) {
-        let mut joined: u64 = 0;
-        let requests: Vec<Request> = raw
-            .iter()
-            .filter_map(|&(x, y, op)| match op {
-                // Sprinkle membership churn through the stream: joins and
-                // leaves drive the full-sweep repair path on both sides.
-                0..=7 => {
+        let mut session = session(n, seed);
+        let mut joined = 0u64;
+        for (churn, raw_pairs) in script {
+            // Membership churn between epochs: joins and leaves run the
+            // full-sweep repair, whose dummies the next epoch inherits.
+            match churn {
+                0..=14 => {
                     joined += 1;
-                    Some(Request::Join(1000 + joined))
+                    session.engine_mut().add_peer(1000 + joined).unwrap();
                 }
-                8..=12 if joined > 0 => {
-                    let gone = Request::Leave(1000 + joined);
+                15..=24 if joined > 0 => {
+                    session.engine_mut().remove_peer(1000 + joined).unwrap();
                     joined -= 1;
-                    Some(gone)
                 }
-                _ => {
-                    let (u, v) = (x % n, y % n);
-                    (u != v).then(|| Request::communicate(u, v))
+                _ => {}
+            }
+            let peers = session.engine().peers();
+            let mut pairs: Vec<(u64, u64)> = Vec::new();
+            for (x, y) in raw_pairs {
+                let u = peers[(x % peers.len() as u64) as usize];
+                let v = peers[(y % peers.len() as u64) as usize];
+                let taken = |peer: u64| pairs.iter().any(|&(p, q)| p == peer || q == peer);
+                if u != v && !taken(u) && !taken(v) {
+                    pairs.push((u, v));
                 }
-            })
-            .collect();
-        if requests.is_empty() {
-            return;
+            }
+            if pairs.is_empty() {
+                continue;
+            }
+            let before = session.engine().graph().clone();
+            let before_image = session.engine().capture_image();
+            let report = session.engine_mut().communicate_epoch(&pairs).unwrap();
+            replay_epoch(&before, &before_image, session.engine(), &pairs, &report);
         }
-
-        let mut reconciling = session(n, seed, InstallStrategy::Batched);
-        let mut oracle = session(n, seed, InstallStrategy::PerNode);
-        for chunk in requests.chunks(chunk) {
-            let out_a = reconciling.submit_batch(chunk).unwrap();
-            let out_b = oracle.submit_batch(chunk).unwrap();
-            prop_assert_eq!(
-                out_a.outcomes, out_b.outcomes,
-                "per-request outcomes diverge"
-            );
-            // Placed-slot accounting is lifecycle-independent; the reuse
-            // split is the reconciliation's own observable.
-            let (a, b) = (out_a.counters, out_b.counters);
-            prop_assert_eq!(a.dummies_inserted, b.dummies_inserted);
-            prop_assert_eq!(b.dummies_reused, 0, "the oracle cannot reclaim in place");
-            prop_assert_eq!(b.dummies_bulk_inserted, 0, "the oracle join-walks each dummy");
-            // What the reconciliation did not reuse, it created through the
-            // bulk installer — there is no third way to place a dummy.
-            prop_assert_eq!(a.dummies_reused + a.dummies_bulk_inserted, a.dummies_inserted);
-        }
-        assert_networks_agree(reconciling.engine(), oracle.engine());
     }
 }
 
@@ -307,7 +246,7 @@ fn uniform_replay_at_4096_stays_under_the_dummy_churn_guard() {
     use dsg_workloads::{UniformRandom, Workload};
 
     const CHURN_GUARD: usize = 75_000;
-    let mut session = session(4096, 1, InstallStrategy::Batched);
+    let mut session = session(4096, 1);
     let (mut churn, mut reused) = (0usize, 0usize);
     for request in &UniformRandom::new(4096, 3).generate(10) {
         let batch = session

@@ -570,18 +570,16 @@ fn temp_store_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dsg-service-{tag}-{}-{n}", std::process::id()))
 }
 
-/// Satellite proof of "one source of truth": with persistence on, the
-/// chunk journal handed back by `shutdown` comes from the durable log,
-/// and must agree — chunk for chunk — with the in-memory
-/// `record_journal` oracle. Replaying either through a fresh session
-/// reproduces the served structure.
+/// With persistence on, the chunk journal handed back by `shutdown` is
+/// read back from the durable log: it holds every acknowledged request
+/// exactly once, and replaying it through a fresh session reproduces the
+/// served structure.
 #[test]
-fn durable_journal_agrees_with_the_recording_oracle() {
+fn durable_journal_holds_every_request_once_and_replays_the_engine() {
     let _guard = failpoint::exclusive();
-    let dir = temp_store_dir("oracle");
+    let dir = temp_store_dir("journal");
     let n = 32u64;
     let config = ServiceConfig {
-        record_journal: true,
         ingest_batch: 4,
         persist: Some(PersistConfig::default()),
         ..ServiceConfig::default()
@@ -603,8 +601,9 @@ fn durable_journal_agrees_with_the_recording_oracle() {
     let done = service.shutdown().expect("first shutdown");
 
     assert_eq!(
-        done.journal, done.journal_recorded,
-        "durable journal and in-memory oracle diverge"
+        done.journal.len() as u64,
+        done.metrics.batches,
+        "one journal frame per served run"
     );
     assert_eq!(
         done.journal.iter().map(Vec::len).sum::<usize>(),
