@@ -78,10 +78,6 @@ pub struct EpochCounters {
     /// the gate on, gated clusters are never planned, so this counts only
     /// the admitted ones.
     pub planned_clusters: usize,
-    /// Transformation-install passes pushed into the skip graph: 1 per
-    /// epoch that restructures, regardless of the batch size (0 when the
-    /// admission gate declined every cluster).
-    pub install_passes: usize,
     /// Changed `(node, level)` pairs the installs touched — the work the
     /// differential install performs, as opposed to the Θ(n · height) a
     /// full per-node re-splice would.
@@ -155,7 +151,6 @@ impl AddAssign for EpochCounters {
     fn add_assign(&mut self, rhs: Self) {
         self.clusters += rhs.clusters;
         self.planned_clusters += rhs.planned_clusters;
-        self.install_passes += rhs.install_passes;
         self.touched_pairs += rhs.touched_pairs;
         self.dummies_inserted += rhs.dummies_inserted;
         self.dummies_destroyed += rhs.dummies_destroyed;
@@ -245,7 +240,6 @@ mod tests {
         let epoch = EpochCounters {
             clusters: 1,
             planned_clusters: 2,
-            install_passes: 3,
             touched_pairs: 4,
             dummies_inserted: 5,
             dummies_destroyed: 6,
@@ -270,7 +264,6 @@ mod tests {
             EpochCounters {
                 clusters: 2,
                 planned_clusters: 4,
-                install_passes: 6,
                 touched_pairs: 8,
                 dummies_inserted: 10,
                 dummies_destroyed: 12,

@@ -179,17 +179,24 @@ impl PlanShard {
     }
 }
 
-/// Reusable per-cluster buffers — the member list and the transformation
-/// trace, which the plan refills in place — pooled on the engine so a warm
-/// epoch's plan stage allocates none of them. Per cluster because the
-/// plans of one epoch are alive simultaneously.
+/// Reusable per-cluster buffers, one per admitted cluster of the largest
+/// epoch so far, refilled in place so a warm epoch's plan stage allocates
+/// none of them. Per cluster because the plans of one epoch are alive
+/// simultaneously.
 #[derive(Debug, Default)]
 struct ClusterBufs {
     /// The members of the cluster's root list, ascending key order,
     /// dummies excluded.
     members: Vec<NodeId>,
+    /// The cluster's pairs as the transformation takes them.
+    pairs: Vec<TransformPair>,
     /// The transformation trace, indexed by position in `members`.
     outcome: TransformOutcome,
+    /// Rounds charged for the transformation notification broadcast.
+    notification_rounds: usize,
+    /// Rounds of the per-pair `G_lower` broadcasts, in the cluster's pair
+    /// order (filled by the serial group stage).
+    group_rounds: Vec<usize>,
 }
 
 /// Splitmix64-style derivation of a cluster's AMF seed from the session
@@ -201,16 +208,33 @@ fn cluster_plan_seed(seed: u64, t_first: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Reusable per-epoch buffers for [`DynamicSkipGraph::communicate_epoch`].
-///
-/// One epoch needs member snapshots of the rebuilt subtree roots, the
-/// members' old and new membership vectors, and each communicating pair's
-/// prior group member sets. Rebuilding those as fresh `Vec`/`HashMap`/
-/// `HashSet` values on every request made the hot loop allocation-bound;
-/// the buffers are owned by the network and cleared (capacity retained)
-/// per use.
+/// Reusable per-epoch buffers for [`DynamicSkipGraph::communicate_epoch`],
+/// owned by the engine and cleared (capacity retained) per epoch, so that
+/// a warm epoch whose clusters the gate declined allocates nothing but
+/// the report's outcomes.
 #[derive(Debug, Default)]
 struct CommScratch {
+    /// The endpoints' node ids, parallel to the epoch's pairs.
+    ids: Vec<(NodeId, NodeId)>,
+    /// Each pair's `l_α` prefix in the pre-epoch structure.
+    prefixes: Vec<Prefix>,
+    /// The epoch's clusters in submission order of their first pair; once
+    /// the gate has judged them, the admitted ones only.
+    clusters: Vec<ClusterPlan>,
+    /// The gate's inputs and verdicts, parallel to `clusters` as formed.
+    signals: Vec<ClusterSignal>,
+    verdicts: Vec<Admission>,
+    /// Indexed like the admitted clusters; see [`ClusterBufs`].
+    cluster_bufs: Vec<ClusterBufs>,
+    /// Per admitted cluster, the affected lists inside its subtree.
+    cluster_affected: Vec<Vec<(usize, Prefix)>>,
+    /// Per admitted cluster, its dummy-reconciliation plan.
+    reconcile_plans: Vec<dummy::ReconcilePlan>,
+    /// The concatenated diff plans of an epoch with several admitted
+    /// clusters (a single cluster's plan is installed in place).
+    changes: Vec<MembershipUpdate>,
+    /// The endpoint keys a cluster's balance repair must keep adjacent.
+    protect: Vec<(Key, Key)>,
     groups: GroupScratch,
     /// Lists whose membership or split pattern the install changed — the
     /// scope of the dummy reconciliation. Filled by the batch installer
@@ -223,37 +247,51 @@ struct CommScratch {
 
 /// One cluster of an epoch: the pairs whose `l_α` subtrees overlap, merged
 /// under the deepest list containing all their endpoints.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct ClusterPlan {
     /// Level of the merged subtree root list.
     root_level: usize,
     /// Prefix of the merged subtree root list (the meet of the member
     /// pairs' `l_α` prefixes).
     root_prefix: Prefix,
-    /// Indices into the epoch's pair slice, ascending (submission order).
-    pair_indices: Vec<usize>,
+    /// The member pairs: bit `i` is the epoch's pair `i`. An epoch holds
+    /// at most [`MAX_EPOCH_PAIRS`] = 64 pairs, so merging two clusters is
+    /// an OR.
+    pairs: u64,
 }
 
-/// Per-cluster state produced by the (possibly parallel) *plan* stage of
-/// one epoch and consumed by the serial apply/install/repair stages.
-#[derive(Debug)]
-struct ClusterRun {
-    /// Rounds of the per-pair `G_lower` broadcasts, parallel to
-    /// [`ClusterPlan::pair_indices`] (filled by the serial group stage).
-    group_rounds: Vec<usize>,
-    /// Rounds charged for the transformation notification broadcast.
-    notification_rounds: usize,
-    /// The cluster's member list and transformation trace (whose delta the
-    /// main thread applies in submission order). Pooled on the engine and
-    /// recycled across epochs.
-    bufs: ClusterBufs,
+const _: () = assert!(MAX_EPOCH_PAIRS <= u64::BITS as usize);
+
+impl ClusterPlan {
+    /// The member pairs' indices into the epoch, ascending (submission
+    /// order).
+    fn pair_indices(&self) -> impl Iterator<Item = usize> {
+        set_bits(self.pairs)
+    }
+
+    /// The index of the cluster's first pair.
+    fn first_pair(&self) -> usize {
+        self.pairs.trailing_zeros() as usize
+    }
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// What serving one transformation epoch produced: the per-request
-/// outcomes plus the epoch's counters, among them the install passes that
-/// prove the batched path's claim — however many pairs an epoch serves,
-/// the transformation results are pushed into the structure by (at most)
-/// one install pass.
+/// outcomes plus the epoch's counters. However many pairs an epoch
+/// serves, the transformation results of its
+/// [`planned_clusters`](EpochCounters::planned_clusters) are pushed into
+/// the structure by one install pass, and an epoch that planned none
+/// installs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EpochReport {
     /// Per-request outcomes, in submission order. Within an epoch, cluster
@@ -304,11 +342,6 @@ pub struct DynamicSkipGraph {
     /// ([`MedianEngine::reseed_for_cluster`]), so the recycled buffers are
     /// the only thing a shard actually keeps between clusters.
     plan_shards_scratch: Vec<PlanShard>,
-    /// Pooled [`ClusterBufs`], recycled across epochs.
-    bufs_pool: Vec<ClusterBufs>,
-    /// Pooled [`dummy::ReconcilePlan`] shells (one per cluster of an
-    /// epoch), recycled across epochs so warm plans allocate nothing.
-    reconcile_pool: Vec<dummy::ReconcilePlan>,
     rng: StdRng,
     time: u64,
     stats: RunStats,
@@ -416,8 +449,6 @@ impl DynamicSkipGraph {
             instance: next_instance(),
             config,
             plan_shards_scratch,
-            bufs_pool: Vec::new(),
-            reconcile_pool: Vec::new(),
             rng,
             time: 0,
             stats: RunStats::default(),
@@ -1003,8 +1034,6 @@ impl DynamicSkipGraph {
             instance: next_instance(),
             config,
             plan_shards_scratch,
-            bufs_pool: Vec::new(),
-            reconcile_pool: Vec::new(),
             rng: StdRng::from_state(image.rng_state),
             time: image.time,
             stats: RunStats::default(),
@@ -1101,6 +1130,16 @@ impl DynamicSkipGraph {
     /// install pass — one epoch, one install, however many pairs — followed
     /// by one differential dummy-GC/a-balance-repair pass per cluster.
     ///
+    /// Routing counts each pair's hops without recording its path
+    /// ([`SkipGraph::distance_ids`]), and the epoch's buffers (endpoint
+    /// ids, prefixes, clusters, the gate's signals and verdicts, the
+    /// per-cluster plans) live in the engine and are cleared, not
+    /// reallocated. A cluster's pairs are a `u64` mask, since an epoch
+    /// holds at most [`MAX_EPOCH_PAIRS`] = 64 pairs. When the admission
+    /// gate declines every cluster, the plan, install and reconcile stages
+    /// are skipped: a warm one-pair gated epoch costs one route, four
+    /// staged sketch increments and one allocation, its outcome vector.
+    ///
     /// For pairs with pairwise-disjoint subtrees the final structure and
     /// self-adjusting state are identical to serving the pairs one by one
     /// (the repository's differential proptests assert this); only the
@@ -1155,25 +1194,21 @@ impl DynamicSkipGraph {
         }
         // Validate the whole epoch up front: known peers, no self requests,
         // no endpoint shared between two pairs (pair atomicity inside the
-        // transformation relies on it).
-        let mut ids: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
-        {
-            // ≤ 2 · MAX_EPOCH_PAIRS endpoints: a linear scan beats hashing.
-            let mut seen: Vec<u64> = Vec::with_capacity(2 * pairs.len());
-            for &(u, v) in pairs {
-                if u == v {
-                    return Err(DsgError::SelfCommunication(u));
-                }
-                let u_id = self.peer_id(u)?;
-                let v_id = self.peer_id(v)?;
-                for peer in [u, v] {
-                    if seen.contains(&peer) {
-                        return Err(DsgError::BatchEndpointReuse(peer));
-                    }
-                    seen.push(peer);
-                }
-                ids.push((u_id, v_id));
+        // transformation relies on it). ≤ 2 · MAX_EPOCH_PAIRS endpoints: a
+        // linear scan of the earlier pairs beats hashing.
+        self.scratch.ids.clear();
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            if u == v {
+                return Err(DsgError::SelfCommunication(u));
             }
+            let u_id = self.peer_id(u)?;
+            let v_id = self.peer_id(v)?;
+            for peer in [u, v] {
+                if pairs[..i].iter().any(|&(a, b)| a == peer || b == peer) {
+                    return Err(DsgError::BatchEndpointReuse(peer));
+                }
+            }
+            self.scratch.ids.push((u_id, v_id));
         }
         // Everything from here to the Phase A-apply transition below is a
         // pure read: a panic caught while the phase is `Planning` leaves
@@ -1183,19 +1218,41 @@ impl DynamicSkipGraph {
         let t0 = self.time;
 
         // Step 1a for every pair: establish the communications with
-        // standard routing, and record each pair's α and `l_α` prefix in
-        // the pre-epoch structure.
-        let mut routing_costs = Vec::with_capacity(pairs.len());
-        let mut alphas = Vec::with_capacity(pairs.len());
-        let mut prefixes = Vec::with_capacity(pairs.len());
-        for &(u_id, v_id) in &ids {
-            let route = self.graph.route_ids(u_id, v_id)?;
-            routing_costs.push(route.intermediate_nodes());
+        // standard routing (counted, not recorded), and record each pair's
+        // α and `l_α` prefix in the pre-epoch structure. Every outcome
+        // starts as the route-only outcome a gated pair keeps: charged its
+        // routing cost and no transformation rounds, its pre-epoch α as the
+        // pair level (the pair was not lifted into a two-node list), and
+        // nothing touched. Admitted clusters overwrite theirs.
+        let mut outcomes = Vec::with_capacity(pairs.len());
+        self.scratch.prefixes.clear();
+        for (pi, &(u_id, v_id)) in self.scratch.ids.iter().enumerate() {
+            let routing_cost = self.graph.distance_ids(u_id, v_id)?;
             let alpha = self.graph.common_level(u_id, v_id)?;
-            alphas.push(alpha);
-            prefixes.push(self.graph.mvec_of(u_id)?.prefix(alpha));
+            self.scratch
+                .prefixes
+                .push(self.graph.mvec_of(u_id)?.prefix(alpha));
+            outcomes.push(RequestOutcome {
+                time: t0 + pi as u64 + 1,
+                routing_cost,
+                alpha,
+                pair_level: alpha,
+                touched_pairs: 0,
+                breakdown: CostBreakdown {
+                    routing_cost,
+                    ..CostBreakdown::default()
+                },
+                height_after: 0,
+                dummies_inserted: 0,
+            });
         }
-        let clusters = cluster_pairs(&alphas, &prefixes);
+        cluster_pairs(&self.scratch.prefixes, &mut self.scratch.clusters);
+        // A fully gated epoch plans nothing, which counts as inline.
+        let mut counters = EpochCounters {
+            clusters: self.scratch.clusters.len(),
+            plan_shards: 1,
+            ..EpochCounters::default()
+        };
 
         // Adaptation policy: the epoch's single deterministic update
         // point. Sketch increments are staged on the main thread in
@@ -1208,14 +1265,14 @@ impl DynamicSkipGraph {
         // the default `AdaptPolicy::Always` no sketch exists and this
         // whole block is a no-op (the policy-off differential proptest
         // pins bit-identity).
-        let mut counters = EpochCounters::default();
-        let mut gated_clusters: Vec<ClusterPlan> = Vec::new();
-        let clusters = if let Some(sketch) = self.sketch.as_mut() {
-            for (pi, &(u, v)) in pairs.iter().enumerate() {
+        let mut gated = 0u64;
+        if let Some(sketch) = self.sketch.as_mut() {
+            let scratch = &mut self.scratch;
+            for (&(u, v), prefix) in pairs.iter().zip(&scratch.prefixes) {
                 sketch.stage_increment(FreqSketch::pair_key(u, v));
                 sketch.stage_increment(FreqSketch::peer_key(u));
                 sketch.stage_increment(FreqSketch::peer_key(v));
-                sketch.stage_increment(FreqSketch::prefix_key(&prefixes[pi]));
+                sketch.stage_increment(FreqSketch::prefix_key(prefix));
             }
             let mut gate = AdmissionGate::new(
                 self.config.policy.threshold,
@@ -1245,15 +1302,15 @@ impl DynamicSkipGraph {
             // cold clusters rather than first-come-first-served (and a
             // brownout verdict degrades it to route-only for cold
             // traffic).
-            let signals: Vec<ClusterSignal> = clusters
-                .iter()
-                .map(|cluster| {
+            scratch.signals.clear();
+            scratch
+                .signals
+                .extend(scratch.clusters.iter().map(|cluster| {
                     // Member heat: an exact pair repeat, or both endpoints
                     // individually hot (the community signal).
                     let max_estimate = cluster
-                        .pair_indices
-                        .iter()
-                        .map(|&pi| {
+                        .pair_indices()
+                        .map(|pi| {
                             let (u, v) = pairs[pi];
                             let pair = sketch.estimate(FreqSketch::pair_key(u, v));
                             let community = sketch
@@ -1279,121 +1336,98 @@ impl DynamicSkipGraph {
                         subtree_demand,
                         subtree_size,
                     }
-                })
-                .collect();
-            let verdicts = gate.judge(&signals, brownout);
-            let mut admitted = Vec::with_capacity(clusters.len());
-            for (cluster, verdict) in clusters.into_iter().zip(verdicts) {
-                match verdict {
-                    Admission::Hot => admitted.push(cluster),
+                }));
+            gate.judge(&scratch.signals, brownout, &mut scratch.verdicts);
+            let mut verdicts = scratch.verdicts.iter();
+            scratch.clusters.retain(|cluster| {
+                match verdicts.next().expect("one verdict per cluster") {
+                    Admission::Hot => true,
                     Admission::Budgeted => {
                         counters.restructures_budgeted += 1;
-                        admitted.push(cluster);
+                        true
                     }
                     Admission::Gated => {
+                        let routed = u64::from(cluster.pairs.count_ones());
                         if brownout {
-                            counters.pairs_browned_out += cluster.pair_indices.len() as u64;
+                            counters.pairs_browned_out += routed;
                         } else {
-                            counters.pairs_gated += cluster.pair_indices.len() as u64;
+                            counters.pairs_gated += routed;
                         }
-                        gated_clusters.push(cluster);
+                        gated |= cluster.pairs;
+                        false
                     }
                 }
-            }
-            admitted
-        } else {
-            clusters
-        };
-        counters.clusters = clusters.len() + gated_clusters.len();
-        counters.planned_clusters = clusters.len();
-
-        // Phase A-plan, all clusters (concurrently on worker shards when
-        // configured): steps 1b–9 — member snapshot, pre-merge group
-        // snapshots, and the transformation proper — run against a
-        // *read-only* graph and state table, recording the state writes per
-        // cluster ([`StateDelta`]). Clusters rebuild provably disjoint
-        // subtrees, every planning read is confined to the cluster's own
-        // subtree (or install-invariant), and every random draw is derived
-        // per cluster rather than from a shared stream, so the plans are a
-        // pure function of the pre-epoch structure — independent of
-        // planning order and shard count (`tests/shard_equivalence.rs`
-        // pins this bit for bit). The same plan-then-apply order runs at
-        // `shards = 1`, just inline.
-        let plan_started = Instant::now();
-        let plan_shard_target = self.config.shards.min(clusters.len()).max(1);
-        while self.plan_shards_scratch.len() < plan_shard_target {
-            self.plan_shards_scratch
-                .push(PlanShard::from_config(&self.config));
+            });
         }
-        let mut cluster_runs: Vec<ClusterRun> = Vec::with_capacity(clusters.len());
-        {
+        let admitted = self.scratch.clusters.len();
+        counters.planned_clusters = admitted;
+        while self.scratch.cluster_bufs.len() < admitted {
+            self.scratch.cluster_bufs.push(ClusterBufs::default());
+        }
+
+        // Phase A-plan, all admitted clusters (concurrently on worker
+        // shards when configured): steps 1b–9 — member snapshot,
+        // pre-merge group snapshots, and the transformation proper — run
+        // against a *read-only* graph and state table, recording the state
+        // writes per cluster ([`StateDelta`]). Clusters rebuild provably
+        // disjoint subtrees, every planning read is confined to the
+        // cluster's own subtree (or install-invariant), and every random
+        // draw is derived per cluster rather than from a shared stream, so
+        // the plans are a pure function of the pre-epoch structure —
+        // independent of planning order and shard count
+        // (`tests/shard_equivalence.rs` pins this bit for bit). The same
+        // plan-then-apply order runs at `shards = 1`, just inline. An
+        // epoch the gate declined entirely skips this and every later
+        // stage but the clock and the outcomes.
+        if admitted > 0 {
+            let plan_started = Instant::now();
+            let plan_shard_target = self.config.shards.min(admitted);
+            while self.plan_shards_scratch.len() < plan_shard_target {
+                self.plan_shards_scratch
+                    .push(PlanShard::from_config(&self.config));
+            }
             let graph = &self.graph;
             let states = &self.states;
             let config = &self.config;
-            // One pooled snapshot buffer per cluster (recycled at epoch
-            // end), one planning scratch per shard.
-            let mut bufs: Vec<ClusterBufs> = (0..clusters.len())
-                .map(|_| self.bufs_pool.pop().unwrap_or_default())
-                .collect();
-            let mut shard_scratch = std::mem::take(&mut self.plan_shards_scratch);
+            let clusters = &self.scratch.clusters;
+            let ids = &self.scratch.ids;
+            let runs = &mut self.scratch.cluster_bufs[..admitted];
             if plan_shard_target <= 1 {
-                let shard = &mut shard_scratch[0];
-                for (cluster, b) in clusters.iter().zip(bufs.drain(..)) {
-                    cluster_runs.push(plan_cluster(
-                        graph, states, config, shard, b, cluster, &ids, t0,
-                    ));
+                let shard = &mut self.plan_shards_scratch[0];
+                for (cluster, bufs) in clusters.iter().zip(runs) {
+                    plan_cluster(graph, states, config, shard, bufs, cluster, ids, t0);
                 }
             } else {
-                let mut slots: Vec<Option<ClusterRun>> =
-                    (0..clusters.len()).map(|_| None).collect();
-                // Hand each shard its round-robin share of (cluster, bufs)
-                // jobs; any assignment yields identical plans.
-                let mut jobs: Vec<Vec<(usize, ClusterBufs)>> =
+                // Hand each shard its round-robin share of the clusters;
+                // any assignment yields identical plans.
+                let mut jobs: Vec<Vec<(&ClusterPlan, &mut ClusterBufs)>> =
                     (0..plan_shard_target).map(|_| Vec::new()).collect();
-                for (ci, b) in bufs.drain(..).enumerate() {
-                    jobs[ci % plan_shard_target].push((ci, b));
+                for (ci, job) in clusters.iter().zip(runs).enumerate() {
+                    jobs[ci % plan_shard_target].push(job);
                 }
                 std::thread::scope(|scope| {
-                    let clusters = &clusters;
-                    let ids = &ids;
-                    let handles: Vec<_> = shard_scratch
+                    let handles: Vec<_> = self
+                        .plan_shards_scratch
                         .iter_mut()
-                        .take(plan_shard_target)
-                        .zip(jobs.drain(..))
+                        .zip(jobs)
                         .map(|(shard, jobs)| {
                             scope.spawn(move || {
-                                let mut planned = Vec::new();
-                                for (ci, b) in jobs {
-                                    planned.push((
-                                        ci,
-                                        plan_cluster(
-                                            graph,
-                                            states,
-                                            config,
-                                            shard,
-                                            b,
-                                            &clusters[ci],
-                                            ids,
-                                            t0,
-                                        ),
-                                    ));
+                                for (cluster, bufs) in jobs {
+                                    plan_cluster(
+                                        graph, states, config, shard, bufs, cluster, ids, t0,
+                                    );
                                 }
-                                planned
                             })
                         })
                         .collect();
                     for handle in handles {
-                        for (ci, run) in handle.join().expect("plan shard panicked") {
-                            slots[ci] = Some(run);
-                        }
+                        handle.join().expect("plan shard panicked");
                     }
                 });
-                cluster_runs.extend(slots.into_iter().map(|slot| slot.expect("cluster planned")));
             }
-            self.plan_shards_scratch = shard_scratch;
+            counters.plan_wall_ns = plan_started.elapsed().as_nanos() as u64;
+            counters.plan_shards = plan_shard_target;
         }
-        counters.plan_wall_ns = plan_started.elapsed().as_nanos() as u64;
-        counters.plan_shards = plan_shard_target;
 
         // Phase A-apply, per cluster in submission order: replay the
         // recorded state writes, then steps 10–11 per pair — group-ids and
@@ -1418,302 +1452,257 @@ impl DynamicSkipGraph {
         if let Some(sketch) = self.sketch.as_mut() {
             counters.sketch_aging_passes = sketch.commit();
         }
-        for (cluster, run) in clusters.iter().zip(&mut cluster_runs) {
-            let outcome = &run.bufs.outcome;
-            self.states.apply_delta(&outcome.delta);
+        // Scope of the next `validate_fast` call: the lists this epoch's
+        // install touched, none if it installed nothing.
+        self.last_affected.clear();
+        if admitted > 0 {
             let scratch = &mut self.scratch;
-            let mut group_rounds = Vec::with_capacity(cluster.pair_indices.len());
-            for (j, &pi) in cluster.pair_indices.iter().enumerate() {
-                let (u_id, v_id) = ids[pi];
-                let group_input = GroupUpdateInput {
-                    u: u_id,
-                    v: v_id,
-                    alpha: cluster.root_level,
-                    members_alpha: &run.bufs.members,
-                    outcome,
-                };
-                let group_outcome = groups::apply_group_updates(
-                    &self.graph,
-                    &mut self.states,
-                    &group_input,
-                    &mut scratch.groups,
-                );
-                group_rounds.push(group_outcome.rounds);
-                let ts_input = TimestampInput {
-                    u: u_id,
-                    v: v_id,
-                    t: t0 + pi as u64 + 1,
-                    alpha: cluster.root_level,
-                    pair: j,
-                    members_alpha: &run.bufs.members,
-                    glower_recipients: &scratch.groups.recipients,
-                    outcome,
-                };
-                timestamps::apply_timestamp_rules(&self.graph, &mut self.states, &ts_input);
+            for (cluster, run) in scratch.clusters.iter().zip(&mut scratch.cluster_bufs) {
+                let outcome = &run.outcome;
+                self.states.apply_delta(&outcome.delta);
+                run.group_rounds.clear();
+                for (j, pi) in cluster.pair_indices().enumerate() {
+                    let (u_id, v_id) = scratch.ids[pi];
+                    let group_input = GroupUpdateInput {
+                        u: u_id,
+                        v: v_id,
+                        alpha: cluster.root_level,
+                        members_alpha: &run.members,
+                        outcome,
+                    };
+                    let group_outcome = groups::apply_group_updates(
+                        &self.graph,
+                        &mut self.states,
+                        &group_input,
+                        &mut scratch.groups,
+                    );
+                    run.group_rounds.push(group_outcome.rounds);
+                    let ts_input = TimestampInput {
+                        u: u_id,
+                        v: v_id,
+                        t: t0 + pi as u64 + 1,
+                        alpha: cluster.root_level,
+                        pair: j,
+                        members_alpha: &run.members,
+                        glower_recipients: &scratch.groups.recipients,
+                        outcome,
+                    };
+                    timestamps::apply_timestamp_rules(&self.graph, &mut self.states, &ts_input);
+                }
             }
-            run.group_rounds = group_rounds;
-        }
 
-        // Phase B: the install. The concatenated diff plans of every
-        // cluster go in ONE ordered splice pass — clusters rebuild disjoint
-        // subtrees, so the merged batch touches each node at most once and
-        // disjoint target lists commute.
-        let changes: Cow<'_, [MembershipUpdate]> = match cluster_runs.as_slice() {
-            [run] => Cow::Borrowed(&run.bufs.outcome.changes),
-            runs => runs
-                .iter()
-                .flat_map(|run| run.bufs.outcome.changes.iter().copied())
-                .collect(),
-        };
-        counters.touched_pairs = self
-            .graph
-            .apply_membership_batch_collecting(&changes, &mut self.scratch.affected)?;
-        // A fully-gated epoch pushes nothing; don't count a pass.
-        counters.install_passes = usize::from(!cluster_runs.is_empty());
+            // Phase B: the install. The concatenated diff plans of every
+            // cluster go in ONE ordered splice pass — clusters rebuild
+            // disjoint subtrees, so the merged batch touches each node at
+            // most once and disjoint target lists commute.
+            let changes: &[MembershipUpdate] = match &scratch.cluster_bufs[..admitted] {
+                [run] => &run.outcome.changes,
+                runs => {
+                    scratch.changes.clear();
+                    for run in runs {
+                        scratch.changes.extend_from_slice(&run.outcome.changes);
+                    }
+                    &scratch.changes
+                }
+            };
+            counters.touched_pairs = self
+                .graph
+                .apply_membership_batch_collecting(changes, &mut scratch.affected)?;
 
-        // Phase C-plan: the dummy-reconciliation detection pass is a pure
-        // read of the post-install graph, so the plans of ALL clusters are
-        // computed up front — concurrently across clusters when the epoch
-        // has several, chunked across shards inside the single cluster's
-        // scan otherwise — and applied serially below in submission order.
-        // Repairs of one cluster never touch another cluster's subtree
-        // lists (roots are pairwise prefix-incomparable and a repair
-        // dummy's prefix extends its own cluster's root), so the
-        // pre-computed plans stay exact.
-        //
-        // The merged install collected one epoch-wide affected set; sort and
-        // deduplicate it once, for the scans below and for
-        // `validate_fast`. Deduplicating matters: a list freed and
-        // re-created within one install pass appears twice in the
-        // collected set, and each duplicate would re-scan the list (and
-        // re-sight its dummies) for nothing.
-        self.scratch.affected.sort_unstable();
-        self.scratch.affected.dedup();
-        let cluster_affected_all: Vec<Vec<(usize, Prefix)>> = clusters
-            .iter()
-            .map(|cluster| {
+            // Phase C-plan: the dummy-reconciliation detection pass is a
+            // pure read of the post-install graph, so the plans of ALL
+            // clusters are computed up front — concurrently across clusters
+            // when the epoch has several, chunked across shards inside the
+            // single cluster's scan otherwise — and applied serially below
+            // in submission order. Repairs of one cluster never touch
+            // another cluster's subtree lists (roots are pairwise
+            // prefix-incomparable and a repair dummy's prefix extends its
+            // own cluster's root), so the pre-computed plans stay exact.
+            //
+            // The merged install collected one epoch-wide affected set;
+            // sort and deduplicate it once, for the scans below and for
+            // `validate_fast`. Deduplicating matters: a list freed and
+            // re-created within one install pass appears twice in the
+            // collected set, and each duplicate would re-scan the list (and
+            // re-sight its dummies) for nothing.
+            scratch.affected.sort_unstable();
+            scratch.affected.dedup();
+            while scratch.cluster_affected.len() < admitted {
+                scratch.cluster_affected.push(Vec::new());
+            }
+            while scratch.reconcile_plans.len() < admitted {
+                scratch
+                    .reconcile_plans
+                    .push(dummy::ReconcilePlan::default());
+            }
+            for (cluster, affected) in scratch.clusters.iter().zip(&mut scratch.cluster_affected) {
                 // Every entry lies in exactly one cluster's subtree; the
                 // filter keeps the sorted order.
-                self.scratch
-                    .affected
-                    .iter()
-                    .copied()
-                    .filter(|(level, prefix)| {
-                        *level >= cluster.root_level && cluster.root_prefix.is_prefix_of(prefix)
-                    })
-                    .collect()
-            })
-            .collect();
-        let plan_c_started = Instant::now();
-        let a = self.config.a;
-        // One pooled plan shell per cluster (recycled at epoch end).
-        let mut shells: Vec<dummy::ReconcilePlan> = (0..clusters.len())
-            .map(|_| self.reconcile_pool.pop().unwrap_or_default())
-            .collect();
-        let mut reconcile_plans: Vec<dummy::ReconcilePlan> = Vec::with_capacity(clusters.len());
-        if clusters.len() > 1 && self.config.shards > 1 {
+                affected.clear();
+                affected.extend(scratch.affected.iter().copied().filter(|(level, prefix)| {
+                    *level >= cluster.root_level && cluster.root_prefix.is_prefix_of(prefix)
+                }));
+            }
+            let plan_c_started = Instant::now();
+            let a = self.config.a;
             let graph = &self.graph;
-            let shard_count = self.config.shards.min(clusters.len());
-            let mut slots: Vec<Option<dummy::ReconcilePlan>> =
-                (0..clusters.len()).map(|_| None).collect();
-            let mut jobs: Vec<Vec<(usize, dummy::ReconcilePlan)>> =
-                (0..shard_count).map(|_| Vec::new()).collect();
-            for (ci, shell) in shells.drain(..).enumerate() {
-                jobs[ci % shard_count].push((ci, shell));
-            }
-            std::thread::scope(|scope| {
-                let clusters = &clusters;
-                let affected_all = &cluster_affected_all;
-                let handles: Vec<_> = jobs
-                    .drain(..)
-                    .map(|jobs| {
-                        scope.spawn(move || {
-                            let mut planned = Vec::new();
-                            for (ci, mut shell) in jobs {
-                                dummy::plan_reconciliation(
-                                    graph,
-                                    a,
-                                    clusters[ci].root_level,
-                                    &affected_all[ci],
-                                    1,
-                                    &mut shell,
-                                );
-                                planned.push((ci, shell));
-                            }
-                            planned
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (ci, plan) in handle.join().expect("reconcile plan shard panicked") {
-                        slots[ci] = Some(plan);
-                    }
+            let clusters = &scratch.clusters;
+            let cluster_affected = &scratch.cluster_affected;
+            let plans = &mut scratch.reconcile_plans[..admitted];
+            if admitted > 1 && self.config.shards > 1 {
+                let shard_count = self.config.shards.min(admitted);
+                let mut jobs: Vec<Vec<(usize, &mut dummy::ReconcilePlan)>> =
+                    (0..shard_count).map(|_| Vec::new()).collect();
+                for (ci, plan) in plans.iter_mut().enumerate() {
+                    jobs[ci % shard_count].push((ci, plan));
                 }
-            });
-            reconcile_plans.extend(slots.into_iter().map(|slot| slot.expect("cluster planned")));
-            counters.plan_shards = counters.plan_shards.max(shard_count);
-        } else {
-            for ((cluster, affected), mut shell) in clusters
-                .iter()
-                .zip(&cluster_affected_all)
-                .zip(shells.drain(..))
-            {
-                dummy::plan_reconciliation(
-                    &self.graph,
-                    a,
-                    cluster.root_level,
-                    affected,
-                    self.config.shards,
-                    &mut shell,
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = jobs
+                        .into_iter()
+                        .map(|jobs| {
+                            scope.spawn(move || {
+                                for (ci, plan) in jobs {
+                                    dummy::plan_reconciliation(
+                                        graph,
+                                        a,
+                                        clusters[ci].root_level,
+                                        &cluster_affected[ci],
+                                        1,
+                                        plan,
+                                    );
+                                }
+                            })
+                        })
+                        .collect();
+                    for handle in handles {
+                        handle.join().expect("reconcile plan shard panicked");
+                    }
+                });
+                counters.plan_shards = counters.plan_shards.max(shard_count);
+            } else {
+                for ((cluster, affected), plan) in clusters.iter().zip(cluster_affected).zip(plans)
+                {
+                    dummy::plan_reconciliation(
+                        graph,
+                        a,
+                        cluster.root_level,
+                        affected,
+                        self.config.shards,
+                        plan,
+                    );
+                }
+                counters.plan_shards = counters.plan_shards.max(
+                    self.config
+                        .shards
+                        .clamp(1, cluster_affected[0].len().max(1)),
                 );
-                reconcile_plans.push(shell);
             }
-            if let Some(first) = cluster_affected_all.first() {
-                counters.plan_shards = counters
-                    .plan_shards
-                    .max(self.config.shards.clamp(1, first.len().max(1)));
-            }
-        }
-        counters.plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
+            counters.plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
 
-        // Phase C-apply, per cluster in submission order: the reconciling
-        // dummy lifecycle over the lists this cluster's install actually
-        // changed, then the per-request outcome assembly. The plan's fused
-        // detection pass inventoried the standing dummies of the rebuilt
-        // lists (their prefix paths joined the re-check set exactly as if
-        // they were destroyed); the apply reclaims the standing dummies
-        // whose break re-derives onto them, bulk-splices the genuinely new
-        // ones, and sweeps only the genuinely stale ones.
-        let mut outcomes: Vec<Option<RequestOutcome>> = pairs.iter().map(|_| None).collect();
-        for ((cluster, run), mut plan) in clusters.iter().zip(&cluster_runs).zip(reconcile_plans) {
-            let protect: Vec<(Key, Key)> = cluster
-                .pair_indices
+            // Phase C-apply, per cluster in submission order: the
+            // reconciling dummy lifecycle over the lists this cluster's
+            // install actually changed, then the per-request outcomes. The
+            // plan's fused detection pass inventoried the standing dummies
+            // of the rebuilt lists (their prefix paths joined the re-check
+            // set exactly as if they were destroyed); the apply reclaims
+            // the standing dummies whose break re-derives onto them,
+            // bulk-splices the genuinely new ones, and sweeps only the
+            // genuinely stale ones.
+            for ((cluster, run), plan) in scratch
+                .clusters
                 .iter()
-                .map(|&pi| {
+                .zip(&scratch.cluster_bufs)
+                .zip(&mut scratch.reconcile_plans)
+            {
+                scratch.protect.clear();
+                scratch.protect.extend(cluster.pair_indices().map(|pi| {
                     (
                         Self::internal_key(pairs[pi].0),
                         Self::internal_key(pairs[pi].1),
                     )
-                })
-                .collect();
-            let repair = dummy::repair_balance_reconciling_planned(
-                &mut self.graph,
-                &mut self.states,
-                self.config.a,
-                &protect,
-                cluster.root_level,
-                &mut plan,
-                &mut self.scratch.reconcile,
-            );
-            self.reconcile_pool.push(plan);
-            counters.dummies_destroyed += repair.destroyed;
-            counters.dummies_reused += repair.reused;
-            counters.dummies_bulk_inserted += repair.bulk_inserted;
-            self.stats.dummy_nodes_created += repair.bulk_inserted;
-            let dummies_inserted = repair.placed.len();
-            counters.dummies_inserted += dummies_inserted;
+                }));
+                let repair = dummy::repair_balance_reconciling_planned(
+                    &mut self.graph,
+                    &mut self.states,
+                    self.config.a,
+                    &scratch.protect,
+                    cluster.root_level,
+                    plan,
+                    &mut scratch.reconcile,
+                );
+                counters.dummies_destroyed += repair.destroyed;
+                counters.dummies_reused += repair.reused;
+                counters.dummies_bulk_inserted += repair.bulk_inserted;
+                self.stats.dummy_nodes_created += repair.bulk_inserted;
+                let dummies_inserted = repair.placed.len();
+                counters.dummies_inserted += dummies_inserted;
 
-            // Per-request outcomes: cluster-level rounds and counters are
-            // attributed to the first request of the cluster so that sums
-            // over the epoch equal the epoch totals.
-            let height_after = self.graph.height();
-            for (j, &pi) in cluster.pair_indices.iter().enumerate() {
-                let first = j == 0;
-                let outcome = &run.bufs.outcome;
-                let breakdown = CostBreakdown {
-                    routing_cost: routing_costs[pi],
-                    notification_rounds: if first { run.notification_rounds } else { 0 },
-                    median_rounds: if first { outcome.median_rounds } else { 0 },
-                    group_accounting_rounds: run.group_rounds[j]
-                        + if first {
-                            outcome.group_accounting_rounds
+                // Per-request outcomes: cluster-level rounds and counters
+                // are attributed to the first request of the cluster so
+                // that sums over the epoch equal the epoch totals.
+                let height_after = self.graph.height();
+                let outcome = &run.outcome;
+                for (j, pi) in cluster.pair_indices().enumerate() {
+                    let first = j == 0;
+                    let request = &mut outcomes[pi];
+                    request.breakdown = CostBreakdown {
+                        routing_cost: request.routing_cost,
+                        notification_rounds: if first { run.notification_rounds } else { 0 },
+                        median_rounds: if first { outcome.median_rounds } else { 0 },
+                        group_accounting_rounds: run.group_rounds[j]
+                            + if first {
+                                outcome.group_accounting_rounds
+                            } else {
+                                0
+                            },
+                        restructuring_rounds: if first {
+                            outcome.restructuring_rounds + repair.rounds
                         } else {
                             0
                         },
-                    restructuring_rounds: if first {
-                        outcome.restructuring_rounds + repair.rounds
-                    } else {
-                        0
-                    },
-                };
-                self.stats.record(&breakdown, height_after);
-                outcomes[pi] = Some(RequestOutcome {
-                    time: t0 + pi as u64 + 1,
-                    routing_cost: routing_costs[pi],
-                    alpha: alphas[pi],
-                    pair_level: outcome.pair_levels[j],
-                    touched_pairs: if first { outcome.touched_pairs } else { 0 },
-                    breakdown,
-                    height_after,
-                    dummies_inserted: if first { dummies_inserted } else { 0 },
-                });
-            }
-        }
-        // Gated clusters: routed only. Each request is charged its routing
-        // cost (no transformation rounds — the whole point of the gate),
-        // keeps its pre-epoch α as the pair level (the pair was not lifted
-        // into a two-node list), and touches nothing.
-        if !gated_clusters.is_empty() {
-            let height_after = self.graph.height();
-            for cluster in &gated_clusters {
-                for &pi in &cluster.pair_indices {
-                    let breakdown = CostBreakdown {
-                        routing_cost: routing_costs[pi],
-                        ..CostBreakdown::default()
                     };
-                    self.stats.record(&breakdown, height_after);
-                    outcomes[pi] = Some(RequestOutcome {
-                        time: t0 + pi as u64 + 1,
-                        routing_cost: routing_costs[pi],
-                        alpha: alphas[pi],
-                        pair_level: alphas[pi],
-                        touched_pairs: 0,
-                        breakdown,
-                        height_after,
-                        dummies_inserted: 0,
-                    });
+                    request.pair_level = outcome.pair_levels[j];
+                    request.touched_pairs = if first { outcome.touched_pairs } else { 0 };
+                    request.height_after = height_after;
+                    request.dummies_inserted = if first { dummies_inserted } else { 0 };
+                    self.stats.record(&request.breakdown, height_after);
                 }
             }
+            self.last_affected.extend_from_slice(&scratch.affected);
         }
-        // Scope of the next `validate_fast` call: the lists this epoch's
-        // install touched.
-        self.last_affected.clear();
-        self.last_affected.extend_from_slice(&self.scratch.affected);
-
-        // Recycle the clusters' snapshot buffers for the next epoch.
-        self.bufs_pool
-            .extend(cluster_runs.drain(..).map(|run| run.bufs));
+        // Gated clusters: routed only, with the outcomes routing gave them.
+        if gated != 0 {
+            let height_after = self.graph.height();
+            for pi in set_bits(gated) {
+                let outcome = &mut outcomes[pi];
+                outcome.height_after = height_after;
+                self.stats.record(&outcome.breakdown, height_after);
+            }
+        }
         self.stats.counters += counters;
         self.phase = EpochPhase::Idle;
-
-        Ok(EpochReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every pair belongs to exactly one cluster"))
-                .collect(),
-            counters,
-        })
+        Ok(EpochReport { outcomes, counters })
     }
 }
 
 /// The *plan* job of one cluster — everything of phase A that reads the
 /// pre-epoch structure: member snapshot, notification accounting, and the
 /// transformation proper (planned, state writes recorded, the pre-merge
-/// group snapshots the timestamp rules need included). Borrows the graph, states
-/// and config immutably, so disjoint clusters can run on scoped worker
-/// threads; the median engine is the per-shard scratch, reseeded per
-/// cluster.
+/// group snapshots the timestamp rules need included), written into the
+/// cluster's `bufs`. Borrows the graph, states and config immutably, so
+/// disjoint clusters can run on scoped worker threads; the median engine
+/// is the per-shard scratch, reseeded per cluster.
 #[allow(clippy::too_many_arguments)]
 fn plan_cluster(
     graph: &SkipGraph,
     states: &StateTable,
     config: &DsgConfig,
     shard: &mut PlanShard,
-    mut bufs: ClusterBufs,
+    bufs: &mut ClusterBufs,
     cluster: &ClusterPlan,
     ids: &[(NodeId, NodeId)],
     t0: u64,
-) -> ClusterRun {
+) {
     // Fault-injection site: a panic here unwinds out of a plan worker while
     // the engine is still untouched — the scenario the plan-abort
     // containment (engine bit-for-bit preserved) is tested against.
@@ -1726,28 +1715,26 @@ fn plan_cluster(
     );
     // Broadcasting the notification through the sub skip graph rooted at
     // the cluster root takes O(a · log |l_α|) rounds.
-    let notification_rounds =
+    bufs.notification_rounds =
         1 + config.a * (bufs.members.len().max(2) as f64).log2().ceil() as usize;
 
     // Steps 2–9: the transformation proper (one engine run for the whole
     // cluster), planned against the read-only state table.
-    let tpairs: Vec<TransformPair> = cluster
-        .pair_indices
-        .iter()
-        .map(|&pi| TransformPair {
+    bufs.pairs.clear();
+    bufs.pairs
+        .extend(cluster.pair_indices().map(|pi| TransformPair {
             u: ids[pi].0,
             v: ids[pi].1,
             t: t0 + pi as u64 + 1,
-        })
-        .collect();
+        }));
     let input = TransformInput {
-        pairs: &tpairs,
+        pairs: &bufs.pairs,
         alpha: cluster.root_level,
         a: config.a,
     };
     shard
         .median
-        .reseed_for_cluster(config.seed, t0 + cluster.pair_indices[0] as u64 + 1);
+        .reseed_for_cluster(config.seed, t0 + cluster.first_pair() as u64 + 1);
     transform::plan_transformation(
         graph,
         states,
@@ -1757,31 +1744,22 @@ fn plan_cluster(
         &mut shard.transform,
         &mut bufs.outcome,
     );
-
-    ClusterRun {
-        group_rounds: Vec::new(),
-        notification_rounds,
-        bufs,
-    }
 }
 
-/// Groups the epoch's pairs into clusters of overlapping `l_α` subtrees:
-/// two pairs belong to one cluster when their root prefixes are comparable
-/// (one is a prefix of the other), transitively. Each cluster's root is
-/// the meet (longest common prefix) of its members' roots, recomputed
-/// until no two cluster roots remain comparable, so distinct clusters
-/// rebuild provably disjoint subtrees. Clusters are returned in submission
-/// order of their first pair.
-fn cluster_pairs(alphas: &[usize], prefixes: &[Prefix]) -> Vec<ClusterPlan> {
-    let mut clusters: Vec<ClusterPlan> = prefixes
-        .iter()
-        .enumerate()
-        .map(|(i, &prefix)| ClusterPlan {
-            root_level: alphas[i],
-            root_prefix: prefix,
-            pair_indices: vec![i],
-        })
-        .collect();
+/// Groups the epoch's pairs into `clusters` (cleared first) of overlapping
+/// `l_α` subtrees: two pairs belong to one cluster when their root
+/// prefixes are comparable (one is a prefix of the other), transitively.
+/// Each cluster's root is the meet (longest common prefix) of its members'
+/// roots, recomputed until no two cluster roots remain comparable, so
+/// distinct clusters rebuild provably disjoint subtrees. Clusters come out
+/// in submission order of their first pair.
+fn cluster_pairs(prefixes: &[Prefix], clusters: &mut Vec<ClusterPlan>) {
+    clusters.clear();
+    clusters.extend(prefixes.iter().enumerate().map(|(i, &prefix)| ClusterPlan {
+        root_level: prefix.level(),
+        root_prefix: prefix,
+        pairs: 1 << i,
+    }));
     loop {
         let mut merged_any = false;
         'scan: for i in 0..clusters.len() {
@@ -1793,8 +1771,7 @@ fn cluster_pairs(alphas: &[usize], prefixes: &[Prefix]) -> Vec<ClusterPlan> {
                     let keeper = &mut clusters[i];
                     keeper.root_prefix = prefix_meet(a, b);
                     keeper.root_level = keeper.root_prefix.level();
-                    keeper.pair_indices.extend(absorbed.pair_indices);
-                    keeper.pair_indices.sort_unstable();
+                    keeper.pairs |= absorbed.pairs;
                     merged_any = true;
                     break 'scan;
                 }
@@ -1804,8 +1781,8 @@ fn cluster_pairs(alphas: &[usize], prefixes: &[Prefix]) -> Vec<ClusterPlan> {
             break;
         }
     }
-    clusters.sort_by_key(|c| c.pair_indices[0]);
-    clusters
+    // First pairs are distinct, so the unstable sort is deterministic.
+    clusters.sort_unstable_by_key(ClusterPlan::first_pair);
 }
 
 /// The longest common prefix of two prefixes.

@@ -145,7 +145,7 @@ mod tests {
             epoch: 1,
             counters: EpochCounters {
                 clusters: 1,
-                install_passes: 1,
+                planned_clusters: 1,
                 touched_pairs: 5,
                 ..EpochCounters::default()
             },

@@ -103,43 +103,52 @@ impl AdmissionGate {
         amortized || max_estimate >= self.threshold
     }
 
-    /// Judges a whole epoch at once, returning one verdict per signal
-    /// (same order). Hot clusters are judged first; the restructure
-    /// budget is then spent on the *hottest* cold clusters — descending
-    /// `max_estimate`, ties broken by cluster index (submission order) —
-    /// instead of first-come-first-served, so a budget slot is never
-    /// wasted on a cluster colder than one later in the same epoch.
+    /// Judges a whole epoch at once, writing one verdict per signal (same
+    /// order) into `verdicts`, which it clears first. Hot clusters are
+    /// judged first; the restructure budget is then spent on the
+    /// *hottest* cold clusters — descending `max_estimate`, ties broken by
+    /// cluster index (submission order) — instead of
+    /// first-come-first-served, so a budget slot is never wasted on a
+    /// cluster colder than one later in the same epoch. The cold clusters
+    /// are ranked only while budget remains: with none left (the default
+    /// budget is 0) judging costs one pass over the signals.
     ///
     /// Under `brownout` the gate degrades to route-only verdicts for all
     /// cold traffic: the budget and the subtree-amortization signal are
     /// suspended, and only member-heat-hot clusters restructure — the
     /// bounded-latency mode the service's overload controller forces
     /// while queue sojourn is above target.
-    pub fn judge(&mut self, signals: &[ClusterSignal], brownout: bool) -> Vec<Admission> {
-        let mut verdicts = vec![Admission::Gated; signals.len()];
-        let mut cold: Vec<usize> = Vec::new();
-        for (i, s) in signals.iter().enumerate() {
+    pub fn judge(
+        &mut self,
+        signals: &[ClusterSignal],
+        brownout: bool,
+        verdicts: &mut Vec<Admission>,
+    ) {
+        verdicts.clear();
+        verdicts.extend(signals.iter().map(|s| {
             let hot = if brownout {
                 s.max_estimate >= self.threshold
             } else {
                 self.is_hot(s.max_estimate, s.subtree_demand, s.subtree_size)
             };
             if hot {
-                verdicts[i] = Admission::Hot;
+                Admission::Hot
             } else {
-                cold.push(i);
+                Admission::Gated
             }
+        }));
+        if brownout {
+            return;
         }
-        if !brownout && self.budget_remaining > 0 {
-            // Stable sort: descending heat, ties keep ascending index.
-            cold.sort_by_key(|&i| std::cmp::Reverse(signals[i].max_estimate));
-            let spend = cold.len().min(self.budget_remaining as usize);
-            for &i in cold.iter().take(spend) {
-                verdicts[i] = Admission::Budgeted;
-            }
-            self.budget_remaining -= spend as u32;
+        while self.budget_remaining > 0 {
+            // The hottest cluster still gated, the earliest on ties.
+            let hottest = (0..signals.len())
+                .filter(|&i| verdicts[i] == Admission::Gated)
+                .max_by_key(|&i| (signals[i].max_estimate, std::cmp::Reverse(i)));
+            let Some(i) = hottest else { break };
+            verdicts[i] = Admission::Budgeted;
+            self.budget_remaining -= 1;
         }
-        verdicts
     }
 }
 
@@ -176,6 +185,18 @@ mod tests {
         assert_eq!(gate.decide(0, 0, 1 << 20), Admission::Hot);
     }
 
+    /// Judges into a buffer left over from an earlier epoch, which
+    /// `judge` must clear.
+    fn judged(
+        gate: &mut AdmissionGate,
+        signals: &[ClusterSignal],
+        brownout: bool,
+    ) -> Vec<Admission> {
+        let mut verdicts = vec![Admission::Hot; 3];
+        gate.judge(signals, brownout, &mut verdicts);
+        verdicts
+    }
+
     fn signal(max_estimate: u32) -> ClusterSignal {
         let (subtree_demand, subtree_size) = COLD_TREE;
         ClusterSignal {
@@ -191,27 +212,34 @@ mod tests {
         // 1, 3, 2 — FCFS would admit index 0; hottest-first must admit
         // index 1 and gate the rest.
         let mut gate = AdmissionGate::new(5, 1);
-        let verdicts = gate.judge(&[signal(1), signal(3), signal(2)], false);
+        let verdicts = judged(&mut gate, &[signal(1), signal(3), signal(2)], false);
         assert_eq!(
             verdicts,
             vec![Admission::Gated, Admission::Budgeted, Admission::Gated]
         );
         // The budget is spent: a second epoch-judgement on the same gate
         // admits nothing cold.
-        assert_eq!(gate.judge(&[signal(4)], false), vec![Admission::Gated]);
+        assert_eq!(
+            judged(&mut gate, &[signal(4)], false),
+            vec![Admission::Gated]
+        );
     }
 
     #[test]
     fn budget_ties_break_by_submission_order() {
         let mut gate = AdmissionGate::new(5, 1);
-        let verdicts = gate.judge(&[signal(2), signal(2)], false);
+        let verdicts = judged(&mut gate, &[signal(2), signal(2)], false);
         assert_eq!(verdicts, vec![Admission::Budgeted, Admission::Gated]);
     }
 
     #[test]
     fn judge_admits_hot_clusters_without_spending_budget() {
         let mut gate = AdmissionGate::new(2, 2);
-        let verdicts = gate.judge(&[signal(5), signal(1), signal(0), signal(3)], false);
+        let verdicts = judged(
+            &mut gate,
+            &[signal(5), signal(1), signal(0), signal(3)],
+            false,
+        );
         assert_eq!(
             verdicts,
             vec![
@@ -233,13 +261,16 @@ mod tests {
             subtree_demand: 64,
             subtree_size: 16,
         };
-        let verdicts = gate.judge(&[signal(1), amortized_hot, signal(3)], true);
+        let verdicts = judged(&mut gate, &[signal(1), amortized_hot, signal(3)], true);
         assert_eq!(
             verdicts,
             vec![Admission::Gated, Admission::Gated, Admission::Hot]
         );
         // The budget was not touched by the brownout epoch.
-        assert_eq!(gate.judge(&[signal(0)], false), vec![Admission::Budgeted]);
+        assert_eq!(
+            judged(&mut gate, &[signal(0)], false),
+            vec![Admission::Budgeted]
+        );
     }
 
     #[test]

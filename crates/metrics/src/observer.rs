@@ -124,7 +124,7 @@ mod tests {
         assert_eq!(metrics.epochs, 2);
         assert_eq!(metrics.routing_costs.len(), 4);
         assert_eq!(metrics.heights.len(), 4);
-        assert!(metrics.counters.install_passes >= 2);
+        assert!(metrics.counters.planned_clusters >= 2);
         assert!(metrics.avg_routing() >= 0.0);
         // The stats the engine accumulated agree with the observer series.
         assert_eq!(

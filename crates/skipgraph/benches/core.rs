@@ -1,7 +1,10 @@
 //! Criterion benchmarks for the skip graph core: O(1) neighbour reads and
 //! routing on the intrusive linked-list arena versus the naive index-based
 //! reference representation (`dsg_skipgraph::reference`), at the sizes in
-//! [`SIZES`]. End-to-end request throughput is `perfbench/`'s to measure.
+//! [`SIZES`]. The `distance` group times the count-only walk the engine
+//! routes every request with beside the same walk recording its path
+//! (`route`) and the reference's walk. End-to-end request throughput is
+//! `perfbench/`'s to measure.
 //!
 //! Run with `cargo bench -p dsg-skipgraph --bench core`; the vendored
 //! criterion honours `BENCH_SAMPLE_SIZE` and `BENCH_WARMUP_MS` for a quick
@@ -13,10 +16,10 @@ use std::hint::black_box;
 use dsg_skipgraph::reference::ReferenceGraph;
 use dsg_skipgraph::{fixtures, Key, SkipGraph};
 
-/// The network sizes the `neighbors` and `route` groups sweep.
+/// The network sizes the `neighbors` and `distance` groups sweep.
 const SIZES: &[u64] = &[256, 1024, 4096];
 
-/// The source/destination key pairs the `route` group sweeps for an
+/// The source/destination key pairs the `distance` group sweeps for an
 /// `n`-key graph.
 fn route_pairs(n: u64) -> Vec<(Key, Key)> {
     let step = (n / 64).max(1) as usize;
@@ -88,8 +91,8 @@ fn bench_neighbors(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_route(c: &mut Criterion) {
-    let mut group = c.benchmark_group("route");
+fn bench_distance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("distance");
     group.sample_size(20);
     for &n in SIZES {
         let graph = fixtures::uniform_random(n, 7);
@@ -99,7 +102,19 @@ fn bench_route(c: &mut Criterion) {
             b.iter(|| {
                 let mut hops = 0usize;
                 for &(a, b) in &pairs {
-                    hops += graph.route(a, b).map(|r| r.hops()).unwrap_or(0);
+                    hops += graph.distance(a, b).unwrap_or(0);
+                }
+                black_box(hops)
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("arena-path", n), &n, |b, _| {
+            b.iter(|| {
+                let mut hops = 0usize;
+                for &(a, b) in &pairs {
+                    hops += graph
+                        .route(a, b)
+                        .map(|r| r.intermediate_nodes())
+                        .unwrap_or(0);
                 }
                 black_box(hops)
             });
@@ -108,7 +123,9 @@ fn bench_route(c: &mut Criterion) {
             b.iter(|| {
                 let mut hops = 0usize;
                 for &(a, b) in &pairs {
-                    hops += reference.route_hops(a, b).unwrap_or(0);
+                    hops += reference
+                        .route_hops(a, b)
+                        .map_or(0, |h| h.saturating_sub(1));
                 }
                 black_box(hops)
             });
@@ -117,5 +134,5 @@ fn bench_route(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_neighbors, bench_route);
+criterion_group!(benches, bench_neighbors, bench_distance);
 criterion_main!(benches);

@@ -69,10 +69,15 @@ impl SkipGraph {
                 let intro = self
                     .node_by_key(intro_key)
                     .ok_or(SkipGraphError::UnknownKey(intro_key))?;
-                // Route toward the closest existing key.
+                // Route toward the closest existing key, counting hops
+                // without recording the path.
                 let target = self.closest_existing_key(key);
                 match target {
-                    Some(target_key) => self.route_ids(intro, self.node_by_key(target_key).expect("key exists"))?.hops(),
+                    Some(target_key) => self.greedy_walk(
+                        intro,
+                        self.node_by_key(target_key).expect("key exists"),
+                        None,
+                    )?,
                     None => 0,
                 }
             }

@@ -5,6 +5,14 @@
 //! current level would not overshoot it, follow the level's linked list;
 //! otherwise drop one level and continue. Skip graphs guarantee `O(log n)`
 //! hops between any pair of nodes.
+//!
+//! One walk serves every caller. It records the hops it takes only into a
+//! buffer the caller passes, the idiom of a skiplist search that fills a
+//! predecessor array only when asked for one.
+//! [`route_ids`](SkipGraph::route_ids) passes one and returns the path;
+//! [`distance_ids`](SkipGraph::distance_ids) passes none and returns the
+//! count, allocating nothing. The engine serves every request through the
+//! count.
 
 use crate::error::SkipGraphError;
 use crate::graph::SkipGraph;
@@ -67,12 +75,7 @@ impl SkipGraph {
     ///
     /// Returns [`SkipGraphError::UnknownKey`] if either key is not present.
     pub fn route(&self, from: Key, to: Key) -> Result<RouteResult> {
-        let source = self
-            .node_by_key(from)
-            .ok_or(SkipGraphError::UnknownKey(from))?;
-        let destination = self
-            .node_by_key(to)
-            .ok_or(SkipGraphError::UnknownKey(to))?;
+        let (source, destination) = self.endpoints(from, to)?;
         self.route_ids(source, destination)
     }
 
@@ -82,65 +85,8 @@ impl SkipGraph {
     ///
     /// Returns [`SkipGraphError::UnknownNode`] if either id is dead.
     pub fn route_ids(&self, source: NodeId, destination: NodeId) -> Result<RouteResult> {
-        let src_key = self.key_of(source)?;
-        let dst_key = self.key_of(destination)?;
-        let mut path = vec![RouteHop {
-            node: source,
-            level: self.mvec_of(source)?.len(),
-        }];
-        if source == destination {
-            return Ok(RouteResult {
-                source,
-                destination,
-                path,
-            });
-        }
-        let going_right = dst_key > src_key;
-        let mut current = source;
-        let mut level = self.mvec_of(source)?.len();
-        loop {
-            let cur_key = self.key_of(current)?;
-            if cur_key == dst_key {
-                break;
-            }
-            let (left, right) = self.neighbors(current, level)?;
-            let candidate = if going_right { right } else { left };
-            let advance = match candidate {
-                Some(next) => {
-                    let next_key = self.key_of(next)?;
-                    // Move along the current level only while we do not
-                    // overshoot the destination.
-                    if (going_right && next_key <= dst_key)
-                        || (!going_right && next_key >= dst_key)
-                    {
-                        Some(next)
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            };
-            match advance {
-                Some(next) => {
-                    current = next;
-                    path.push(RouteHop {
-                        node: next,
-                        level,
-                    });
-                }
-                None => {
-                    if level == 0 {
-                        // At the base level the destination is always
-                        // reachable without overshooting; reaching this
-                        // branch means the structure is corrupt.
-                        return Err(SkipGraphError::InvariantViolated(format!(
-                            "routing from {src_key} to {dst_key} got stuck at {cur_key} on the base level"
-                        )));
-                    }
-                    level -= 1;
-                }
-            }
-        }
+        let mut path = Vec::new();
+        self.greedy_walk(source, destination, Some(&mut path))?;
         Ok(RouteResult {
             source,
             destination,
@@ -156,7 +102,100 @@ impl SkipGraph {
     ///
     /// Returns [`SkipGraphError::UnknownKey`] if either key is not present.
     pub fn distance(&self, from: Key, to: Key) -> Result<usize> {
-        Ok(self.route(from, to)?.intermediate_nodes())
+        let (source, destination) = self.endpoints(from, to)?;
+        self.distance_ids(source, destination)
+    }
+
+    /// [`distance`](Self::distance) between two nodes identified by id:
+    /// the same walk as [`route_ids`](Self::route_ids), counted instead of
+    /// recorded, so it allocates nothing. Equal to
+    /// `route_ids(source, destination)?.intermediate_nodes()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SkipGraphError::UnknownNode`] if either id is dead.
+    pub fn distance_ids(&self, source: NodeId, destination: NodeId) -> Result<usize> {
+        Ok(self
+            .greedy_walk(source, destination, None)?
+            .saturating_sub(1))
+    }
+
+    fn endpoints(&self, from: Key, to: Key) -> Result<(NodeId, NodeId)> {
+        let source = self
+            .node_by_key(from)
+            .ok_or(SkipGraphError::UnknownKey(from))?;
+        let destination = self.node_by_key(to).ok_or(SkipGraphError::UnknownKey(to))?;
+        Ok((source, destination))
+    }
+
+    /// The greedy walk behind every route: returns the number of hops
+    /// from `source` to `destination`. With `path`, it also pushes the
+    /// source (at its top level) and every node it reaches, with the level
+    /// of the list it moved along.
+    ///
+    /// # Errors
+    ///
+    /// [`SkipGraphError::UnknownNode`] if either id is dead, and
+    /// [`SkipGraphError::InvariantViolated`] if the walk gets stuck on the
+    /// base level (a corrupt structure).
+    pub(crate) fn greedy_walk(
+        &self,
+        source: NodeId,
+        destination: NodeId,
+        mut path: Option<&mut Vec<RouteHop>>,
+    ) -> Result<usize> {
+        let src_key = self.key_of(source)?;
+        let dst_key = self.key_of(destination)?;
+        let mut level = self.mvec_of(source)?.len();
+        if let Some(path) = path.as_deref_mut() {
+            path.push(RouteHop {
+                node: source,
+                level,
+            });
+        }
+        let going_right = dst_key > src_key;
+        let (mut current, mut cur_key) = (source, src_key);
+        let mut hops = 0;
+        while cur_key != dst_key {
+            let (left, right) = self.neighbors(current, level)?;
+            let candidate = if going_right { right } else { left };
+            let advance = match candidate {
+                Some(next) => {
+                    let next_key = self.key_of(next)?;
+                    // Move along the current level only while we do not
+                    // overshoot the destination.
+                    if (going_right && next_key <= dst_key) || (!going_right && next_key >= dst_key)
+                    {
+                        Some((next, next_key))
+                    } else {
+                        None
+                    }
+                }
+                None => None,
+            };
+            match advance {
+                Some((next, next_key)) => {
+                    current = next;
+                    cur_key = next_key;
+                    hops += 1;
+                    if let Some(path) = path.as_deref_mut() {
+                        path.push(RouteHop { node: next, level });
+                    }
+                }
+                None => {
+                    if level == 0 {
+                        // At the base level the destination is always
+                        // reachable without overshooting; reaching this
+                        // branch means the structure is corrupt.
+                        return Err(SkipGraphError::InvariantViolated(format!(
+                            "routing from {src_key} to {dst_key} got stuck at {cur_key} on the base level"
+                        )));
+                    }
+                    level -= 1;
+                }
+            }
+        }
+        Ok(hops)
     }
 }
 

