@@ -566,7 +566,7 @@ impl DynamicSkipGraph {
     pub fn distance(&self, u: u64, v: u64) -> Result<usize> {
         let a = self.peer_id(u)?;
         let b = self.peer_id(v)?;
-        Ok(self.graph.route_ids(a, b)?.intermediate_nodes())
+        Ok(self.graph.distance_ids(a, b)?)
     }
 
     /// The highest level at which the two peers share a linked list.

@@ -2,7 +2,9 @@
 //! ([`SkipGraph`]) must agree observably with the naive index-based
 //! reference representation ([`ReferenceGraph`]) on every operation
 //! sequence — same node ids, same list orders, same neighbours, same list
-//! sizes, and same `route` hop counts.
+//! sizes, and same `route` hop counts. [`SkipGraph::distance`], the
+//! count-only walk the engine routes with, must equal that route's
+//! intermediate nodes.
 //!
 //! Operation sequences mix inserts (with bounded random membership
 //! vectors), removals, and `set_membership_suffix` updates — the three
@@ -17,19 +19,12 @@
 //! repair must leave the same keys, dummy flags, vectors, list orders at
 //! every level and dummy group bases. `tests/dummy_reconcile.rs` replays
 //! multi-pair epochs with joins and leaves the same way.
-//!
-//! A third test is the oracle of the count-only walk the engine routes
-//! with ([`SkipGraph::distance_ids`]): over scripts of joins, leaves,
-//! dummy inserts and membership batches, its count must equal the path
-//! [`SkipGraph::route_ids`] records and the reference's own walk.
 
 use proptest::prelude::*;
 
 use dsg::prelude::*;
 use dsg_skipgraph::reference::ReferenceGraph;
-use dsg_skipgraph::{Bit, Key, MembershipUpdate, MembershipVector, SkipGraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dsg_skipgraph::{Bit, Key, MembershipVector, SkipGraph};
 
 mod common;
 use common::replay_epoch;
@@ -160,114 +155,27 @@ fn assert_agreement(arena: &SkipGraph, reference: &ReferenceGraph) {
             assert_eq!(arena_list, ref_list, "list order diverges at level {level}");
         }
     }
-    // Route hop counts agree for sampled pairs.
+    // Route hop counts agree for sampled pairs, and the count-only walk
+    // counts the recorded path.
     let keys: Vec<Key> = arena.keys().collect();
     for (i, &a) in keys.iter().enumerate().step_by(3) {
         let b = keys[(i * 7 + 1) % keys.len()];
+        let route = arena.route(a, b).unwrap();
         assert_eq!(
-            arena.route(a, b).unwrap().hops(),
+            route.hops(),
             reference.route_hops(a, b).unwrap(),
             "route hops diverge for {a} -> {b}"
         );
-    }
-}
-
-/// Applies one step of a count-only-walk script: a standard join, a
-/// leave, a dummy insert, or a membership batch over up to `level + 1`
-/// distinct nodes. Raw randomness is mapped onto the current population;
-/// a step that does not apply (a join or dummy onto a taken key, a leave
-/// from an empty graph) is skipped.
-fn walk_step(graph: &mut SkipGraph, rng: &mut StdRng, raw: RawOp) {
-    let (selector, key, bits, len, level) = raw;
-    let keys: Vec<Key> = graph.keys().collect();
-    let pick = |material: u64| keys[material as usize % keys.len()];
-    match selector % 4 {
-        0 => {
-            let introducer = (!keys.is_empty()).then(|| pick(bits));
-            let _ = graph.join(Key::new(key), introducer, rng);
-        }
-        1 if !keys.is_empty() => {
-            graph.leave(pick(key)).expect("key just listed");
-        }
-        2 => {
-            let _ = graph.insert_dummy(Key::new(key), mvec_from(bits, len));
-        }
-        3 if !keys.is_empty() => {
-            let mut updates: Vec<MembershipUpdate> = Vec::new();
-            for j in 0..=level {
-                let node = graph
-                    .node_by_key(pick(key + 7 * j as u64))
-                    .expect("key just listed");
-                if updates.iter().any(|update| update.node == node) {
-                    continue;
-                }
-                let old = graph.mvec_of(node).expect("live node");
-                let new = mvec_from(bits.rotate_left(8 * j as u32), len);
-                updates.push(MembershipUpdate {
-                    node,
-                    from_level: old.common_prefix_len(&new) + 1,
-                    new_mvec: new,
-                });
-            }
-            graph
-                .apply_membership_batch(&updates)
-                .expect("updates name distinct live nodes");
-        }
-        _ => {}
-    }
-}
-
-/// For sampled pairs of distinct nodes, the count-only walk equals the
-/// recorded path's intermediate nodes on the arena and the reference's
-/// hop count minus one on a reference mirrored from the arena.
-fn assert_walks_agree(arena: &SkipGraph) {
-    let reference = ReferenceGraph::from_members(
-        arena
-            .node_ids()
-            .map(|id| (arena.key_of(id).unwrap(), arena.mvec_of(id).unwrap())),
-    )
-    .unwrap();
-    let ids: Vec<_> = arena.node_ids().collect();
-    for (i, &a) in ids.iter().enumerate() {
-        let b = ids[(i * 7 + 1) % ids.len()];
-        if a == b {
-            continue;
-        }
-        let count = arena.distance_ids(a, b).unwrap();
         assert_eq!(
-            count,
-            arena.route_ids(a, b).unwrap().intermediate_nodes(),
+            arena.distance(a, b).unwrap(),
+            route.intermediate_nodes(),
             "count-only walk and recorded path diverge for {a} -> {b}"
-        );
-        let (from, to) = (arena.key_of(a).unwrap(), arena.key_of(b).unwrap());
-        assert_eq!(
-            count + 1,
-            reference.route_hops(from, to).unwrap(),
-            "count-only walk and reference walk diverge for {from} -> {to}"
         );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The count-only walk agrees with the recorded path and with the
-    /// reference after every step of random scripts of joins, leaves,
-    /// dummy inserts and membership batches.
-    #[test]
-    fn count_only_walk_agrees_with_the_path_and_the_reference(
-        (n, raw_ops) in script(),
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut graph = SkipGraph::random((0..n).map(|k| Key::new(k * 10)), &mut rng).unwrap();
-        assert_walks_agree(&graph);
-        for raw in raw_ops {
-            walk_step(&mut graph, &mut rng, raw);
-            assert_walks_agree(&graph);
-        }
-        graph.validate().expect("arena invariants hold");
-    }
 
     /// Random scripts of inserts/removes/suffix updates leave both
     /// representations observably identical.
