@@ -388,26 +388,12 @@ impl DynamicSkipGraph {
         I: IntoIterator<Item = u64>,
     {
         let rng = StdRng::seed_from_u64(config.seed);
-        let mut keys: Vec<u64> = peers.into_iter().collect();
-        keys.sort_unstable();
-        let n = keys.len() as u64;
-        let height = if n <= 1 {
-            0
-        } else {
-            (64 - (n - 1).leading_zeros()) as usize
-        };
-        let mut graph = SkipGraph::new();
-        for (rank, peer) in keys.iter().enumerate() {
-            let mut mvec = MembershipVector::empty();
-            for level in 0..height {
-                let bit = ((rank >> level) & 1) as u8;
-                mvec.push(dsg_skipgraph::Bit::from_u8(bit))
-                    .expect("height fits the vector");
-            }
-            graph
-                .insert(Self::internal_key(*peer), mvec)
-                .map_err(|_| DsgError::DuplicatePeer(*peer))?;
+        let mut peers: Vec<u64> = peers.into_iter().collect();
+        peers.sort_unstable();
+        if let Some(pair) = peers.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(DsgError::DuplicatePeer(pair[0]));
         }
+        let graph = SkipGraph::balanced(peers.iter().map(|&peer| Self::internal_key(peer)))?;
         Self::finish_construction(graph, config, rng)
     }
 
@@ -789,23 +775,10 @@ impl DynamicSkipGraph {
 
         // Fresh balanced structure over the surviving keys, as
         // `build_balanced` would construct it.
-        let n = survivors.len() as u64;
-        let height = if n <= 1 {
-            0
-        } else {
-            (64 - (n - 1).leading_zeros()) as usize
-        };
-        let mut graph = SkipGraph::new();
+        let graph = SkipGraph::balanced(survivors.iter().map(|(key, _)| *key))?;
         let mut states = StateTable::new();
-        for (rank, (key, old)) in survivors.iter().enumerate() {
-            let mut mvec = MembershipVector::empty();
-            for level in 0..height {
-                let bit = ((rank >> level) & 1) as u8;
-                mvec.push(dsg_skipgraph::Bit::from_u8(bit))
-                    .expect("height fits the vector");
-            }
-            let base = mvec.len();
-            let id = graph.insert(*key, mvec)?;
+        for (id, (key, old)) in graph.node_ids().zip(&survivors) {
+            let base = graph.mvec_of(id)?.len();
             states.register(id, *key, base);
             let fresh = states.get_mut(id);
             for level in 0..old.stored_levels() {
@@ -861,16 +834,14 @@ impl DynamicSkipGraph {
             .graph
             .node_ids()
             .map(|id| {
-                let key = self.graph.key_of(id).expect("live node has a key");
                 let entry = self.graph.node(id).expect("live node has an entry");
-                let mvec = self.graph.mvec_of(id).expect("live node has a vector");
                 let state = self.states.get(id);
-                debug_assert_eq!(state.key(), key, "state key matches graph key");
+                debug_assert_eq!(state.key(), entry.key(), "state key matches graph key");
                 let (timestamps, group_ids, dominating) = state.raw_parts();
                 crate::persist::NodeImage {
-                    key: key.value(),
+                    key: entry.key().value(),
                     dummy: entry.is_dummy(),
-                    mvec_bits: mvec.iter().map(|bit| bit.as_u8()).collect(),
+                    mvec: *entry.mvec(),
                     group_base: state.group_base() as u64,
                     timestamps: timestamps.to_vec(),
                     group_ids: group_ids.to_vec(),
@@ -917,21 +888,16 @@ impl DynamicSkipGraph {
     pub(crate) fn encode_snapshot_nodes(&self, buf: &mut Vec<u8>) {
         buf.reserve(10 + self.graph.len() * crate::persist::NODE_BYTES_HINT);
         crate::persist::put_varint(buf, self.graph.len() as u64);
-        let mut bits = [0u8; MembershipVector::MAX_LEVELS];
         let mut prev_key = 0;
         for id in self.graph.list_iter(0, Prefix::root()) {
             let entry = self.graph.node(id).expect("list member is live");
-            let mvec = entry.mvec();
-            for (slot, bit) in bits.iter_mut().zip(mvec.iter()) {
-                *slot = bit.as_u8();
-            }
             let state = self.states.get(id);
             let (timestamps, group_ids, dominating) = state.raw_parts();
             let key = entry.key().value();
             crate::persist::NodeFields {
                 key,
                 dummy: entry.is_dummy(),
-                mvec_bits: &bits[..mvec.len()],
+                mvec: *entry.mvec(),
                 group_base: state.group_base() as u64,
                 timestamps,
                 group_ids,
@@ -946,20 +912,28 @@ impl DynamicSkipGraph {
     /// state vectors and sketch counters (a caller that owns an image it
     /// no longer needs, as `DsgService::open` does, moves them instead).
     ///
-    /// Nodes are re-inserted in ascending key order, receiving fresh dense
-    /// `NodeId`s — which is behaviour-preserving, because every
-    /// result-affecting path in the engine orders by key, prefix, or level
-    /// (`NodeId`-keyed containers are lookup-only). The restored engine
-    /// continues the captured logical clock and RNG stream, so replayed
-    /// requests (including joins, which draw membership bits from the
-    /// RNG) produce bit-identical structure. Closes with a deep
+    /// The graph is built in one ascending pass over the image's nodes
+    /// ([`SkipGraph::from_sorted`]), each appended at the tail of every
+    /// list it joins. That is the graph inserting them one by one in key
+    /// order would build, with fresh dense `NodeId`s — which is
+    /// behaviour-preserving, because every result-affecting path in the
+    /// engine orders by key, prefix, or level (`NodeId`-keyed containers
+    /// are lookup-only). The restored engine continues the captured
+    /// logical clock and RNG stream, so replayed requests (including
+    /// joins, which draw membership bits from the RNG) produce
+    /// bit-identical structure. Closes with a deep
     /// [`validate`](Self::validate).
     ///
     /// # Errors
     ///
-    /// Returns the substrate's error if an image node cannot be inserted
-    /// (duplicate or out-of-range keys in a tampered image) and the deep
-    /// validation error if the rebuilt structure is not clean.
+    /// [`DsgError::InvalidImage`] for a configuration the builder refuses
+    /// or a sketch of the wrong shape (the checks
+    /// [`decode_snapshot`](crate::persist::decode_snapshot) makes);
+    /// [`DsgError::SkipGraph`] with
+    /// [`DuplicateKey`](dsg_skipgraph::SkipGraphError::DuplicateKey) or
+    /// [`KeyOutOfOrder`](dsg_skipgraph::SkipGraphError::KeyOutOfOrder)
+    /// for nodes not in strictly ascending key order; the deep validation
+    /// error if the rebuilt structure is not clean.
     pub fn restore_image(image: &crate::persist::EngineImage) -> Result<Self> {
         Self::restore(Cow::Borrowed(image))
     }
@@ -972,21 +946,18 @@ impl DynamicSkipGraph {
     }
 
     fn restore(mut image: Cow<'_, crate::persist::EngineImage>) -> Result<Self> {
-        let mut graph = SkipGraph::new();
+        crate::persist::check_engine_parts(&image.config, image.sketch.as_ref())
+            .map_err(DsgError::InvalidImage)?;
+        let graph = SkipGraph::from_sorted(
+            image
+                .nodes
+                .iter()
+                .map(|node| (Key::new(node.key), node.mvec, node.dummy)),
+        )?;
         let mut states = StateTable::new();
-        for i in 0..image.nodes.len() {
+        for (i, id) in graph.node_ids().enumerate() {
             let node = &image.nodes[i];
             let (key, group_base) = (Key::new(node.key), node.group_base as usize);
-            let mvec = MembershipVector::from_bits(
-                node.mvec_bits
-                    .iter()
-                    .map(|&bit| dsg_skipgraph::Bit::from_u8(bit)),
-            )?;
-            let id = if node.dummy {
-                graph.insert_dummy(key, mvec)?
-            } else {
-                graph.insert(key, mvec)?
-            };
             let (timestamps, group_ids, dominating) = match &mut image {
                 Cow::Borrowed(image) => {
                     let node = &image.nodes[i];
@@ -1955,6 +1926,54 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert!(stats.total_cost >= stats.total_routing_cost + 2);
         assert!(stats.average_cost() > 0.0);
+    }
+
+    #[test]
+    fn restore_refuses_a_malformed_image_typed() {
+        use crate::config::PolicyConfig;
+        use crate::persist::EngineImage;
+        use dsg_skipgraph::SkipGraphError;
+        let config = DsgConfig::default()
+            .with_seed(12)
+            .with_policy(PolicyConfig::gated());
+        let mut net = DynamicSkipGraph::build_balanced(0..16, config).unwrap();
+        net.communicate(1, 9).unwrap();
+        let image = net.capture_image();
+        let restored = DynamicSkipGraph::restore_image(&image).unwrap();
+        assert_eq!(restored.capture_image(), image);
+        let refused = |edit: &dyn Fn(&mut EngineImage)| {
+            let mut bad = image.clone();
+            edit(&mut bad);
+            DynamicSkipGraph::restore_image(&bad).unwrap_err()
+        };
+        let invalid = |edit: &dyn Fn(&mut EngineImage), what: &str| match refused(edit) {
+            DsgError::InvalidImage(detail) => assert!(detail.contains(what), "{detail}"),
+            other => panic!("{what}: unexpected {other:?}"),
+        };
+        // The configurations the builder and the decoder refuse (a = 0
+        // would reach the balance checks' assertion), and a sketch of the
+        // wrong shape, which `FreqSketch::from_image` asserts against.
+        invalid(&|image| image.config.a = 0, "a = 0");
+        invalid(&|image| image.config.a = 1, "a = 1");
+        invalid(&|image| image.config.shards = 0, "plan shards");
+        invalid(&|image| image.config.policy.aging_period = 0, "aging period");
+        invalid(
+            &|image| image.sketch.as_mut().unwrap().counters.truncate(5),
+            "sketch",
+        );
+        // Nodes out of order, and a node given twice.
+        let (third, fourth) = (Key::new(image.nodes[3].key), Key::new(image.nodes[4].key));
+        assert_eq!(
+            refused(&|image| image.nodes.swap(3, 4)),
+            DsgError::SkipGraph(SkipGraphError::KeyOutOfOrder {
+                previous: fourth,
+                key: third,
+            })
+        );
+        assert_eq!(
+            refused(&|image| image.nodes.insert(4, image.nodes[3].clone())),
+            DsgError::SkipGraph(SkipGraphError::DuplicateKey(third))
+        );
     }
 
     #[test]

@@ -37,6 +37,12 @@ pub enum DsgError {
     /// A configuration value failed validation when building a
     /// [`DsgSession`](crate::DsgSession).
     InvalidConfig(String),
+    /// An engine image handed to
+    /// [`DynamicSkipGraph::restore_image`](crate::DynamicSkipGraph::restore_image)
+    /// has a configuration the builder refuses or a frequency sketch of the
+    /// wrong shape; the payload says which. The snapshot decoder refuses
+    /// the same payloads, so an image it decoded never fails this way.
+    InvalidImage(String),
     /// A fault (panic) interrupted the epoch **plan** stage — a pure read —
     /// before anything of the request's chunk applied, so the chunk was
     /// abandoned and the engine is bit-for-bit untouched. A durable
@@ -95,6 +101,7 @@ impl fmt::Display for DsgError {
                 write!(f, "epoch of {size} pairs exceeds the limit of {max}")
             }
             DsgError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            DsgError::InvalidImage(msg) => write!(f, "invalid engine image: {msg}"),
             DsgError::EpochAborted(msg) => {
                 write!(f, "epoch aborted in the plan stage (engine untouched): {msg}")
             }

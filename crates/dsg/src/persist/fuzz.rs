@@ -10,12 +10,17 @@
 //! the process on the first count near 2^60 a mutation produces; the
 //! hand-made 2^60 claims are in the image tests. A snapshot that decodes
 //! must also survive a round trip: re-encoding it and decoding again gives
-//! the same image.
+//! the same image. And it must restore: an engine rebuilt from it captures
+//! the same nodes, or the restore refuses it with a [`DsgError`] — never a
+//! panic.
+//!
+//! [`DsgError`]: crate::DsgError
 
 use super::image::{begin_snapshot_file, parse_snapshot_file, seal_snapshot_file};
 use super::journal::{decode_payload, encode_frame, scan};
 use super::{decode_snapshot, encode_snapshot, EngineImage, PersistError};
 use crate::request::Request;
+use crate::DynamicSkipGraph;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -102,11 +107,21 @@ fn frame_error(e: &PersistError) -> bool {
     matches!(e, PersistError::CorruptFrame { .. })
 }
 
-/// Decodes a snapshot payload and, when it decodes, checks the round trip.
+/// Decodes a snapshot payload and, when it decodes, checks the round trip
+/// and the restore.
 fn check_snapshot(what: &str, bytes: &[u8]) {
     if let Some(image) = typed_or_ok(what, bytes, decode_snapshot, snapshot_error) {
         let again: EngineImage = decode_snapshot(&encode_snapshot(&image)).unwrap();
         assert_eq!(again, image, "{what}: the round trip changed the image");
+        match catch_unwind(AssertUnwindSafe(|| DynamicSkipGraph::restore_image(&image))) {
+            Ok(Ok(engine)) => assert_eq!(
+                engine.capture_image().nodes,
+                image.nodes,
+                "{what}: the restored engine holds other nodes"
+            ),
+            Ok(Err(_)) => {}
+            Err(_) => panic!("{what}: the restore panicked on {bytes:?}"),
+        }
     }
 }
 

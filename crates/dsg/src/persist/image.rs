@@ -7,9 +7,13 @@
 //! ascending internal-key order and `NodeId`s are not serialized at all.
 //! Every result-affecting path in the engine orders by key, prefix, or
 //! level (`NodeId`-keyed containers are lookup-only), so a restore that
-//! re-inserts nodes in key order — receiving fresh, dense ids — replays
-//! the same behaviour bit for bit. The `tests/common` comparators are
-//! key-based for the same reason.
+//! builds the graph from the nodes in key order — giving them fresh,
+//! dense ids — replays the same behaviour bit for bit. Keys and
+//! membership vectors alone fix the graph, so the restore links it in one
+//! ascending pass ([`SkipGraph::from_sorted`]). The `tests/common`
+//! comparators are key-based for the same reason.
+//!
+//! [`SkipGraph::from_sorted`]: dsg_skipgraph::SkipGraph::from_sorted
 //!
 //! What must be captured *exactly*, beyond the obvious links and
 //! membership vectors:
@@ -49,8 +53,9 @@ use super::{
     Reader,
 };
 use crate::config::{AdaptPolicy, DsgConfig, MedianStrategy, PolicyConfig};
-use crate::policy::{SketchImage, SketchView};
+use crate::policy::{SketchImage, SketchView, SKETCH_ROWS, SKETCH_WIDTH};
 use dsg_skipgraph::crc32::{crc32, crc32_combine};
+use dsg_skipgraph::MembershipVector;
 
 /// Leading magic of a snapshot payload. Version 2 added the adaptation
 /// policy: the `PolicyConfig` fields in the config section and an optional
@@ -72,8 +77,8 @@ pub struct NodeImage {
     pub key: u64,
     /// Whether the node is a routing-only dummy.
     pub dummy: bool,
-    /// Membership-vector bits for levels `1..=len`, one `0`/`1` byte each.
-    pub mvec_bits: Vec<u8>,
+    /// The node's membership vector.
+    pub mvec: MembershipVector,
     /// The state's group-base `B^x`.
     pub group_base: u64,
     /// Raw stored timestamp vector, length preserved verbatim.
@@ -170,7 +175,7 @@ impl EngineImage {
             NodeFields {
                 key: node.key,
                 dummy: node.dummy,
-                mvec_bits: &node.mvec_bits,
+                mvec: node.mvec,
                 group_base: node.group_base,
                 timestamps: &node.timestamps,
                 group_ids: &node.group_ids,
@@ -225,8 +230,7 @@ pub(crate) fn encode_prefix(
 pub(crate) struct NodeFields<'a> {
     pub(crate) key: u64,
     pub(crate) dummy: bool,
-    /// Membership-vector bits from level 1 upward, one `0`/`1` byte each.
-    pub(crate) mvec_bits: &'a [u8],
+    pub(crate) mvec: MembershipVector,
     pub(crate) group_base: u64,
     pub(crate) timestamps: &'a [u64],
     pub(crate) group_ids: &'a [u64],
@@ -241,11 +245,9 @@ impl NodeFields<'_> {
     /// before it (0 for the first).
     pub(crate) fn encode(&self, prev_key: u64, buf: &mut Vec<u8>) {
         put_varint(buf, self.key.wrapping_sub(prev_key));
-        put_varint(
-            buf,
-            (self.mvec_bits.len() as u64) << 1 | u64::from(self.dummy),
-        );
-        put_bits(buf, self.mvec_bits.iter().map(|&bit| bit != 0));
+        put_varint(buf, (self.mvec.len() as u64) << 1 | u64::from(self.dummy));
+        // The packed word's low bytes are the bits as `put_bits` lays them.
+        buf.extend_from_slice(&self.mvec.packed().to_le_bytes()[..self.mvec.len().div_ceil(8)]);
         put_varint(buf, self.group_base);
 
         let mut prev = 0;
@@ -298,14 +300,48 @@ fn bounded(count: u64, limit: usize, what: &str) -> Result<usize, PersistError> 
     Ok(count as usize)
 }
 
+/// Checks the parts of an engine image that its types do not: a
+/// configuration [`DsgBuilder::build`](crate::DsgBuilder::build) accepts
+/// (`a` at least 2, at least one plan shard, a positive sketch aging
+/// period) and a frequency sketch, if any, of the shape
+/// [`FreqSketch`](crate::policy::FreqSketch) has. [`decode_snapshot`]
+/// refuses a payload that fails it, and
+/// [`DynamicSkipGraph::restore_image`](crate::DynamicSkipGraph::restore_image)
+/// an image; the `Err` says what failed.
+pub(crate) fn check_engine_parts(
+    config: &DsgConfig,
+    sketch: Option<&SketchImage>,
+) -> Result<(), String> {
+    if config.a < 2 {
+        return Err(format!("balance parameter a = {} below 2", config.a));
+    }
+    if config.shards == 0 {
+        return Err("zero plan shards".to_string());
+    }
+    if config.policy.aging_period == 0 {
+        return Err("zero sketch aging period".to_string());
+    }
+    match sketch {
+        Some(sketch) if sketch.counters.len() != SKETCH_ROWS * SKETCH_WIDTH => Err(format!(
+            "a frequency sketch of {} counters, not {}",
+            sketch.counters.len(),
+            SKETCH_ROWS * SKETCH_WIDTH
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Decodes a checkpoint payload back into an [`EngineImage`].
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::CorruptSnapshot`] on any structural problem:
 /// bad magic or another version's (a `DSGSNAP2` payload among them),
-/// truncated payload, malformed varints, invalid tags, counts the
-/// remaining bytes cannot hold, out-of-order or overflowing keys, set
+/// truncated payload, malformed varints, invalid tags, a configuration
+/// the builder refuses (`a` below 2, no plan shard, a zero sketch aging
+/// period), a sketch of the wrong shape, counts the remaining bytes cannot
+/// hold, a membership vector longer than
+/// [`MembershipVector::MAX_LEVELS`], out-of-order or overflowing keys, set
 /// padding bits, or trailing bytes.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     let mut r = Reader::new(bytes);
@@ -369,9 +405,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     let threshold = r.u32().map_err(short)?;
     let epoch_budget = r.u32().map_err(short)?;
     let aging_period = r.u64().map_err(short)?;
-    if aging_period == 0 {
-        return Err(corrupt("zero sketch aging period"));
-    }
     let sketch = match r.u8().map_err(short)? {
         0 => None,
         1 => Some(
@@ -380,12 +413,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         ),
         tag => return Err(corrupt(&format!("bad sketch-present byte {tag}"))),
     };
-    if a < 2 {
-        return Err(corrupt(&format!("balance parameter a = {a} below 2")));
-    }
-    if shards == 0 {
-        return Err(corrupt("zero plan shards"));
-    }
     let config = DsgConfig {
         a,
         median,
@@ -398,6 +425,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
             aging_period,
         },
     };
+    check_engine_parts(&config, sketch.as_ref()).map_err(|detail| corrupt(&detail))?;
     let time = r.u64().map_err(short)?;
     let mut rng_state = [0u64; 4];
     for word in &mut rng_state {
@@ -445,11 +473,19 @@ fn decode_node(r: &mut Reader<'_>, prev_key: Option<u64>) -> Result<NodeImage, P
         r.remaining().saturating_mul(8),
         "membership length",
     )?;
-    let mvec_bits = r
-        .bits(mvec_len)
-        .map_err(|_| corrupt("membership bits cut short or padded with ones"))?
-        .map(u8::from)
-        .collect();
+    if mvec_len > MembershipVector::MAX_LEVELS {
+        return Err(corrupt(&format!(
+            "membership length {mvec_len} above the {} levels a vector holds",
+            MembershipVector::MAX_LEVELS
+        )));
+    }
+    let mut packed = [0u8; 16];
+    let bytes = r
+        .bytes(mvec_len.div_ceil(8))
+        .map_err(|_| corrupt("membership bits cut short"))?;
+    packed[..bytes.len()].copy_from_slice(bytes);
+    let mvec = MembershipVector::from_packed(u128::from_le_bytes(packed), mvec_len)
+        .map_err(|_| corrupt("membership bits padded with ones"))?;
     let group_base = r.varint().map_err(short)?;
 
     let word = r.varint().map_err(short)?;
@@ -481,7 +517,7 @@ fn decode_node(r: &mut Reader<'_>, prev_key: Option<u64>) -> Result<NodeImage, P
     Ok(NodeImage {
         key,
         dummy,
-        mvec_bits,
+        mvec,
         group_base,
         timestamps,
         group_ids,
@@ -580,7 +616,7 @@ mod tests {
                 NodeImage {
                     key: 1 << 20,
                     dummy: false,
-                    mvec_bits: vec![0, 1, 1],
+                    mvec: MembershipVector::parse("011").unwrap(),
                     group_base: 3,
                     timestamps: vec![0, 7, 9],
                     group_ids: vec![5, 5, 1 << 20],
@@ -589,7 +625,7 @@ mod tests {
                 NodeImage {
                     key: (1 << 20) + 17,
                     dummy: true,
-                    mvec_bits: vec![1],
+                    mvec: MembershipVector::parse("1").unwrap(),
                     group_base: 1,
                     timestamps: Vec::new(),
                     group_ids: Vec::new(),
@@ -600,7 +636,7 @@ mod tests {
                 NodeImage {
                     key: 3 << 20,
                     dummy: false,
-                    mvec_bits: vec![1, 0, 0, 1, 1, 0, 1, 0, 1],
+                    mvec: MembershipVector::parse("100110101").unwrap(),
                     group_base: 2,
                     timestamps: vec![5000, 5000, 5001, 4990],
                     group_ids: vec![3 << 20, 1 << 20, 1 << 20],
@@ -842,6 +878,31 @@ mod tests {
                 }
                 other => panic!("{what}: unexpected {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn membership_vectors_past_the_height_limit_are_refused() {
+        let empty = empty_snapshot();
+        let prefix = &empty[..empty.len() - 1];
+        // One node, key 0 and not a dummy, whose vector holds `len` zero
+        // bits, then a zero group base and three empty state vectors.
+        let decode_one = |len: usize| {
+            let mut bytes = prefix.to_vec();
+            put_varint(&mut bytes, 1);
+            put_varint(&mut bytes, 0);
+            put_varint(&mut bytes, (len as u64) << 1);
+            bytes.resize(bytes.len() + len.div_ceil(8), 0);
+            bytes.extend_from_slice(&[0; 4]);
+            decode_snapshot(&bytes)
+        };
+        let max = MembershipVector::MAX_LEVELS;
+        assert_eq!(decode_one(max).unwrap().nodes[0].mvec.len(), max);
+        match decode_one(max + 1) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("membership length 129"), "{detail}")
+            }
+            other => panic!("a 129-level vector decoded: {other:?}"),
         }
     }
 

@@ -139,7 +139,7 @@ mod journal;
 mod store;
 
 pub use image::{decode_snapshot, encode_snapshot, EngineImage, NodeImage};
-pub(crate) use image::{encode_prefix, NodeFields, NODE_BYTES_HINT};
+pub(crate) use image::{check_engine_parts, encode_prefix, NodeFields, NODE_BYTES_HINT};
 pub use journal::{read_journal, read_journal_from, JournalScan, JOURNAL_FILE};
 pub use store::{DurableStore, Recovered};
 
@@ -471,8 +471,8 @@ pub(crate) fn dsgsnap2_payload(image: &EngineImage) -> Vec<u8> {
     for node in &image.nodes {
         put_u64(&mut buf, node.key);
         buf.push(node.dummy as u8);
-        put_u32(&mut buf, node.mvec_bits.len() as u32);
-        buf.extend_from_slice(&node.mvec_bits);
+        put_u32(&mut buf, node.mvec.len() as u32);
+        buf.extend(node.mvec.iter().map(|bit| bit.as_u8()));
         put_u64(&mut buf, node.group_base);
         put_u32(&mut buf, node.timestamps.len() as u32);
         node.timestamps.iter().for_each(|&t| put_u64(&mut buf, t));

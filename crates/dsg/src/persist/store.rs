@@ -663,6 +663,7 @@ mod tests {
     use super::*;
     use crate::config::DsgConfig;
     use dsg_skipgraph::crc32::crc32;
+    use dsg_skipgraph::{Bit, MembershipVector};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store_dir() -> PathBuf {
@@ -700,7 +701,10 @@ mod tests {
                 .map(|k| NodeImage {
                     key: k << 19,
                     dummy: k % 2 == 0,
-                    mvec_bits: (0..k % 7).map(|b| ((k >> b) & 1) as u8).collect(),
+                    mvec: MembershipVector::from_bits(
+                        (0..k % 7).map(|b| Bit::from_u8(((k >> b) & 1) as u8)),
+                    )
+                    .unwrap(),
                     group_base: k % 5,
                     timestamps: (0..k % 4).map(|t| t * k).collect(),
                     group_ids: (0..k % 3).map(|g| g + k).collect(),

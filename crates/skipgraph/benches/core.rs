@@ -3,8 +3,10 @@
 //! reference representation (`dsg_skipgraph::reference`), at the sizes in
 //! [`SIZES`]. The `distance` group times the count-only walk the engine
 //! routes every request with beside the same walk recording its path
-//! (`route`) and the reference's walk. End-to-end request throughput is
-//! `perfbench/`'s to measure.
+//! (`route`) and the reference's walk. The `build` group times the bulk
+//! build a reopen and a balanced start make (`SkipGraph::from_sorted`)
+//! against inserting the same nodes one by one in key order. End-to-end
+//! request throughput is `perfbench/`'s to measure.
 //!
 //! Run with `cargo bench -p dsg-skipgraph --bench core`; the vendored
 //! criterion honours `BENCH_SAMPLE_SIZE` and `BENCH_WARMUP_MS` for a quick
@@ -14,9 +16,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use dsg_skipgraph::reference::ReferenceGraph;
-use dsg_skipgraph::{fixtures, Key, SkipGraph};
+use dsg_skipgraph::{fixtures, Key, MembershipVector, SkipGraph};
 
-/// The network sizes the `neighbors` and `distance` groups sweep.
+/// The network sizes the `neighbors`, `distance` and `build` groups sweep.
 const SIZES: &[u64] = &[256, 1024, 4096];
 
 /// The source/destination key pairs the `distance` group sweeps for an
@@ -134,5 +136,32 @@ fn bench_distance(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_neighbors, bench_distance);
+fn bench_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("build");
+    group.sample_size(20);
+    for &n in SIZES {
+        let fixtures = [
+            ("balanced", fixtures::perfectly_balanced(n)),
+            ("random", fixtures::uniform_random(n, 7)),
+        ];
+        for (name, graph) in fixtures {
+            let members: Vec<(Key, MembershipVector)> = graph
+                .node_ids()
+                .map(|id| (graph.key_of(id).unwrap(), graph.mvec_of(id).unwrap()))
+                .collect();
+            group.bench_with_input(BenchmarkId::new(format!("bulk-{name}"), n), &n, |b, _| {
+                b.iter(|| {
+                    let nodes = members.iter().map(|&(key, mvec)| (key, mvec, false));
+                    black_box(SkipGraph::from_sorted(nodes).unwrap())
+                });
+            });
+            group.bench_with_input(BenchmarkId::new(format!("insert-{name}"), n), &n, |b, _| {
+                b.iter(|| black_box(SkipGraph::from_members(members.iter().copied()).unwrap()));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_neighbors, bench_distance, bench_build);
 criterion_main!(benches);

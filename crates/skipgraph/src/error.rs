@@ -10,6 +10,14 @@ use crate::ids::{Key, NodeId};
 pub enum SkipGraphError {
     /// A node with the same key already exists in the graph.
     DuplicateKey(Key),
+    /// A bulk construction ([`SkipGraph::from_sorted`](crate::SkipGraph::from_sorted))
+    /// was given a key below the one before it.
+    KeyOutOfOrder {
+        /// The key given before.
+        previous: Key,
+        /// The smaller key that followed it.
+        key: Key,
+    },
     /// No node with the given key exists in the graph.
     UnknownKey(Key),
     /// The node id does not refer to a live node of this graph.
@@ -33,6 +41,9 @@ impl fmt::Display for SkipGraphError {
         match self {
             SkipGraphError::DuplicateKey(key) => {
                 write!(f, "a node with key {key} already exists")
+            }
+            SkipGraphError::KeyOutOfOrder { previous, key } => {
+                write!(f, "key {key} follows the larger key {previous}")
             }
             SkipGraphError::UnknownKey(key) => write!(f, "no node with key {key} exists"),
             SkipGraphError::UnknownNode(id) => write!(f, "node id {id} is not live in this graph"),

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use crate::graph::SkipGraph;
 use crate::ids::Key;
-use crate::mvec::{Bit, MembershipVector};
+use crate::mvec::MembershipVector;
 
 /// The 6-node skip graph of Figure 1 of the paper.
 ///
@@ -41,21 +41,14 @@ pub fn uniform_random(n: u64, seed: u64) -> SkipGraph {
     SkipGraph::random((0..n).map(Key::new), &mut rng).expect("keys 0..n are distinct")
 }
 
-/// A perfectly balanced skip graph over keys `0..n`: the membership-vector
-/// bit of a node at level `i` is bit `i - 1` of its rank. Every list at
-/// every level splits exactly in half (by parity of the corresponding rank
-/// bit), which yields the minimum possible height `⌈log₂ n⌉`.
+/// A perfectly balanced skip graph over keys `0..n` ([`SkipGraph::balanced`]):
+/// the membership-vector bit of a node at level `i` is bit `i - 1` of its
+/// rank. Every list at every level splits exactly in half (by parity of the
+/// corresponding rank bit), which yields the minimum possible height
+/// `⌈log₂ n⌉`.
 pub fn perfectly_balanced(n: u64) -> SkipGraph {
-    let height = if n <= 1 { 0 } else { (64 - (n - 1).leading_zeros()) as usize };
-    SkipGraph::from_members((0..n).map(|rank| {
-        let mut mvec = MembershipVector::empty();
-        for level in 0..height {
-            let bit = (rank >> level) & 1;
-            mvec.push(Bit::from_u8(bit as u8)).expect("height <= 64");
-        }
-        (Key::new(rank), mvec)
-    }))
-    .expect("keys 0..n are distinct")
+    SkipGraph::balanced((0..n as usize).map(|rank| Key::new(rank as u64)))
+        .expect("keys 0..n ascend")
 }
 
 #[cfg(test)]

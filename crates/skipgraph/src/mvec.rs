@@ -113,6 +113,33 @@ impl MembershipVector {
         Ok(mv)
     }
 
+    /// Builds the vector of `len` levels whose bits `packed` holds, laid
+    /// out as [`packed`](Self::packed) returns them: the bit of level `i`
+    /// at bit `i - 1`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SkipGraphError::HeightLimitExceeded`] if `len` exceeds
+    /// [`Self::MAX_LEVELS`] and
+    /// [`SkipGraphError::InvalidMembershipVector`] if a bit at or above
+    /// `len` is set.
+    pub fn from_packed(packed: u128, len: usize) -> Result<Self, SkipGraphError> {
+        if len > Self::MAX_LEVELS {
+            return Err(SkipGraphError::HeightLimitExceeded {
+                limit: Self::MAX_LEVELS,
+            });
+        }
+        if len < Self::MAX_LEVELS && packed >> len != 0 {
+            return Err(SkipGraphError::InvalidMembershipVector(format!(
+                "bits set above its {len} levels"
+            )));
+        }
+        Ok(MembershipVector {
+            bits: packed,
+            len: len as u16,
+        })
+    }
+
     /// Parses a membership vector from a string of `'0'` / `'1'` characters,
     /// most significant (level 1) first. Convenient for tests mirroring the
     /// paper's figures, e.g. `"01"` for node *M* in Figure 1.
@@ -147,6 +174,14 @@ impl MembershipVector {
     /// Returns `true` if the vector describes no levels.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The bits packed into one word, the bit of level `i` at bit `i - 1`;
+    /// every bit from [`len`](Self::len) up is zero. Its low
+    /// `len().div_ceil(8)` little-endian bytes are the vector packed eight
+    /// levels per byte.
+    pub fn packed(&self) -> u128 {
+        self.bits
     }
 
     /// Returns the bit used at `level` (levels are 1-indexed, as in the
@@ -420,6 +455,25 @@ mod tests {
         assert_eq!(mv.bit(4), Some(Bit::Zero));
         assert_eq!(mv.bit(5), None);
         assert_eq!(mv.bit(0), None);
+    }
+
+    #[test]
+    fn packed_bits_round_trip() {
+        let mv = MembershipVector::parse("1101").unwrap();
+        assert_eq!(mv.packed(), 0b1011);
+        assert_eq!(MembershipVector::from_packed(mv.packed(), 4), Ok(mv));
+        assert_eq!(
+            MembershipVector::from_packed(0, 0),
+            Ok(MembershipVector::empty())
+        );
+        let full = MembershipVector::from_bits(std::iter::repeat_n(Bit::One, 128)).unwrap();
+        assert_eq!(MembershipVector::from_packed(u128::MAX, 128), Ok(full));
+        // A bit above the length, and a length past the limit, are refused.
+        assert!(MembershipVector::from_packed(0b1_0000, 4).is_err());
+        assert_eq!(
+            MembershipVector::from_packed(0, 129),
+            Err(SkipGraphError::HeightLimitExceeded { limit: 128 })
+        );
     }
 
     #[test]
