@@ -106,13 +106,9 @@ pub struct DsgBuilder {
     peers: Vec<u64>,
     members: Vec<(u64, MembershipVector)>,
     vectors: InitialVectors,
+    /// Written as set, unchecked (`DsgConfig::with_a` and its siblings
+    /// panic); [`DsgBuilder::build`] checks the final value.
     config: DsgConfig,
-    /// Held raw so validation happens in [`DsgBuilder::build`] (the
-    /// `DsgConfig::with_a` setter panics instead of erroring).
-    a: Option<usize>,
-    /// Held raw like `a`: `DsgConfig::with_shards` panics on 0, the
-    /// builder errors instead.
-    shards: Option<usize>,
     observers: Vec<SharedObserver>,
 }
 
@@ -123,7 +119,6 @@ impl std::fmt::Debug for DsgBuilder {
             .field("members", &self.members.len())
             .field("vectors", &self.vectors)
             .field("config", &self.config)
-            .field("a", &self.a)
             .field("observers", &self.observers.len())
             .finish()
     }
@@ -155,7 +150,7 @@ impl DsgBuilder {
     /// The balance parameter `a` (validated at [`build`](Self::build) —
     /// must be ≥ 2).
     pub fn a(mut self, a: usize) -> Self {
-        self.a = Some(a);
+        self.config.a = a;
         self
     }
 
@@ -172,7 +167,7 @@ impl DsgBuilder {
     /// threads, with bit-for-bit identical results (see the
     /// [module documentation](self)'s threading model).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
+        self.config.shards = shards;
         self
     }
 
@@ -188,8 +183,9 @@ impl DsgBuilder {
         self
     }
 
-    /// Start from a complete [`DsgConfig`] (the fluent setters then refine
-    /// it).
+    /// Start from a complete [`DsgConfig`]: it replaces every setting made
+    /// before it, and the fluent setters after it refine it. It is checked
+    /// at [`build`](Self::build) like the setters' values.
     pub fn config(mut self, config: DsgConfig) -> Self {
         self.config = config;
         self
@@ -206,27 +202,14 @@ impl DsgBuilder {
     ///
     /// # Errors
     ///
-    /// [`DsgError::InvalidConfig`] for a balance parameter below 2 or for
+    /// [`DsgError::InvalidConfig`] for a configuration a snapshot could not
+    /// be reopened with (a balance parameter below 2, no plan shard, a zero
+    /// sketch aging period; the check the snapshot decoder makes) or for
     /// supplying both [`peers`](Self::peers) and [`members`](Self::members);
     /// [`DsgError::DuplicatePeer`] if a peer key appears twice.
     pub fn build(self) -> Result<DsgSession> {
-        let mut config = self.config;
-        if let Some(a) = self.a {
-            if a < 2 {
-                return Err(DsgError::InvalidConfig(format!(
-                    "the balance parameter a must be at least 2, got {a}"
-                )));
-            }
-            config.a = a;
-        }
-        if let Some(shards) = self.shards {
-            if shards == 0 {
-                return Err(DsgError::InvalidConfig(
-                    "the plan stage needs at least one worker shard".to_string(),
-                ));
-            }
-            config.shards = shards;
-        }
+        let config = self.config;
+        crate::persist::check_engine_parts(&config, None).map_err(DsgError::InvalidConfig)?;
         if self.vectors == InitialVectors::Explicit && !self.peers.is_empty() {
             return Err(DsgError::InvalidConfig(
                 "peers(..) and members(..) are mutually exclusive".to_string(),
@@ -587,6 +570,40 @@ mod tests {
         let err = DsgSession::builder().peers(0..8).a(1).build().unwrap_err();
         assert!(matches!(err, DsgError::InvalidConfig(_)));
         assert!(DsgSession::builder().peers(0..8).a(2).build().is_ok());
+    }
+
+    /// A config handed over whole is checked like the setters' values: it
+    /// used to build and serve, and the store it wrote was refused on
+    /// reopen (`balance parameter a = 0 below 2`).
+    #[test]
+    fn builder_checks_a_whole_config() {
+        let config = DsgConfig {
+            a: 0,
+            shards: 0,
+            ..Default::default()
+        };
+        let err = DsgSession::builder()
+            .peers(0..16)
+            .config(config)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, DsgError::InvalidConfig(_)), "{err:?}");
+    }
+
+    /// A gated policy with a zero aging period is refused typed; it used to
+    /// panic in the frequency sketch's constructor.
+    #[test]
+    fn builder_refuses_a_zero_aging_period_typed() {
+        let policy = PolicyConfig {
+            aging_period: 0,
+            ..PolicyConfig::gated()
+        };
+        let err = DsgSession::builder()
+            .peers(0..16)
+            .policy(policy)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, DsgError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -60,17 +60,17 @@
 //! those steps without the searches, and sizes the arena up front to the
 //! capacity the pushes would reach. The unit tests compare the two builds
 //! field for field, the arena and its capacity, the list records, the
-//! prefix index and the key index included.
+//! prefix index and the key map included.
 //!
-//! Everything else is allocated in the order the inserts allocate it, the
-//! ordered half of the key index included. Bulk-loading that `BTreeMap`
-//! from the sorted keys built it faster (0.3–0.5 ms less per reopen of a
-//! 2,000-node snapshot on 2 vCPUs), but a cold-durable service started
-//! from it served at a median latency about 0.7 µs higher, in three sets
-//! of interleaved perfbench runs, though no routed request reads that
-//! map; why is not known.
+//! ## Key order
+//!
+//! The base list holds every node in key order, and it is the only copy
+//! of that order: the key map is hashed and answers exact lookups alone.
+//! Ascending iteration walks the base list, and a predecessor query
+//! ([`SkipGraph::predecessor_by_key`]) searches top down from its head,
+//! as a joining node searches for its position from an introducer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use rand::{Rng, RngExt};
 
@@ -214,79 +214,6 @@ struct ListMeta {
     dummies: usize,
 }
 
-/// The key → node index of the graph: an exact-lookup fasthash map paired
-/// with an ordered `BTreeMap` over the same `(key, id)` entries.
-///
-/// The hash half exists for the *dummy repair* hot path:
-/// `free_key_between` (in the `dsg` crate) resolves every dummy key by
-/// probing candidate keys for occupancy, and under uniform traffic most
-/// split decisions are rewritten each request, so thousands of dummies
-/// churn per request at large n — an O(1) hash probe with no tree walk
-/// measured 7–12× cheaper than a `BTreeMap` probe at n = 256–4096. The
-/// ordered half serves predecessor/successor queries and ascending
-/// iteration. A sorted `Vec` was measured for the
-/// ordered half first and rejected: at ~10k dummy inserts/removals per
-/// request (n = 4096) the O(n) tail `memmove` per mutation cost more than
-/// the probe win saved.
-#[derive(Debug, Clone, Default)]
-struct KeyIndex {
-    /// Ordered view: predecessor/successor and ascending iteration.
-    tree: BTreeMap<Key, NodeId>,
-    /// Exact-lookup index over the same pairs (the occupancy-probe path).
-    /// Keyed with the *finalised* hasher: node keys share the `2^20`
-    /// `KEY_SPACING` stride, which the plain FxHash maps into one bucket
-    /// chain (see [`KeyHashState`]).
-    map: HashMap<Key, NodeId, KeyHashState>,
-}
-
-impl KeyIndex {
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn contains(&self, key: Key) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    fn get(&self, key: Key) -> Option<NodeId> {
-        self.map.get(&key).copied()
-    }
-
-    fn insert(&mut self, key: Key, id: NodeId) {
-        self.map.insert(key, id);
-        self.tree.insert(key, id);
-    }
-
-    fn remove(&mut self, key: Key) {
-        if self.map.remove(&key).is_some() {
-            let removed = self.tree.remove(&key);
-            debug_assert!(removed.is_some());
-        }
-    }
-
-    /// The entry with the largest key strictly below `key`.
-    fn predecessor(&self, key: Key) -> Option<NodeId> {
-        self.tree.range(..key).next_back().map(|(_, &id)| id)
-    }
-
-    /// The entry with the smallest key strictly above `key`.
-    fn successor(&self, key: Key) -> Option<NodeId> {
-        self.tree
-            .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &id)| id)
-    }
-
-    /// All `(key, id)` entries in ascending key order.
-    fn iter(&self) -> impl Iterator<Item = (Key, NodeId)> + '_ {
-        self.tree.iter().map(|(&key, &id)| (key, id))
-    }
-}
-
 /// A skip graph: the family-`S` data structure of the paper.
 ///
 /// See the [crate-level documentation](crate) for an overview and an
@@ -295,7 +222,16 @@ impl KeyIndex {
 pub struct SkipGraph {
     arena: Vec<Slot>,
     free: Vec<u32>,
-    by_key: KeyIndex,
+    /// Exact key → node lookups; key order lives in the base list alone
+    /// (see the [module documentation](self#key-order)). Hashed for the
+    /// *dummy repair* hot path: `free_key_between` (in the `dsg` crate)
+    /// resolves every dummy key by probing candidate keys for occupancy,
+    /// and under uniform traffic thousands of dummies churn per request at
+    /// large n — an O(1) hash probe measured 7–12× cheaper than a probe
+    /// of an ordered tree at n = 256–4096. Keyed with the *finalised*
+    /// hasher: node keys share the `2^20` `KEY_SPACING` stride, which the
+    /// plain FxHash maps into one bucket chain (see [`KeyHashState`]).
+    by_key: HashMap<Key, NodeId, KeyHashState>,
     /// List arena; `None` slots are free (ids recycled via `free_lists`).
     lists: Vec<Option<ListMeta>>,
     free_lists: Vec<u32>,
@@ -531,7 +467,7 @@ impl SkipGraph {
     where
         R: Rng + ?Sized,
     {
-        if self.by_key.contains(key) {
+        if self.by_key.contains_key(&key) {
             return Err(SkipGraphError::DuplicateKey(key));
         }
         // Walk down: starting from the root list, keep choosing random bits
@@ -577,7 +513,7 @@ impl SkipGraph {
     }
 
     fn insert_inner(&mut self, key: Key, mvec: MembershipVector, dummy: bool) -> Result<NodeId> {
-        if self.by_key.contains(key) {
+        if self.by_key.contains_key(&key) {
             return Err(SkipGraphError::DuplicateKey(key));
         }
         self.generation += 1;
@@ -621,8 +557,7 @@ impl SkipGraph {
     /// Returns [`SkipGraphError::UnknownKey`] if no such node exists.
     pub fn remove_key(&mut self, key: Key) -> Result<NodeEntry> {
         let id = self
-            .by_key
-            .get(key)
+            .node_by_key(key)
             .ok_or(SkipGraphError::UnknownKey(key))?;
         self.remove(id)
     }
@@ -640,7 +575,7 @@ impl SkipGraph {
             .ok_or(SkipGraphError::UnknownNode(id))?;
         self.generation += 1;
         self.unlink_node(id);
-        self.by_key.remove(entry.key);
+        self.by_key.remove(&entry.key);
         if entry.dummy {
             self.dummies -= 1;
         }
@@ -654,11 +589,12 @@ impl SkipGraph {
     // ------------------------------------------------------------------
 
     /// Links a freshly inserted node into its list at every level
-    /// `0..=len(mvec)`, bottom-up. The level-0 position comes from the key
-    /// index; every higher-level position is found by walking left along
-    /// the level below until a member of the target list is met — the
-    /// standard join walk, O(1) steps in expectation per level for random
-    /// membership vectors.
+    /// `0..=len(mvec)`, bottom-up. The level-0 position comes from a
+    /// top-down search ([`SkipGraph::predecessor_by_key`]); every
+    /// higher-level position is found by walking left along the level
+    /// below until a member of the target list is met — the standard join
+    /// walk, O(1) steps in expectation per level for random membership
+    /// vectors.
     fn link_node(&mut self, id: NodeId) {
         let (key, len, mvec, is_dummy) = {
             let entry = self.entry(id).expect("node just inserted");
@@ -1211,9 +1147,10 @@ impl SkipGraph {
     /// new dummies through this entry point.
     ///
     /// Each group's merge starts from a cheaply-found predecessor of the
-    /// group's first key (the key index at level 0, the standard
+    /// group's first key (the top-down search of
+    /// [`SkipGraph::predecessor_by_key`] at level 0, the standard
     /// walk-from-the-level-below at higher levels), so a small batch costs
-    /// O(batch · height) expected — never a scan from each list head. The
+    /// O(batch · height) expected — never a walk along a whole list. The
     /// resulting structure is identical to inserting the dummies one by one
     /// in any order: every list holds the nodes sharing its prefix in
     /// ascending key order.
@@ -1229,7 +1166,7 @@ impl SkipGraph {
         dummies: &[(Key, MembershipVector)],
     ) -> Result<Vec<NodeId>> {
         for &(key, _) in dummies {
-            if self.by_key.contains(key) {
+            if self.by_key.contains_key(&key) {
                 return Err(SkipGraphError::DuplicateKey(key));
             }
         }
@@ -1314,13 +1251,12 @@ impl SkipGraph {
                     // would dominate (dummy keys spread across the whole
                     // key space make the level-0 merge an O(n) scan), so
                     // seek each node's predecessor directly instead — the
-                    // key index at level 0, the walk-from-the-level-below
-                    // everywhere else.
+                    // top-down search at level 0, the
+                    // walk-from-the-level-below everywhere else.
                     if incoming.len() * 8 >= self.list_meta(lid).len {
-                        // The key index already holds the whole batch, but
-                        // the group's first member is the batch's smallest
-                        // key in this list, so its predecessor is an
-                        // existing (linked) node.
+                        // No node of the group is linked into this list
+                        // yet, so both seeks find the existing member
+                        // that the group's smallest key follows.
                         let start_pred = if level == 0 {
                             self.predecessor_by_key(first_key)
                         } else {
@@ -1517,18 +1453,38 @@ impl SkipGraph {
 
     /// Returns the id of the node holding `key`.
     pub fn node_by_key(&self, key: Key) -> Option<NodeId> {
-        self.by_key.get(key)
+        self.by_key.get(&key).copied()
     }
 
     /// The node with the largest key strictly below `key` (its left
     /// neighbour in the base list, whether or not `key` itself is present).
+    ///
+    /// A top-down search from the base list's head, at the top level it is
+    /// linked into: move right while the next key is below `key`, else
+    /// descend. It costs what a route costs: O(log n) hops expected, longer
+    /// on lists that do not split (a graph of empty vectors is one list, so
+    /// the search walks it).
     pub fn predecessor_by_key(&self, key: Key) -> Option<NodeId> {
-        self.by_key.predecessor(key)
-    }
-
-    /// The node with the smallest key strictly above `key`.
-    pub fn successor_by_key(&self, key: Key) -> Option<NodeId> {
-        self.by_key.successor(key)
+        let key_at = |id: NodeId| self.entry(id).expect("list member is live").key;
+        let (head, _) = self.list_head(0, Prefix::root())?;
+        if key_at(head) >= key {
+            return None;
+        }
+        let mut current = head;
+        // The head's links, not its vector: inside `insert_dummies_bulk` a
+        // new head may be linked at level 0 only so far.
+        let mut level = self.arena[head.index()].links.len() - 1;
+        loop {
+            match self.arena[current.index()]
+                .links
+                .get(level)
+                .and_then(|l| l.next)
+            {
+                Some(next) if key_at(next) < key => current = next,
+                _ if level == 0 => return Some(current),
+                _ => level -= 1,
+            }
+        }
     }
 
     /// The key of a live node.
@@ -1553,14 +1509,16 @@ impl SkipGraph {
             .ok_or(SkipGraphError::UnknownNode(id))
     }
 
-    /// Iterates over all live node ids in ascending key order.
+    /// Iterates over all live node ids in ascending key order: a walk of
+    /// the base list.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_key.iter().map(|(_, id)| id)
+        self.list_iter(0, Prefix::root())
     }
 
     /// Iterates over all live keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.by_key.iter().map(|(key, _)| key)
+        self.node_ids()
+            .map(|id| self.entry(id).expect("list member is live").key)
     }
 
     /// The height of the skip graph: the smallest `H` such that every node
@@ -1849,23 +1807,8 @@ impl SkipGraph {
                 )));
             }
         }
-        // 4. the two halves of the key index agree.
-        if self.by_key.map.len() != self.by_key.tree.len() {
-            return Err(SkipGraphError::InvariantViolated(format!(
-                "key index halves disagree: {} hashed, {} ordered",
-                self.by_key.map.len(),
-                self.by_key.tree.len()
-            )));
-        }
-        for (key, id) in self.by_key.iter() {
-            if self.by_key.get(key) != Some(id) {
-                return Err(SkipGraphError::InvariantViolated(format!(
-                    "key index halves disagree on key {key}"
-                )));
-            }
-        }
-        // 5. every node is linked at every level up to its vector length.
-        for (key, id) in self.by_key.iter() {
+        // 3. every node is linked at every level up to its vector length.
+        for (&key, &id) in &self.by_key {
             let entry = self.entry(id).ok_or_else(|| {
                 SkipGraphError::InvariantViolated(format!("key {key} maps to dead node {id}"))
             })?;
@@ -2076,64 +2019,8 @@ impl ExactSizeIterator for ListIter<'_> {}
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use std::collections::BTreeMap;
     use rand::SeedableRng;
-
-    /// Direct edge-case coverage for the ordered half of [`KeyIndex`]
-    /// (predecessor/successor windows), previously exercised only through
-    /// full engine runs.
-    #[test]
-    fn key_index_ordered_queries_cover_the_edges() {
-        let id = |raw: u32| NodeId::from_raw(raw);
-        let mut index = KeyIndex::default();
-
-        // Empty window: no predecessor or successor anywhere.
-        assert!(index.is_empty());
-        assert_eq!(index.predecessor(Key::new(0)), None);
-        assert_eq!(index.predecessor(Key::new(u64::MAX)), None);
-        assert_eq!(index.successor(Key::new(0)), None);
-        assert_eq!(index.successor(Key::new(u64::MAX)), None);
-
-        // Key-space boundaries: entries at 0 and u64::MAX. Both queries are
-        // strict, so the extremes have no predecessor/successor themselves.
-        index.insert(Key::new(0), id(1));
-        index.insert(Key::new(u64::MAX), id(2));
-        assert_eq!(index.predecessor(Key::new(0)), None);
-        assert_eq!(index.successor(Key::new(u64::MAX)), None);
-        assert_eq!(index.predecessor(Key::new(u64::MAX)), Some(id(1)));
-        assert_eq!(index.successor(Key::new(0)), Some(id(2)));
-        assert_eq!(index.predecessor(Key::new(1)), Some(id(1)));
-        assert_eq!(index.successor(Key::new(u64::MAX - 1)), Some(id(2)));
-
-        // Fully occupied window: a dense run of keys — every interior probe
-        // resolves to its immediate neighbours, and both index halves stay
-        // in lockstep with removals.
-        for k in 10..=20u64 {
-            index.insert(Key::new(k), id(k as u32));
-        }
-        assert_eq!(index.len(), 13);
-        for k in 11..=19u64 {
-            assert!(index.contains(Key::new(k)));
-            assert_eq!(index.predecessor(Key::new(k)), Some(id(k as u32 - 1)));
-            assert_eq!(index.successor(Key::new(k)), Some(id(k as u32 + 1)));
-        }
-        // Probing between the dense run and the extremes.
-        assert_eq!(index.predecessor(Key::new(10)), Some(id(1)));
-        assert_eq!(index.successor(Key::new(20)), Some(id(2)));
-
-        // Removal empties both halves consistently; ascending iteration
-        // reflects exactly the survivors.
-        index.remove(Key::new(15));
-        assert!(!index.contains(Key::new(15)));
-        assert_eq!(index.predecessor(Key::new(16)), Some(id(14)));
-        assert_eq!(index.successor(Key::new(14)), Some(id(16)));
-        // Removing an absent key is a no-op.
-        index.remove(Key::new(15));
-        let keys: Vec<u64> = index.iter().map(|(k, _)| k.value()).collect();
-        assert_eq!(keys.first(), Some(&0));
-        assert_eq!(keys.last(), Some(&u64::MAX));
-        assert_eq!(keys.len(), index.len());
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending iteration");
-    }
 
     /// Builds the 6-node skip graph of Figure 1 of the paper.
     ///
@@ -2365,15 +2252,100 @@ mod tests {
     #[test]
     fn predecessor_and_successor_by_key() {
         let g = figure1_graph();
-        let pred = g.predecessor_by_key(Key::new(13)).unwrap();
-        assert_eq!(g.key_of(pred).unwrap().value(), 10);
-        let succ = g.successor_by_key(Key::new(13)).unwrap();
-        assert_eq!(g.key_of(succ).unwrap().value(), 18);
+        let key_at = |id: Option<NodeId>| id.map(|id| g.key_of(id).unwrap().value());
+        assert_eq!(key_at(g.predecessor_by_key(Key::new(13))), Some(10));
+        // The successor is the right neighbour in the base list.
+        let m = g.node_by_key(Key::new(13)).unwrap();
+        assert_eq!(key_at(g.neighbors(m, 0).unwrap().1), Some(18));
         // Keys between members resolve to the surrounding members.
-        let pred = g.predecessor_by_key(Key::new(12)).unwrap();
-        assert_eq!(g.key_of(pred).unwrap().value(), 10);
+        assert_eq!(key_at(g.predecessor_by_key(Key::new(12))), Some(10));
         assert_eq!(g.predecessor_by_key(Key::new(1)), None);
-        assert_eq!(g.successor_by_key(Key::new(23)), None);
+        let w = g.node_by_key(Key::new(23)).unwrap();
+        assert_eq!(g.neighbors(w, 0).unwrap().1, None);
+        // The join's target: the key itself, else the nearer neighbour,
+        // the lower one on a tie.
+        let closest = |key: u64| g.closest_existing_key(Key::new(key)).map(Key::value);
+        assert_eq!(closest(13), Some(13));
+        assert_eq!(closest(12), Some(13));
+        assert_eq!(closest(11), Some(10));
+        assert_eq!(closest(4), Some(1));
+        assert_eq!(closest(0), Some(1));
+        assert_eq!(closest(99), Some(23));
+    }
+
+    /// Checks every ordered query of `g` against `tree`, the test's own
+    /// record of the graph's `(key, id)` entries: `keys()` and `node_ids()`
+    /// in ascending order, and `predecessor_by_key` and the join's closest
+    /// key at every present key, in the gaps beside each (below the
+    /// minimum and above the maximum among them), and at 0 and `u64::MAX`.
+    fn check_ordered_queries(g: &SkipGraph, tree: &BTreeMap<Key, NodeId>) {
+        g.validate().unwrap();
+        assert_eq!(
+            g.keys().collect::<Vec<_>>(),
+            tree.keys().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            g.node_ids().collect::<Vec<_>>(),
+            tree.values().copied().collect::<Vec<_>>()
+        );
+        let mut probes = vec![0, u64::MAX];
+        for key in tree.keys().map(|key| key.value()) {
+            probes.extend([key, key.saturating_sub(1), key.saturating_add(1)]);
+        }
+        for probe in probes.into_iter().map(Key::new) {
+            let below = tree.range(..probe).next_back().map(|(_, &id)| id);
+            assert_eq!(g.predecessor_by_key(probe), below, "predecessor of {probe}");
+            let closest = tree
+                .keys()
+                .copied()
+                .min_by_key(|key| (key.value().abs_diff(probe.value()), *key));
+            assert_eq!(
+                g.closest_existing_key(probe),
+                closest,
+                "closest key to {probe}"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_queries_cover_the_edges() {
+        let mut g = SkipGraph::new();
+        let mut tree = BTreeMap::new();
+        check_ordered_queries(&g, &tree);
+        // Nodes at both ends of the key space: the queries are strict, so
+        // neither extreme has a predecessor or successor beyond the other.
+        for (key, vector) in [(0, "1"), (u64::MAX, "0")] {
+            let key = Key::new(key);
+            let id = g
+                .insert(key, MembershipVector::parse(vector).unwrap())
+                .unwrap();
+            tree.insert(key, id);
+        }
+        check_ordered_queries(&g, &tree);
+        // A dense run between them, through the bulk installer: every
+        // interior probe resolves to its immediate neighbours.
+        let run: Vec<_> = (10..=20u64)
+            .map(|k| {
+                (
+                    Key::new(k),
+                    MembershipVector::parse(&format!("{:b}", k % 4)).unwrap(),
+                )
+            })
+            .collect();
+        for (&(key, _), id) in run.iter().zip(g.insert_dummies_bulk(&run).unwrap()) {
+            tree.insert(key, id);
+        }
+        check_ordered_queries(&g, &tree);
+        // A removal closes its gap; removing the key again is refused and
+        // changes nothing.
+        g.remove_key(Key::new(15)).unwrap();
+        tree.remove(&Key::new(15));
+        check_ordered_queries(&g, &tree);
+        assert_eq!(
+            g.remove_key(Key::new(15)).unwrap_err(),
+            SkipGraphError::UnknownKey(Key::new(15))
+        );
+        check_ordered_queries(&g, &tree);
     }
 
     /// Builds the batch update for moving `id` to `new_mvec` (computing the
@@ -2566,7 +2538,7 @@ mod tests {
 
     /// Asserts that `bulk` is, field for field, the graph `reference` is:
     /// the arena's slots and link records, the list records in list-id
-    /// order, the prefix index and the key index in their iteration order
+    /// order, the prefix index and the key map in their iteration order
     /// (both hash with fixed seeds, so equal insert histories iterate
     /// alike), the counters, the generation, and the capacities the arena
     /// and the key map grew to.
@@ -2588,9 +2560,8 @@ mod tests {
         assert_eq!(index(bulk), index(reference), "the per-level prefix index");
         assert_eq!(bulk.multi, reference.multi, "multi-member list counters");
         assert_eq!(bulk.dummies, reference.dummies, "dummy count");
-        assert_eq!(bulk.by_key.tree, reference.by_key.tree, "ordered key index");
-        let hashed = |g: &SkipGraph| g.by_key.map.iter().map(|(&k, &id)| (k, id)).collect::<Vec<_>>();
-        assert_eq!(hashed(bulk), hashed(reference), "hashed key index");
+        let hashed = |g: &SkipGraph| g.by_key.iter().map(|(&k, &id)| (k, id)).collect::<Vec<_>>();
+        assert_eq!(hashed(bulk), hashed(reference), "key map");
         assert_eq!(bulk.generation, reference.generation, "generation");
         assert_eq!(
             (bulk.free.len(), bulk.free_lists.len(), bulk.batch_epoch),
@@ -2598,8 +2569,8 @@ mod tests {
         );
         assert_eq!(bulk.arena.capacity(), reference.arena.capacity(), "arena growth");
         assert_eq!(
-            bulk.by_key.map.capacity(),
-            reference.by_key.map.capacity(),
+            bulk.by_key.capacity(),
+            reference.by_key.capacity(),
             "key map growth"
         );
     }
@@ -2657,6 +2628,53 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The ordered queries the base list answers agree with a
+        /// `BTreeMap` kept beside the graph. The graph is built from
+        /// random, empty or skewed vectors, by inserts in random key order
+        /// and then one `insert_dummies_bulk` batch, with a node at 0 and
+        /// at `u64::MAX` in some cases, and checked again after about a
+        /// third of its nodes are removed.
+        #[test]
+        fn ordered_queries_agree_with_a_btree(
+            shape in 0usize..3,
+            n in 0usize..64,
+            seed in 0u64..u64::MAX,
+            bulk in 0usize..64,
+            extremes in 0u32..4,
+        ) {
+            let mut nodes = bulk_build_input(shape, n, seed);
+            if extremes & 1 != 0 {
+                nodes.push((Key::new(0), MembershipVector::empty(), false));
+            }
+            if extremes & 2 != 0 {
+                nodes.push((Key::new(u64::MAX), MembershipVector::parse("1").unwrap(), true));
+            }
+            let mut rng = StdRng::seed_from_u64(seed.rotate_left(32));
+            for i in (1..nodes.len()).rev() {
+                nodes.swap(i, rng.random_range(0..=i));
+            }
+            let (inserted, batch) = nodes.split_at(nodes.len() - bulk.min(nodes.len()));
+            let mut g = SkipGraph::new();
+            let mut tree = BTreeMap::new();
+            for &(key, mvec, dummy) in inserted {
+                let id = if dummy { g.insert_dummy(key, mvec) } else { g.insert(key, mvec) };
+                tree.insert(key, id.unwrap());
+            }
+            let batch: Vec<_> = batch.iter().map(|&(key, mvec, _)| (key, mvec)).collect();
+            for (&(key, _), id) in batch.iter().zip(g.insert_dummies_bulk(&batch).unwrap()) {
+                tree.insert(key, id);
+            }
+            check_ordered_queries(&g, &tree);
+            let keys: Vec<Key> = tree.keys().copied().collect();
+            for key in keys {
+                if rng.random_bool(0.35) {
+                    g.remove_key(key).unwrap();
+                    tree.remove(&key);
+                }
+            }
+            check_ordered_queries(&g, &tree);
+        }
 
         /// The bulk build equals key-ordered inserts field for field, and
         /// refuses a repeated or descending key typed.

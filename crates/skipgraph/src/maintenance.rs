@@ -118,18 +118,19 @@ impl SkipGraph {
         })
     }
 
-    /// Finds the live key closest to `key` (used as the join target).
-    /// O(log n) via the key index rather than a linear scan.
-    fn closest_existing_key(&self, key: Key) -> Option<Key> {
-        let below = if self.node_by_key(key).is_some() {
-            Some(key)
-        } else {
-            self.predecessor_by_key(key)
-                .and_then(|id| self.key_of(id).ok())
+    /// Finds the live key closest to `key` (used as the join target), the
+    /// lower one on a tie: `key` itself if present. The top-down search of
+    /// [`SkipGraph::predecessor_by_key`] finds the key below; the key at
+    /// or above is that node's right neighbour in the base list (or the
+    /// list's head when nothing lies below).
+    pub(crate) fn closest_existing_key(&self, key: Key) -> Option<Key> {
+        let below = self.predecessor_by_key(key);
+        let above = match below {
+            Some(id) => self.neighbors(id, 0).ok()?.1,
+            None => self.node_ids().next(),
         };
-        let above = self
-            .successor_by_key(key)
-            .and_then(|id| self.key_of(id).ok());
+        let below = below.and_then(|id| self.key_of(id).ok());
+        let above = above.and_then(|id| self.key_of(id).ok());
         match (below, above) {
             (Some(b), Some(a)) => {
                 if key.value() - b.value() <= a.value() - key.value() {

@@ -618,6 +618,58 @@ fn durable_journal_holds_every_request_once_and_replays_the_engine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Whatever the builder accepts, the store reopens. Over the balance
+    /// parameter, the shard count, the sketch aging period and the policy
+    /// kind, invalid values included: either `build` (and a cold-start
+    /// `open` with the same builder) refuses the config typed, or a durable
+    /// service built from it serves a few requests, shuts down, and reopens
+    /// to an equal `capture_image`.
+    #[test]
+    fn whatever_the_builder_accepts_the_store_reopens(
+        a in 0usize..5,
+        shards in 0usize..3,
+        period in 0usize..4,
+        gated in 0u32..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let _guard = failpoint::exclusive();
+        let policy = PolicyConfig {
+            policy: if gated == 1 { AdaptPolicy::Gated } else { AdaptPolicy::Always },
+            aging_period: [0, 1, 64, 4096][period],
+            ..PolicyConfig::default()
+        };
+        let engine = DsgConfig { a, shards, seed, policy, ..DsgConfig::default() };
+        let builder = || DsgSession::builder().peers(0..16).config(engine);
+        let config = ServiceConfig {
+            persist: Some(PersistConfig::default().with_snapshot_every(1)),
+            ..ServiceConfig::default()
+        };
+        let dir = temp_store_dir("builder");
+        if let Err(err) = builder().build() {
+            prop_assert!(matches!(err, DsgError::InvalidConfig(_)), "{err:?}");
+            let refused = DsgService::open(&dir, builder(), config).map(|_| ()).unwrap_err();
+            prop_assert!(matches!(refused, DsgError::InvalidConfig(_)), "{refused:?}");
+        } else {
+            // Three pairs, each repeated, so a gated policy admits some.
+            let offset = 1 + seed % 15;
+            let requests: Vec<Request> = (0..12u64)
+                .map(|i| Request::communicate(i % 3, (i % 3 + offset) % 16))
+                .collect();
+            let (mut service, _) = DsgService::open(&dir, builder(), config).expect("cold start");
+            serve_all(&service, &requests);
+            let served = service.shutdown().expect("shutdown").session.engine().capture_image();
+            let (mut reopened, report) = DsgService::open(&dir, builder(), config).expect("reopen");
+            prop_assert!(report.recovered);
+            let restored = reopened.shutdown().expect("shutdown").session.engine().capture_image();
+            prop_assert_eq!(restored, served);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Overload control (PR 9): deadline shedding, sojourn shedding, watchdog
 // ---------------------------------------------------------------------
