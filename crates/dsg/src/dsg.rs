@@ -35,7 +35,7 @@ use crate::cost::{CostBreakdown, EpochCounters, RunStats};
 use crate::dummy;
 use crate::error::DsgError;
 use crate::groups::{self, GroupScratch, GroupUpdateInput};
-use crate::policy::{Admission, AdmissionGate, ClusterSignal, FreqSketch};
+use crate::policy::{Admission, AdmissionGate, ClusterSignal, FreqSketch, SketchImage};
 use crate::state::{NodeState, StateTable};
 use crate::timestamps::{self, TimestampInput};
 use crate::transform::{self, TransformInput, TransformOutcome, TransformPair, MAX_EPOCH_PAIRS};
@@ -358,11 +358,17 @@ pub struct DynamicSkipGraph {
     sketch: Option<FreqSketch>,
 }
 
-/// Builds the policy sketch prescribed by `config`: `Some` iff gated.
-fn sketch_for(config: &DsgConfig) -> Option<FreqSketch> {
+/// Builds the policy sketch prescribed by `config`: `Some` iff gated,
+/// holding the `saved` counters if there are any and empty otherwise (an
+/// image captured before the policy was turned on carries none).
+fn sketch_for(config: &DsgConfig, saved: Option<SketchImage>) -> Option<FreqSketch> {
+    let (seed, period) = (config.seed, config.policy.aging_period);
     match config.policy.policy {
         AdaptPolicy::Always => None,
-        AdaptPolicy::Gated => Some(FreqSketch::new(config.seed, config.policy.aging_period)),
+        AdaptPolicy::Gated => Some(match saved {
+            Some(saved) => FreqSketch::from_image(seed, period, saved),
+            None => FreqSketch::new(seed, period),
+        }),
     }
 }
 
@@ -427,22 +433,35 @@ impl DynamicSkipGraph {
             let base = graph.mvec_of(id)?.len();
             states.register(id, key, base);
         }
-        let plan_shards_scratch = vec![PlanShard::from_config(&config)];
-        let sketch = sketch_for(&config);
-        Ok(DynamicSkipGraph {
+        Ok(Self::from_parts(graph, states, config, rng, 0, None))
+    }
+
+    /// The one constructor every build and restore ends in: an engine over
+    /// `graph` and `states` at logical time `time`, with a fresh instance
+    /// id, fresh scratch and statistics, and the policy sketch that
+    /// [`sketch_for`] builds from the config and the `saved` counters.
+    fn from_parts(
+        graph: SkipGraph,
+        states: StateTable,
+        config: DsgConfig,
+        rng: StdRng,
+        time: u64,
+        saved: Option<SketchImage>,
+    ) -> Self {
+        DynamicSkipGraph {
             graph,
             states,
             instance: next_instance(),
+            plan_shards_scratch: vec![PlanShard::from_config(&config)],
+            sketch: sketch_for(&config, saved),
             config,
-            plan_shards_scratch,
             rng,
-            time: 0,
+            time,
             stats: RunStats::default(),
             scratch: CommScratch::default(),
             phase: EpochPhase::Idle,
             last_affected: Vec::new(),
-            sketch,
-        })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -797,7 +816,7 @@ impl DynamicSkipGraph {
         // Like the scratch, the policy sketch restarts fresh: the faulted
         // epoch's staged increments are unaccounted-for, and the service
         // cuts a fresh checkpoint right after recovery anyway.
-        self.sketch = sketch_for(&self.config);
+        self.sketch = sketch_for(&self.config, None);
 
         // The balanced construction satisfies a-balance for every `a`, but
         // the invariant is re-derived rather than assumed.
@@ -981,38 +1000,12 @@ impl DynamicSkipGraph {
                 NodeState::from_raw_parts(key, group_base, timestamps, group_ids, dominating),
             );
         }
-        let config = image.config;
-        let plan_shards_scratch = vec![PlanShard::from_config(&config)];
-        // A gated engine restores its sketch counters from the image (an
-        // image without one — e.g. captured before the policy was turned
-        // on — starts the sketch empty, like a fresh engine would).
         let saved_sketch = match &mut image {
             Cow::Borrowed(image) => image.sketch.clone(),
             Cow::Owned(image) => image.sketch.take(),
         };
-        let sketch = match config.policy.policy {
-            AdaptPolicy::Always => None,
-            AdaptPolicy::Gated => Some(match saved_sketch {
-                Some(saved) => {
-                    FreqSketch::from_image(config.seed, config.policy.aging_period, saved)
-                }
-                None => FreqSketch::new(config.seed, config.policy.aging_period),
-            }),
-        };
-        let engine = DynamicSkipGraph {
-            graph,
-            states,
-            instance: next_instance(),
-            config,
-            plan_shards_scratch,
-            rng: StdRng::from_state(image.rng_state),
-            time: image.time,
-            stats: RunStats::default(),
-            scratch: CommScratch::default(),
-            phase: EpochPhase::Idle,
-            last_affected: Vec::new(),
-            sketch,
-        };
+        let rng = StdRng::from_state(image.rng_state);
+        let engine = Self::from_parts(graph, states, image.config, rng, image.time, saved_sketch);
         engine.validate()?;
         Ok(engine)
     }

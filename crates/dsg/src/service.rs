@@ -126,15 +126,16 @@
 //! # Threading model
 //!
 //! One ingest thread owns the session; producers only touch the bounded
-//! queue (a `Mutex<VecDeque>` with two condvars — `std::sync` only) and
-//! their tickets. Everything the engine does therefore stays serialized,
-//! and the plan-stage worker shards of the session remain scoped *inside*
-//! an epoch — the service adds concurrency at the boundary, never inside
-//! the pipeline, which is why the determinism guarantees of
-//! [`DsgSession`] carry over verbatim. [`shutdown`](DsgService::shutdown)
-//! closes the queue and, per [`ShutdownPolicy`], either drains the backlog
-//! or resolves it with [`DsgError::ShuttingDown`]; dropping the service
-//! does the same and joins the thread either way.
+//! queue (a `Mutex<VecDeque>` with two condvars — `std::sync` only), the
+//! counters and their tickets. Everything the engine does therefore stays
+//! serialized, and the plan-stage worker shards of the session remain
+//! scoped *inside* an epoch — the service adds concurrency at the
+//! boundary, never inside the pipeline, which is why the determinism
+//! guarantees of [`DsgSession`] carry over verbatim.
+//! [`shutdown`](DsgService::shutdown) closes the queue and, per
+//! [`ShutdownPolicy`], either drains the backlog or resolves it with
+//! [`DsgError::ShuttingDown`]; dropping the service does the same and
+//! joins the thread either way.
 //!
 //! ## The request handoff
 //!
@@ -166,6 +167,23 @@
 //! request before it sleeps. The heartbeat reads the spin as idle, and
 //! the overload controller's idle check runs before it.
 //!
+//! ## Counters and status
+//!
+//! What the service counts is defined once, as the fields of
+//! [`ServiceMetrics`]; what else it publishes (the overload flags, the
+//! durable store's position) as fields of [`ServiceStatus`]. One mutex
+//! guards one `ServiceStatus` holding both, and each event updates its
+//! fields in one critical section, where it happens. So
+//! [`metrics`](DsgService::metrics) and [`status`](DsgService::status)
+//! each return one moment's values: a served run's `batches`, `epochs`
+//! and engine counters never disagree in a read, nor do a deep audit's
+//! `deep_audits` and `deep_audits_certified`. That lock is innermost and
+//! brief: it is never held across a call into the engine, the store, an
+//! observer or a ticket, and no other lock is taken under it, so a reader,
+//! and the stall watchdog, which counts stalls under it, never waits
+//! behind a wedged ingest thread. The wake-up flag, the heartbeat and the
+//! sojourn histogram stay lock-free atomics.
+//!
 //! # Example
 //!
 //! ```rust
@@ -190,7 +208,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -324,9 +342,16 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A snapshot of the service's counters (relaxed atomics, plus the
-/// engine's counters under one lock; exact once the service is shut
-/// down).
+/// The service's counters: every count the service keeps is one field
+/// here. Each event updates its fields in one critical section of the
+/// lock that [`DsgService::metrics`] copies them under, so a read is one
+/// moment's values, never a mix of two: a served run's `batches`,
+/// `epochs` and engine `counters` move together, as do a deep audit's
+/// `deep_audits` and `deep_audits_certified`. A served run is counted
+/// just after its tickets resolve, so a read taken as a ticket resolves
+/// may not include that ticket's run yet; a request refused, shed,
+/// aborted or poisoned is counted before its ticket resolves. The counts
+/// are final once the service is shut down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceMetrics {
     /// Requests accepted onto the queue.
@@ -443,9 +468,12 @@ pub struct OpenReport {
 }
 
 /// A live introspection snapshot from [`DsgService::status`]: the
-/// service's live state beside its counters. Queue fields are taken under
-/// the queue lock, so they are mutually consistent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// service's live state beside its counters. The queue fields, the
+/// overload flags, the store's position and the counters are read at one
+/// moment: the counters' lock is taken inside the queue lock, and every
+/// update of the flags and the position takes that lock too. Only the
+/// sojourn quantiles come from a lock-free histogram, read just after.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStatus {
     /// Requests currently queued, awaiting the ingest thread.
     pub queue_depth: usize,
@@ -637,6 +665,7 @@ impl ReplyCell {
 /// Queue state guarded by the one service mutex. `poisoned` lives here —
 /// not in an atomic — so admission decisions and the poison transition are
 /// serialized against each other.
+#[derive(Default)]
 struct QueueState {
     items: VecDeque<Item>,
     control: VecDeque<Control>,
@@ -694,13 +723,6 @@ struct Shared {
     /// Epoch of the service's monotonic clock: heartbeat stamps and the
     /// controller's window timestamps are nanoseconds since this instant.
     start: Instant,
-    /// Whether [`DsgService::submit`] currently refuses with
-    /// [`SubmitError::Shed`]. Written by the ingest thread on controller
-    /// transitions; read by producers without the queue lock (admission
-    /// under shedding is advisory, not serialized).
-    shedding: AtomicBool,
-    /// Whether drained chunks are currently served under brownout.
-    brownout: AtomicBool,
     /// Nanoseconds since `start` at the ingest loop's last stage change.
     heartbeat_ns: AtomicU64,
     /// Index into [`STAGES`] of the stage the ingest loop last entered.
@@ -708,118 +730,57 @@ struct Shared {
     /// Tells the watchdog thread to exit.
     watchdog_stop: AtomicBool,
     sojourn_hist: [AtomicU64; SOJOURN_BUCKETS],
-    shed_submits: AtomicU64,
-    deadline_shed: AtomicU64,
-    brownout_chunks: AtomicU64,
-    brownout_entries: AtomicU64,
-    brownout_exits: AtomicU64,
-    stalls: AtomicU64,
-    submitted: AtomicU64,
-    rejected_overload: AtomicU64,
-    submit_timeouts: AtomicU64,
-    epochs: AtomicU64,
-    batches: AtomicU64,
-    /// The engine's counters, added once per served run by the ingest
-    /// thread.
-    counters: Mutex<EpochCounters>,
-    max_queue_depth: AtomicUsize,
-    audits: AtomicU64,
-    deep_audits: AtomicU64,
-    deep_audits_certified: AtomicU64,
-    audit_failures: AtomicU64,
-    plan_aborts: AtomicU64,
-    poisonings: AtomicU64,
-    recoveries: AtomicU64,
-    snapshots: AtomicU64,
-    snapshots_reused: AtomicU64,
-    snapshot_failures: AtomicU64,
-    append_aborts: AtomicU64,
-    /// Durable journal length through the last committed frame (0 without
-    /// persistence). Published by the worker after each append.
-    journal_bytes: AtomicU64,
-    /// The snapshot in force: its seq and its journal offset.
-    snapshot_seq: AtomicU64,
-    snapshot_offset: AtomicU64,
+    /// Everything the service counts and publishes: the counters, the
+    /// overload flags and the durable store's position. The queue fields
+    /// and the sojourn quantiles stay at their defaults here;
+    /// [`DsgService::status`] fills them in as it reads. The innermost
+    /// lock: held only to read or update these fields, never across a
+    /// call into the engine, the store, an observer or a ticket, and no
+    /// other lock is taken under it.
+    status: Mutex<ServiceStatus>,
 }
 
 impl Shared {
     fn new() -> Arc<Self> {
         Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                control: VecDeque::new(),
-                closed: false,
-                poisoned: false,
-                ingest_parked: false,
-                blocked_producers: 0,
-            }),
+            queue: Mutex::default(),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             work_posted: AtomicBool::new(false),
             start: Instant::now(),
-            shedding: AtomicBool::new(false),
-            brownout: AtomicBool::new(false),
             heartbeat_ns: AtomicU64::new(0),
             heartbeat_stage: AtomicUsize::new(STAGE_IDLE),
             watchdog_stop: AtomicBool::new(false),
             sojourn_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            shed_submits: AtomicU64::new(0),
-            deadline_shed: AtomicU64::new(0),
-            brownout_chunks: AtomicU64::new(0),
-            brownout_entries: AtomicU64::new(0),
-            brownout_exits: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            submit_timeouts: AtomicU64::new(0),
-            epochs: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            counters: Mutex::new(EpochCounters::default()),
-            max_queue_depth: AtomicUsize::new(0),
-            audits: AtomicU64::new(0),
-            deep_audits: AtomicU64::new(0),
-            deep_audits_certified: AtomicU64::new(0),
-            audit_failures: AtomicU64::new(0),
-            plan_aborts: AtomicU64::new(0),
-            poisonings: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            snapshots_reused: AtomicU64::new(0),
-            snapshot_failures: AtomicU64::new(0),
-            append_aborts: AtomicU64::new(0),
-            journal_bytes: AtomicU64::new(0),
-            snapshot_seq: AtomicU64::new(0),
-            snapshot_offset: AtomicU64::new(0),
+            status: Mutex::default(),
         })
     }
 
-    fn metrics(&self) -> ServiceMetrics {
-        ServiceMetrics {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            submit_timeouts: self.submit_timeouts.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            audits: self.audits.load(Ordering::Relaxed),
-            deep_audits: self.deep_audits.load(Ordering::Relaxed),
-            deep_audits_certified: self.deep_audits_certified.load(Ordering::Relaxed),
-            audit_failures: self.audit_failures.load(Ordering::Relaxed),
-            plan_aborts: self.plan_aborts.load(Ordering::Relaxed),
-            poisonings: self.poisonings.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            snapshots_reused: self.snapshots_reused.load(Ordering::Relaxed),
-            snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
-            append_aborts: self.append_aborts.load(Ordering::Relaxed),
-            shed_submits: self.shed_submits.load(Ordering::Relaxed),
-            deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
-            brownout_chunks: self.brownout_chunks.load(Ordering::Relaxed),
-            brownout_entries: self.brownout_entries.load(Ordering::Relaxed),
-            brownout_exits: self.brownout_exits.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            counters: *self.counters.lock().expect("counters lock"),
-        }
+    /// Locks what the service counts and publishes.
+    fn status(&self) -> MutexGuard<'_, ServiceStatus> {
+        self.status.lock().expect("status lock")
+    }
+
+    /// Publishes the durable store's position: its journal length, the
+    /// snapshot in force and the journal offset it binds, and the
+    /// checkpoints that reused a node section; `cut` counts the snapshots
+    /// just checkpointed, in the same critical section. The store is read
+    /// before the lock is taken.
+    fn publish_store(&self, store: &DurableStore, cut: u64) {
+        let position = (
+            store.journal_len(),
+            store.snapshot_seq(),
+            store.bound_offset(),
+            store.reused_node_sections(),
+        );
+        let mut status = self.status();
+        status.metrics.snapshots += cut;
+        (
+            status.journal_bytes,
+            status.snapshot_seq,
+            status.snapshot_offset,
+            status.metrics.snapshots_reused,
+        ) = position;
     }
 
     /// Tells the ingest loop that there is work: ends its idle spin, and
@@ -887,7 +848,7 @@ impl std::fmt::Debug for DsgService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DsgService")
             .field("config", &self.config)
-            .field("metrics", &self.shared.metrics())
+            .field("metrics", &self.metrics())
             .finish()
     }
 }
@@ -1026,15 +987,7 @@ impl DsgService {
         let shared = Shared::new();
         let (persist_dir, base_offset) = match &store {
             Some(store) => {
-                shared
-                    .journal_bytes
-                    .store(store.journal_len(), Ordering::Relaxed);
-                shared
-                    .snapshot_seq
-                    .store(store.snapshot_seq(), Ordering::Relaxed);
-                shared
-                    .snapshot_offset
-                    .store(store.bound_offset(), Ordering::Relaxed);
+                shared.publish_store(store, 0);
                 (Some(store.dir().to_path_buf()), store.journal_len())
             }
             None => (None, 0),
@@ -1119,9 +1072,7 @@ impl DsgService {
         let mut q = self.shared.queue.lock().expect("queue lock");
         self.admit(&mut q, request, deadline).inspect_err(|&e| {
             if e == SubmitError::Overloaded {
-                self.shared
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.status().metrics.rejected_overload += 1;
             }
         })
     }
@@ -1184,7 +1135,7 @@ impl DsgService {
             }
             let now = Instant::now();
             if now >= deadline {
-                self.shared.submit_timeouts.fetch_add(1, Ordering::Relaxed);
+                self.shared.status().metrics.submit_timeouts += 1;
                 return Err(SubmitError::Timeout);
             }
             q.blocked_producers += 1;
@@ -1212,13 +1163,21 @@ impl DsgService {
         if q.poisoned {
             return Err(SubmitError::Poisoned);
         }
-        if self.shared.shedding.load(Ordering::Relaxed) {
-            self.shared.shed_submits.fetch_add(1, Ordering::Relaxed);
-            let retry_after = self.config.overload.map_or(Duration::ZERO, |o| o.retry_after);
-            return Err(SubmitError::Shed { retry_after });
-        }
-        if q.items.len() >= self.config.queue_capacity {
-            return Err(SubmitError::Overloaded);
+        {
+            let mut status = self.shared.status();
+            if status.shedding {
+                status.metrics.shed_submits += 1;
+                let retry_after = self
+                    .config
+                    .overload
+                    .map_or(Duration::ZERO, |o| o.retry_after);
+                return Err(SubmitError::Shed { retry_after });
+            }
+            if q.items.len() >= self.config.queue_capacity {
+                return Err(SubmitError::Overloaded);
+            }
+            status.metrics.submitted += 1;
+            status.metrics.max_queue_depth = status.metrics.max_queue_depth.max(q.items.len() + 1);
         }
         let cell = TicketCell::new();
         q.items.push_back(Item {
@@ -1227,10 +1186,6 @@ impl DsgService {
             enqueued_at: Instant::now(),
             deadline,
         });
-        self.shared
-            .max_queue_depth
-            .fetch_max(q.items.len(), Ordering::Relaxed);
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         self.shared.post_work(q);
         Ok(Ticket { cell })
     }
@@ -1241,33 +1196,28 @@ impl DsgService {
         self.shared.queue.lock().expect("queue lock").poisoned
     }
 
-    /// A snapshot of the service counters.
+    /// A snapshot of the service counters, all read at one moment (see
+    /// [`ServiceMetrics`]).
     pub fn metrics(&self) -> ServiceMetrics {
-        self.shared.metrics()
+        self.shared.status().metrics
     }
 
-    /// A live introspection snapshot: queue depth and health flags
-    /// (mutually consistent, taken under the queue lock) plus the live
-    /// overload, sojourn and durability state and every counter. Cheap
-    /// enough to poll from monitoring loops.
+    /// A live introspection snapshot: queue depth and health flags, the
+    /// overload, sojourn and durability state and every counter, read at
+    /// one moment (see [`ServiceStatus`]). Cheap enough to poll from
+    /// monitoring loops.
     pub fn status(&self) -> ServiceStatus {
-        let (queue_depth, closed, poisoned) = {
-            let q = self.shared.queue.lock().expect("queue lock");
-            (q.items.len(), q.closed, q.poisoned)
+        let q = self.shared.queue.lock().expect("queue lock");
+        let mut status = ServiceStatus {
+            queue_depth: q.items.len(),
+            closed: q.closed,
+            poisoned: q.poisoned,
+            ..*self.shared.status()
         };
-        ServiceStatus {
-            queue_depth,
-            closed,
-            poisoned,
-            shedding: self.shared.shedding.load(Ordering::Relaxed),
-            brownout: self.shared.brownout.load(Ordering::Relaxed),
-            sojourn_p50_us: self.shared.sojourn_quantile_us(50),
-            sojourn_p99_us: self.shared.sojourn_quantile_us(99),
-            journal_bytes: self.shared.journal_bytes.load(Ordering::Relaxed),
-            snapshot_seq: self.shared.snapshot_seq.load(Ordering::Relaxed),
-            snapshot_offset: self.shared.snapshot_offset.load(Ordering::Relaxed),
-            metrics: self.shared.metrics(),
-        }
+        drop(q);
+        status.sojourn_p50_us = self.shared.sojourn_quantile_us(50);
+        status.sojourn_p99_us = self.shared.sojourn_quantile_us(99);
+        status
     }
 
     /// Rebuilds the poisoned engine from the surviving per-peer state and
@@ -1336,7 +1286,7 @@ impl DsgService {
         Ok(ShutdownOutcome {
             session,
             journal,
-            metrics: self.shared.metrics(),
+            metrics: self.metrics(),
         })
     }
 
@@ -1534,12 +1484,12 @@ impl Worker {
     fn apply_transition(&self, transition: OverloadTransition) {
         let shedding = transition.state.sheds();
         let brownout = transition.state.brownout();
-        self.shared.shedding.store(shedding, Ordering::Relaxed);
-        let was = self.shared.brownout.swap(brownout, Ordering::Relaxed);
-        if brownout && !was {
-            self.shared.brownout_entries.fetch_add(1, Ordering::Relaxed);
-        } else if !brownout && was {
-            self.shared.brownout_exits.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut status = self.shared.status();
+            status.shedding = shedding;
+            let was = std::mem::replace(&mut status.brownout, brownout);
+            status.metrics.brownout_entries += u64::from(brownout && !was);
+            status.metrics.brownout_exits += u64::from(was && !brownout);
         }
         if shedding {
             self.shared.not_full.notify_all();
@@ -1566,9 +1516,12 @@ impl Worker {
                 // it. Rebind the store to the recovered image so a restart
                 // resumes from the structure the caller now observes.
                 self.cut_checkpoint();
-                self.shared.queue.lock().expect("queue lock").poisoned = false;
+                {
+                    let mut q = self.shared.queue.lock().expect("queue lock");
+                    q.poisoned = false;
+                    self.shared.status().metrics.recoveries += 1;
+                }
                 self.shared.not_full.notify_all();
-                self.shared.recoveries.fetch_add(1, Ordering::Relaxed);
                 reply.resolve(Ok(report));
             }
             Err(err) => reply.resolve(Err(err)),
@@ -1616,7 +1569,7 @@ impl Worker {
         let mut membership: HashMap<u64, bool> = HashMap::new();
         for item in run.items.drain(..) {
             if item.deadline.is_some_and(|deadline| deadline <= now) {
-                self.shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
+                self.shared.status().metrics.deadline_shed += 1;
                 item.ticket.resolve(Err(DsgError::DeadlineExceeded));
                 continue;
             }
@@ -1656,13 +1609,12 @@ impl Worker {
                 for (ticket, outcome) in tickets.iter().zip(batch.outcomes) {
                     ticket.resolve(Ok(outcome));
                 }
-                self.shared.batches.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .epochs
-                    .fetch_add(batch.epochs as u64, Ordering::Relaxed);
-                *self.shared.counters.lock().expect("counters lock") += batch.counters;
-                if brownout {
-                    self.shared.brownout_chunks.fetch_add(1, Ordering::Relaxed);
+                {
+                    let mut status = self.shared.status();
+                    status.metrics.batches += 1;
+                    status.metrics.epochs += batch.epochs as u64;
+                    status.metrics.counters += batch.counters;
+                    status.metrics.brownout_chunks += u64::from(brownout);
                 }
                 if self.config.record_journal && self.store.is_none() {
                     self.journal.push(chunk.clone());
@@ -1711,9 +1663,7 @@ impl Worker {
             panic::catch_unwind(AssertUnwindSafe(|| store.append_chunk(chunk, brownout)));
         let err = match appended {
             Ok(Ok(())) => {
-                self.shared
-                    .journal_bytes
-                    .store(store.journal_len(), Ordering::Relaxed);
+                self.shared.publish_store(store, 0);
                 return true;
             }
             Ok(Err(err)) => DsgError::Persist(err),
@@ -1723,15 +1673,12 @@ impl Worker {
         };
         match store.rollback() {
             Ok(()) => {
-                self.shared.append_aborts.fetch_add(1, Ordering::Relaxed);
+                self.shared.status().metrics.append_aborts += 1;
                 for ticket in tickets {
                     ticket.resolve(Err(err.clone()));
                 }
             }
-            Err(_) => {
-                self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
-                self.poison(tickets);
-            }
+            Err(_) => self.poison(tickets),
         }
         false
     }
@@ -1776,26 +1723,10 @@ impl Worker {
             store.checkpoint_engine(session.engine())
         }));
         match cut {
-            Ok(Ok(_bytes)) => {
-                self.shared.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .snapshots_reused
-                    .store(store.reused_node_sections(), Ordering::Relaxed);
-                self.shared
-                    .snapshot_seq
-                    .store(store.snapshot_seq(), Ordering::Relaxed);
-                self.shared
-                    .snapshot_offset
-                    .store(store.bound_offset(), Ordering::Relaxed);
-                self.shared
-                    .journal_bytes
-                    .store(store.journal_len(), Ordering::Relaxed);
-            }
+            Ok(Ok(_bytes)) => self.shared.publish_store(store, 1),
             Ok(Err(_)) | Err(_) => {
                 store.abandon_checkpoint();
-                self.shared
-                    .snapshot_failures
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.status().metrics.snapshot_failures += 1;
             }
         }
     }
@@ -1861,12 +1792,11 @@ impl Worker {
         let untouched = self.session.engine().epoch_phase() != EpochPhase::Applying
             && self.applied_mark() == before;
         if untouched && self.abandon_chunk() {
-            self.shared.plan_aborts.fetch_add(1, Ordering::Relaxed);
+            self.shared.status().metrics.plan_aborts += 1;
             for ticket in tickets {
                 ticket.resolve(Err(DsgError::EpochAborted(msg.clone())));
             }
         } else {
-            self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
             self.poison(tickets);
         }
     }
@@ -1886,19 +1816,18 @@ impl Worker {
             return true;
         };
         let retracted = store.retract_last_frame().is_ok();
-        self.shared
-            .journal_bytes
-            .store(store.journal_len(), Ordering::Relaxed);
+        self.shared.publish_store(store, 0);
         retracted
     }
 
-    /// Poisons the service: flag set under the queue lock, every
-    /// in-flight and queued ticket resolved with
+    /// Poisons the service: flag set and counted under the queue lock,
+    /// every in-flight and queued ticket resolved with
     /// [`DsgError::EnginePoisoned`], all waiters woken.
     fn poison(&mut self, in_flight: &[Arc<TicketCell>]) {
         let queued: Vec<Item> = {
             let mut q = self.shared.queue.lock().expect("queue lock");
             q.poisoned = true;
+            self.shared.status().metrics.poisonings += 1;
             let queued = q.items.drain(..).collect();
             self.shared.not_full.notify_all();
             queued
@@ -1918,7 +1847,7 @@ impl Worker {
     fn audit(&mut self) {
         let epoch = self.session.epochs();
         let fast_ok = self.session.engine().validate_fast().is_ok();
-        self.shared.audits.fetch_add(1, Ordering::Relaxed);
+        self.shared.status().metrics.audits += 1;
         self.session.notify_audit(&AuditEvent {
             epoch,
             deep: false,
@@ -1931,17 +1860,17 @@ impl Worker {
         {
             self.epochs_at_last_deep = epoch;
             let stamp = self.session.engine().generation();
-            let deep_ok = if self.last_clean_deep == Some(stamp) {
-                self.shared
-                    .deep_audits_certified
-                    .fetch_add(1, Ordering::Relaxed);
-                true
-            } else {
+            let certified = self.last_clean_deep == Some(stamp);
+            let deep_ok = certified || {
                 let ok = self.session.engine().validate().is_ok();
                 self.last_clean_deep = ok.then_some(stamp);
                 ok
             };
-            self.shared.deep_audits.fetch_add(1, Ordering::Relaxed);
+            {
+                let mut status = self.shared.status();
+                status.metrics.deep_audits += 1;
+                status.metrics.deep_audits_certified += u64::from(certified);
+            }
             self.session.notify_audit(&AuditEvent {
                 epoch,
                 deep: true,
@@ -1950,8 +1879,7 @@ impl Worker {
             failed = !deep_ok;
         }
         if failed {
-            self.shared.audit_failures.fetch_add(1, Ordering::Relaxed);
-            self.shared.poisonings.fetch_add(1, Ordering::Relaxed);
+            self.shared.status().metrics.audit_failures += 1;
             self.poison(&[]);
         }
     }
@@ -1984,7 +1912,7 @@ fn watchdog_loop(shared: &Shared, observers: &[SharedObserver], stall_after: Dur
             continue;
         }
         reported = Some(beat);
-        shared.stalls.fetch_add(1, Ordering::Relaxed);
+        shared.status().metrics.stalls += 1;
         let event = StallEvent {
             stage: STAGES[stage.min(STAGES.len() - 1)],
             stalled_for_ns: stalled_for,

@@ -9,6 +9,7 @@
 //! fault-injection test would trip, or consume, the fault that test armed.
 //! Fault-injection tests also disarm on every exit path.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -618,53 +619,135 @@ fn durable_journal_holds_every_request_once_and_replays_the_engine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `metrics()` and `status()` each return one moment's counters, never a
+/// mix of two: a served run's `batches`, `epochs` and engine counters move
+/// together, and so do a deep audit's two counters. One closed-loop
+/// producer makes every run one request, so one epoch of one cluster;
+/// every epoch is deep-audited (most audits are certified, since the gate
+/// routes most pairs) and checkpointed; a second thread reads both views
+/// throughout.
+#[test]
+fn metrics_and_status_are_each_one_consistent_snapshot() {
+    let _guard = failpoint::exclusive();
+    let dir = temp_store_dir("snapshot");
+    let config = ServiceConfig {
+        deep_audit_every: 1,
+        persist: Some(PersistConfig::default().with_snapshot_every(1)),
+        ..ServiceConfig::default()
+    };
+    let builder = DsgSession::builder()
+        .peers(0..64)
+        .seed(23)
+        .policy(PolicyConfig::gated());
+    let (mut service, _) = DsgService::open(&dir, builder, config).expect("cold start");
+    let requests = 300u64;
+    let served = AtomicBool::new(false);
+    let reads = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let check = |m: &ServiceMetrics| {
+                assert_eq!(m.epochs, m.batches, "{m:?}");
+                assert_eq!(m.counters.clusters as u64, m.epochs, "{m:?}");
+                assert!(m.deep_audits_certified <= m.deep_audits, "{m:?}");
+            };
+            let mut reads = 0u64;
+            while !served.load(Ordering::Acquire) {
+                check(&service.metrics());
+                check(&service.status().metrics);
+                reads += 2;
+            }
+            reads
+        });
+        for i in 0..requests {
+            // Four pairs recur every 8 requests and sixteen every 32: the
+            // gate admits some epochs and routes others, so deep audits
+            // both sweep and certify.
+            let v = if i % 2 == 0 { 32 + i % 8 } else { 32 + i % 32 };
+            let ticket = service
+                .submit_deadline(Request::communicate(i % 8, v), Duration::from_secs(30))
+                .expect("queue admits within 30s");
+            ticket.wait().expect("request serves cleanly");
+        }
+        served.store(true, Ordering::Release);
+        poller.join().expect("every read is consistent")
+    });
+    let metrics = service.shutdown().expect("shutdown").metrics;
+    assert!(reads > 0);
+    assert_eq!((metrics.batches, metrics.epochs), (requests, requests));
+    assert_eq!(
+        (metrics.deep_audits, metrics.snapshots),
+        (requests, requests)
+    );
+    assert!(metrics.deep_audits_certified > 0 && metrics.counters.planned_clusters > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Whatever the builder accepts, the store reopens. Over the balance
-    /// parameter, the shard count, the sketch aging period and the policy
-    /// kind, invalid values included: either `build` (and a cold-start
-    /// `open` with the same builder) refuses the config typed, or a durable
+    /// Whatever the builder accepts, the store reopens. Over every engine
+    /// config field (the balance parameter, the shard count, the median,
+    /// and the policy's kind, threshold, budget and aging period) and the
+    /// service and persistence settings `open` takes, invalid values
+    /// included: either `open` refuses the config typed, because `build`
+    /// does or because the queue or the ingest batch is empty, or a durable
     /// service built from it serves a few requests, shuts down, and reopens
     /// to an equal `capture_image`.
     #[test]
     fn whatever_the_builder_accepts_the_store_reopens(
-        a in 0usize..5,
-        shards in 0usize..3,
-        period in 0usize..4,
-        gated in 0u32..2,
+        (a, shards, median) in (0usize..5, 0usize..3, 0usize..2),
+        (gated, threshold, budget, period) in (0usize..2, 0usize..4, 0usize..3, 0usize..4),
+        (queue, batch, deep, fsync, snapshot) in
+            (0usize..3, 0usize..3, 0usize..3, 0usize..3, 0usize..3),
         seed in 0u64..u64::MAX,
     ) {
         let _guard = failpoint::exclusive();
         let policy = PolicyConfig {
-            policy: if gated == 1 { AdaptPolicy::Gated } else { AdaptPolicy::Always },
+            policy: [AdaptPolicy::Always, AdaptPolicy::Gated][gated],
+            threshold: [0, 1, 2, u32::MAX][threshold],
+            epoch_budget: [0, 1, u32::MAX][budget],
             aging_period: [0, 1, 64, 4096][period],
-            ..PolicyConfig::default()
         };
-        let engine = DsgConfig { a, shards, seed, policy, ..DsgConfig::default() };
+        let median = [MedianStrategy::Amf, MedianStrategy::Exact][median];
+        let engine = DsgConfig { a, median, seed, shards, policy };
         let builder = || DsgSession::builder().peers(0..16).config(engine);
+        // Each setting is 0, 1 or its default.
+        let (defaults, persist) = (ServiceConfig::default(), PersistConfig::default());
         let config = ServiceConfig {
-            persist: Some(PersistConfig::default().with_snapshot_every(1)),
-            ..ServiceConfig::default()
+            queue_capacity: [0, 1, defaults.queue_capacity][queue],
+            ingest_batch: [0, 1, defaults.ingest_batch][batch],
+            deep_audit_every: [0, 1, defaults.deep_audit_every][deep],
+            persist: Some(PersistConfig {
+                fsync_every: [0, 1, persist.fsync_every][fsync],
+                snapshot_every: [0, 1, persist.snapshot_every][snapshot],
+            }),
+            ..defaults
         };
+        let valid_service = queue > 0 && batch > 0;
         let dir = temp_store_dir("builder");
-        if let Err(err) = builder().build() {
+        let built = builder().build().map(|_| ());
+        if let Err(err) = &built {
             prop_assert!(matches!(err, DsgError::InvalidConfig(_)), "{err:?}");
-            let refused = DsgService::open(&dir, builder(), config).map(|_| ()).unwrap_err();
-            prop_assert!(matches!(refused, DsgError::InvalidConfig(_)), "{refused:?}");
-        } else {
-            // Three pairs, each repeated, so a gated policy admits some.
-            let offset = 1 + seed % 15;
-            let requests: Vec<Request> = (0..12u64)
-                .map(|i| Request::communicate(i % 3, (i % 3 + offset) % 16))
-                .collect();
-            let (mut service, _) = DsgService::open(&dir, builder(), config).expect("cold start");
-            serve_all(&service, &requests);
-            let served = service.shutdown().expect("shutdown").session.engine().capture_image();
-            let (mut reopened, report) = DsgService::open(&dir, builder(), config).expect("reopen");
-            prop_assert!(report.recovered);
-            let restored = reopened.shutdown().expect("shutdown").session.engine().capture_image();
-            prop_assert_eq!(restored, served);
+        }
+        match DsgService::open(&dir, builder(), config) {
+            Err(refused) => {
+                prop_assert!(matches!(refused, DsgError::InvalidConfig(_)), "{refused:?}");
+                prop_assert!(built.is_err() || !valid_service, "refused {config:?}: {refused:?}");
+            }
+            Ok((mut service, _)) => {
+                prop_assert!(built.is_ok() && valid_service, "opened {engine:?}, {config:?}");
+                // Three pairs, each repeated, so a gated policy admits some.
+                let offset = 1 + seed % 15;
+                let requests: Vec<Request> = (0..12u64)
+                    .map(|i| Request::communicate(i % 3, (i % 3 + offset) % 16))
+                    .collect();
+                serve_all(&service, &requests);
+                let served = service.shutdown().expect("shutdown").session.engine().capture_image();
+                let (mut reopened, report) =
+                    DsgService::open(&dir, builder(), config).expect("reopen");
+                prop_assert!(report.recovered);
+                let restored = reopened.shutdown().expect("shutdown").session.engine().capture_image();
+                prop_assert_eq!(restored, served);
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
