@@ -134,9 +134,9 @@ impl AmfMedian {
     /// buffers. The epoch engine reseeds per transformation cluster with a
     /// seed derived from the cluster's first request time, so the medians a
     /// cluster receives are a pure function of the cluster — independent of
-    /// which worker shard plans it, of how many clusters share the epoch,
-    /// and of the order they are planned in. That order-independence is
-    /// what makes the parallel plan stage bit-for-bit deterministic.
+    /// how many clusters share the epoch and of the order they are planned
+    /// in. That independence is what lets a batch of disjoint pairs
+    /// restructure exactly as the same requests served one at a time.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
     }

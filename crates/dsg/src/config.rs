@@ -116,15 +116,6 @@ pub struct DsgConfig {
     /// sketch's hashing, joining peers' membership vectors), making runs
     /// reproducible.
     pub seed: u64,
-    /// Worker shards for the *plan* stages of an epoch (≥ 1). With `k > 1`,
-    /// the disjoint clusters of an epoch are planned concurrently on up to
-    /// `k` threads (and the dummy-reconciliation detection scan of a single
-    /// big cluster is chunked across them); all plans are then applied by
-    /// the main thread in submission order. Results are bit-for-bit
-    /// identical for every shard count — the planning reads are snapshots
-    /// and every random draw is derived per cluster, not from a shared
-    /// stream (`tests/shard_equivalence.rs` proves it).
-    pub shards: usize,
     /// The adaptation policy: whether (and how) the frequency-sketch
     /// admission gate decides which communicates earn a restructure.
     /// Default off ([`AdaptPolicy::Always`]).
@@ -137,7 +128,6 @@ impl Default for DsgConfig {
             a: 3,
             median: MedianStrategy::default(),
             seed: 0xD56,
-            shards: 1,
             policy: PolicyConfig::default(),
         }
     }
@@ -165,18 +155,6 @@ impl DsgConfig {
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the plan-stage worker shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`; prefer the validating
-    /// `DsgSession::builder().shards(..)` path, which errors instead.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "the plan stage needs at least one shard");
-        self.shards = shards;
         self
     }
 

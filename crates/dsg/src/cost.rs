@@ -66,7 +66,7 @@ impl CostBreakdown {
 ///
 /// Every field but the two execution fields is a pure function of the
 /// engine's input: [`deterministic`](Self::deterministic) clears those two
-/// for cross-run and cross-shard comparisons.
+/// for cross-run comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochCounters {
     /// Transformation clusters formed (pairs with overlapping `l_α`
@@ -119,11 +119,12 @@ pub struct EpochCounters {
     /// Frequency-sketch counter-halving ("aging") passes run at the
     /// epochs' commit points.
     pub sketch_aging_passes: u64,
-    /// Worker shards the plan stages actually ran on: 1 when everything
-    /// was planned inline, up to the configured
-    /// [`DsgConfig::shards`](crate::DsgConfig::shards) when clusters (or a
-    /// single cluster's reconcile scan) fanned out. Sums keep the largest.
-    /// An execution field, cleared by [`deterministic`](Self::deterministic).
+    /// Always 1 for an epoch the engine served: every epoch is planned on
+    /// the calling thread. Sums keep the largest. Kept only because the
+    /// benchmark package reports it; it leaves together with
+    /// `DsgBuilder::shards` and `BatchOutcome`'s `Deref` when that package
+    /// next changes. An execution field, cleared by
+    /// [`deterministic`](Self::deterministic).
     pub plan_shards: usize,
     /// Wall-clock nanoseconds the plan stages took (transformation planning
     /// plus dummy-reconciliation detection). An execution field, cleared by
@@ -135,7 +136,7 @@ impl EpochCounters {
     /// A copy with the execution fields
     /// ([`plan_shards`](Self::plan_shards) and
     /// [`plan_wall_ns`](Self::plan_wall_ns)) cleared: what two runs of the
-    /// same input must agree on, whatever their shard count and timing.
+    /// same input must agree on, whatever their timing.
     pub fn deterministic(self) -> Self {
         EpochCounters {
             plan_shards: 0,

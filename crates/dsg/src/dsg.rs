@@ -81,8 +81,8 @@ impl RequestOutcome {
 /// catching a panic out of the engine.
 ///
 /// The epoch pipeline is **plan-then-apply**: everything up to and
-/// including the parallel plan stage only *reads* the graph and state
-/// table, so a panic caught while the phase is [`EpochPhase::Planning`]
+/// including the transformation plan stage only *reads* the graph and
+/// state table, so a panic caught while the phase is [`EpochPhase::Planning`]
 /// guarantees the engine is bit-for-bit the pre-epoch engine (only
 /// recycled scratch capacity is lost). A panic caught during
 /// [`EpochPhase::Applying`] may leave the structures half-mutated — the
@@ -150,31 +150,12 @@ impl MedianEngine {
 
     /// Re-derives the random stream for one transformation cluster. The
     /// seed is a pure function of the session seed and the cluster's first
-    /// request time, so the medians a cluster receives do not depend on
-    /// which shard plans it, on the other clusters of the epoch, or on the
-    /// planning order — the property the shard-equivalence and
-    /// batch-equivalence suites pin down.
+    /// request time, so the medians a cluster receives do not depend on the
+    /// other clusters of the epoch or on the planning order — the property
+    /// the batch-equivalence suite pins down.
     fn reseed_for_cluster(&mut self, config_seed: u64, t_first: u64) {
         if let MedianEngine::Amf(engine) = self {
             engine.reseed(cluster_plan_seed(config_seed, t_first));
-        }
-    }
-}
-
-/// Per-worker-shard planning scratch: the median engine (recycled AMF
-/// buffers, reseeded per cluster) and the transformation planner's
-/// recycled overlay columns.
-#[derive(Debug)]
-struct PlanShard {
-    median: MedianEngine,
-    transform: transform::TransformScratch,
-}
-
-impl PlanShard {
-    fn from_config(config: &DsgConfig) -> Self {
-        PlanShard {
-            median: MedianEngine::from_config(config),
-            transform: transform::TransformScratch::default(),
         }
     }
 }
@@ -226,10 +207,8 @@ struct CommScratch {
     verdicts: Vec<Admission>,
     /// Indexed like the admitted clusters; see [`ClusterBufs`].
     cluster_bufs: Vec<ClusterBufs>,
-    /// Per admitted cluster, the affected lists inside its subtree.
-    cluster_affected: Vec<Vec<(usize, Prefix)>>,
-    /// Per admitted cluster, its dummy-reconciliation plan.
-    reconcile_plans: Vec<dummy::ReconcilePlan>,
+    /// The transformation planner's recycled overlay columns.
+    transform: transform::TransformScratch,
     /// The concatenated diff plans of an epoch with several admitted
     /// clusters (a single cluster's plan is installed in place).
     changes: Vec<MembershipUpdate>,
@@ -241,6 +220,10 @@ struct CommScratch {
     /// (epoch-deduplicated), then sorted + deduplicated once before the
     /// repair so its order is deterministic.
     affected: Vec<(usize, Prefix)>,
+    /// The affected lists inside the subtree of the cluster being
+    /// repaired, and that cluster's dummy-reconciliation plan.
+    cluster_affected: Vec<(usize, Prefix)>,
+    reconcile_plan: dummy::ReconcilePlan,
     /// Workspace of the dummy-reconciliation pass.
     reconcile: dummy::ReconcileScratch,
 }
@@ -336,12 +319,10 @@ pub struct DynamicSkipGraph {
     /// Identifies this graph and state table; see [`Generation`].
     instance: u64,
     config: DsgConfig,
-    /// One planning scratch (median engine + overlay columns) per worker
-    /// shard; index 0 doubles as the serial engine. Each cluster reseeds
-    /// the median engine it is planned on
-    /// ([`MedianEngine::reseed_for_cluster`]), so the recycled buffers are
-    /// the only thing a shard actually keeps between clusters.
-    plan_shards_scratch: Vec<PlanShard>,
+    /// The median engine every cluster is planned with. Each cluster
+    /// reseeds it ([`MedianEngine::reseed_for_cluster`]), so its recycled
+    /// buffers are all it keeps between clusters.
+    median: MedianEngine,
     rng: StdRng,
     time: u64,
     stats: RunStats,
@@ -452,7 +433,7 @@ impl DynamicSkipGraph {
             graph,
             states,
             instance: next_instance(),
-            plan_shards_scratch: vec![PlanShard::from_config(&config)],
+            median: MedianEngine::from_config(&config),
             sketch: sketch_for(&config, saved),
             config,
             rng,
@@ -1211,7 +1192,6 @@ impl DynamicSkipGraph {
             });
         }
         cluster_pairs(&self.scratch.prefixes, &mut self.scratch.clusters);
-        // A fully gated epoch plans nothing, which counts as inline.
         let mut counters = EpochCounters {
             clusters: self.scratch.clusters.len(),
             plan_shards: 1,
@@ -1252,7 +1232,7 @@ impl DynamicSkipGraph {
             // period sees every endpoint cross the fixed threshold under
             // purely uniform traffic and the gate fails open. Staged
             // updates are uncommitted, so the bar is a pure function of
-            // pre-epoch state — deterministic across shards and replays.
+            // pre-epoch state — deterministic across replays.
             let aging_residue = if sketch.aging_passes() > 0 {
                 self.config.policy.aging_period / 2
             } else {
@@ -1329,68 +1309,34 @@ impl DynamicSkipGraph {
             self.scratch.cluster_bufs.push(ClusterBufs::default());
         }
 
-        // Phase A-plan, all admitted clusters (concurrently on worker
-        // shards when configured): steps 1b–9 — member snapshot,
-        // pre-merge group snapshots, and the transformation proper — run
-        // against a *read-only* graph and state table, recording the state
-        // writes per cluster ([`StateDelta`]). Clusters rebuild provably
-        // disjoint subtrees, every planning read is confined to the
-        // cluster's own subtree (or install-invariant), and every random
-        // draw is derived per cluster rather than from a shared stream, so
-        // the plans are a pure function of the pre-epoch structure —
-        // independent of planning order and shard count
-        // (`tests/shard_equivalence.rs` pins this bit for bit). The same
-        // plan-then-apply order runs at `shards = 1`, just inline. An
-        // epoch the gate declined entirely skips this and every later
-        // stage but the clock and the outcomes.
+        // Phase A-plan, all admitted clusters, before the first mutation:
+        // steps 1b–9 — member snapshot, pre-merge group snapshots, and the
+        // transformation proper — run against a *read-only* graph and state
+        // table, recording the state writes per cluster ([`StateDelta`]).
+        // Clusters rebuild provably disjoint subtrees, every planning read
+        // is confined to the cluster's own subtree (or install-invariant),
+        // and every random draw is derived per cluster rather than from a
+        // shared stream, so the plans are a pure function of the pre-epoch
+        // structure, independent of planning order. An epoch the gate
+        // declined entirely skips this and every later stage but the clock
+        // and the outcomes.
         if admitted > 0 {
             let plan_started = Instant::now();
-            let plan_shard_target = self.config.shards.min(admitted);
-            while self.plan_shards_scratch.len() < plan_shard_target {
-                self.plan_shards_scratch
-                    .push(PlanShard::from_config(&self.config));
-            }
-            let graph = &self.graph;
-            let states = &self.states;
-            let config = &self.config;
-            let clusters = &self.scratch.clusters;
-            let ids = &self.scratch.ids;
-            let runs = &mut self.scratch.cluster_bufs[..admitted];
-            if plan_shard_target <= 1 {
-                let shard = &mut self.plan_shards_scratch[0];
-                for (cluster, bufs) in clusters.iter().zip(runs) {
-                    plan_cluster(graph, states, config, shard, bufs, cluster, ids, t0);
-                }
-            } else {
-                // Hand each shard its round-robin share of the clusters;
-                // any assignment yields identical plans.
-                let mut jobs: Vec<Vec<(&ClusterPlan, &mut ClusterBufs)>> =
-                    (0..plan_shard_target).map(|_| Vec::new()).collect();
-                for (ci, job) in clusters.iter().zip(runs).enumerate() {
-                    jobs[ci % plan_shard_target].push(job);
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .plan_shards_scratch
-                        .iter_mut()
-                        .zip(jobs)
-                        .map(|(shard, jobs)| {
-                            scope.spawn(move || {
-                                for (cluster, bufs) in jobs {
-                                    plan_cluster(
-                                        graph, states, config, shard, bufs, cluster, ids, t0,
-                                    );
-                                }
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        handle.join().expect("plan shard panicked");
-                    }
-                });
+            let scratch = &mut self.scratch;
+            for (cluster, bufs) in scratch.clusters.iter().zip(&mut scratch.cluster_bufs) {
+                plan_cluster(
+                    &self.graph,
+                    &self.states,
+                    &self.config,
+                    &mut self.median,
+                    &mut scratch.transform,
+                    bufs,
+                    cluster,
+                    &scratch.ids,
+                    t0,
+                );
             }
             counters.plan_wall_ns = plan_started.elapsed().as_nanos() as u64;
-            counters.plan_shards = plan_shard_target;
         }
 
         // Phase A-apply, per cluster in submission order: replay the
@@ -1473,15 +1419,21 @@ impl DynamicSkipGraph {
                 .graph
                 .apply_membership_batch_collecting(changes, &mut scratch.affected)?;
 
-            // Phase C-plan: the dummy-reconciliation detection pass is a
-            // pure read of the post-install graph, so the plans of ALL
-            // clusters are computed up front — concurrently across clusters
-            // when the epoch has several, chunked across shards inside the
-            // single cluster's scan otherwise — and applied serially below
-            // in submission order. Repairs of one cluster never touch
-            // another cluster's subtree lists (roots are pairwise
+            // Phase C, per cluster in submission order: plan the dummy
+            // reconciliation over the lists this cluster's install changed
+            // (a pure read of the graph), then apply it: the reconciling
+            // dummy lifecycle, then the per-request outcomes. A cluster's
+            // plan reads only lists of its own subtree, and the repairs of
+            // the clusters before it never touch those (roots are pairwise
             // prefix-incomparable and a repair dummy's prefix extends its
-            // own cluster's root), so the pre-computed plans stay exact.
+            // own cluster's root), so planning each cluster just before its
+            // repair equals planning them all on the post-install graph.
+            // The plan's fused detection pass inventories the standing
+            // dummies of the rebuilt lists (their prefix paths join the
+            // re-check set exactly as if they were destroyed); the apply
+            // reclaims the standing dummies whose break re-derives onto
+            // them, bulk-splices the genuinely new ones, and sweeps only the
+            // genuinely stale ones.
             //
             // The merged install collected one epoch-wide affected set;
             // sort and deduplicate it once, for the scans below and for
@@ -1491,93 +1443,25 @@ impl DynamicSkipGraph {
             // re-sight its dummies) for nothing.
             scratch.affected.sort_unstable();
             scratch.affected.dedup();
-            while scratch.cluster_affected.len() < admitted {
-                scratch.cluster_affected.push(Vec::new());
-            }
-            while scratch.reconcile_plans.len() < admitted {
-                scratch
-                    .reconcile_plans
-                    .push(dummy::ReconcilePlan::default());
-            }
-            for (cluster, affected) in scratch.clusters.iter().zip(&mut scratch.cluster_affected) {
+            for (cluster, run) in scratch.clusters.iter().zip(&scratch.cluster_bufs) {
                 // Every entry lies in exactly one cluster's subtree; the
                 // filter keeps the sorted order.
-                affected.clear();
-                affected.extend(scratch.affected.iter().copied().filter(|(level, prefix)| {
-                    *level >= cluster.root_level && cluster.root_prefix.is_prefix_of(prefix)
-                }));
-            }
-            let plan_c_started = Instant::now();
-            let a = self.config.a;
-            let graph = &self.graph;
-            let clusters = &scratch.clusters;
-            let cluster_affected = &scratch.cluster_affected;
-            let plans = &mut scratch.reconcile_plans[..admitted];
-            if admitted > 1 && self.config.shards > 1 {
-                let shard_count = self.config.shards.min(admitted);
-                let mut jobs: Vec<Vec<(usize, &mut dummy::ReconcilePlan)>> =
-                    (0..shard_count).map(|_| Vec::new()).collect();
-                for (ci, plan) in plans.iter_mut().enumerate() {
-                    jobs[ci % shard_count].push((ci, plan));
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .into_iter()
-                        .map(|jobs| {
-                            scope.spawn(move || {
-                                for (ci, plan) in jobs {
-                                    dummy::plan_reconciliation(
-                                        graph,
-                                        a,
-                                        clusters[ci].root_level,
-                                        &cluster_affected[ci],
-                                        1,
-                                        plan,
-                                    );
-                                }
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        handle.join().expect("reconcile plan shard panicked");
-                    }
-                });
-                counters.plan_shards = counters.plan_shards.max(shard_count);
-            } else {
-                for ((cluster, affected), plan) in clusters.iter().zip(cluster_affected).zip(plans)
-                {
-                    dummy::plan_reconciliation(
-                        graph,
-                        a,
-                        cluster.root_level,
-                        affected,
-                        self.config.shards,
-                        plan,
-                    );
-                }
-                counters.plan_shards = counters.plan_shards.max(
-                    self.config
-                        .shards
-                        .clamp(1, cluster_affected[0].len().max(1)),
+                scratch.cluster_affected.clear();
+                scratch
+                    .cluster_affected
+                    .extend(scratch.affected.iter().copied().filter(|(level, prefix)| {
+                        *level >= cluster.root_level && cluster.root_prefix.is_prefix_of(prefix)
+                    }));
+                let plan_started = Instant::now();
+                dummy::plan_reconciliation(
+                    &self.graph,
+                    self.config.a,
+                    cluster.root_level,
+                    &scratch.cluster_affected,
+                    &mut scratch.reconcile_plan,
                 );
-            }
-            counters.plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
+                counters.plan_wall_ns += plan_started.elapsed().as_nanos() as u64;
 
-            // Phase C-apply, per cluster in submission order: the
-            // reconciling dummy lifecycle over the lists this cluster's
-            // install actually changed, then the per-request outcomes. The
-            // plan's fused detection pass inventoried the standing dummies
-            // of the rebuilt lists (their prefix paths joined the re-check
-            // set exactly as if they were destroyed); the apply reclaims
-            // the standing dummies whose break re-derives onto them,
-            // bulk-splices the genuinely new ones, and sweeps only the
-            // genuinely stale ones.
-            for ((cluster, run), plan) in scratch
-                .clusters
-                .iter()
-                .zip(&scratch.cluster_bufs)
-                .zip(&mut scratch.reconcile_plans)
-            {
                 scratch.protect.clear();
                 scratch.protect.extend(cluster.pair_indices().map(|pi| {
                     (
@@ -1591,7 +1475,7 @@ impl DynamicSkipGraph {
                     self.config.a,
                     &scratch.protect,
                     cluster.root_level,
-                    plan,
+                    &mut scratch.reconcile_plan,
                     &mut scratch.reconcile,
                 );
                 counters.dummies_destroyed += repair.destroyed;
@@ -1653,21 +1537,21 @@ impl DynamicSkipGraph {
 /// pre-epoch structure: member snapshot, notification accounting, and the
 /// transformation proper (planned, state writes recorded, the pre-merge
 /// group snapshots the timestamp rules need included), written into the
-/// cluster's `bufs`. Borrows the graph, states and config immutably, so
-/// disjoint clusters can run on scoped worker threads; the median engine
-/// is the per-shard scratch, reseeded per cluster.
+/// cluster's `bufs`. Reads the graph, states and config only; the median
+/// engine is reseeded per cluster.
 #[allow(clippy::too_many_arguments)]
 fn plan_cluster(
     graph: &SkipGraph,
     states: &StateTable,
     config: &DsgConfig,
-    shard: &mut PlanShard,
+    median: &mut MedianEngine,
+    transform: &mut transform::TransformScratch,
     bufs: &mut ClusterBufs,
     cluster: &ClusterPlan,
     ids: &[(NodeId, NodeId)],
     t0: u64,
 ) {
-    // Fault-injection site: a panic here unwinds out of a plan worker while
+    // Fault-injection site: a panic here unwinds out of the plan stage while
     // the engine is still untouched — the scenario the plan-abort
     // containment (engine bit-for-bit preserved) is tested against.
     failpoint::hit(failpoint::PLAN_WORKER);
@@ -1696,16 +1580,14 @@ fn plan_cluster(
         alpha: cluster.root_level,
         a: config.a,
     };
-    shard
-        .median
-        .reseed_for_cluster(config.seed, t0 + cluster.first_pair() as u64 + 1);
+    median.reseed_for_cluster(config.seed, t0 + cluster.first_pair() as u64 + 1);
     transform::plan_transformation(
         graph,
         states,
-        shard.median.as_finder(),
+        median.as_finder(),
         &input,
         &bufs.members,
-        &mut shard.transform,
+        transform,
         &mut bufs.outcome,
     );
 }
@@ -1948,7 +1830,6 @@ mod tests {
         // wrong shape, which `FreqSketch::from_image` asserts against.
         invalid(&|image| image.config.a = 0, "a = 0");
         invalid(&|image| image.config.a = 1, "a = 1");
-        invalid(&|image| image.config.shards = 0, "plan shards");
         invalid(&|image| image.config.policy.aging_period = 0, "aging period");
         invalid(
             &|image| image.sketch.as_mut().unwrap().counters.truncate(5),

@@ -562,9 +562,9 @@ impl NodeStampSet {
 /// remains doomed when the repair converges is removed in one final sweep.
 #[derive(Debug, Default)]
 pub struct ReconcileScratch {
-    /// Recycled [`ReconcilePlan`] shell for the serial
-    /// [`repair_balance_reconciling`] wrapper (the epoch engine pools its
-    /// own shells, one per cluster).
+    /// Recycled [`ReconcilePlan`] shell for the
+    /// [`repair_balance_reconciling`] wrapper (the epoch engine keeps its
+    /// own).
     plan: ReconcilePlan,
     /// Dummies planned but not yet installed in the current repair pass,
     /// sorted by key. Planning reads treat them as present: run walks
@@ -618,11 +618,8 @@ pub struct DummyReconcileOutcome {
 }
 
 /// The read-only *planning* half of the reconciling repair: the fused
-/// collect + detect pass over the rebuilt lists, produced against a shared
-/// `&SkipGraph` so the plans of an epoch's disjoint clusters can be
-/// computed concurrently on worker shards (and a single big cluster's scan
-/// can be chunked across them) before the main thread applies them in
-/// submission order.
+/// collect + detect pass over the rebuilt lists, which
+/// [`repair_balance_reconciling_planned`] then applies.
 ///
 /// Contents mirror exactly what
 /// [`repair_balance_reconciling`]'s first pass used to derive in place:
@@ -643,8 +640,10 @@ pub struct ReconcilePlan {
     /// sorted by `(vector, key)` — likewise computed once here.
     salvage: DummySalvage,
     violations: Vec<BalanceViolation>,
-    /// Planner-internal dedup set for worklist appends (kept here so a
-    /// recycled shell plans without allocating it).
+    /// Planner-internal: the lists the doomed inventory adds to the
+    /// re-check set, and the dedup set for those appends (kept here so a
+    /// recycled shell plans without allocating either).
+    appended: Vec<(usize, Prefix)>,
     seen: HashSet<(usize, Prefix), FastHashState>,
 }
 
@@ -656,22 +655,18 @@ impl ReconcilePlan {
         self.doomed.clear();
         self.salvage.clear();
         self.violations.clear();
+        self.appended.clear();
         self.seen.clear();
     }
 }
 
 /// Computes the [`ReconcilePlan`] for one repair scope: `worklist` names
-/// the lists the install changed (sorted + deduplicated). Pure reads; with
-/// `shards > 1` the two scan stages are chunked across that many scoped
-/// worker threads — the merge preserves worklist order and the violation
-/// set is sorted afterwards, so the result is bit-for-bit independent of
-/// the shard count.
+/// the lists the install changed (sorted + deduplicated). Pure reads.
 pub fn plan_reconciliation(
     graph: &SkipGraph,
     a: usize,
     floor: usize,
     worklist: &[(usize, Prefix)],
-    shards: usize,
     plan: &mut ReconcilePlan,
 ) {
     plan.reset();
@@ -683,32 +678,24 @@ pub fn plan_reconciliation(
     // Stage 1: fused collect + detect over the rebuilt lists — every dummy
     // is skipped (in a rebuilt list every standing dummy gets inventoried,
     // so skip-all equals the post-destroy view the oracle scans).
-    scan_chunked(worklist, shards, &mut plan.violations, |chunk, violations| {
-        let mut inventory = Vec::new();
-        for &(level, prefix) in chunk {
-            graph.list_balance_violations_collecting_dummies(
-                a,
-                level,
-                prefix,
-                &mut inventory,
-                violations,
-            );
-        }
-        inventory
-    })
-    .into_iter()
-    .for_each(|inventory| plan.inventory.extend(inventory));
+    for &(level, prefix) in worklist {
+        graph.list_balance_violations_collecting_dummies(
+            a,
+            level,
+            prefix,
+            &mut plan.inventory,
+            &mut plan.violations,
+        );
+    }
 
     // Doom the distinct inventory: each dummy's own lists at levels ≥
     // `floor` join the re-check set (removing it can merge runs anywhere
     // along its prefix path), deduplicated against the lists already
     // scanned. (`reset()` bumped the stamp epoch off 0, which
     // zero-initialised slots would otherwise match.)
-    let doomed = &mut plan.doomed;
     plan.seen.extend(worklist.iter().copied());
-    let mut appended: Vec<(usize, Prefix)> = Vec::new();
     for &id in &plan.inventory {
-        if !doomed.insert(id) {
+        if !plan.doomed.insert(id) {
             continue;
         }
         let entry = graph.node(id).expect("inventoried dummy is live");
@@ -717,7 +704,7 @@ pub fn plan_reconciliation(
         for level in floor..=mvec.len() {
             let entry = (level, mvec.prefix(level));
             if plan.seen.insert(entry) {
-                appended.push(entry);
+                plan.appended.push(entry);
             }
         }
     }
@@ -727,19 +714,15 @@ pub fn plan_reconciliation(
     // rebuilt ones are), so some of their dummies may keep standing: their
     // detection skips exactly the doomed set.
     let doomed = &plan.doomed;
-    scan_chunked(&appended, shards, &mut plan.violations, |chunk, violations| {
-        for &(level, prefix) in chunk {
-            graph.list_balance_violations_filtered(
-                a,
-                level,
-                prefix,
-                |id| doomed.contains(id),
-                violations,
-            );
-        }
-    })
-    .into_iter()
-    .for_each(drop);
+    for &(level, prefix) in &plan.appended {
+        graph.list_balance_violations_filtered(
+            a,
+            level,
+            prefix,
+            |id| doomed.contains(id),
+            &mut plan.violations,
+        );
+    }
 
     // Both lifecycles repair the pass-0 violations in sorted order.
     plan.violations
@@ -748,50 +731,12 @@ pub fn plan_reconciliation(
         .dedup_by_key(|v| (v.level, v.prefix, v.start_key));
 }
 
-/// Runs `job` over contiguous chunks of `items` — inline for one shard,
-/// on scoped worker threads for several — merging each chunk's violations
-/// (and returning each chunk's auxiliary result) in chunk order, so the
-/// output is identical for every shard count.
-fn scan_chunked<T: Sync, R: Send>(
-    items: &[T],
-    shards: usize,
-    violations: &mut Vec<BalanceViolation>,
-    job: impl Fn(&[T], &mut Vec<BalanceViolation>) -> R + Sync,
-) -> Vec<R> {
-    let jobs = shards.clamp(1, items.len().max(1));
-    if jobs <= 1 {
-        return vec![job(items, violations)];
-    }
-    let chunk_len = items.len().div_ceil(jobs);
-    let mut results = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| {
-                let job = &job;
-                scope.spawn(move || {
-                    let mut chunk_violations = Vec::new();
-                    let result = job(chunk, &mut chunk_violations);
-                    (result, chunk_violations)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (result, chunk_violations) = handle.join().expect("scan shard panicked");
-            results.push(result);
-            violations.extend(chunk_violations);
-        }
-    });
-    results
-}
-
-
 /// The reconciling twin of [`repair_balance_destroy_recreate`]:
 /// plan-then-apply over an inventory instead of destroy-then-recreate.
 ///
-/// The **collect** phase is the read-only [`plan_reconciliation`] (inlined
-/// here for the serial path; the epoch engine pre-computes plans on worker
-/// shards and calls [`repair_balance_reconciling_planned`] directly): one
+/// The **collect** phase is the read-only [`plan_reconciliation`] (the
+/// epoch engine calls it and [`repair_balance_reconciling_planned`]
+/// separately, so it can time the plan on its own): one
 /// walk per rebuilt list inventories its standing dummies (they stay
 /// linked, *doomed* — every planning read treats them as absent) and
 /// reports the list's violations with them skipped, exactly what the
@@ -828,7 +773,7 @@ pub fn repair_balance_reconciling(
     scratch: &mut ReconcileScratch,
 ) -> DummyReconcileOutcome {
     let mut plan = std::mem::take(&mut scratch.plan);
-    plan_reconciliation(graph, a, floor, worklist, 1, &mut plan);
+    plan_reconciliation(graph, a, floor, worklist, &mut plan);
     worklist.clear();
     let outcome =
         repair_balance_reconciling_planned(graph, states, a, protect, floor, &mut plan, scratch);
@@ -839,7 +784,7 @@ pub fn repair_balance_reconciling(
 /// The *apply* half of the reconciling repair, consuming a pre-computed
 /// [`ReconcilePlan`] in place (see [`repair_balance_reconciling`] for the
 /// lifecycle's contract — this entry point is what the epoch engine calls
-/// after planning clusters on worker shards). The plan's inventory,
+/// right after planning each cluster). The plan's inventory,
 /// doomed set, salvage snapshot and pass-0 violations are used where they
 /// stand; the shell is left reusable (reset on its next plan).
 pub fn repair_balance_reconciling_planned(

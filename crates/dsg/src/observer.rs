@@ -31,7 +31,7 @@ pub struct EpochEvent {
     /// 1-based epoch counter of the session.
     pub epoch: u64,
     /// What the epoch counted: clusters, installs, dummies, the admission
-    /// gate's verdicts and the plan stage's fan-out and time.
+    /// gate's verdicts and the plan stages' time.
     pub counters: EpochCounters,
 }
 

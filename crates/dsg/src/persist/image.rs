@@ -26,7 +26,7 @@
 //! * the engine RNG's full internal state — replayed `Join` requests draw
 //!   membership-vector bits from it, and recovery replays joins;
 //! * the [`DsgConfig`] — the restored engine must plan with the captured
-//!   `a`, seed, shard count, and strategies, not whatever the reopening
+//!   `a`, seed and strategies, not whatever the reopening
 //!   process happens to pass.
 //!
 //! Run statistics and pooled scratch are deliberately *not* captured: they
@@ -205,7 +205,8 @@ pub(crate) fn encode_prefix(
     buf.push(1);
     // The retired install option's byte, always 0.
     buf.push(0);
-    put_u64(buf, config.shards as u64);
+    // The retired plan-shard count's word, always 1.
+    put_u64(buf, 1);
     // The retired adaptive-flush option's byte, always 0.
     buf.push(0);
     buf.push(policy_tag(config.policy.policy));
@@ -302,8 +303,7 @@ fn bounded(count: u64, limit: usize, what: &str) -> Result<usize, PersistError> 
 
 /// Checks the parts of an engine image that its types do not: a
 /// configuration [`DsgBuilder::build`](crate::DsgBuilder::build) accepts
-/// (`a` at least 2, at least one plan shard, a positive sketch aging
-/// period) and a frequency sketch, if any, of the shape
+/// (`a` at least 2, a positive sketch aging period) and a frequency sketch, if any, of the shape
 /// [`FreqSketch`](crate::policy::FreqSketch) has. [`decode_snapshot`]
 /// refuses a payload that fails it, and
 /// [`DynamicSkipGraph::restore_image`](crate::DynamicSkipGraph::restore_image)
@@ -314,9 +314,6 @@ pub(crate) fn check_engine_parts(
 ) -> Result<(), String> {
     if config.a < 2 {
         return Err(format!("balance parameter a = {} below 2", config.a));
-    }
-    if config.shards == 0 {
-        return Err("zero plan shards".to_string());
     }
     if config.policy.aging_period == 0 {
         return Err("zero sketch aging period".to_string());
@@ -338,9 +335,9 @@ pub(crate) fn check_engine_parts(
 /// Returns [`PersistError::CorruptSnapshot`] on any structural problem:
 /// bad magic or another version's (a `DSGSNAP2` payload among them),
 /// truncated payload, malformed varints, invalid tags, a configuration
-/// the builder refuses (`a` below 2, no plan shard, a zero sketch aging
-/// period), a sketch of the wrong shape, counts the remaining bytes cannot
-/// hold, a membership vector longer than
+/// the builder refuses (`a` below 2, a zero sketch aging period), a zero
+/// plan-shard count, a sketch of the wrong shape, counts the remaining
+/// bytes cannot hold, a membership vector longer than
 /// [`MembershipVector::MAX_LEVELS`], out-of-order or overflowing keys, set
 /// padding bits, or trailing bytes.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
@@ -384,7 +381,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         0 | 1 => {}
         tag => return Err(corrupt(&format!("bad install byte {tag}"))),
     }
-    let shards = r.u64().map_err(short)? as usize;
+    // Every plan-shard count built the same structure, so a store written
+    // with any of them replays exactly; zero was never written.
+    if r.u64().map_err(short)? == 0 {
+        return Err(corrupt("zero plan shards"));
+    }
     match r.u8().map_err(short)? {
         0 => {}
         // A store written with the option on cut its epochs elsewhere, so
@@ -417,7 +418,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         a,
         median,
         seed,
-        shards,
         policy: PolicyConfig {
             policy,
             threshold,
@@ -609,7 +609,7 @@ mod tests {
 
     fn sample_image() -> EngineImage {
         EngineImage {
-            config: DsgConfig::default().with_seed(0xFEED).with_shards(4),
+            config: DsgConfig::default().with_seed(0xFEED),
             time: 421,
             rng_state: [1, 2, 3, u64::MAX],
             nodes: vec![
@@ -668,9 +668,12 @@ mod tests {
         // Both install strategies built bit-identical structures.
         ("install", MAINTAIN_BALANCE_AT + 1, 0, &[0, 1]),
         // On cut epochs elsewhere, so its journal replays into different
-        // epochs. It follows the install byte and shards.
-        ("adaptive_flush", MAINTAIN_BALANCE_AT + 1 + 1 + 8, 0, &[0]),
+        // epochs. It follows the shard word.
+        ("adaptive_flush", SHARDS_AT + 8, 0, &[0]),
     ];
+
+    /// The retired plan-shard count: a u64 after the install byte.
+    const SHARDS_AT: usize = MAINTAIN_BALANCE_AT + 2;
 
     /// Decodes all 256 values of the retired `option`'s byte: accepted ones
     /// must decode to the original image, every other one must be refused
@@ -708,6 +711,28 @@ mod tests {
     #[test]
     fn the_retired_adaptive_flush_option_is_refused_typed() {
         assert_retired_option_byte_is_refused_typed("adaptive_flush");
+    }
+
+    /// The shard word is written as 1; any nonzero count decodes to the
+    /// same image, since every shard count built the same structure, and
+    /// zero is refused typed.
+    #[test]
+    fn the_retired_shard_word_decodes_unless_zero() {
+        let image = sample_image();
+        let mut bytes = encode_snapshot(&image);
+        let word = SHARDS_AT..SHARDS_AT + 8;
+        assert_eq!(bytes[word.clone()], 1u64.to_le_bytes(), "written as 1");
+        for shards in [1u64, 2, 4] {
+            bytes[word.clone()].copy_from_slice(&shards.to_le_bytes());
+            assert_eq!(decode_snapshot(&bytes).unwrap(), image, "shards = {shards}");
+        }
+        bytes[word].copy_from_slice(&0u64.to_le_bytes());
+        match decode_snapshot(&bytes) {
+            Err(PersistError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains("plan shards"), "{detail}");
+            }
+            other => panic!("shards = 0: unexpected {other:?}"),
+        }
     }
 
     #[test]

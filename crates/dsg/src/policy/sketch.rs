@@ -15,7 +15,7 @@
 //!   above and fall back below the admission threshold.
 //! * Row seeds derive deterministically from `DsgConfig::seed`, so two
 //!   engines built with the same config hash identically — a requirement
-//!   for the restart-replay and shard-equivalence oracles.
+//!   for the restart-replay oracles.
 //!
 //! # Staging discipline
 //!

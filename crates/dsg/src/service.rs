@@ -127,11 +127,10 @@
 //!
 //! One ingest thread owns the session; producers only touch the bounded
 //! queue (a `Mutex<VecDeque>` with two condvars — `std::sync` only), the
-//! counters and their tickets. Everything the engine does therefore stays
-//! serialized, and the plan-stage worker shards of the session remain
-//! scoped *inside* an epoch — the service adds concurrency at the
-//! boundary, never inside the pipeline, which is why the determinism
-//! guarantees of [`DsgSession`] carry over verbatim.
+//! counters and their tickets. Everything the engine does therefore runs
+//! on that one thread — the service adds concurrency at the boundary,
+//! never inside the pipeline, which is why the determinism guarantees of
+//! [`DsgSession`] carry over verbatim.
 //! [`shutdown`](DsgService::shutdown) closes the queue and, per
 //! [`ShutdownPolicy`], either drains the backlog or resolves it with
 //! [`DsgError::ShuttingDown`]; dropping the service does the same and
@@ -1531,16 +1530,12 @@ impl Worker {
     /// Serves one drained run: sojourn accounting and overload
     /// transitions, deadline shedding, per-request validation, one
     /// guarded `submit_batch`, ticket resolution, and the tiered audit.
+    ///
+    /// A drained run never meets a poisoned engine: only this thread
+    /// poisons, [`poison`](Self::poison) empties the queue, and admission
+    /// refuses while the flag is set, so a non-empty drain saw it clear.
     fn serve(&mut self, run: &mut RunBuffers) {
         self.beat(STAGE_DRAIN);
-        if self.shared.queue.lock().expect("queue lock").poisoned {
-            // Poisoned between drain and serve (failed audit): nothing may
-            // touch the engine, but nothing may hang either.
-            for item in run.items.drain(..) {
-                item.ticket.resolve(Err(DsgError::EnginePoisoned));
-            }
-            return;
-        }
 
         // The controller sees every drained request's queue sojourn —
         // including requests about to be shed — and its verdict for this
@@ -1620,9 +1615,10 @@ impl Worker {
                     self.journal.push(chunk.clone());
                 }
                 self.beat(STAGE_AUDIT);
-                self.audit();
-                self.beat(STAGE_CHECKPOINT);
-                self.maybe_checkpoint();
+                if !self.audit() {
+                    self.beat(STAGE_CHECKPOINT);
+                    self.maybe_checkpoint();
+                }
             }
             Ok(Err(err)) => {
                 // Pre-validation makes engine-side validation failures
@@ -1684,7 +1680,8 @@ impl Worker {
     }
 
     /// Cuts a snapshot checkpoint at the quiescent point after a served
-    /// run, on the [`PersistConfig::snapshot_every`] epoch cadence.
+    /// run whose audit passed, on the [`PersistConfig::snapshot_every`]
+    /// epoch cadence.
     fn maybe_checkpoint(&mut self) {
         if self.store.is_none() {
             return;
@@ -1699,9 +1696,6 @@ impl Worker {
             .saturating_sub(self.epochs_at_last_snapshot)
             < every
         {
-            return;
-        }
-        if self.shared.queue.lock().expect("queue lock").poisoned {
             return;
         }
         self.cut_checkpoint();
@@ -1843,8 +1837,8 @@ impl Worker {
     /// The tiered invariant audit, run after every successfully served
     /// run. A deep audit due on an engine whose generation stamp the last
     /// clean deep run saw is certified instead of run. A failed audit
-    /// degrades the service to the poisoned state.
-    fn audit(&mut self) {
+    /// degrades the service to the poisoned state; returns whether it did.
+    fn audit(&mut self) -> bool {
         let epoch = self.session.epochs();
         let fast_ok = self.session.engine().validate_fast().is_ok();
         self.shared.status().metrics.audits += 1;
@@ -1882,6 +1876,7 @@ impl Worker {
             self.shared.status().metrics.audit_failures += 1;
             self.poison(&[]);
         }
+        failed
     }
 }
 

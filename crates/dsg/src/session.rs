@@ -37,22 +37,17 @@
 //!
 //! # Threading model
 //!
-//! A session is single-threaded at its surface: `submit`/`submit_batch`
-//! take `&mut self` and everything observable happens on the caller's
-//! thread. Internally, an epoch is served **plan-then-apply**: the
-//! expensive Θ(n) *planning* work — the per-cluster transformation
-//! (vector recomputation, AMF medians, diff derivation) and the
-//! dummy-reconciliation detection scans — only *reads* the graph and
-//! state table, so with [`DsgBuilder::shards`]`(k > 1)` it fans out
-//! across `k` scoped worker threads (`std::thread::scope`; no threads
-//! outlive the call). All *mutation* — state-delta replay, group/timestamp
-//! rules, the membership install, dummy placement — is applied by the
-//! calling thread in submission order. Results are bit-for-bit identical
-//! for every shard count: planning reads are snapshots of the pre-epoch
-//! structure, worker outputs are merged in deterministic (submission)
-//! order, and every random draw is derived per cluster instead of from a
-//! shared stream (`tests/shard_equivalence.rs` proves graphs, states,
-//! dummy populations and outcomes equal for shards ∈ {1, 2, 4, 8}).
+//! A session is single-threaded: `submit`/`submit_batch` take `&mut self`
+//! and all of an epoch's work runs on the caller's thread. An epoch is
+//! served **plan-then-apply**: the per-cluster transformation (vector
+//! recomputation, AMF medians, diff derivation) of every admitted cluster
+//! is planned as a pure read of the graph and state table before anything
+//! mutates; the state-delta replay, group/timestamp rules, the membership
+//! install and each cluster's dummy reconciliation (its detection scan,
+//! then its repair) follow in submission order. Every random draw is
+//! derived per cluster instead of from a shared stream, so a batch of
+//! pairs with disjoint subtrees leaves the same network as the same
+//! requests served one at a time (`tests/batch_equivalence.rs`).
 //!
 //! To drive a session from **multiple producer threads**, hand it to a
 //! [`DsgService`](crate::service::DsgService): the session moves onto a
@@ -160,14 +155,12 @@ impl DsgBuilder {
         self
     }
 
-    /// Worker shards for the epoch *plan* stages (validated at
-    /// [`build`](Self::build) — must be ≥ 1). The default of 1 plans
-    /// inline; higher counts fan the per-cluster transformation planning
-    /// and the dummy-reconciliation detection scans out across scoped
-    /// threads, with bit-for-bit identical results (see the
-    /// [module documentation](self)'s threading model).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
+    /// Ignores its argument: the engine plans every epoch on the calling
+    /// thread. Kept only because the benchmark package calls it; it leaves
+    /// together with `BatchOutcome`'s `Deref` and
+    /// [`EpochCounters::plan_shards`] when that package next changes.
+    #[doc(hidden)]
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -203,8 +196,8 @@ impl DsgBuilder {
     /// # Errors
     ///
     /// [`DsgError::InvalidConfig`] for a configuration a snapshot could not
-    /// be reopened with (a balance parameter below 2, no plan shard, a zero
-    /// sketch aging period; the check the snapshot decoder makes) or for
+    /// be reopened with (a balance parameter below 2, a zero sketch aging
+    /// period; the check the snapshot decoder makes) or for
     /// supplying both [`peers`](Self::peers) and [`members`](Self::members);
     /// [`DsgError::DuplicatePeer`] if a peer key appears twice.
     pub fn build(self) -> Result<DsgSession> {
@@ -579,7 +572,6 @@ mod tests {
     fn builder_checks_a_whole_config() {
         let config = DsgConfig {
             a: 0,
-            shards: 0,
             ..Default::default()
         };
         let err = DsgSession::builder()

@@ -156,14 +156,15 @@ impl NodeState {
 }
 
 /// A recorded sequence of state writes, produced by the *planning* half of
-/// the transformation engine and applied to a [`StateTable`] by the main
-/// thread ([`StateTable::apply_delta`]).
+/// the transformation engine and applied to a [`StateTable`] afterwards
+/// ([`StateTable::apply_delta`]).
 ///
-/// The split exists for the parallel plan stage of
+/// The split exists for the plan stage of
 /// [`DynamicSkipGraph::communicate_epoch`](crate::DynamicSkipGraph::communicate_epoch):
-/// worker shards plan disjoint clusters against a shared `&StateTable` and
-/// record their intended writes here instead of mutating the table, so the
-/// expensive Θ(n) planning needs no `&mut` access. Entries are replayed in
+/// every admitted cluster is planned against a shared `&StateTable`, its
+/// intended writes recorded here instead of mutating the table, before
+/// the first mutation of the epoch — so a fault while planning leaves the
+/// engine untouched. Entries are replayed in
 /// recording order (last write wins), which reproduces the exact write
 /// sequence — including writes that re-store a default value, since those
 /// still grow [`NodeState::stored_group_levels`] and the unbounded

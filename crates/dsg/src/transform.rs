@@ -311,8 +311,7 @@ struct LevelCost {
 }
 
 /// Reusable buffers of the transformation's planning half, owned by the
-/// caller (one per plan-stage worker shard) so a warm epoch plans without
-/// allocating.
+/// caller so a warm epoch plans without allocating.
 #[derive(Debug, Default)]
 pub struct TransformScratch {
     /// Per position: the member's current priority.
@@ -353,10 +352,10 @@ pub struct TransformScratch {
 /// membership vectors: the differential install plan
 /// ([`TransformOutcome::changes`]) is computed against them.
 ///
-/// Everything this function reads is borrowed immutably, so disjoint
-/// clusters of one epoch can be planned concurrently on worker shards; the
-/// caller applies the deltas serially in submission order, which replays
-/// the exact write sequence a mutating engine would have produced.
+/// Everything this function reads is borrowed immutably, so every cluster
+/// of an epoch is planned before any of them mutates the engine; the
+/// caller applies the deltas in submission order, which replays the exact
+/// write sequence a mutating engine would have produced.
 pub fn plan_transformation(
     graph: &SkipGraph,
     states: &StateTable,

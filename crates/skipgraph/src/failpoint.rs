@@ -3,7 +3,7 @@
 //! A *fail point* is a named site in the code (the [`sites`] catalog) that
 //! can be **armed** to panic on its `n`-th hit. The robustness suites use
 //! this to drive the epoch pipeline into its documented failure modes on
-//! purpose — a plan-stage worker dying mid-plan, the membership installer
+//! purpose — the plan stage dying mid-plan, the membership installer
 //! dying between two list splices, the dummy-reconciliation detection pass
 //! dying after the install, the service ingest loop dying between epochs —
 //! and then assert the containment story (`dsg::service`): plan-stage
@@ -40,9 +40,9 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Fail-point site inside the parallel epoch *plan* stage: hit once per
-/// cluster planned (worker shard or inline). Firing here aborts the epoch
-/// before any apply — the engine is untouched.
+/// Fail-point site inside the epoch *plan* stage: hit once per cluster
+/// planned. Firing here aborts the epoch before any apply — the engine is
+/// untouched.
 pub const PLAN_WORKER: &str = "plan.worker";
 
 /// Fail-point site inside the ordered-splice membership installer

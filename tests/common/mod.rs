@@ -1,6 +1,6 @@
 //! Shared helpers of the integration suites: the bit-for-bit network,
 //! graph and batch-outcome comparisons used by the determinism and
-//! differential tests (`shard_equivalence.rs`, `batch_equivalence.rs`,
+//! differential tests (`batch_equivalence.rs`, `policy_gate.rs`,
 //! `dummy_reconcile.rs`, `service.rs`, …), and [`replay_epoch`], which
 //! rebuilds one served epoch through the slow reference install and dummy
 //! lifecycle (`dummy_reconcile.rs`, `arena_reference_agreement.rs`).
@@ -80,7 +80,7 @@ pub fn assert_graphs_agree(label: &str, ga: &SkipGraph, gb: &SkipGraph) {
 
 /// Asserts two batch outcomes agree on everything deterministic: every
 /// outcome, the epoch count and every counter but the execution fields,
-/// which legitimately differ across shard counts and runs.
+/// which legitimately differ across runs.
 pub fn assert_outcomes_agree(label: &str, left: &BatchOutcome, right: &BatchOutcome) {
     assert_eq!(left.outcomes, right.outcomes, "{label}: outcomes diverge");
     assert_eq!(left.epochs, right.epochs, "{label}: epochs diverge");

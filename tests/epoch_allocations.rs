@@ -1,12 +1,14 @@
-//! Pins what a gated request allocates.
+//! Pins what a request allocates.
 //!
 //! Under the gated policy almost every cold request is served by routing
 //! alone, and routing allocates nothing: the walk counts its hops instead
 //! of recording them, and the engine and the session keep their per-epoch
 //! buffers. What is left are the two outcome vectors the API returns, the
-//! epoch report's and the batch's. A counting global allocator measures
-//! this, counting only the calls the test's own thread makes while a
-//! request is being served.
+//! epoch report's and the batch's. A restructured request allocates more
+//! (the bulk dummy installer's key and id vectors, each repair's placed
+//! list, growth of recycled buffers), and its mean is bounded at what it
+//! measured. A counting global allocator measures both, counting only the
+//! calls the test's own thread makes while a request is being served.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,6 +74,11 @@ fn counted_submit(session: &mut DsgSession, request: Request) -> (BatchOutcome, 
     )
 }
 
+/// The mean allocations of a restructured request (250 of the 1,000) as
+/// measured, plus one of slack: 66.92 in release, 73.75 in a debug build,
+/// whose debug assertions allocate too.
+const RESTRUCTURED_MEAN_BOUND: f64 = if cfg!(debug_assertions) { 74.75 } else { 67.92 };
+
 #[test]
 fn a_gated_request_allocates_only_its_two_outcome_vectors() {
     let n = 256;
@@ -101,11 +108,11 @@ fn a_gated_request_allocates_only_its_two_outcome_vectors() {
             restructured_allocations += allocations;
         }
     }
+    let restructured_mean = restructured_allocations as f64 / restructured.max(1) as f64;
     println!(
         "gated: {gated} requests, {:.2} allocations each (worst {worst}); \
-         restructured: {restructured} requests, {:.2} each",
+         restructured: {restructured} requests, {restructured_mean:.2} each",
         gated_allocations as f64 / gated.max(1) as f64,
-        restructured_allocations as f64 / restructured.max(1) as f64,
     );
     // About three in four uniform requests are gated at this size.
     assert!(
@@ -116,5 +123,14 @@ fn a_gated_request_allocates_only_its_two_outcome_vectors() {
         worst <= 2,
         "a gated one-pair submit_batch made {worst} allocations; only the epoch \
          report's and the batch's outcome vectors may allocate"
+    );
+    assert!(
+        restructured >= 100,
+        "too few restructured requests to measure: {restructured}"
+    );
+    assert!(
+        restructured_mean <= RESTRUCTURED_MEAN_BOUND,
+        "a restructured one-pair submit_batch made {restructured_mean:.2} allocations \
+         on average, above {RESTRUCTURED_MEAN_BOUND}"
     );
 }

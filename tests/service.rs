@@ -685,8 +685,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Whatever the builder accepts, the store reopens. Over every engine
-    /// config field (the balance parameter, the shard count, the median,
-    /// and the policy's kind, threshold, budget and aging period) and the
+    /// config field (the balance parameter, the median, and the policy's
+    /// kind, threshold, budget and aging period) and the
     /// service and persistence settings `open` takes, invalid values
     /// included: either `open` refuses the config typed, because `build`
     /// does or because the queue or the ingest batch is empty, or a durable
@@ -694,7 +694,7 @@ proptest! {
     /// to an equal `capture_image`.
     #[test]
     fn whatever_the_builder_accepts_the_store_reopens(
-        (a, shards, median) in (0usize..5, 0usize..3, 0usize..2),
+        (a, median) in (0usize..5, 0usize..2),
         (gated, threshold, budget, period) in (0usize..2, 0usize..4, 0usize..3, 0usize..4),
         (queue, batch, deep, fsync, snapshot) in
             (0usize..3, 0usize..3, 0usize..3, 0usize..3, 0usize..3),
@@ -708,7 +708,7 @@ proptest! {
             aging_period: [0, 1, 64, 4096][period],
         };
         let median = [MedianStrategy::Amf, MedianStrategy::Exact][median];
-        let engine = DsgConfig { a, median, seed, shards, policy };
+        let engine = DsgConfig { a, median, seed, policy };
         let builder = || DsgSession::builder().peers(0..16).config(engine);
         // Each setting is 0, 1 or its default.
         let (defaults, persist) = (ServiceConfig::default(), PersistConfig::default());

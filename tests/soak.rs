@@ -31,17 +31,21 @@ impl Mix {
     }
 }
 
-fn soak(shards: usize) {
+/// ≥ 5k mixed requests. `#[ignore]`: run via the dedicated CI soak job.
+#[test]
+#[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
+fn soak_mixed_traffic() {
     const PEERS: u64 = 256;
     const REQUESTS: usize = 5_000;
     const BATCH: usize = 16;
     /// Invariants are re-checked every this many submitted batches.
     const CHECK_EVERY: usize = 25;
 
+    let _guard = failpoint::exclusive();
+
     let mut session = DsgSession::builder()
         .peers(0..PEERS)
         .seed(0x50A6)
-        .shards(shards)
         .build()
         .expect("soak config is valid");
     let mut mix = Mix(0x00DE_C0DE);
@@ -124,24 +128,6 @@ fn soak(shards: usize) {
     session.engine().validate().expect("final invariant sweep");
     assert!(session.stats().requests > 0);
     assert_eq!(session.len() as u64, PEERS + joined.len() as u64);
-}
-
-/// ≥ 5k mixed requests, serial planning. `#[ignore]`: run via the
-/// dedicated CI soak job.
-#[test]
-#[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
-fn soak_mixed_traffic_serial() {
-    let _guard = failpoint::exclusive();
-    soak(1);
-}
-
-/// The same trace with the plan stage fanned out over 4 worker shards —
-/// the long-horizon companion to `tests/shard_equivalence.rs`.
-#[test]
-#[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
-fn soak_mixed_traffic_sharded() {
-    let _guard = failpoint::exclusive();
-    soak(4);
 }
 
 /// One arm of the overload A/B: what an open-loop drive left behind.
